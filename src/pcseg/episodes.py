@@ -3,7 +3,7 @@
 A class split divides the label universe into disjoint train/test halves
 by position in the sorted class list. Episode generation draws target
 classes, support shots, and one query scene from a pool of clouds, caps
-every cloud to a point budget, and builds binary masks plus the query
+the clouds it uses to a point budget, and builds binary masks plus the query
 ground truth (target class n -> label n, everything else -> 0).
 """
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import PointCloud
-from .sampling import cap_points
+from .sampling import cap_indices, cap_points, check_max_points
 
 
 class PoolExhaustedError(RuntimeError):
@@ -86,10 +86,6 @@ class EpisodeDescriptor:
     query_source: str
 
 
-def _eligible(capped: list[PointCloud], class_id: int, min_fg_points: int) -> list[int]:
-    return [i for i, c in enumerate(capped) if int((c.labels == class_id).sum()) >= min_fg_points]
-
-
 def generate_episode(
     pool,
     split: ClassSplit,
@@ -102,28 +98,47 @@ def generate_episode(
 ) -> Episode:
     """Build one episode from `pool`, deterministically from `rng_seed`.
 
-    Every pool entry is first capped to `m_cap` points; eligibility
-    (at least `min_fg_points` points of a class) is judged on the capped
-    clouds so the episode masks are guaranteed to satisfy it. Support and
-    query entries are distinct within the episode.
+    Every pool entry gets its own capping seed. Eligibility (at least
+    `min_fg_points` points of a class) is judged on the entry as capped
+    to `m_cap` points, so the episode masks are guaranteed to satisfy it;
+    only the entries the episode uses are built as capped clouds. Support
+    and query entries are distinct within the episode.
     """
     pool = list(pool)
     if n_way < 1 or k_shot < 1:
         raise ValueError("n_way and k_shot must be >= 1")
+    if pool:  # the cap is checked even where no entry needs capping
+        check_max_points(m_cap)
     rng = np.random.default_rng(rng_seed)
-    cap_seeds = rng.integers(0, 2**63 - 1, size=len(pool))
-    capped = [cap_points(c, m_cap, int(s)) for c, s in zip(pool, cap_seeds)]
+    cap_seeds = rng.integers(0, 2**63 - 1, size=len(pool)).tolist()
 
     classes = split.classes_for(phase)
     if n_way > len(classes):
         raise ValueError(f"n_way {n_way} exceeds the {len(classes)} classes of phase {phase!r}")
     targets = tuple(int(c) for c in rng.choice(sorted(classes), size=n_way, replace=False))
 
+    capped_labels: dict[int, np.ndarray] = {}
+
+    def eligible(class_id: int) -> list[int]:
+        out = []
+        for i, cloud in enumerate(pool):
+            # Capping only drops points, so a cloud short of the class stays short.
+            if np.count_nonzero(cloud.labels == class_id) < min_fg_points:
+                continue
+            if i not in capped_labels:
+                idx = cap_indices(len(cloud), m_cap, cap_seeds[i])
+                capped_labels[i] = cloud.labels if idx is None else cloud.labels[idx]
+            if np.count_nonzero(capped_labels[i] == class_id) >= min_fg_points:
+                out.append(i)
+        return out
+
+    eligible_of = {class_id: eligible(class_id) for class_id in targets}
+
     used: set[int] = set()
     support: list[list[tuple[PointCloud, np.ndarray]]] = []
     support_indices: list[list[int]] = []
     for class_id in targets:
-        avail = [i for i in _eligible(capped, class_id, min_fg_points) if i not in used]
+        avail = [i for i in eligible_of[class_id] if i not in used]
         if len(avail) < k_shot:
             raise PoolExhaustedError(
                 f"class {class_id}: need {k_shot} support clouds with >= {min_fg_points} "
@@ -131,18 +146,17 @@ def generate_episode(
             )
         picked = [int(i) for i in rng.choice(avail, size=k_shot, replace=False)]
         used.update(picked)
-        support.append([(capped[i], capped[i].labels == class_id) for i in picked])
+        shots = [cap_points(pool[i], m_cap, cap_seeds[i]) for i in picked]
+        support.append([(cloud, cloud.labels == class_id) for cloud in shots])
         support_indices.append(picked)
 
-    query_avail = sorted(
-        {i for c in targets for i in _eligible(capped, c, min_fg_points)} - used
-    )
+    query_avail = sorted({i for ids in eligible_of.values() for i in ids} - used)
     if not query_avail:
         raise PoolExhaustedError(
             f"classes {targets}: no unused cloud with >= {min_fg_points} foreground points left for the query"
         )
     query_index = int(rng.choice(query_avail))
-    query = capped[query_index]
+    query = cap_points(pool[query_index], m_cap, cap_seeds[query_index])
 
     query_gt = np.zeros(len(query), dtype=np.int64)
     for n, class_id in enumerate(targets, start=1):

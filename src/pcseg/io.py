@@ -173,16 +173,31 @@ def load_model(path):
     """Read a model artifact back: (params, bank, config, meta).
 
     Reconstruction is value-exact, so reloaded parameters reproduce
-    bit-identical forward outputs.
+    bit-identical forward outputs. Every record is checked: value count
+    against shape, shape against the config, the bank against its class
+    ids, and every value for finiteness. A failure raises ValueError
+    naming the path and the record.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
+    try:
+        return _parse_model(lines)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _check_finite(name: str, arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        raise ValueError(f"record {name} holds a non-finite value")
+
+
+def _parse_model(lines: list[str]):
     if not lines or lines[0] != MODEL_MAGIC:
-        raise ValueError(f"{path}: not a {MODEL_MAGIC} file")
+        raise ValueError(f"not a {MODEL_MAGIC} file")
     sections = _split_sections(lines[1:])
     for needed in ("meta", "config", "params", "bank"):
         if needed not in sections:
-            raise ValueError(f"{path}: missing [{needed}] section")
+            raise ValueError(f"missing [{needed}] section")
 
     meta: dict[str, str] = {}
     for line in sections["meta"]:
@@ -203,13 +218,38 @@ def load_model(path):
             record_start = i + 1
         else:
             break
-    class_ids = tuple(int(c) for c in bank_kv["class_ids"].split(","))
-    counts = np.array([int(c) for c in bank_kv["update_counts"].split()], dtype=np.int64)
+
+    def bank_value(key, parse):
+        if key not in bank_kv:
+            raise ValueError(f"[bank] has no {key}= line")
+        try:
+            return parse(bank_kv[key])
+        except ValueError:
+            raise ValueError(f"[bank] {key}={bank_kv[key]!r} is malformed") from None
+
+    class_ids = bank_value("class_ids", lambda v: tuple(int(c) for c in v.split(",")))
+    counts = bank_value("update_counts", lambda v: np.array([int(c) for c in v.split()], dtype=np.int64))
+    if counts.shape != (len(class_ids),) or (counts < 0).any():
+        raise ValueError(
+            f"[bank] update_counts needs {len(class_ids)} non-negative entries, one per class id, "
+            f"got {bank_kv['update_counts']!r}"
+        )
+    momentum = bank_value("momentum", float)
+    if not 0.0 <= momentum <= 1.0:
+        raise ValueError(f"[bank] momentum must lie in [0, 1], got {momentum}")
     bank_records = T.parse_records("\n".join(bank_lines[record_start:]))
+    if set(bank_records) != {"prototypes"}:
+        raise ValueError(f"[bank] needs exactly one record, prototypes, got {sorted(bank_records)}")
+    prototypes = bank_records["prototypes"]
+    if prototypes.shape != (len(class_ids), config.dim):
+        raise ValueError(
+            f"record prototypes has shape {prototypes.shape}, expected {(len(class_ids), config.dim)}"
+        )
+    _check_finite("prototypes", prototypes)
     bank = BasePrototypeBank(
-        prototypes=bank_records["prototypes"],
+        prototypes=prototypes,
         update_counts=counts,
-        momentum=float(bank_kv["momentum"]),
+        momentum=momentum,
         class_ids=class_ids,
     )
 
@@ -227,10 +267,11 @@ def load_model(path):
     if set(records) != expected:
         missing = expected - set(records)
         extra = set(records) - expected
-        raise ValueError(f"{path}: parameter records mismatch (missing {sorted(missing)}, extra {sorted(extra)})")
+        raise ValueError(f"parameter records mismatch (missing {sorted(missing)}, extra {sorted(extra)})")
     for p in params.parameters():
         arr = records[p.name]
         if arr.shape != p.data.shape:
-            raise ValueError(f"{path}: record {p.name} has shape {arr.shape}, expected {p.data.shape}")
+            raise ValueError(f"record {p.name} has shape {arr.shape}, expected {p.data.shape}")
+        _check_finite(p.name, arr)
         p.data = arr
     return params, bank, config, meta

@@ -33,7 +33,7 @@ from .tensor import Parameter, Tensor
 
 
 class NonFiniteLossError(ArithmeticError):
-    """Training produced a NaN or infinite loss."""
+    """Training or evaluation produced a NaN or infinite loss, gradient or logit."""
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +482,8 @@ def meta_train(pool, split: ClassSplit, config, progress=None) -> TrainResult:
     Per episode: forward in train phase (guidance excludes the episode's
     targets), backprop the summed cross-entropy, one AdamW step, then a
     bank update from the support and query features. Raises
-    NonFiniteLossError with the episode index if the loss degenerates.
+    NonFiniteLossError with the episode index if the loss or a gradient
+    degenerates; a bad gradient leaves the parameters untouched.
     """
     rng = np.random.default_rng(derive_seed(config.seed, "init"))
     params = ModelParams.create(
@@ -514,7 +515,10 @@ def meta_train(pool, split: ClassSplit, config, progress=None) -> TrainResult:
             raise NonFiniteLossError(f"episode {i}: loss is {value}")
         opt.zero_grad()
         step_loss.backward()
-        opt.step()
+        try:
+            opt.step()
+        except T.NonFiniteGradientError as exc:
+            raise NonFiniteLossError(f"episode {i}: {exc}") from None
         _update_bank_from_episode(bank, episode, aux, config.momentum)
         losses.append(value)
         if progress is not None:
@@ -544,7 +548,8 @@ def evaluate(
 
     Reports the pooled per-class IoU (confusion counts summed over all
     episodes, so episode order cannot matter), their mean, and the mean
-    of per-episode mIoU values.
+    of per-episode mIoU values. Raises NonFiniteLossError with the
+    episode index on a NaN or infinite segmentation logit.
     """
     totals: dict[int, np.ndarray] = {}
     episode_mious: list[float] = []
@@ -560,6 +565,8 @@ def evaluate(
             derive_seed(seed, "eval", i),
         )
         seg_logits, _ = forward(episode, params, bank, "test")
+        if not np.isfinite(seg_logits.data).all():
+            raise NonFiniteLossError(f"episode {i}: segmentation logits are not finite")
         pred = seg_logits.data.argmax(axis=1)
         _, episode_mean = miou(pred, episode.query_gt, episode.n_way)
         if math.isfinite(episode_mean):

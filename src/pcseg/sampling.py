@@ -38,16 +38,19 @@ class DensityReport:
         )
 
 
-def uniform_sample(cloud: PointCloud, m: int, rng_seed: int) -> PointCloud:
-    """Draw m points uniformly: without replacement when n >= m, with when n < m."""
+def uniform_indices(n: int, m: int, rng_seed: int) -> np.ndarray:
+    """The draw of `uniform_sample` on an n-point cloud."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    n = len(cloud)
     if n == 0:
         raise ValueError("cannot sample from an empty cloud")
     rng = np.random.default_rng(rng_seed)
-    idx = rng.choice(n, size=m, replace=n < m)
-    return cloud.take(idx)
+    return rng.choice(n, size=m, replace=n < m)
+
+
+def uniform_sample(cloud: PointCloud, m: int, rng_seed: int) -> PointCloud:
+    """Draw m points uniformly: without replacement when n >= m, with when n < m."""
+    return cloud.take(uniform_indices(len(cloud), m, rng_seed))
 
 
 def biased_fg_count(n: int, m: int, n_fg_points: int) -> int:
@@ -80,13 +83,24 @@ def biased_sample(cloud: PointCloud, m: int, fg_class: int, rng_seed: int) -> Po
     return cloud.take(np.concatenate([res1, res2]))
 
 
-def cap_points(cloud: PointCloud, max_points: int, rng_seed: int) -> PointCloud:
-    """Identity when the cloud fits, else a uniform draw of `max_points`."""
+def check_max_points(max_points: int) -> None:
     if max_points < 1:
         raise ValueError(f"max_points must be >= 1, got {max_points}")
-    if len(cloud) <= max_points:
-        return cloud
-    return uniform_sample(cloud, max_points, rng_seed)
+
+
+def cap_indices(n: int, max_points: int, rng_seed: int):
+    """The points `cap_points` keeps of an n-point cloud: None for all of
+    them, else the indices of a uniform draw of `max_points`."""
+    check_max_points(max_points)
+    if n <= max_points:
+        return None
+    return uniform_indices(n, max_points, rng_seed)
+
+
+def cap_points(cloud: PointCloud, max_points: int, rng_seed: int) -> PointCloud:
+    """Identity when the cloud fits, else a uniform draw of `max_points`."""
+    idx = cap_indices(len(cloud), max_points, rng_seed)
+    return cloud if idx is None else cloud.take(idx)
 
 
 _SAMPLERS = {"biased": biased_sample, "uniform": uniform_sample}

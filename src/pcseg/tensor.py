@@ -13,6 +13,8 @@ plain numpy arrays, never Tensors.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .geometry import EmptyMaskError
@@ -286,13 +288,18 @@ def take_rows(t: Tensor, indices) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def elu(t: Tensor) -> Tensor:
-    neg = t.data <= 0
-    data = t.data.copy()
-    data[neg] = np.expm1(t.data[neg])
+    # Branch-free: expm1 sees min(x, 0), so it cannot overflow, and at most
+    # one of the two terms is nonzero. Their sum can lose the sign of a zero
+    # (-0.0 + 0.0 is +0.0); elu keeps the sign of x, so copysign restores it.
+    data = np.minimum(t.data, 0.0)
+    np.expm1(data, out=data)
+    data += np.maximum(t.data, 0.0)
+    np.copysign(data, t.data, out=data)
 
     def backward(g):
-        d = np.ones_like(data)
-        d[neg] = data[neg] + 1.0  # exp(x), recovered from the forward value
+        # exp(x) = elu(x) + 1 on the negative branch, and 1 elsewhere.
+        d = np.minimum(data, 0.0)
+        d += 1.0
         return (g * d,)
 
     return Tensor(data, (t,), backward)
@@ -300,14 +307,14 @@ def elu(t: Tensor) -> Tensor:
 
 def elu_plus_one(t: Tensor) -> Tensor:
     """phi(x) = elu(x) + 1: strictly positive, equals exp(x) for x <= 0."""
-    neg = t.data <= 0
-    data = t.data + 1.0
-    data[neg] = np.exp(t.data[neg])
+    # Branch-free: exp(min(x, 0)) + max(x, 0) is exp(x) for x <= 0 and 1 + x above.
+    data = np.minimum(t.data, 0.0)
+    np.exp(data, out=data)
+    data += np.maximum(t.data, 0.0)
 
     def backward(g):
-        d = np.ones_like(data)
-        d[neg] = data[neg]  # exp(x)
-        return (g * d,)
+        # exp(x) <= 1 on the negative branch, x + 1 >= 1 elsewhere.
+        return (g * np.minimum(data, 1.0),)
 
     return Tensor(data, (t,), backward)
 
@@ -319,21 +326,36 @@ def clamp_min(t: Tensor, floor: float) -> Tensor:
 
 def layer_norm(t: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    if gain.shape != (t.shape[-1],) or bias.shape != (t.shape[-1],):
-        raise ValueError(f"gain/bias must have shape ({t.shape[-1]},)")
-    mu = t.data.mean(axis=-1, keepdims=True)
-    xc = t.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    y = xc * inv
+    d = t.shape[-1]
+    if gain.shape != (d,) or bias.shape != (d,):
+        raise ValueError(f"gain/bias must have shape ({d},)")
+    # Row means are np.add.reduce(...) / d, exactly what `.mean` computes.
+    mu = np.add.reduce(t.data, axis=-1, keepdims=True)
+    mu /= d
+    y = t.data - mu
+    var = np.add.reduce(y * y, axis=-1, keepdims=True)
+    var /= d
+    var += _LN_EPS
+    inv = np.sqrt(var, out=var)
+    np.divide(1.0, inv, out=inv)
+    y *= inv
+    out = y * gain.data
+    out += bias.data
     lead = tuple(range(t.ndim - 1))
 
     def backward(g):
         h = g * gain.data
-        gt = inv * (h - h.mean(axis=-1, keepdims=True) - y * (h * y).mean(axis=-1, keepdims=True))
-        return gt, (g * y).sum(axis=lead), g.sum(axis=lead)
+        hy = h * y
+        h_mean = np.add.reduce(h, axis=-1, keepdims=True)
+        h_mean /= d
+        hy_mean = np.add.reduce(hy, axis=-1, keepdims=True)
+        hy_mean /= d
+        h -= h_mean
+        h -= np.multiply(y, hy_mean, out=hy)
+        h *= inv
+        return h, (g * y).sum(axis=lead), g.sum(axis=lead)
 
-    return Tensor(y * gain.data + bias.data, (t, gain, bias), backward)
+    return Tensor(out, (t, gain, bias), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +391,9 @@ def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
     """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError(f"cosine_rows needs (N,D) and (M,D), got {a.shape} and {b.shape}")
-    na = np.linalg.norm(a.data, axis=1)
-    nb = np.linalg.norm(b.data, axis=1)
+    # What np.linalg.norm(x, axis=1) computes, without its dispatch.
+    na = np.sqrt(np.add.reduce(a.data * a.data, axis=1))
+    nb = np.sqrt(np.add.reduce(b.data * b.data, axis=1))
     ca = np.maximum(na, _COS_EPS)
     cb = np.maximum(nb, _COS_EPS)
     out = (a.data @ b.data.T) / ca[:, None] / cb[None, :]
@@ -474,36 +497,70 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 # optimizer
 # ---------------------------------------------------------------------------
 
+class NonFiniteGradientError(ArithmeticError):
+    """A gradient handed to the optimizer holds a NaN or an infinity."""
+
+
 class AdamW:
-    """AdamW with decoupled weight decay (decay applies even at zero gradient)."""
+    """AdamW with decoupled weight decay (decay applies even at zero gradient).
+
+    Parameters and both moments live in flat buffers, one slice per
+    parameter, so a step is a few whole-buffer numpy calls. Each
+    parameter's `data` becomes a view into the parameter buffer: rebind
+    `p.data` after construction and the optimizer no longer sees it.
+    """
 
     def __init__(self, params, lr: float, weight_decay: float = 0.0, betas=(0.9, 0.999), eps: float = 1e-8):
         self.params = list(params)
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise ValueError("AdamW needs distinct parameters")
         self.lr = lr
         self.weight_decay = weight_decay
         self.betas = betas
         self.eps = eps
         self.step_count = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        self._flat = np.concatenate([p.data.reshape(-1) for p in self.params] or [np.empty(0)])
+        self._slices = []
+        start = 0
+        for p in self.params:
+            stop = start + p.data.size
+            self._slices.append(slice(start, stop))
+            p.data = self._flat[start:stop].reshape(p.data.shape)
+            start = stop
+        self._grad = np.empty_like(self._flat)
+        self._m = np.zeros_like(self._flat)
+        self._v = np.zeros_like(self._flat)
 
     def zero_grad(self):
         for p in self.params:
             p.grad = None
 
     def step(self):
+        """One update; raises NonFiniteGradientError, touching nothing, on a
+        NaN or infinite gradient."""
+        g = self._grad
+        for p, sl in zip(self.params, self._slices):
+            g[sl] = 0.0 if p.grad is None else p.grad.reshape(-1)
+        if not np.isfinite(g).all():
+            bad = next(p for p, sl in zip(self.params, self._slices) if not np.isfinite(g[sl]).all())
+            raise NonFiniteGradientError(f"gradient of {bad.name} is not finite")
         self.step_count += 1
         b1, b2 = self.betas
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            mhat = m / (1 - b1 ** self.step_count)
-            vhat = v / (1 - b2 ** self.step_count)
-            p.data *= 1.0 - self.lr * self.weight_decay
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        m, v = self._m, self._v
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        g2 = (1 - b2) * g
+        g2 *= g
+        v += g2
+        mhat = m / (1 - b1 ** self.step_count)
+        vhat = np.divide(v, 1 - b2 ** self.step_count, out=g2)
+        np.sqrt(vhat, out=vhat)
+        vhat += self.eps
+        mhat *= self.lr
+        mhat /= vhat
+        self._flat *= 1.0 - self.lr * self.weight_decay
+        self._flat -= mhat
 
 
 def adamw_step(params, lr: float, weight_decay: float, betas, step_count: int) -> None:
@@ -588,8 +645,12 @@ def format_records(named_arrays) -> str:
 
 
 def parse_records(text: str) -> dict[str, np.ndarray]:
-    """Inverse of `format_records`."""
-    lines = [ln for ln in text.splitlines()]
+    """Inverse of `format_records`.
+
+    Raises ValueError naming the record when its header is malformed, its
+    value count does not match its shape, or its name repeats.
+    """
+    lines = text.splitlines()
     out: dict[str, np.ndarray] = {}
     i = 0
     while i < len(lines):
@@ -597,11 +658,20 @@ def parse_records(text: str) -> dict[str, np.ndarray]:
             i += 1
             continue
         name = lines[i].strip()
-        header = lines[i + 1].split()
-        rank = int(header[0])
-        shape = tuple(int(d) for d in header[1 : 1 + rank])
-        raw = lines[i + 2].split()
-        values = np.array(raw, dtype=np.float64) if raw else np.empty(0)
+        if i + 2 >= len(lines):
+            raise ValueError(f"record {name}: truncated (needs a header line and a values line)")
+        try:
+            header = [int(d) for d in lines[i + 1].split()]
+            values = np.array(lines[i + 2].split(), dtype=np.float64)
+        except ValueError:
+            raise ValueError(f"record {name}: malformed header or values") from None
+        if not header or header[0] != len(header) - 1 or min(header) < 0:
+            raise ValueError(f"record {name}: bad header {lines[i + 1]!r}")
+        shape = tuple(header[1:])
+        if values.size != math.prod(shape):
+            raise ValueError(f"record {name}: {values.size} values for shape {shape}")
+        if name in out:
+            raise ValueError(f"record {name} appears twice")
         out[name] = values.reshape(shape)
         i += 3
     return out

@@ -230,6 +230,51 @@ class TestTrainEval:
         assert code == EXIT_NUMERIC
         assert "numeric failure" in capsys.readouterr().err
 
+    def _edited_model(self, scene_dir, config_path, tmp_path, edit):
+        model = tmp_path / "model.txt"
+        assert main(["train", "--pool", str(scene_dir), "--config", str(config_path),
+                     "--out", str(model)]) == EXIT_OK
+        lines = model.read_text().splitlines()
+        edit(lines)
+        model.write_text("\n".join(lines) + "\n")
+        return model
+
+    def _eval(self, scene_dir, model, tmp_path):
+        return main(["eval", "--pool", str(scene_dir), "--model", str(model),
+                     "--episodes", "3", "--seed", "1", "--out", str(tmp_path / "metrics.txt")])
+
+    @pytest.mark.parametrize("record, edit", [
+        ("update_counts", lambda v: v.rsplit(" ", 1)[0]),  # one entry dropped
+        ("decoder.b2", lambda v: "nan"),
+    ])
+    def test_corrupt_artifact_exits_2_with_one_line(self, scene_dir, config_path, tmp_path, capsys,
+                                                     record, edit):
+        def corrupt(lines):
+            if record == "update_counts":
+                idx = next(i for i, l in enumerate(lines) if l.startswith("update_counts="))
+                lines[idx] = edit(lines[idx])
+            else:
+                idx = lines.index(record) + 2
+                lines[idx] = edit(lines[idx])
+
+        model = self._edited_model(scene_dir, config_path, tmp_path, corrupt)
+        capsys.readouterr()
+        assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(model) in err and record in err
+
+    def test_overflowing_logits_exit_70(self, scene_dir, config_path, tmp_path, capsys):
+        def overflow(lines):
+            idx = lines.index("decoder.w2") + 2
+            lines[idx] = " ".join("1e308" for _ in lines[idx].split())
+
+        model = self._edited_model(scene_dir, config_path, tmp_path, overflow)
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            code = self._eval(scene_dir, model, tmp_path)
+        assert code == EXIT_NUMERIC
+        assert "numeric failure: episode 0: segmentation logits are not finite" in capsys.readouterr().err
+
     def test_two_fold_table_layout(self, scene_dir, config_path, tmp_path):
         m0 = tmp_path / "fold0.model"
         m1 = tmp_path / "fold1.model"

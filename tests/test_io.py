@@ -145,3 +145,67 @@ class TestModelArtifact:
         path.write_text(broken)
         with pytest.raises(ValueError, match="mismatch"):
             pio.load_model(path)
+
+    @staticmethod
+    def _artifact_lines():
+        rng = np.random.default_rng(0)
+        params = ModelParams.create(rng, 8, 4, 1, 1, n_base=2)
+        bank = BasePrototypeBank.zeros([2, 4], 8, 0.995)
+        bank.apply_update(2, np.ones(8))
+        config = RunConfig(dim=8, n_prototypes=4, hca_layers=1)
+        meta = {"fold": 0, "classes": "1,2,3,4"}
+        return pio.format_model(params, bank, config, meta).splitlines()
+
+    def _load_broken(self, tmp_path, lines):
+        path = tmp_path / "broken.model"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_short_update_counts_rejected(self, tmp_path):
+        lines = self._artifact_lines()
+        idx = lines.index("update_counts=1 0")
+        lines[idx] = "update_counts=1"
+        path = self._load_broken(tmp_path, lines)
+        with pytest.raises(ValueError, match=rf"{path}: \[bank\] update_counts needs 2"):
+            pio.load_model(path)
+
+    def test_non_finite_parameter_rejected(self, tmp_path):
+        lines = self._artifact_lines()
+        idx = lines.index("decoder.b2")
+        lines[idx + 2] = "nan"
+        path = self._load_broken(tmp_path, lines)
+        with pytest.raises(ValueError, match=rf"{path}: record decoder\.b2 holds a non-finite value"):
+            pio.load_model(path)
+
+    def test_non_finite_prototype_rejected(self, tmp_path):
+        lines = self._artifact_lines()
+        idx = lines.index("prototypes")
+        lines[idx + 2] = lines[idx + 2].replace("1", "inf", 1)
+        path = self._load_broken(tmp_path, lines)
+        with pytest.raises(ValueError, match=rf"{path}: record prototypes holds a non-finite value"):
+            pio.load_model(path)
+
+    def test_value_count_checked_against_shape(self, tmp_path):
+        lines = self._artifact_lines()
+        idx = lines.index("stub.b1")
+        lines[idx + 2] = lines[idx + 2].rsplit(" ", 1)[0]  # one value short
+        path = self._load_broken(tmp_path, lines)
+        with pytest.raises(ValueError, match=rf"{path}: record stub\.b1: 7 values for shape \(8,\)"):
+            pio.load_model(path)
+
+    def test_prototype_shape_checked_against_class_ids(self, tmp_path):
+        lines = self._artifact_lines()
+        idx = lines.index("class_ids=2,4")
+        lines[idx] = "class_ids=2,4,6"
+        lines[idx + 2] = "update_counts=1 0 0"
+        path = self._load_broken(tmp_path, lines)
+        with pytest.raises(ValueError, match=rf"{path}: record prototypes has shape \(2, 8\), expected \(3, 8\)"):
+            pio.load_model(path)
+
+    def test_dropped_header_line_rejected(self, tmp_path):
+        lines = self._artifact_lines()
+        idx = lines.index("stub.w1")
+        del lines[idx + 1]
+        path = self._load_broken(tmp_path, lines)
+        with pytest.raises(ValueError, match=rf"{path}: record stub\.w1: malformed header or values"):
+            pio.load_model(path)

@@ -461,3 +461,57 @@ class TestMetaTrain:
         seen = result.bank.update_counts > 0
         zero_rows = (result.bank.prototypes == 0).all(axis=1)
         np.testing.assert_array_equal(zero_rows, ~seen)
+
+    def test_nan_gradient_stops_before_the_update(self, pool8, split8, fast_config, monkeypatch):
+        from pcseg import model as M
+
+        clean = meta_train(pool8, split8, RunConfig(**{**fast_config.__dict__, "episodes": 2}))
+        per_episode = 4 * fast_config.hca_layers  # layer norms per forward pass
+        calls = []
+        real_layer_norm = T.layer_norm
+
+        def poisoned(t, gain, bias):
+            out = real_layer_norm(t, gain, bias)
+            calls.append(1)
+            if len(calls) == 2 * per_episode + 1:  # the first layer norm of episode 2
+                backward = out._backward
+
+                def nan_gain(g):
+                    gt, g_gain, g_bias = backward(g)
+                    return gt, np.full_like(g_gain, np.nan), g_bias
+
+                out._backward = nan_gain
+            return out
+
+        opts = []
+
+        class Spy(T.AdamW):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opts.append(self)
+
+        monkeypatch.setattr(T, "layer_norm", poisoned)
+        monkeypatch.setattr(T, "AdamW", Spy)
+        with pytest.raises(M.NonFiniteLossError, match=r"episode 2: gradient of layers\.0\.ln_point_attn\.gain"):
+            meta_train(pool8, split8, RunConfig(**{**fast_config.__dict__, "episodes": 5}))
+        assert opts[0].step_count == 2
+        for got, want in zip(opts[0].params, clean.params.parameters()):
+            assert got.name == want.name
+            assert got.data.tobytes() == want.data.tobytes()
+
+
+class TestEvaluate:
+    def test_non_finite_logits_raise(self, pool8, split8, fast_config, monkeypatch):
+        from pcseg import model as M
+
+        result = meta_train(pool8, split8, fast_config)
+        real_forward = M.forward
+
+        def nan_forward(*args, **kwargs):
+            seg, base = real_forward(*args, **kwargs)
+            seg.data[0, 0] = np.nan
+            return seg, base
+
+        monkeypatch.setattr(M, "forward", nan_forward)
+        with pytest.raises(M.NonFiniteLossError, match="episode 0: segmentation logits"):
+            M.evaluate(pool8, split8, result.params, result.bank, fast_config, 3, seed=1)
