@@ -40,9 +40,18 @@ EXIT_NUMERIC = 70
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_USAGE)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _load_config(args) -> RunConfig:
@@ -294,7 +303,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate trained model(s) on held-out episodes")
     p.add_argument("--pool", required=True, nargs="+")
     p.add_argument("--model", action="append", default=[], help="model artifact (repeat for per-fold rows)")
-    p.add_argument("--episodes", type=int, default=100)
+    p.add_argument("--episodes", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--zero-bank", action="store_true", dest="zero_bank",
                    help="ablation: wipe the class-prototype bank before evaluating")

@@ -23,16 +23,20 @@ MODEL_MAGIC = "PCSEG-MODEL v1"
 
 
 def atomic_write_text(path, text: str) -> None:
+    """Write `text` to `path` through a temp file; an OSError names `path`."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -175,8 +179,9 @@ def load_model(path):
     Reconstruction is value-exact, so reloaded parameters reproduce
     bit-identical forward outputs. Every record is checked: value count
     against shape, shape against the config, the bank against its class
-    ids, and every value for finiteness. A failure raises ValueError
-    naming the path and the record.
+    ids, and every value for finiteness; so is `[meta]`: `fold` is 0 or
+    1 and `classes` a comma-separated list of ints. A failure raises
+    ValueError naming the path and the record or key.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -189,6 +194,20 @@ def load_model(path):
 def _check_finite(name: str, arr: np.ndarray) -> None:
     if not np.isfinite(arr).all():
         raise ValueError(f"record {name} holds a non-finite value")
+
+
+def _section_value(section: str, values: dict[str, str], key: str, parse):
+    if key not in values:
+        raise ValueError(f"[{section}] has no {key}= line")
+    try:
+        return parse(values[key])
+    except ValueError:
+        raise ValueError(f"[{section}] {key}={values[key]!r} is malformed") from None
+
+
+def _int_list(text: str) -> list[int]:
+    """A non-empty comma-separated list of ints."""
+    return [int(c) for c in text.split(",")]
 
 
 def _parse_model(lines: list[str]):
@@ -205,6 +224,9 @@ def _parse_model(lines: list[str]):
             key, _, value = line.partition("=")
             meta[key] = value
     share_fc = bool(int(meta.pop("share_background_fc", "0")))
+    if _section_value("meta", meta, "fold", int) not in (0, 1):
+        raise ValueError(f"[meta] fold must be 0 or 1, got {meta['fold']!r}")
+    _section_value("meta", meta, "classes", _int_list)
 
     config = RunConfig.from_text("\n".join(sections["config"]))
 
@@ -219,22 +241,15 @@ def _parse_model(lines: list[str]):
         else:
             break
 
-    def bank_value(key, parse):
-        if key not in bank_kv:
-            raise ValueError(f"[bank] has no {key}= line")
-        try:
-            return parse(bank_kv[key])
-        except ValueError:
-            raise ValueError(f"[bank] {key}={bank_kv[key]!r} is malformed") from None
-
-    class_ids = bank_value("class_ids", lambda v: tuple(int(c) for c in v.split(",")))
-    counts = bank_value("update_counts", lambda v: np.array([int(c) for c in v.split()], dtype=np.int64))
+    class_ids = tuple(_section_value("bank", bank_kv, "class_ids", _int_list))
+    counts = _section_value("bank", bank_kv, "update_counts",
+                            lambda v: np.array([int(c) for c in v.split()], dtype=np.int64))
     if counts.shape != (len(class_ids),) or (counts < 0).any():
         raise ValueError(
             f"[bank] update_counts needs {len(class_ids)} non-negative entries, one per class id, "
             f"got {bank_kv['update_counts']!r}"
         )
-    momentum = bank_value("momentum", float)
+    momentum = _section_value("bank", bank_kv, "momentum", float)
     if not 0.0 <= momentum <= 1.0:
         raise ValueError(f"[bank] momentum must lie in [0, 1], got {momentum}")
     bank_records = T.parse_records("\n".join(bank_lines[record_start:]))

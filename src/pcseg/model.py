@@ -549,7 +549,8 @@ def evaluate(
     Reports the pooled per-class IoU (confusion counts summed over all
     episodes, so episode order cannot matter), their mean, and the mean
     of per-episode mIoU values. Raises NonFiniteLossError with the
-    episode index on a NaN or infinite segmentation logit.
+    episode index on a NaN or infinite segmentation logit. The forward
+    pass runs under `no_grad`, so it builds no autograd graph.
     """
     totals: dict[int, np.ndarray] = {}
     episode_mious: list[float] = []
@@ -564,7 +565,8 @@ def evaluate(
             config.max_points,
             derive_seed(seed, "eval", i),
         )
-        seg_logits, _ = forward(episode, params, bank, "test")
+        with T.no_grad():
+            seg_logits, _ = forward(episode, params, bank, "test")
         if not np.isfinite(seg_logits.data).all():
             raise NonFiniteLossError(f"episode {i}: segmentation logits are not finite")
         pred = seg_logits.data.argmax(axis=1)

@@ -7,12 +7,21 @@ topological order. The op set is small and fixed -- exactly what the
 correlation model needs -- and every differentiable op is validated
 against central finite differences (see `finite_difference_check`).
 
+The graph lives only as long as a gradient needs it. Inside `no_grad()`
+no op records its parents or its closure, so a forward-only pass (as in
+`model.evaluate`) builds no graph and each intermediate is freed as soon
+as nothing refers to it. `backward()` frees the graph as it goes: once a
+node's closure has run, the node drops the closure, its parents and its
+gradient. Leaves keep `.grad` for the optimizer. A second `backward()`
+through a freed graph raises ValueError. Neither change alters a value.
+
 Non-differentiable arguments (masks, index arrays, group lists) are
 plain numpy arrays, never Tensors.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -23,16 +32,44 @@ _LN_EPS = 1e-12
 _COS_EPS = 1e-8
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Within the block, new tensors record no parents and no closure.
+
+    They are leaves: values are computed as usual, but no gradient flows
+    back through them. The previous setting returns on exit, also when
+    the block raises, so blocks nest.
+    """
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 class Tensor:
-    """A float64 array plus the backward closure that produced it."""
+    """A float64 array plus the backward closure that produced it.
+
+    A leaf has no closure and `_parents == ()`. A node whose graph
+    `backward()` has freed has no closure and `_parents is None`.
+    """
 
     __slots__ = ("data", "grad", "_parents", "_backward")
 
     def __init__(self, data, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self._parents = _parents
-        self._backward = _backward
+        if _grad_enabled:
+            self._parents = _parents
+            self._backward = _backward
+        else:
+            self._parents = ()
+            self._backward = None
 
     @property
     def shape(self):
@@ -46,7 +83,12 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
     def backward(self, grad=None):
-        """Accumulate gradients of this tensor into every reachable leaf."""
+        """Accumulate gradients of this tensor into every reachable leaf.
+
+        Frees the graph on the way: each node that is not a leaf drops its
+        closure, parents and gradient once its closure has run. Raises
+        ValueError, touching no gradient, if the graph was freed before.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise ValueError("backward() without an explicit grad needs a scalar")
@@ -61,19 +103,27 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._parents is None:
+                raise ValueError("backward() through a graph that an earlier backward() freed")
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
         self.grad = grad if self.grad is None else self.grad + grad
-        for node in reversed(topo):
-            if node._backward is None or node.grad is None:
+        while topo:  # reverse topological order; popping drops the list's reference
+            node = topo.pop()
+            closure, g = node._backward, node.grad
+            if closure is None:
+                continue  # a leaf keeps its gradient
+            parents = node._parents
+            node._backward = node._parents = node.grad = None
+            if g is None:
                 continue
-            for parent, g in zip(node._parents, node._backward(node.grad)):
-                if g is None:
+            for parent, pg in zip(parents, closure(g)):
+                if pg is None:
                     continue
-                parent.grad = g if parent.grad is None else parent.grad + g
+                parent.grad = pg if parent.grad is None else parent.grad + pg
 
     # Operator sugar; the module-level functions do the work.
     def __add__(self, other):

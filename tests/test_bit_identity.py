@@ -2,10 +2,13 @@
 
 The references below are the earlier implementations, kept verbatim: ELU
 and elu+1 by boolean indexing, layer norm with fresh temporaries and
-`.mean`, AdamW looping over parameters, and episode generation that caps
-every pool entry. The fast versions do the same per-element arithmetic
-on the same random streams, so every comparison here is on bytes.
+`.mean`, AdamW looping over parameters, episode generation that caps
+every pool entry, and a backward pass that keeps the whole graph alive.
+The fast versions do the same per-element arithmetic on the same random
+streams, so every comparison here is on bytes.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -95,6 +98,36 @@ class RefAdamW:
             vhat = v / (1 - b2 ** self.step_count)
             p.data *= 1.0 - self.lr * self.weight_decay
             p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+def ref_backward(self, grad=None):
+    if grad is None:
+        if self.data.size != 1:
+            raise ValueError("backward() without an explicit grad needs a scalar")
+        grad = np.ones_like(self.data)
+    topo = []
+    visited = set()
+    stack = [(self, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in visited:
+                stack.append((p, False))
+    self.grad = grad if self.grad is None else self.grad + grad
+    for node in reversed(topo):
+        if node._backward is None or node.grad is None:
+            continue
+        for parent, g in zip(node._parents, node._backward(node.grad)):
+            if g is None:
+                continue
+            parent.grad = g if parent.grad is None else parent.grad + g
 
 
 def ref_cap_points(cloud, max_points, rng_seed):
@@ -308,6 +341,7 @@ def test_meta_train_matches_reference_kernels(monkeypatch):
     monkeypatch.setattr(T, "elu_plus_one", ref_elu_plus_one)
     monkeypatch.setattr(T, "layer_norm", ref_layer_norm)
     monkeypatch.setattr(T, "AdamW", RefAdamW)
+    monkeypatch.setattr(T.Tensor, "backward", ref_backward)
     monkeypatch.setattr(M, "generate_episode", ref_generate_episode)
     slow = M.meta_train(pool, split, config)
     assert fast.losses == slow.losses
@@ -315,6 +349,72 @@ def test_meta_train_matches_reference_kernels(monkeypatch):
         assert a.name == b.name and same_bytes(a.data, b.data)
     assert same_bytes(fast.bank.prototypes, slow.bank.prototypes)
     assert same_bytes(fast.bank.update_counts, slow.bank.update_counts)
+
+
+def _episode_loss(params, bank, episode):
+    seg_logits, base_logits, _ = M._forward_parts(episode, params, bank, "train")
+    return M.loss(seg_logits, base_logits, episode.query_gt, M.base_targets(episode.query.labels, bank.class_ids))
+
+
+def _leaves(root):
+    seen, stack, out = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._backward is None:
+            out.append(node)
+        stack.extend(node._parents)
+    return out
+
+
+def test_leaf_gradients_match_a_graph_that_is_kept():
+    pool = make_pool(31, 12, range(1, 9), blobs_per_scene=3, points_per_blob=200)
+    split = make_split(range(1, 9), 0)
+    config = RunConfig(seed=9, dim=16, n_prototypes=6, hca_layers=2, heads=2, max_points=256,
+                       min_fg_points=40, episodes=6, lr=1e-2)
+    trained = M.meta_train(pool, split, config)  # a bank with rows, so guidance is live
+    episode = generate_episode(pool, split, "train", 2, 1, 40, 256, 5)
+    for p in trained.params.parameters():
+        p.grad = None
+    kept = _episode_loss(trained.params, trained.bank, episode)
+    kept_leaves = _leaves(kept)
+    ref_backward(kept)
+    kept_grads = [None if leaf.grad is None else leaf.grad.copy() for leaf in kept_leaves]
+    for p in trained.params.parameters():
+        p.grad = None
+    freed = _episode_loss(trained.params, trained.bank, episode)
+    freed_leaves = _leaves(freed)
+    freed.backward()
+    assert len(freed_leaves) == len(kept_leaves) > len(trained.params.parameters())
+    for a, b, leaf in zip(kept_grads, freed_leaves, kept_leaves):
+        assert a is not None and b.grad is not None and same_bytes(a, b.grad), getattr(leaf, "name", leaf)
+    assert kept._backward is not None and freed._backward is None and freed._parents is None
+
+
+def test_evaluate_matches_a_recorded_forward(monkeypatch):
+    pool = make_pool(32, 12, range(1, 9), blobs_per_scene=3, points_per_blob=200)
+    split = make_split(range(1, 9), 0)
+    config = RunConfig(seed=2, dim=16, n_prototypes=6, hca_layers=2, heads=2, max_points=256,
+                       min_fg_points=40, episodes=6, lr=1e-2, n_way=2)
+    trained = M.meta_train(pool, split, config)
+    logits = []
+    real_forward = M.forward
+
+    def keep_logits(*args):
+        seg_logits, base_logits = real_forward(*args)
+        logits.append(seg_logits)
+        return seg_logits, base_logits
+
+    monkeypatch.setattr(M, "forward", keep_logits)
+    fast = M.evaluate(pool, split, trained.params, trained.bank, config, 5, 11)
+    monkeypatch.setattr(T, "no_grad", contextlib.nullcontext)
+    slow = M.evaluate(pool, split, trained.params, trained.bank, config, 5, 11)
+    assert fast == slow
+    assert all(t._backward is None for t in logits[:5]) and all(t._backward is not None for t in logits[5:])
+    for a, b in zip(logits[:5], logits[5:]):
+        assert same_bytes(a.data, b.data)
 
 
 def _outcome(generate, *args):

@@ -80,6 +80,15 @@ class TestAudit:
         assert code == EXIT_IO
         assert "nope.pcseg" in capsys.readouterr().err
 
+    def test_out_in_missing_directory_names_the_path(self, scene_dir, tmp_path, capsys):
+        scene = str(sorted(scene_dir.glob("*.pcseg"))[0])
+        out = tmp_path / "nodir" / "r.txt"
+        code = main(["audit", "--cloud", scene, "--fg-class", "1", "--m", "16",
+                     "--trials", "2", "--out", str(out)])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(out) in err and ".tmp-" not in err
+
     def test_bad_flag_exits_64(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["audit", "--definitely-not-a-flag"])
@@ -262,6 +271,39 @@ class TestTrainEval:
         assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(model) in err and record in err
+
+    @pytest.mark.parametrize("key, edit", [
+        ("fold", lambda v: None),
+        ("fold", lambda v: "fold=2"),
+        ("fold", lambda v: "fold=one"),
+        ("classes", lambda v: None),
+        ("classes", lambda v: "classes="),
+        ("classes", lambda v: "classes=1,,3"),
+    ])
+    def test_bad_meta_exits_2_with_one_line(self, scene_dir, config_path, tmp_path, capsys, key, edit):
+        def corrupt(lines):
+            idx = next(i for i, l in enumerate(lines) if l.startswith(f"{key}="))
+            new = edit(lines[idx])
+            if new is None:
+                del lines[idx]
+            else:
+                lines[idx] = new
+
+        model = self._edited_model(scene_dir, config_path, tmp_path, corrupt)
+        capsys.readouterr()
+        assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(model) in err and "[meta]" in err and key in err
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_eval_episodes_below_one_is_usage_error(self, scene_dir, tmp_path, capsys, count):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--pool", str(scene_dir), "--model", "m.txt", "--episodes", count,
+                  "--out", str(tmp_path / "m.txt")])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--episodes" in err
+        assert not (tmp_path / "m.txt").exists()
 
     def test_overflowing_logits_exit_70(self, scene_dir, config_path, tmp_path, capsys):
         def overflow(lines):

@@ -515,3 +515,56 @@ class TestEvaluate:
         monkeypatch.setattr(M, "forward", nan_forward)
         with pytest.raises(M.NonFiniteLossError, match="episode 0: segmentation logits"):
             M.evaluate(pool8, split8, result.params, result.bank, fast_config, 3, seed=1)
+
+    def test_builds_no_graph(self, pool8, split8, fast_config, monkeypatch):
+        from pcseg import model as M
+
+        result = meta_train(pool8, split8, fast_config)
+        kept = []
+        real_forward = M.forward
+
+        def keep(*args, **kwargs):
+            seg, base = real_forward(*args, **kwargs)
+            kept.append((seg, base))
+            return seg, base
+
+        made = {"nodes": 0, "closures": 0}
+        real_init = T.Tensor.__init__
+
+        def counting_init(tensor, *args, **kwargs):
+            real_init(tensor, *args, **kwargs)
+            made["nodes"] += 1
+            made["closures"] += tensor._backward is not None
+
+        monkeypatch.setattr(M, "forward", keep)
+        monkeypatch.setattr(T.Tensor, "__init__", counting_init)
+        M.evaluate(pool8, split8, result.params, result.bank, fast_config, 3, seed=1)
+        assert len(kept) == 3
+        for seg, base in kept:
+            assert seg._backward is None and seg._parents == ()
+            assert base._backward is None and base._parents == ()
+        assert made["nodes"] > 100 and made["closures"] == 0
+
+    @pytest.mark.parametrize("where", ["logits", "forward"])
+    def test_graph_recording_returns_after_a_failure(self, pool8, split8, fast_config, monkeypatch, where):
+        from pcseg import model as M
+
+        config = RunConfig(**{**fast_config.__dict__, "episodes": 3})
+        clean = meta_train(pool8, split8, config)
+        params = meta_train(pool8, split8, fast_config).params
+        if where == "logits":  # evaluate raises after the forward pass
+            params.decoder.w2.data = np.full_like(params.decoder.w2.data, 1e308)
+        else:  # the forward pass itself raises, inside no_grad
+            def failing(*args, **kwargs):
+                raise M.NonFiniteLossError("forward failed")
+
+            monkeypatch.setattr(M, "forward", failing)
+        bank = BasePrototypeBank.zeros(split8.train_classes, fast_config.dim, fast_config.momentum)
+        with np.errstate(all="ignore"), pytest.raises(M.NonFiniteLossError):
+            M.evaluate(pool8, split8, params, bank, fast_config, 2, seed=1)
+        x = Tensor(np.ones(2))
+        assert T.add(x, x)._backward is not None
+        again = meta_train(pool8, split8, config)  # without a graph, no gradient would reach the parameters
+        assert again.losses == clean.losses
+        for a, b in zip(again.params.parameters(), clean.params.parameters()):
+            assert a.data.tobytes() == b.data.tobytes()

@@ -290,3 +290,68 @@ class TestSerialization:
         values = rng.standard_normal(1000) * 10.0 ** rng.integers(-30, 30, size=1000)
         back = T.parse_records(T.format_records([("x", values)]))["x"]
         assert (back == values).all()
+
+
+class TestGraphLifetime:
+    def _graph(self):
+        x = Tensor(np.array([1.5, -2.0]))
+        w = Parameter(np.array([0.5, 3.0]), "w")
+        hidden = T.mul(x, w)
+        return x, w, hidden, T.sum_axis(T.elu(hidden), 0)
+
+    def test_no_grad_records_no_graph(self):
+        x = Tensor(np.ones(3))
+        with T.no_grad():
+            out = T.scale(T.add(x, x), 2.0)
+        assert out._backward is None and out._parents == ()
+        np.testing.assert_array_equal(out.data, np.full(3, 4.0))
+        assert T.add(x, x)._backward is not None
+
+    def test_no_grad_nests_and_survives_an_exception(self):
+        x = Tensor(np.ones(2))
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                with T.no_grad():
+                    pass
+                assert T.add(x, x)._backward is None  # the inner block restored "off"
+                raise RuntimeError("boom")
+        assert T.add(x, x)._backward is not None
+
+    def test_no_grad_result_is_a_constant_in_a_later_graph(self):
+        w = Parameter(np.array([2.0]), "w")
+        with T.no_grad():
+            frozen = T.mul(w, w)
+        out = T.mul(frozen, w)
+        out.backward(np.ones(1))
+        np.testing.assert_array_equal(w.grad, np.array([4.0]))  # d(frozen * w)/dw, frozen held fixed
+
+    def test_backward_frees_interior_nodes_and_keeps_leaf_grads(self):
+        x, w, hidden, out = self._graph()
+        out.backward()
+        for node in (hidden, out):
+            assert node._backward is None and node._parents is None and node.grad is None
+        np.testing.assert_allclose(w.grad, [1.5, np.exp(-6.0) * -2.0])
+        np.testing.assert_allclose(x.grad, [0.5, np.exp(-6.0) * 3.0])
+
+    def test_second_backward_raises_and_touches_no_gradient(self):
+        x, w, _, out = self._graph()
+        out.backward()
+        before = w.grad.copy()
+        with pytest.raises(ValueError, match="freed"):
+            out.backward()
+        assert w.grad.tobytes() == before.tobytes()
+
+    def test_new_graph_through_a_freed_node_raises(self):
+        _, w, hidden, out = self._graph()
+        out.backward()
+        before = w.grad.copy()
+        again = T.mul(hidden, w)
+        with pytest.raises(ValueError, match="freed"):
+            again.backward(np.ones(2))
+        assert w.grad.tobytes() == before.tobytes()
+
+    def test_leaf_root_keeps_its_grad(self):
+        w = Parameter(np.array([1.0]), "w")
+        w.backward()
+        w.backward()
+        np.testing.assert_array_equal(w.grad, np.array([2.0]))
