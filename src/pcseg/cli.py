@@ -38,27 +38,39 @@ EXIT_USAGE = 64
 EXIT_NUMERIC = 70
 
 
+class UsageError(Exception):
+    """A bad flag value or --config file found after parsing (exit 64)."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_USAGE)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an int >= `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _load_config(args) -> RunConfig:
-    config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-        config.validate()
+    """The --config file (or the defaults) with --seed applied."""
+    try:
+        config = RunConfig.from_file(args.config) if args.config else RunConfig()
+        if getattr(args, "seed", None) is not None:
+            config.seed = args.seed
+            config.validate()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return config
 
 
@@ -214,8 +226,7 @@ def _oracle_eval(clouds, split, config: RunConfig, n_episodes: int, seed: int):
 
 def cmd_eval(args) -> int:
     if not args.oracle and not args.model:
-        sys.stderr.write("pcseg eval: error: provide --model (repeatable) or --oracle\n")
-        return EXIT_USAGE
+        raise UsageError("provide --model (repeatable) or --oracle")
     pairs: list[tuple[str, object]] = [("episodes", args.episodes), ("seed", args.seed)]
     fold_means = []
     if args.oracle:
@@ -260,17 +271,17 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate synthetic blob scenes")
     p.add_argument("--out", required=True, help="output directory for .pcseg files")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scenes", type=int, default=20)
-    p.add_argument("--classes", type=int, default=8)
-    p.add_argument("--blobs", type=int, default=3)
-    p.add_argument("--points", type=int, default=400)
+    p.add_argument("--scenes", type=_int_at_least(1), default=20)
+    p.add_argument("--classes", type=_int_at_least(2), default=8)
+    p.add_argument("--blobs", type=_int_at_least(2), default=3, help="classes per scene, at most --classes")
+    p.add_argument("--points", type=_int_at_least(1), default=400)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("audit", help="foreground-density audit of both samplers")
     p.add_argument("--cloud", required=True, nargs="+", help="input .pcseg file(s)")
     p.add_argument("--fg-class", required=True, type=int, dest="fg_class")
-    p.add_argument("--m", type=int, default=2048, help="points per draw")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--m", type=_int_at_least(1), default=2048, help="points per draw")
+    p.add_argument("--trials", type=_int_at_least(1), default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="report file (stdout if omitted)")
     p.set_defaults(func=cmd_audit)
@@ -279,7 +290,7 @@ def build_parser() -> _Parser:
     p.add_argument("--pool", required=True, nargs="+", help="scene files or directories")
     p.add_argument("--config", help="config file (defaults applied if omitted)")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--n", type=int, default=100, help="episode count")
+    p.add_argument("--n", type=_int_at_least(1), default=100, help="episode count")
     p.add_argument("--phase", choices=("train", "test"), default="test")
     p.add_argument("--fold", type=int, choices=(0, 1), default=0)
     p.add_argument("--out", required=True)
@@ -287,7 +298,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient report")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=3)
+    p.add_argument("--trials", type=_int_at_least(1), default=3)
     p.add_argument("--corrupt", action="store_true", help="include a deliberately broken gradient (must FAIL)")
     p.add_argument("--out", help="report file (stdout if omitted)")
     p.set_defaults(func=cmd_gradcheck)
@@ -303,7 +314,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate trained model(s) on held-out episodes")
     p.add_argument("--pool", required=True, nargs="+")
     p.add_argument("--model", action="append", default=[], help="model artifact (repeat for per-fold rows)")
-    p.add_argument("--episodes", type=_positive_int, default=100)
+    p.add_argument("--episodes", type=_int_at_least(1), default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--zero-bank", action="store_true", dest="zero_bank",
                    help="ablation: wipe the class-prototype bank before evaluating")
@@ -319,8 +330,13 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "synth" and args.blobs > args.classes:
+        parser.error(f"argument --blobs: must be <= --classes ({args.classes}), got {args.blobs}")
     try:
         return args.func(args)
+    except UsageError as exc:
+        sys.stderr.write(f"pcseg: error: {exc}\n")
+        return EXIT_USAGE
     except M.NonFiniteLossError as exc:
         sys.stderr.write(f"pcseg: numeric failure: {exc}\n")
         return EXIT_NUMERIC

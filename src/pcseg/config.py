@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, fields
 
 
@@ -67,29 +68,41 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text: str) -> "RunConfig":
+    def from_text(cls, text: str, source: str | None = None) -> "RunConfig":
+        """Parse `key=value` lines; errors name `source:line`, or `line N` without a source."""
         types = {f.name: f.type for f in fields(cls)}
         kwargs = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
+            at = f"{source}:{lineno}" if source else f"line {lineno}"
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
+                raise ValueError(f"{at}: expected key=value, got {line!r}")
             key, _, raw = line.partition("=")
             key = key.strip()
             raw = raw.strip()
             if key not in types:
-                raise ValueError(f"line {lineno}: unknown config key {key!r}")
+                raise ValueError(f"{at}: unknown config key {key!r}")
             if key in kwargs:
-                raise ValueError(f"line {lineno}: duplicate config key {key!r}")
+                raise ValueError(f"{at}: duplicate config key {key!r}")
             try:
                 kwargs[key] = float(raw) if types[key] == "float" else int(raw)
             except ValueError:
-                raise ValueError(f"line {lineno}: cannot parse {key}={raw!r}") from None
-        return cls(**kwargs)
+                raise ValueError(f"{at}: cannot parse {key}={raw!r}") from None
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            if source:
+                raise ValueError(f"{source}: {exc}") from None
+            raise
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
+        path = os.fspath(path)
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
+        return cls.from_text(text, source=path)

@@ -70,15 +70,16 @@ def grid_subsample(cloud: PointCloud, grid_size: float) -> PointCloud:
 
     The representative is the lowest-index point in each voxel, so labels
     and colors stay attached to a real input point. Output order is
-    ascending voxel key, which makes the operation idempotent.
+    ascending voxel key (x, then y, then z), which makes the operation
+    idempotent. One stable sort of the keys: O(N log N).
     """
     if grid_size <= 0:
         raise ValueError(f"grid_size must be positive, got {grid_size}")
     keys = np.floor(cloud.positions / grid_size).astype(np.int64)
-    # np.unique on rows sorts keys lexicographically and reports the first
-    # occurrence of each, i.e. the lowest original index in that voxel.
-    _, first = np.unique(keys, axis=0, return_index=True)
-    return cloud.take(first)
+    # A stable sort keeps equal keys in input order, so the first row of
+    # each run of equal keys is the lowest original index in that voxel.
+    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
+    return cloud.take(order[_run_starts(keys[order])])
 
 
 def split_blocks(cloud: PointCloud, block_size: float) -> list[PointCloud]:
@@ -86,17 +87,23 @@ def split_blocks(cloud: PointCloud, block_size: float) -> list[PointCloud]:
 
     A point belongs to the cell (floor(x/b), floor(y/b)); z is ignored.
     Empty blocks are omitted; blocks come out in ascending cell order and
-    points keep their relative order inside each block.
+    points keep their relative order inside each block. One stable sort
+    of the cells: O(N log N).
     """
     if block_size <= 0:
         raise ValueError(f"block_size must be positive, got {block_size}")
     cells = np.floor(cloud.positions[:, :2] / block_size).astype(np.int64)
-    uniq = np.unique(cells, axis=0)
-    blocks = []
-    for cell in uniq:
-        member = np.flatnonzero((cells == cell).all(axis=1))
-        blocks.append(cloud.take(member))
-    return blocks
+    order = np.lexsort((cells[:, 1], cells[:, 0]))
+    starts = np.flatnonzero(_run_starts(cells[order]))
+    return [cloud.take(member) for member in np.split(order, starts[1:])]
+
+
+def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Mask of the rows of `sorted_keys` that differ from the row before."""
+    starts = np.empty(sorted_keys.shape[0], dtype=bool)
+    starts[0] = True
+    np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1, out=starts[1:])
+    return starts
 
 
 def farthest_point_sample(cloud, mask, count: int) -> np.ndarray:

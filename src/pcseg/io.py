@@ -7,8 +7,10 @@ printed with 17 significant digits, which round-trips float64 exactly.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -58,16 +60,85 @@ def write_cloud(path, cloud: PointCloud) -> None:
 
 
 def read_cloud(path) -> PointCloud:
+    """Read a cloud file: a `PCSEG v1 <n>` header, then n rows of
+    `x y z r g b label`, with finite positions, colors in [0, 1] and
+    integer labels.
+
+    A file that breaks any of this raises one ValueError of the form
+    `<path>:<line>: <what>` naming the first bad line (the header is line
+    1). A good file is parsed in one `np.loadtxt` call; the line is only
+    searched for once that call or a check on its result has failed.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        parts = header.rsplit(" ", 1)
-        if len(parts) != 2 or parts[0] != CLOUD_MAGIC:
-            raise ValueError(f"{path}: not a {CLOUD_MAGIC} file (header {header!r})")
-        n = int(parts[1])
-        data = np.loadtxt(fh, dtype=np.float64, max_rows=n, ndmin=2)
-    if data.shape != (n, 7):
-        raise ValueError(f"{path}: expected {n} rows of 7 fields, got {data.shape}")
-    return PointCloud(data[:, 0:3], data[:, 3:6], data[:, 6].astype(np.int64))
+        try:
+            n = _header_count(fh.readline())
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # loadtxt warns on an empty body
+                data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+            if data.shape != (n, 7):
+                raise ValueError(f"expected {n} rows of 7 fields, got {data.shape}")
+            with np.errstate(invalid="ignore"):
+                labels = data[:, 6].astype(np.int64)
+            if (labels != data[:, 6]).any():
+                raise ValueError("labels must be integers")
+            return PointCloud(data[:, 0:3], data[:, 3:6], labels)
+        except ValueError as exc:  # UnicodeDecodeError included
+            raise ValueError(_first_bad_line(path) or f"{path}: {exc}") from None
+
+
+def _header_count(line: str) -> int:
+    header = line.rstrip("\r\n")
+    magic, _, count = header.rpartition(" ")
+    if magic != CLOUD_MAGIC or not count.isdigit() or int(count) < 1:
+        raise ValueError(f"not a '{CLOUD_MAGIC} <count>' header with a count >= 1: {header!r}")
+    return int(count)
+
+
+def _first_bad_line(path) -> str | None:
+    """`<path>:<line>: <what>` for the first line `read_cloud` rejects.
+
+    Each line is decoded on its own, so a byte that is not UTF-8 is placed
+    exactly. Rows are split as `np.loadtxt` splits them: `#` starts a
+    comment and blank lines are skipped.
+    """
+    n = rows = lineno = 0
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+                if lineno == 1:
+                    n = _header_count(line)
+                    continue
+            except ValueError as exc:
+                return f"{path}:{lineno}: {exc}"
+            fields = line.split("#", 1)[0].split()
+            if not fields:
+                continue
+            rows += 1
+            what = _bad_row(fields) if rows <= n else f"more rows than the header's count {n}"
+            if what:
+                return f"{path}:{lineno}: {what}"
+    if lineno == 0:
+        return f"{path}:1: the file is empty"
+    if rows < n:
+        return f"{path}:{lineno + 1}: the file ends after {rows} of {n} rows"
+    return None
+
+
+def _bad_row(fields: list[str]) -> str | None:
+    if len(fields) != 7:
+        return f"expected 7 fields, got {len(fields)}"
+    try:
+        values = [float(f) for f in fields]
+    except ValueError:
+        return f"cannot read {' '.join(fields)!r} as 7 numbers"
+    if not all(math.isfinite(v) for v in values[:3]):
+        return f"position {' '.join(fields[:3])} is not finite"
+    if not all(0.0 <= v <= 1.0 for v in values[3:6]):
+        return f"color {' '.join(fields[3:6])} is not in [0, 1]"
+    if not values[6].is_integer() or not -2**63 <= values[6] < 2**63:
+        return f"label {fields[6]} is not an integer"
+    return None
 
 
 # ---------------------------------------------------------------------------

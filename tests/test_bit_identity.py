@@ -3,9 +3,11 @@
 The references below are the earlier implementations, kept verbatim: ELU
 and elu+1 by boolean indexing, layer norm with fresh temporaries and
 `.mean`, AdamW looping over parameters, episode generation that caps
-every pool entry, and a backward pass that keeps the whole graph alive.
-The fast versions do the same per-element arithmetic on the same random
-streams, so every comparison here is on bytes.
+every pool entry, a backward pass that keeps the whole graph alive, voxel
+subsampling through `np.unique(axis=0)` and block splitting by one scan of
+every point per block. The fast versions do the same per-element
+arithmetic on the same random streams, so every comparison here is on
+bytes.
 """
 
 import contextlib
@@ -13,11 +15,13 @@ import contextlib
 import numpy as np
 import pytest
 
+from pcseg import cli
+from pcseg import io as pio
 from pcseg import model as M
 from pcseg import tensor as T
 from pcseg.config import RunConfig
 from pcseg.episodes import Episode, PoolExhaustedError, generate_episode, make_split
-from pcseg.geometry import PointCloud
+from pcseg.geometry import PointCloud, grid_subsample, split_blocks
 from pcseg.synth import make_pool
 from pcseg.tensor import Parameter, Tensor
 
@@ -192,6 +196,26 @@ SPECIALS = np.array([
     1.0, -1.0, 709.0, 710.0, 800.0, -745.0, -746.0, -800.0, 1e300, -1e300,
 ])
 FINITE_SPECIALS = SPECIALS[np.isfinite(SPECIALS) & (np.abs(SPECIALS) < 700)]
+
+
+def ref_grid_subsample(cloud, grid_size):
+    if grid_size <= 0:
+        raise ValueError(f"grid_size must be positive, got {grid_size}")
+    keys = np.floor(cloud.positions / grid_size).astype(np.int64)
+    _, first = np.unique(keys, axis=0, return_index=True)
+    return cloud.take(first)
+
+
+def ref_split_blocks(cloud, block_size):
+    if block_size <= 0:
+        raise ValueError(f"block_size must be positive, got {block_size}")
+    cells = np.floor(cloud.positions[:, :2] / block_size).astype(np.int64)
+    uniq = np.unique(cells, axis=0)
+    blocks = []
+    for cell in uniq:
+        member = np.flatnonzero((cells == cell).all(axis=1))
+        blocks.append(cloud.take(member))
+    return blocks
 
 
 def same_bytes(a, b) -> bool:
@@ -467,3 +491,67 @@ def test_episode_errors_match_eager_capping():
     for args in ((pool, split, "train", 1, 1, 10, 0, 1), (pool, split, "train", 3, 1, 10, 64, 1),
                  ([], split, "train", 1, 1, 10, 0, 1), (pool, split, "train", 0, 1, 10, 64, 1)):
         assert _outcome(generate_episode, *args) == _outcome(ref_generate_episode, *args)
+
+
+# ---------------------------------------------------------------------------
+# scene loading
+# ---------------------------------------------------------------------------
+
+
+def _cloud(rng, positions) -> PointCloud:
+    n = len(positions)
+    return PointCloud(positions, rng.random((n, 3)), rng.integers(-1, 9, size=n))
+
+
+def _room(rng) -> PointCloud:
+    """A 6 x 6 m room, 3 m high: 36 blocks of 1 m, points in random order."""
+    floor = np.column_stack([rng.uniform(0, 6, 30_000), rng.uniform(0, 6, 30_000), rng.normal(0, 0.01, 30_000)])
+    walls = rng.uniform(0, 6, (12_000, 3)) * [1, 1, 0.5]
+    walls[:6_000, 0] = rng.choice([0.0, 5.999], 6_000)
+    walls[6_000:, 1] = rng.choice([0.0, 5.999], 6_000)
+    blobs = np.concatenate([rng.normal(c, 0.2, (2_000, 3)) for c in rng.uniform(0.5, 5.5, (6, 3))])
+    blobs[:, :2] = np.clip(blobs[:, :2], 0.0, 5.999)
+    return _cloud(rng, rng.permutation(np.concatenate([floor, walls, blobs])))
+
+
+def _clouds():
+    rng = np.random.default_rng(31)
+    grid = np.arange(-4, 5) * 0.25  # exact in binary: every point on a voxel and block boundary
+    lattice = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1).reshape(-1, 3)
+    crowd = np.concatenate([rng.uniform(0, 0.01, (500, 3)), rng.uniform(-2, 2, (40, 3))])
+    return {
+        "random_negative": [_cloud(rng, rng.uniform(-3, 3, (4_000, 3)) - [0, 1.5, 0]) for _ in range(4)],
+        "on_boundaries": [_cloud(rng, rng.permutation(np.concatenate([lattice, lattice, -lattice]))),
+                          _cloud(rng, np.array([[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0], [-1.0, -0.5, 0.25]]))],
+        "one_voxel_crowded": [_cloud(rng, rng.permutation(crowd))],
+        "single_point": [_cloud(rng, rng.uniform(-1, 1, (1, 3)))],
+        "single_block": [_cloud(rng, rng.uniform(0, 0.999, (3_000, 3)))],
+        "room_36_blocks": [_room(rng)],
+    }
+
+
+@pytest.mark.parametrize("kind", list(_clouds()))
+def test_grid_subsample_and_split_blocks_match_np_unique(kind):
+    for cloud in _clouds()[kind]:
+        for grid in (0.01, 0.02, 0.25, 0.3):
+            fast, ref = grid_subsample(cloud, grid), ref_grid_subsample(cloud, grid)
+            assert _same_cloud(fast, ref), grid
+        for source in (cloud, ref_grid_subsample(cloud, 0.02)):
+            for block in (0.5, 1.0):
+                fast, ref = split_blocks(source, block), ref_split_blocks(source, block)
+                assert len(fast) == len(ref) and all(_same_cloud(a, b) for a, b in zip(fast, ref)), block
+    if kind == "room_36_blocks":
+        assert len(split_blocks(ref_grid_subsample(cloud, 0.01), 1.0)) == 36
+
+
+def test_load_pool_matches_reference_preprocessing(tmp_path, monkeypatch):
+    rng = np.random.default_rng(32)
+    pio.write_cloud(tmp_path / "room.pcseg", _room(rng))
+    pio.write_cloud(tmp_path / "small.pcseg", _cloud(rng, rng.uniform(0, 0.9, (500, 3))))
+    config = RunConfig(grid_size=0.01, block_size=1.0)
+    fast_clouds, fast_sources = cli.load_pool([str(tmp_path)], config)
+    monkeypatch.setattr(cli, "grid_subsample", ref_grid_subsample)
+    monkeypatch.setattr(cli, "split_blocks", ref_split_blocks)
+    ref_clouds, ref_sources = cli.load_pool([str(tmp_path)], config)
+    assert fast_sources == ref_sources and len(fast_sources) == 37
+    assert all(_same_cloud(a, b) for a, b in zip(fast_clouds, ref_clouds))

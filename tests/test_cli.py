@@ -60,6 +60,21 @@ class TestSynth:
         for name in ("scene_000.pcseg", "scene_001.pcseg"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--blobs", "3", "--classes", "2"], "--blobs"),
+        (["--blobs", "1"], "--blobs"),
+        (["--scenes", "0"], "--scenes"),
+        (["--points", "0"], "--points"),
+    ])
+    def test_bad_counts_are_usage_errors(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "scenes"
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--out", str(out)] + argv)
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and flag in err
+        assert not out.exists()
+
 
 class TestAudit:
     def test_report_blocks(self, scene_dir, tmp_path):
@@ -94,6 +109,37 @@ class TestAudit:
             main(["audit", "--definitely-not-a-flag"])
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("lineno, row", [
+        (6, "0.1 0.2 0.3 0.5 0.5 0.5"),
+        (6, "0.1 0.2 0.3 0.5 0.5 0.5 1 9"),
+        (4, "nan 0.2 0.3 0.5 0.5 0.5 1"),
+        (5, "0.1 0.2 0.3 2.0 0.5 0.5 1"),
+        (None, "0.1 0.2 0.3 0.5 0.5 0.5 1"),  # one row beyond the header's count
+        (7, "0.1 0.2 0.3 0.5 0.5 0.5 1.5"),
+    ])
+    def test_bad_cloud_exits_2_naming_path_and_line(self, scene_dir, tmp_path, capsys, lineno, row):
+        lines = (sorted(scene_dir.glob("*.pcseg"))[0]).read_text().splitlines()
+        if lineno is None:
+            lineno = len(lines) + 1
+            lines.append(row)
+        else:
+            lines[lineno - 1] = row
+        bad = tmp_path / "bad.pcseg"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(["audit", "--cloud", str(bad), "--fg-class", "1", "--m", "16", "--trials", "2"])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"pcseg: {bad}:{lineno}: ")
+
+    @pytest.mark.parametrize("flag", ["--m", "--trials"])
+    def test_zero_count_is_usage_error(self, scene_dir, capsys, flag):
+        scene = str(sorted(scene_dir.glob("*.pcseg"))[0])
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "--cloud", scene, "--fg-class", "1", flag, "0"])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and flag in err
+
     def test_byte_deterministic(self, scene_dir, tmp_path):
         scene = str(sorted(scene_dir.glob("*.pcseg"))[0])
         one, two = run_twice(
@@ -111,6 +157,12 @@ class TestEpisodes:
                      "--n", "10", "--out", str(out)])
         assert code == EXIT_OK
         assert len(out.read_text().strip().splitlines()) == 10
+
+    def test_zero_episodes_is_usage_error(self, scene_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["episodes", "--pool", str(scene_dir), "--n", "0", "--out", str(tmp_path / "e.manifest")])
+        assert exc.value.code == EXIT_USAGE
+        assert "--n" in capsys.readouterr().err
 
     def test_byte_deterministic(self, scene_dir, config_path, tmp_path):
         one, two = run_twice(
@@ -157,6 +209,12 @@ class TestGradcheck:
                      "--out", str(out)])
         assert code == EXIT_NUMERIC
         assert "deliberately_corrupted FAIL" in out.read_text()
+
+    def test_zero_trials_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--trials", "0"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--trials" in capsys.readouterr().err
 
 
 class TestTrainEval:
@@ -294,6 +352,21 @@ class TestTrainEval:
         assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(model) in err and "[meta]" in err and key in err
+
+    def test_bad_config_exits_64_but_in_an_artifact_exits_2(self, scene_dir, config_path, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(config_path.read_text() + "bogus=1\n")
+        code = main(["train", "--pool", str(scene_dir), "--config", str(bad), "--out", str(tmp_path / "m")])
+        assert code == EXIT_USAGE
+        lineno = len(config_path.read_text().splitlines()) + 1
+        assert capsys.readouterr().err == f"pcseg: error: {bad}:{lineno}: unknown config key 'bogus'\n"
+
+        model = self._edited_model(scene_dir, config_path, tmp_path,
+                                   lambda lines: lines.insert(lines.index("[config]") + 1, "bogus=1"))
+        capsys.readouterr()
+        assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err == f"pcseg: {model}: line 1: unknown config key 'bogus'\n"
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_eval_episodes_below_one_is_usage_error(self, scene_dir, tmp_path, capsys, count):

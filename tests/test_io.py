@@ -1,5 +1,7 @@
 """File formats: cloud round-trips, manifests, configs, model artifacts."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,16 +26,72 @@ class TestCloudFormat:
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.pcseg"
         path.write_text("NOT A CLOUD 3\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             pio.read_cloud(path)
+        assert str(exc.value).startswith(f"{path}:1: not a 'PCSEG v1 <count>' header")
 
     def test_truncated_file_rejected(self, tmp_path):
         scene = synth_scene(4, [(1, 10), (2, 10)])
         text = pio.format_cloud(scene)
         path = tmp_path / "short.pcseg"
         path.write_text("\n".join(text.splitlines()[:-5]) + "\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             pio.read_cloud(path)
+        assert str(exc.value) == f"{path}:17: the file ends after 15 of 20 rows"
+        path.write_text(text.splitlines()[0] + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty body must not warn on top of the error
+            with pytest.raises(ValueError) as exc:
+                pio.read_cloud(path)
+        assert str(exc.value) == f"{path}:2: the file ends after 0 of 20 rows"
+
+    @pytest.mark.parametrize("lineno, row, what", [
+        (6, "0.1 0.2 0.3 0.5 0.5 0.5", "expected 7 fields, got 6"),
+        (6, "0.1 0.2 0.3 0.5 0.5 0.5 1 9", "expected 7 fields, got 8"),
+        (4, "nan 0.2 0.3 0.5 0.5 0.5 1", "position nan 0.2 0.3 is not finite"),
+        (5, "0.1 0.2 0.3 2.0 0.5 0.5 1", "color 2.0 0.5 0.5 is not in [0, 1]"),
+        (7, "0.1 0.2 0.3 0.5 0.5 0.5 1.5", "label 1.5 is not an integer"),
+        (3, "0.1 0.2 0.3 0.5 0.5 0.5 one", "cannot read '0.1 0.2 0.3 0.5 0.5 0.5 one' as 7 numbers"),
+        (22, "0.1 0.2 0.3 0.5 0.5 0.5 1", "more rows than the header's count 20"),
+        (1, "PCSEG v1 0", "not a 'PCSEG v1 <count>' header with a count >= 1: 'PCSEG v1 0'"),
+    ])
+    def test_bad_line_named(self, tmp_path, lineno, row, what):
+        lines = pio.format_cloud(synth_scene(4, [(1, 10), (2, 10)])).splitlines()
+        lines[lineno - 1:lineno] = [row]
+        path = tmp_path / "bad.pcseg"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as exc:
+            pio.read_cloud(path)
+        assert str(exc.value) == f"{path}:{lineno}: {what}"
+
+    def test_empty_and_non_utf8_files_named(self, tmp_path):
+        path = tmp_path / "bad.pcseg"
+        path.write_bytes(b"")
+        with pytest.raises(ValueError) as exc:
+            pio.read_cloud(path)
+        assert str(exc.value) == f"{path}:1: the file is empty"
+        lines = pio.format_cloud(synth_scene(4, [(1, 10), (2, 10)])).encode().splitlines()
+        lines[4] = lines[4][:-1] + b"\xff"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ValueError) as exc:
+            pio.read_cloud(path)
+        assert str(exc.value).startswith(f"{path}:5: 'utf-8' codec can't decode byte 0xff")
+
+    def test_line_count_includes_comments_and_blanks(self, tmp_path):
+        lines = pio.format_cloud(synth_scene(4, [(1, 10), (2, 10)])).splitlines()
+        lines[3:3] = ["", "# a comment", "   "]
+        lines[9] = lines[9].rsplit(" ", 1)[0] + " 2.5"
+        path = tmp_path / "bad.pcseg"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r":10: label 2.5 is not an integer$"):
+            pio.read_cloud(path)
+
+    def test_good_file_never_searched(self, tmp_path, monkeypatch):
+        scene = synth_scene(5, [(1, 30), (2, 30)])
+        path = tmp_path / "scene.pcseg"
+        pio.write_cloud(path, scene)
+        monkeypatch.setattr(pio, "_first_bad_line", lambda *args: pytest.fail("searched a good file"))
+        np.testing.assert_array_equal(pio.read_cloud(path).labels, scene.labels)
 
     def test_write_is_byte_stable(self, tmp_path):
         scene = synth_scene(5, [(1, 30), (2, 30)])
@@ -73,6 +131,21 @@ class TestRunConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
             RunConfig.from_text("seed=1\nwarp_factor=9\n")
+
+    def test_from_file_names_path_and_line(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("seed=1\nbogus=2\n")
+        with pytest.raises(ValueError) as exc:
+            RunConfig.from_file(path)
+        assert str(exc.value) == f"{path}:2: unknown config key 'bogus'"
+        path.write_text("seed=1\ngrid_size=-0.5\n")
+        with pytest.raises(ValueError) as exc:
+            RunConfig.from_file(path)
+        assert str(exc.value) == f"{path}: config field grid_size must be > 0, got -0.5"
+        path.write_bytes(b"seed=1\n\xff\n")
+        with pytest.raises(ValueError) as exc:
+            RunConfig.from_file(path)
+        assert str(exc.value).startswith(f"{path}: not UTF-8 text")
 
     def test_range_validation(self):
         with pytest.raises(ValueError, match="grid_size"):
