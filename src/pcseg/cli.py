@@ -9,7 +9,6 @@ numeric failure.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -19,14 +18,7 @@ from . import gradcheck as G
 from . import io as pio
 from . import model as M
 from .config import RunConfig
-from .episodes import (
-    EpisodeDescriptor,
-    PoolExhaustedError,
-    confusion_counts,
-    generate_episode,
-    make_split,
-    miou,
-)
+from .episodes import EpisodeDescriptor, PoolExhaustedError, generate_episode, make_split
 from .geometry import grid_subsample, split_blocks
 from .sampling import leakage_audit
 from .seeding import derive_seed
@@ -204,26 +196,6 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _oracle_eval(clouds, split, config: RunConfig, n_episodes: int, seed: int):
-    totals: dict[int, np.ndarray] = {}
-    episode_mious = []
-    for i in range(n_episodes):
-        ep = generate_episode(
-            clouds, split, "test", config.n_way, config.k_shot,
-            config.min_fg_points, config.max_points, derive_seed(seed, "eval", i),
-        )
-        _, mean = miou(ep.query_gt, ep.query_gt, ep.n_way)
-        if math.isfinite(mean):
-            episode_mious.append(mean)
-        for cid, counts in confusion_counts(ep.query_gt, ep.query_gt, ep.target_classes).items():
-            totals.setdefault(cid, np.zeros(3, dtype=np.int64))
-            totals[cid] += counts
-    per_class = {c: float(tp / (tp + fp + fn)) for c, (tp, fp, fn) in sorted(totals.items()) if tp + fp + fn}
-    mean_iou = float(np.mean(list(per_class.values()))) if per_class else math.nan
-    ep_mean = float(np.mean(episode_mious)) if episode_mious else math.nan
-    return M.EvalResult(per_class, mean_iou, ep_mean, n_episodes)
-
-
 def cmd_eval(args) -> int:
     if not args.oracle and not args.model:
         raise UsageError("provide --model (repeatable) or --oracle")
@@ -233,8 +205,8 @@ def cmd_eval(args) -> int:
         config = _load_config(args)
         clouds, _ = load_pool(args.pool, config)
         split = make_split(_pool_classes(clouds), args.fold)
-        result = _oracle_eval(clouds, split, config, args.episodes, args.seed)
-        results = [(args.fold, result)]
+        episodes = M.eval_episodes(clouds, split, config, args.episodes, args.seed)
+        results = [(args.fold, M.score((ep.query_gt, ep) for ep in episodes))]
     else:
         results = []
         for path in args.model:

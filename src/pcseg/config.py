@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -52,6 +53,10 @@ class RunConfig:
             ("min_fg_points", self.min_fg_points >= 1, ">= 1"),
             ("heads", self.heads >= 1, ">= 1"),
             ("heads", self.dim % self.heads == 0, "a divisor of dim"),
+        ]
+        checks += [
+            (name, math.isfinite(getattr(self, name)), "finite")
+            for name in ("grid_size", "block_size", "lr", "weight_decay")
         ]
         for name, ok, requirement in checks:
             if not ok:

@@ -178,26 +178,15 @@ def miou(pred, gt, n_way: int) -> tuple[np.ndarray, float]:
     Classes absent from both pred and gt get NaN and are excluded from
     the mean; the mean itself is NaN only if every class is excluded.
     """
-    pred = np.asarray(pred, dtype=np.int64)
-    gt = np.asarray(gt, dtype=np.int64)
-    if pred.shape != gt.shape:
-        raise ValueError(f"pred shape {pred.shape} != gt shape {gt.shape}")
-    ious = np.full(n_way, np.nan)
-    for c in range(1, n_way + 1):
-        tp = int(((pred == c) & (gt == c)).sum())
-        fp = int(((pred == c) & (gt != c)).sum())
-        fn = int(((pred != c) & (gt == c)).sum())
-        if tp + fp + fn > 0:
-            ious[c - 1] = tp / (tp + fp + fn)
-    present = ious[~np.isnan(ious)]
-    mean = float(present.mean()) if present.size else math.nan
-    return ious, mean
+    return iou_from_counts(confusion_counts(pred, gt, range(1, n_way + 1)).values())
 
 
 def confusion_counts(pred, gt, class_of_way) -> dict[int, tuple[int, int, int]]:
     """(TP, FP, FN) per target class id, for associative pooling across episodes."""
     pred = np.asarray(pred, dtype=np.int64)
     gt = np.asarray(gt, dtype=np.int64)
+    if pred.shape != gt.shape:
+        raise ValueError(f"pred shape {pred.shape} != gt shape {gt.shape}")
     out = {}
     for n, class_id in enumerate(class_of_way, start=1):
         tp = int(((pred == n) & (gt == n)).sum())
@@ -205,3 +194,11 @@ def confusion_counts(pred, gt, class_of_way) -> dict[int, tuple[int, int, int]]:
         fn = int(((pred != n) & (gt == n)).sum())
         out[int(class_id)] = (tp, fp, fn)
     return out
+
+
+def iou_from_counts(counts) -> tuple[np.ndarray, float]:
+    """IoU of each (TP, FP, FN) triple, NaN where all three are 0, and the
+    mean of the others (NaN if there are none)."""
+    ious = np.array([tp / (tp + fp + fn) if tp + fp + fn else np.nan for tp, fp, fn in counts], dtype=np.float64)
+    present = ious[~np.isnan(ious)]
+    return ious, float(present.mean()) if present.size else math.nan

@@ -42,6 +42,8 @@ class PointCloud:
             raise ValueError("a point cloud needs at least one point")
         if self.labels.shape != (n,):
             raise ValueError(f"labels must have shape ({n},), got {self.labels.shape}")
+        if self.labels.min() < -1:
+            raise ValueError(f"labels must be >= -1 (-1 marks unlabeled), got {self.labels.min()}")
         if not np.isfinite(self.positions).all():
             raise ValueError("positions must be finite")
         if not np.isfinite(self.colors).all():

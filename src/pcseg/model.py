@@ -26,7 +26,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import AttentionParams, multi_head_linear_attention
-from .episodes import Episode, ClassSplit, confusion_counts, generate_episode, miou
+from .episodes import Episode, ClassSplit, confusion_counts, generate_episode, iou_from_counts
 from .geometry import EmptyMaskError, PointCloud, cluster_to_seeds, farthest_point_sample
 from .seeding import derive_seed
 from .tensor import Parameter, Tensor
@@ -92,12 +92,9 @@ class RefineLayerParams:
     class_mlp: MLPParams
 
     @classmethod
-    def create(cls, rng, prefix: str, dim: int, heads: int, shared_fc=None) -> "RefineLayerParams":
-        if shared_fc is None:
-            fc_w = Parameter(T.glorot_uniform(rng, 2 * dim, dim), f"{prefix}.bg_fc.w")
-            fc_b = Parameter(np.zeros(dim), f"{prefix}.bg_fc.b")
-        else:
-            fc_w, fc_b = shared_fc
+    def create(cls, rng, prefix: str, dim: int, heads: int) -> "RefineLayerParams":
+        fc_w = Parameter(T.glorot_uniform(rng, 2 * dim, dim), f"{prefix}.bg_fc.w")
+        fc_b = Parameter(np.zeros(dim), f"{prefix}.bg_fc.b")
         return cls(
             ln_point_attn=LayerNormParams.create(f"{prefix}.ln_point_attn", dim),
             point_attn=AttentionParams.create(rng, dim, heads, f"{prefix}.point_attn"),
@@ -134,7 +131,6 @@ class ModelParams:
     n_prototypes: int
     heads: int
     n_base: int
-    share_background_fc: bool
     stub: MLPParams
     proj: MLPParams
     layers: list[RefineLayerParams]
@@ -142,67 +138,29 @@ class ModelParams:
     base_head: MLPParams
 
     @classmethod
-    def create(
-        cls,
-        rng,
-        dim: int,
-        n_prototypes: int,
-        n_layers: int,
-        heads: int,
-        n_base: int,
-        share_background_fc: bool = False,
-    ) -> "ModelParams":
-        shared_fc = None
-        if share_background_fc:
-            shared_fc = (
-                Parameter(T.glorot_uniform(rng, 2 * dim, dim), "shared_bg_fc.w"),
-                Parameter(np.zeros(dim), "shared_bg_fc.b"),
-            )
+    def create(cls, rng, dim: int, n_prototypes: int, n_layers: int, heads: int, n_base: int) -> "ModelParams":
         return cls(
             dim=dim,
             n_prototypes=n_prototypes,
             heads=heads,
             n_base=n_base,
-            share_background_fc=share_background_fc,
             stub=MLPParams.create(rng, "stub", 6, dim, dim),
             proj=MLPParams.create(rng, "proj", n_prototypes, dim, dim),
-            layers=[
-                RefineLayerParams.create(rng, f"layers.{i}", dim, heads, shared_fc)
-                for i in range(n_layers)
-            ],
+            layers=[RefineLayerParams.create(rng, f"layers.{i}", dim, heads) for i in range(n_layers)],
             decoder=MLPParams.create(rng, "decoder", dim, dim, 1),
             base_head=MLPParams.create(rng, "base_head", dim, dim, n_base + 1),
         )
 
     def parameters(self) -> list[Parameter]:
-        out: list[Parameter] = []
-        seen: set[int] = set()
-        groups = [self.stub.parameters(), self.proj.parameters()]
-        groups += [lp.parameters() for lp in self.layers]
-        groups += [self.decoder.parameters(), self.base_head.parameters()]
-        for group in groups:
-            for p in group:
-                if id(p) not in seen:
-                    seen.add(id(p))
-                    out.append(p)
-        return out
+        out = self.stub.parameters() + self.proj.parameters()
+        for lp in self.layers:
+            out += lp.parameters()
+        return out + self.decoder.parameters() + self.base_head.parameters()
 
 
 # ---------------------------------------------------------------------------
 # prototypes
 # ---------------------------------------------------------------------------
-
-@dataclass
-class PrototypeSet:
-    """One prototype matrix per class; foreground ways first, background last."""
-
-    per_class: list[Tensor]
-
-    def __post_init__(self):
-        shapes = {t.shape for t in self.per_class}
-        if len(shapes) > 1:
-            raise ValueError(f"all classes need the same prototype shape, got {shapes}")
-
 
 @dataclass
 class BasePrototypeBank:
@@ -217,6 +175,10 @@ class BasePrototypeBank:
     momentum: float
     class_ids: tuple[int, ...]
 
+    def __post_init__(self):
+        if not 0.0 <= self.momentum <= 1.0:
+            raise ValueError(f"momentum must lie in [0, 1], got {self.momentum}")
+
     @classmethod
     def zeros(cls, class_ids, dim: int, momentum: float) -> "BasePrototypeBank":
         class_ids = tuple(int(c) for c in class_ids)
@@ -227,47 +189,20 @@ class BasePrototypeBank:
             class_ids=class_ids,
         )
 
-    def row_of(self, class_id: int) -> int:
-        return self.class_ids.index(int(class_id))
-
-    def apply_update(self, class_id: int, new_vec: np.ndarray, mu: float | None = None) -> None:
+    def apply_update(self, class_id: int, new_vec: np.ndarray) -> None:
         """Momentum step toward `new_vec`; the very first update assigns it."""
-        mu = self.momentum if mu is None else mu
-        if not 0.0 <= mu <= 1.0:
-            raise ValueError(f"momentum must lie in [0, 1], got {mu}")
-        row = self.row_of(class_id)
+        row = self.class_ids.index(int(class_id))
         new_vec = np.asarray(new_vec, dtype=np.float64).reshape(-1)
         if self.update_counts[row] == 0:
             self.prototypes[row] = new_vec
         else:
+            mu = self.momentum
             self.prototypes[row] = mu * self.prototypes[row] + (1.0 - mu) * new_vec
         self.update_counts[row] += 1
-
-    def copy(self) -> "BasePrototypeBank":
-        return BasePrototypeBank(
-            self.prototypes.copy(), self.update_counts.copy(), self.momentum, self.class_ids
-        )
 
     def zeroed(self) -> "BasePrototypeBank":
         """Ablation copy: every row forgotten, so guidance is all zeros."""
         return BasePrototypeBank.zeros(self.class_ids, self.prototypes.shape[1], self.momentum)
-
-
-def update_base_prototypes(bank: BasePrototypeBank, features, base_masks, mu: float | None = None) -> BasePrototypeBank:
-    """Masked-average-pool `features` per present class and momentum-update the bank.
-
-    `base_masks` maps class id -> boolean mask over the feature rows;
-    classes whose mask is empty are untouched.
-    """
-    feats = features.data if isinstance(features, Tensor) else np.asarray(features, dtype=np.float64)
-    mu_eff = bank.momentum if mu is None else mu
-    if not 0.0 <= mu_eff <= 1.0:
-        raise ValueError(f"momentum must lie in [0, 1], got {mu_eff}")
-    for class_id, mask in base_masks.items():
-        mask = np.asarray(mask, dtype=bool)
-        if mask.any():
-            bank.apply_update(class_id, feats[mask].mean(axis=0), mu_eff)
-    return bank
 
 
 def backbone_stub(cloud: PointCloud, stub: MLPParams) -> Tensor:
@@ -310,12 +245,13 @@ def extract_prototypes(features_per_shot, masks_per_shot, coords_per_shot, n_pro
 # correlations and refinement
 # ---------------------------------------------------------------------------
 
-def compute_correlations(query_features: Tensor, protos: PrototypeSet, proj: MLPParams) -> Tensor:
-    """Cosine correlations of every query point to every class's prototypes,
-    stacked per class and projected to D channels: N_Q x N_C x D."""
+def compute_correlations(query_features: Tensor, protos: list[Tensor], proj: MLPParams) -> Tensor:
+    """Cosine correlations of every query point to every class's prototypes
+    (foreground ways first, background last), stacked per class and
+    projected to D channels: N_Q x N_C x D."""
     n_q = query_features.shape[0]
     slices = []
-    for mat in protos.per_class:
+    for mat in protos:
         sims = T.cosine_rows(query_features, mat)
         slices.append(T.reshape(sims, (n_q, 1, mat.shape[0])))
     stacked = T.concat(slices, axis=1)
@@ -399,7 +335,7 @@ def _forward_parts(episode: Episode, params: ModelParams, bank: BasePrototypeBan
     all_inv = [~mask for way in episode.support for _, mask in way]
     all_coords = [cloud.positions for way in episode.support for cloud, _ in way]
     bg_protos = extract_prototypes(all_feats, all_inv, all_coords, params.n_prototypes)
-    protos = PrototypeSet(fg_protos + [bg_protos])
+    protos = fg_protos + [bg_protos]
 
     query_features = backbone_stub(episode.query, params.stub)
     excluded = set(episode.target_classes) if phase == "train" else set()
@@ -456,7 +392,7 @@ class TrainResult:
     losses: list[float] = field(default_factory=list)
 
 
-def _update_bank_from_episode(bank: BasePrototypeBank, episode: Episode, aux, mu: float) -> None:
+def _update_bank_from_episode(bank: BasePrototypeBank, episode: Episode, aux) -> None:
     """One momentum step per training class present in the episode.
 
     Each cloud (every support shot plus the query) contributes one masked
@@ -473,10 +409,10 @@ def _update_bank_from_episode(bank: BasePrototypeBank, episode: Episode, aux, mu
             if mask.any():
                 pooled.append(feat[mask].mean(axis=0))
         if pooled:
-            bank.apply_update(class_id, np.mean(pooled, axis=0), mu)
+            bank.apply_update(class_id, np.mean(pooled, axis=0))
 
 
-def meta_train(pool, split: ClassSplit, config, progress=None) -> TrainResult:
+def meta_train(pool, split: ClassSplit, config) -> TrainResult:
     """Episodic training on the train half of the split.
 
     Per episode: forward in train phase (guidance excludes the episode's
@@ -519,10 +455,8 @@ def meta_train(pool, split: ClassSplit, config, progress=None) -> TrainResult:
             opt.step()
         except T.NonFiniteGradientError as exc:
             raise NonFiniteLossError(f"episode {i}: {exc}") from None
-        _update_bank_from_episode(bank, episode, aux, config.momentum)
+        _update_bank_from_episode(bank, episode, aux)
         losses.append(value)
-        if progress is not None:
-            progress(i, value)
     return TrainResult(params=params, bank=bank, losses=losses)
 
 
@@ -534,6 +468,51 @@ class EvalResult:
     n_episodes: int
 
 
+def eval_episodes(pool, split: ClassSplit, config, n_episodes: int, seed: int):
+    """The seeded stream of test-phase episodes that every evaluation scores."""
+    for i in range(n_episodes):
+        yield generate_episode(
+            pool,
+            split,
+            "test",
+            config.n_way,
+            config.k_shot,
+            config.min_fg_points,
+            config.max_points,
+            derive_seed(seed, "eval", i),
+        )
+
+
+def score(pairs) -> EvalResult:
+    """Pooled IoU over (prediction, episode) pairs.
+
+    Reports the per-class IoU of the confusion counts summed over all
+    episodes (so episode order cannot matter), their mean, and the mean
+    of per-episode mIoU values. A class or episode with no TP, FP or FN
+    is left out of its mean.
+    """
+    totals: dict[int, np.ndarray] = {}
+    episode_mious: list[float] = []
+    n_episodes = 0
+    for pred, episode in pairs:
+        n_episodes += 1
+        counts = confusion_counts(pred, episode.query_gt, episode.target_classes)
+        _, episode_mean = iou_from_counts(counts.values())
+        if math.isfinite(episode_mean):
+            episode_mious.append(episode_mean)
+        for class_id, tp_fp_fn in counts.items():
+            totals.setdefault(class_id, np.zeros(3, dtype=np.int64))
+            totals[class_id] += tp_fp_fn
+    class_ids = sorted(totals)
+    ious, mean_iou = iou_from_counts(totals[c] for c in class_ids)
+    return EvalResult(
+        per_class={c: float(iou) for c, iou in zip(class_ids, ious) if not math.isnan(iou)},
+        mean_iou=mean_iou,
+        episode_miou_mean=float(np.mean(episode_mious)) if episode_mious else math.nan,
+        n_episodes=n_episodes,
+    )
+
+
 def evaluate(
     pool,
     split: ClassSplit,
@@ -542,50 +521,21 @@ def evaluate(
     config,
     n_episodes: int,
     seed: int,
-    phase: str = "test",
 ) -> EvalResult:
-    """Frozen-model evaluation over seeded episodes.
+    """Frozen-model evaluation: `score` over the argmax predictions on
+    `eval_episodes`.
 
-    Reports the pooled per-class IoU (confusion counts summed over all
-    episodes, so episode order cannot matter), their mean, and the mean
-    of per-episode mIoU values. Raises NonFiniteLossError with the
-    episode index on a NaN or infinite segmentation logit. The forward
-    pass runs under `no_grad`, so it builds no autograd graph.
+    Raises NonFiniteLossError with the episode index on a NaN or infinite
+    segmentation logit. The forward pass runs under `no_grad`, so it
+    builds no autograd graph.
     """
-    totals: dict[int, np.ndarray] = {}
-    episode_mious: list[float] = []
-    for i in range(n_episodes):
-        episode = generate_episode(
-            pool,
-            split,
-            phase,
-            config.n_way,
-            config.k_shot,
-            config.min_fg_points,
-            config.max_points,
-            derive_seed(seed, "eval", i),
-        )
-        with T.no_grad():
-            seg_logits, _ = forward(episode, params, bank, "test")
-        if not np.isfinite(seg_logits.data).all():
-            raise NonFiniteLossError(f"episode {i}: segmentation logits are not finite")
-        pred = seg_logits.data.argmax(axis=1)
-        _, episode_mean = miou(pred, episode.query_gt, episode.n_way)
-        if math.isfinite(episode_mean):
-            episode_mious.append(episode_mean)
-        for class_id, counts in confusion_counts(pred, episode.query_gt, episode.target_classes).items():
-            totals.setdefault(class_id, np.zeros(3, dtype=np.int64))
-            totals[class_id] += counts
-    per_class = {
-        cid: float(tp / (tp + fp + fn))
-        for cid, (tp, fp, fn) in sorted(totals.items())
-        if tp + fp + fn > 0
-    }
-    mean_iou = float(np.mean(list(per_class.values()))) if per_class else math.nan
-    episode_mean = float(np.mean(episode_mious)) if episode_mious else math.nan
-    return EvalResult(
-        per_class=per_class,
-        mean_iou=mean_iou,
-        episode_miou_mean=episode_mean,
-        n_episodes=n_episodes,
-    )
+
+    def predictions():
+        for i, episode in enumerate(eval_episodes(pool, split, config, n_episodes, seed)):
+            with T.no_grad():
+                seg_logits, _ = forward(episode, params, bank, "test")
+            if not np.isfinite(seg_logits.data).all():
+                raise NonFiniteLossError(f"episode {i}: segmentation logits are not finite")
+            yield seg_logits.data.argmax(axis=1), episode
+
+    return score(predictions())

@@ -125,25 +125,6 @@ class Tensor:
                     continue
                 parent.grad = pg if parent.grad is None else parent.grad + pg
 
-    # Operator sugar; the module-level functions do the work.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return scale(self, other) if np.isscalar(other) else mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
 
 class Parameter(Tensor):
     """A named leaf tensor whose gradient an optimizer consumes."""
@@ -187,15 +168,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         a.data + b.data,
         (a, b),
         lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)),
-    )
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    return Tensor(
-        a.data - b.data,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)),
     )
 
 
@@ -611,17 +583,6 @@ class AdamW:
         mhat /= vhat
         self._flat *= 1.0 - self.lr * self.weight_decay
         self._flat -= mhat
-
-
-def adamw_step(params, lr: float, weight_decay: float, betas, step_count: int) -> None:
-    """One AdamW update with externally tracked moments stored on the params.
-
-    Convenience for single-step tests; training uses the `AdamW` class,
-    which keeps its moments across steps.
-    """
-    opt = AdamW(params, lr=lr, weight_decay=weight_decay, betas=betas)
-    opt.step_count = step_count - 1
-    opt.step()
 
 
 # ---------------------------------------------------------------------------

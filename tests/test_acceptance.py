@@ -20,7 +20,6 @@ from pcseg.geometry import cluster_to_seeds, farthest_point_sample, grid_subsamp
 from pcseg.model import (
     BasePrototypeBank,
     ModelParams,
-    PrototypeSet,
     apply_refine_layer,
     backbone_stub,
     base_guidance,
@@ -170,9 +169,7 @@ def test_shape_and_equivariance_suite():
         for n_way in (1, 2):
             ep = generate_episode(pool, split, "train", n_way, 1, 40, 256, 60 + n_way)
             fq = backbone_stub(ep.query, params.stub)
-            protos = PrototypeSet(
-                [Tensor(rng.standard_normal((n_protos, dim))) for _ in range(n_way + 1)]
-            )
+            protos = [Tensor(rng.standard_normal((n_protos, dim))) for _ in range(n_way + 1)]
             corr = compute_correlations(fq, protos, params.proj)
             assert corr.shape == (len(ep.query), n_way + 1, dim)
             # refinement preserves the shape for depths 1..3

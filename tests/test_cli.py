@@ -6,7 +6,6 @@ import pytest
 from pcseg.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, load_pool, main
 from pcseg.config import RunConfig
 from pcseg.episodes import generate_episode, make_split
-from pcseg.io import read_manifest
 
 TINY_CONFIG = """\
 seed=4
@@ -116,6 +115,7 @@ class TestAudit:
         (5, "0.1 0.2 0.3 2.0 0.5 0.5 1"),
         (None, "0.1 0.2 0.3 0.5 0.5 0.5 1"),  # one row beyond the header's count
         (7, "0.1 0.2 0.3 0.5 0.5 0.5 1.5"),
+        (8, "0.1 0.2 0.3 0.5 0.5 0.5 -5"),
     ])
     def test_bad_cloud_exits_2_naming_path_and_line(self, scene_dir, tmp_path, capsys, lineno, row):
         lines = (sorted(scene_dir.glob("*.pcseg"))[0]).read_text().splitlines()
@@ -180,17 +180,18 @@ class TestEpisodes:
         clouds, sources = load_pool([str(scene_dir)], config)
         labels = sorted({int(c) for cloud in clouds for c in np.unique(cloud.labels) if c >= 0})
         split = make_split(labels, 0)
-        for d in read_manifest(out):
+        for line in out.read_text().splitlines():
+            seed, targets, support, query = line.split("\t")
             episode = generate_episode(
                 clouds, split, "test", config.n_way, config.k_shot,
-                config.min_fg_points, config.max_points, d.seed,
+                config.min_fg_points, config.max_points, int(seed),
             )
-            assert episode.target_classes == d.target_classes
+            assert episode.target_classes == tuple(int(c) for c in targets.split(","))
             got_support = tuple(
                 sources[j] for way in episode.support_indices for j in way
             )
-            assert got_support == d.support_sources
-            assert sources[episode.query_index] == d.query_source
+            assert got_support == tuple(support.split(","))
+            assert sources[episode.query_index] == query
 
 
 class TestGradcheck:
@@ -337,6 +338,7 @@ class TestTrainEval:
         ("classes", lambda v: None),
         ("classes", lambda v: "classes="),
         ("classes", lambda v: "classes=1,,3"),
+        ("share_background_fc", lambda v: "share_background_fc=1"),
     ])
     def test_bad_meta_exits_2_with_one_line(self, scene_dir, config_path, tmp_path, capsys, key, edit):
         def corrupt(lines):
@@ -367,6 +369,30 @@ class TestTrainEval:
         assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
         err = capsys.readouterr().err
         assert err == f"pcseg: {model}: line 1: unknown config key 'bogus'\n"
+
+    @pytest.mark.parametrize("line", ["lr=inf", "grid_size=inf", "block_size=inf", "weight_decay=nan"])
+    def test_non_finite_config_exits_64_but_in_an_artifact_exits_2(self, scene_dir, config_path, tmp_path,
+                                                                    capsys, line):
+        key = line.split("=")[0]
+        bad = tmp_path / "bad.cfg"
+        kept = [l for l in config_path.read_text().splitlines() if not l.startswith(f"{key}=")]
+        bad.write_text("\n".join(kept + [line]) + "\n")
+        out = tmp_path / "m"
+        assert main(["train", "--pool", str(scene_dir), "--config", str(bad), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"pcseg: error: {bad}: config field {key} must be ")
+        assert not out.exists()
+
+        def edit(lines):
+            start = lines.index("[config]")
+            idx = next(i for i in range(start, len(lines)) if lines[i].startswith(f"{key}="))
+            lines[idx] = line
+
+        model = self._edited_model(scene_dir, config_path, tmp_path, edit)
+        capsys.readouterr()
+        assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"pcseg: {model}: config field {key} must be ")
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_eval_episodes_below_one_is_usage_error(self, scene_dir, tmp_path, capsys, count):

@@ -89,6 +89,12 @@ class TestPointCloud:
         with pytest.raises(ValueError):
             PointCloud(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0, dtype=int))
 
+    def test_labels_below_minus_one_rejected(self):
+        cloud = PointCloud(np.zeros((3, 3)), np.zeros((3, 3)), [-1, 0, 4])  # -1 marks unlabeled
+        assert cloud.labels.tolist() == [-1, 0, 4]
+        with pytest.raises(ValueError, match=r"labels must be >= -1 \(-1 marks unlabeled\), got -5"):
+            PointCloud(np.zeros((3, 3)), np.zeros((3, 3)), [-1, -5, 4])
+
 
 # ---------------------------------------------------------------------------
 # grid_subsample

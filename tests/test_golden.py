@@ -38,6 +38,7 @@ GOLDEN = {
     "train": "0c5a69936d64a7c480e89550fb5bcc310230b1caa918ebbd2d916ff6da265ac2",
     "eval": "e9dafb9e0613c2e604915b070967b3afb19f0ddbc326635f135f6261261a95e6",
     "eval --zero-bank": "60d90aac346fb119879dd615f6051bfcc85a4a7aec5218a7ef05dac8fb3b8918",
+    "eval --oracle": "8f69c1d18ea76598366b82e704028642c78caf100324adbf05b036e524bc58f4",
 }
 
 
@@ -70,6 +71,8 @@ def outputs(tmp_path_factory):
                      "--out", "metrics.txt"],
             "eval --zero-bank": ["eval", *pool, "--model", "model.txt", "--episodes", "6", "--seed", "5",
                                  "--zero-bank", "--out", "zero.txt"],
+            "eval --oracle": ["eval", *pool, "--oracle", "--config", "run.cfg", "--episodes", "6",
+                              "--seed", "5", "--out", "oracle.txt"],
         }
         codes = {name: main(argv) for name, argv in commands.items()}
         hashes = {
@@ -80,6 +83,7 @@ def outputs(tmp_path_factory):
             "train": _sha("model.txt"),
             "eval": _sha("metrics.txt"),
             "eval --zero-bank": _sha("zero.txt"),
+            "eval --oracle": _sha("oracle.txt"),
         }
     finally:
         os.chdir(cwd)

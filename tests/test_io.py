@@ -51,6 +51,7 @@ class TestCloudFormat:
         (4, "nan 0.2 0.3 0.5 0.5 0.5 1", "position nan 0.2 0.3 is not finite"),
         (5, "0.1 0.2 0.3 2.0 0.5 0.5 1", "color 2.0 0.5 0.5 is not in [0, 1]"),
         (7, "0.1 0.2 0.3 0.5 0.5 0.5 1.5", "label 1.5 is not an integer"),
+        (8, "0.1 0.2 0.3 0.5 0.5 0.5 -5", "label -5 is below -1"),
         (3, "0.1 0.2 0.3 0.5 0.5 0.5 one", "cannot read '0.1 0.2 0.3 0.5 0.5 0.5 one' as 7 numbers"),
         (22, "0.1 0.2 0.3 0.5 0.5 0.5 1", "more rows than the header's count 20"),
         (1, "PCSEG v1 0", "not a 'PCSEG v1 <count>' header with a count >= 1: 'PCSEG v1 0'"),
@@ -109,17 +110,12 @@ class TestManifest:
         ]
         path = tmp_path / "episodes.manifest"
         pio.write_manifest(path, descriptors)
-        assert pio.read_manifest(path) == descriptors
-
-    def test_duplicate_seeds_rejected(self, tmp_path):
-        descriptors = [
-            EpisodeDescriptor(12, (3,), ("a",), "b"),
-            EpisodeDescriptor(12, (5,), ("a",), "c"),
+        assert path.read_bytes() == b"12\t3\ta.pcseg\tb.pcseg\n13\t5,7\ta.pcseg,c.pcseg#1\td.pcseg\n"
+        back = [
+            EpisodeDescriptor(int(seed), tuple(map(int, targets.split(","))), tuple(support.split(",")), query)
+            for seed, targets, support, query in (line.split("\t") for line in path.read_text().splitlines())
         ]
-        path = tmp_path / "episodes.manifest"
-        pio.write_manifest(path, descriptors)
-        with pytest.raises(ValueError):
-            pio.read_manifest(path)
+        assert back == descriptors
 
 
 class TestRunConfig:
@@ -154,6 +150,17 @@ class TestRunConfig:
             RunConfig(momentum=1.5)
         with pytest.raises(ValueError, match="heads"):
             RunConfig(dim=10, heads=3)
+
+    @pytest.mark.parametrize("key", ["lr", "grid_size", "block_size", "weight_decay"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_floats_rejected(self, tmp_path, key, value):
+        with pytest.raises(ValueError, match=rf"^config field {key} must be .*, got {value}$"):
+            RunConfig.from_text(f"{key}={value}\n")
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"seed=1\n{key}={value}\n")
+        with pytest.raises(ValueError) as exc:
+            RunConfig.from_file(path)
+        assert str(exc.value).startswith(f"{path}: config field {key} must be ")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -273,6 +280,23 @@ class TestModelArtifact:
         lines[idx + 2] = "update_counts=1 0 0"
         path = self._load_broken(tmp_path, lines)
         with pytest.raises(ValueError, match=rf"{path}: record prototypes has shape \(2, 8\), expected \(3, 8\)"):
+            pio.load_model(path)
+
+    def test_shared_background_fc_must_be_zero(self, tmp_path):
+        lines = self._artifact_lines()
+        assert lines[lines.index("[meta]") + 3] == "share_background_fc=0"  # written for format compatibility
+        assert pio.load_model(self._load_broken(tmp_path, lines))[3] == {"classes": "1,2,3,4", "fold": "0"}
+        for value in ("1", "true", ""):
+            lines[lines.index("[meta]") + 3] = f"share_background_fc={value}"
+            path = self._load_broken(tmp_path, lines)
+            with pytest.raises(ValueError, match=rf"^{path}: \[meta\] share_background_fc must be 0 .*, got '{value}'$"):
+                pio.load_model(path)
+
+    def test_bank_momentum_out_of_range_rejected(self, tmp_path):
+        lines = self._artifact_lines()
+        lines[lines.index("momentum=0.995", lines.index("[bank]"))] = "momentum=1.5"
+        path = self._load_broken(tmp_path, lines)
+        with pytest.raises(ValueError, match=rf"^{path}: momentum must lie in \[0, 1\], got 1.5$"):
             pio.load_model(path)
 
     def test_dropped_header_line_rejected(self, tmp_path):

@@ -6,12 +6,12 @@ import pytest
 
 import pcseg.tensor as T
 from pcseg.config import RunConfig
-from pcseg.episodes import generate_episode
+from pcseg.episodes import Episode, generate_episode
 from pcseg.geometry import EmptyMaskError, PointCloud
 from pcseg.model import (
     BasePrototypeBank,
     ModelParams,
-    PrototypeSet,
+    _update_bank_from_episode,
     apply_refine_layer,
     backbone_stub,
     base_guidance,
@@ -22,7 +22,6 @@ from pcseg.model import (
     forward,
     loss,
     meta_train,
-    update_base_prototypes,
 )
 from pcseg.synth import synth_scene
 from pcseg.tensor import Parameter, Tensor
@@ -122,7 +121,7 @@ class TestComputeCorrelations:
     def test_output_shape_one_way(self):
         rng = np.random.default_rng(8)
         fq = Tensor(rng.standard_normal((4, 8)))
-        protos = PrototypeSet([Tensor(rng.standard_normal((2, 8))) for _ in range(2)])
+        protos = [Tensor(rng.standard_normal((2, 8))) for _ in range(2)]
         proj = ModelParams.create(rng, 8, 2, 1, 1, 2).proj
         assert compute_correlations(fq, protos, proj).shape == (4, 2, 8)
 
@@ -197,21 +196,27 @@ class TestBasePrototypeBank:
         bank.apply_update(2, np.ones(4))
         assert (bank.prototypes[0] == 0).all() and (bank.prototypes[2] == 0).all()
 
-    def test_update_base_prototypes_masks(self):
+    def test_update_from_episode_skips_absent_class(self):
         rng = np.random.default_rng(11)
-        feats = rng.standard_normal((10, 4))
+        support_feats, query_feats = rng.standard_normal((10, 4)), rng.standard_normal((6, 4))
+        support_labels = np.array([1] * 4 + [3] * 6)
+        query_labels = np.array([3, 1, 3, 3, 1, 3])
+        support = PointCloud(rng.uniform(size=(10, 3)), rng.uniform(size=(10, 3)), support_labels)
+        query = PointCloud(rng.uniform(size=(6, 3)), rng.uniform(size=(6, 3)), query_labels)
+        episode = Episode([[(support, support_labels == 3)]], query, (query_labels == 3).astype(np.int64), (3,))
+        aux = {"support_features": [[Tensor(support_feats)]], "query_features": Tensor(query_feats)}
         bank = BasePrototypeBank.zeros([1, 2], 4, momentum=0.9)
-        masks = {1: np.arange(10) < 4, 2: np.zeros(10, dtype=bool)}
-        update_base_prototypes(bank, feats, masks)
-        np.testing.assert_allclose(bank.prototypes[0], feats[:4].mean(axis=0))
-        assert bank.update_counts[1] == 0 and (bank.prototypes[1] == 0).all()
+        _update_bank_from_episode(bank, episode, aux)
+        # class 1: one masked average per cloud, then their plain average
+        want = np.mean([support_feats[:4].mean(axis=0), query_feats[[1, 4]].mean(axis=0)], axis=0)
+        np.testing.assert_allclose(bank.prototypes[0], want, rtol=1e-12)
+        # class 2 is in no cloud: its row stays untouched
+        assert list(bank.update_counts) == [1, 0] and (bank.prototypes[1] == 0).all()
 
     def test_bad_momentum_rejected(self):
-        bank = BasePrototypeBank.zeros([1], 2, momentum=0.9)
-        with pytest.raises(ValueError):
-            bank.apply_update(1, np.ones(2), mu=1.5)
-        with pytest.raises(ValueError):
-            update_base_prototypes(bank, np.ones((2, 2)), {1: np.ones(2, bool)}, mu=-0.1)
+        for mu in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="momentum must lie in"):
+                BasePrototypeBank.zeros([1], 2, momentum=mu)
 
 
 class TestBaseGuidance:
