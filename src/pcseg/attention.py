@@ -15,13 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import Parameter, Tensor
+from .tensor import Parameter, ParameterGroup, Tensor
 
 _DEN_FLOOR = 1e-12
 
 
 @dataclass
-class AttentionParams:
+class AttentionParams(ParameterGroup):
     """Projection weights for one multi-head attention layer."""
 
     w_q: Parameter
@@ -45,9 +45,6 @@ class AttentionParams:
 
         return cls(proj("w_q"), proj("w_k"), proj("w_v"), proj("w_o"), head_count)
 
-    def parameters(self) -> list[Parameter]:
-        return [self.w_q, self.w_k, self.w_v, self.w_o]
-
 
 def _check_qkv(q: Tensor, k: Tensor, v: Tensor):
     if q.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
@@ -60,7 +57,7 @@ def standard_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Softmax attention: row i gets sum_j softmax_j(q_i k_j^T / sqrt(D)) v_j."""
     _check_qkv(q, k, v)
     dim = q.shape[1]
-    scores = T.scale(T.einsum("nd,md->nm", q, k), 1.0 / np.sqrt(dim))
+    scores = T.mul(T.einsum("nd,md->nm", q, k), Tensor(1.0 / np.sqrt(dim)))
     return T.einsum("nm,md->nd", T.softmax_rows(scores), v)
 
 
@@ -73,14 +70,14 @@ def _kernel_attention(fq: Tensor, fk: Tensor, v: Tensor, reassociated: bool) -> 
     floored at 1e-12 (phi > 0, so this only guards overflow).
     """
     if reassociated:
-        summary = T.bmm(T.swap_axes(fk, -1, -2), v)
-        key_total = T.sum_axis(fk, axis=2, keepdims=True)
-        num = T.bmm(fq, summary)
-        den = T.bmm(fq, T.swap_axes(key_total, -1, -2))
+        summary = T.matmul(T.swap_axes(fk, -1, -2), v)
+        key_total = T.sum_axis(fk, axis=2)
+        num = T.matmul(fq, summary)
+        den = T.matmul(fq, T.swap_axes(key_total, -1, -2))
     else:
-        scores = T.bmm(fq, T.swap_axes(fk, -1, -2))
-        num = T.bmm(scores, v)
-        den = T.sum_axis(scores, axis=-1, keepdims=True)
+        scores = T.matmul(fq, T.swap_axes(fk, -1, -2))
+        num = T.matmul(scores, v)
+        den = T.sum_axis(scores, axis=-1)
     return T.div(num, T.clamp_min(den, _DEN_FLOOR))
 
 
@@ -96,18 +93,6 @@ def linear_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         T.elu_plus_one(lift(q)), T.elu_plus_one(lift(k)), lift(v), reassociated=True
     )
     return T.reshape(out, (n, dim))
-
-
-def linear_attention_quadratic(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """The same kernel attention in the O(N^2 D) order (oracle for tests)."""
-    _check_qkv(q, k, v)
-    fq = T.elu_plus_one(q)
-    fk = T.elu_plus_one(k)
-    weights = T.einsum("nd,md->nm", fq, fk)
-    ones = Tensor(np.ones(k.shape[0]))
-    num = T.einsum("nm,md->nd", weights, v)
-    den = T.clamp_min(T.einsum("nm,m->n", weights, ones), _DEN_FLOOR)
-    return T.div(num, T.reshape(den, (q.shape[0], 1)))
 
 
 def multi_head_linear_attention(x: Tensor, params: AttentionParams) -> Tensor:

@@ -18,7 +18,7 @@ from . import gradcheck as G
 from . import io as pio
 from . import model as M
 from .config import RunConfig
-from .episodes import EpisodeDescriptor, PoolExhaustedError, generate_episode, make_split
+from .episodes import EpisodeDescriptor, PoolExhaustedError, make_split
 from .geometry import grid_subsample, split_blocks
 from .sampling import leakage_audit
 from .seeding import derive_seed
@@ -142,21 +142,15 @@ def cmd_episodes(args) -> int:
     config = _load_config(args)
     clouds, sources = load_pool(args.pool, config)
     split = make_split(_pool_classes(clouds), args.fold)
-    descriptors = []
-    for i in range(args.n):
-        seed = derive_seed(config.seed, "episodes", i)
-        episode = generate_episode(
-            clouds, split, args.phase, config.n_way, config.k_shot,
-            config.min_fg_points, config.max_points, seed,
+    descriptors = [
+        EpisodeDescriptor(
+            seed=episode.seed,
+            target_classes=episode.target_classes,
+            support_sources=tuple(sources[j] for way in episode.support_indices for j in way),
+            query_source=sources[episode.query_index],
         )
-        descriptors.append(
-            EpisodeDescriptor(
-                seed=seed,
-                target_classes=episode.target_classes,
-                support_sources=tuple(sources[j] for way in episode.support_indices for j in way),
-                query_source=sources[episode.query_index],
-            )
-        )
+        for episode in M.episode_stream(clouds, split, args.phase, config, config.seed, M.TRAIN_STREAM, args.n)
+    ]
     pio.write_manifest(args.out, descriptors)
     print(f"wrote {len(descriptors)} episodes to {args.out}")
     return EXIT_OK

@@ -61,7 +61,8 @@ class Episode:
 
     `support[n][k]` is the (cloud, mask) pair for shot k of way n;
     `query_gt` holds 0 for background and n for the n-th target class.
-    `support_indices` / `query_index` record which pool entries were used.
+    `support_indices` / `query_index` record which pool entries were used,
+    and `seed` the seed `generate_episode` built the episode from.
     """
 
     support: list[list[tuple[PointCloud, np.ndarray]]]
@@ -70,10 +71,7 @@ class Episode:
     target_classes: tuple[int, ...]
     support_indices: list[list[int]] = field(default_factory=list)
     query_index: int = -1
-
-    @property
-    def n_way(self) -> int:
-        return len(self.target_classes)
+    seed: int = -1
 
 
 @dataclass(frozen=True)
@@ -169,6 +167,7 @@ def generate_episode(
         target_classes=targets,
         support_indices=support_indices,
         query_index=query_index,
+        seed=rng_seed,
     )
 
 

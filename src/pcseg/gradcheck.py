@@ -28,16 +28,9 @@ def _tensors(rng, *shapes):
     return [Tensor(rng.standard_normal(s)) for s in shapes]
 
 
-def _check_matmul(rng):
-    return T.matmul, _tensors(rng, (3, 4), (4, 2))
-
-
-def _check_add_broadcast(rng):
-    return T.add, _tensors(rng, (4, 5), (5,))
-
-
-def _check_mul(rng):
-    return T.mul, _tensors(rng, (3, 4), (3, 4))
+def _on_normals(op, *shapes):
+    """A check of `op` on standard-normal inputs of the given shapes."""
+    return lambda rng: (op, _tensors(rng, *shapes))
 
 
 def _check_div(rng):
@@ -46,33 +39,9 @@ def _check_div(rng):
     return T.div, [a, b]
 
 
-def _check_concat(rng):
-    return (lambda a, b: T.concat([a, b], axis=1)), _tensors(rng, (4, 1, 8), (4, 2, 8))
-
-
-def _check_transpose_first_two(rng):
-    return T.transpose_first_two, _tensors(rng, (2, 5, 3))
-
-
-def _check_reshape(rng):
-    return (lambda t: T.reshape(t, (6, 2))), _tensors(rng, (3, 4))
-
-
-def _check_narrow(rng):
-    return (lambda t: T.narrow(t, 1, 1, 2)), _tensors(rng, (3, 4, 2))
-
-
 def _check_take_rows(rng):
     idx = rng.integers(0, 5, size=8)  # duplicates exercise the scatter-add
     return (lambda t: T.take_rows(t, idx)), _tensors(rng, (5, 3))
-
-
-def _check_elu(rng):
-    return T.elu, _tensors(rng, (4, 5))
-
-
-def _check_elu_plus_one(rng):
-    return T.elu_plus_one, _tensors(rng, (4, 5))
 
 
 def _check_layer_norm(rng):
@@ -82,20 +51,6 @@ def _check_layer_norm(rng):
     return T.layer_norm, [t, gain, bias]
 
 
-def _check_mlp_forward(rng):
-    x, w1, b1, w2, b2 = _tensors(rng, (5, 4), (4, 6), (6,), (6, 3), (3,))
-    op = lambda x, w1, b1, w2, b2: T.mlp_forward(x, SimpleNamespace(w1=w1, b1=b1, w2=w2, b2=b2))
-    return op, [x, w1, b1, w2, b2]
-
-
-def _check_cosine_rows(rng):
-    return T.cosine_rows, _tensors(rng, (3, 4), (2, 4))
-
-
-def _check_max_pool_rows(rng):
-    return T.max_pool_rows, _tensors(rng, (5, 7))
-
-
 def _check_masked_mean_rows(rng):
     mask = rng.random(6) < 0.6
     if not mask.any():
@@ -103,65 +58,43 @@ def _check_masked_mean_rows(rng):
     return (lambda t: T.masked_mean_rows(t, mask)), _tensors(rng, (6, 4))
 
 
-def _check_group_mean_rows(rng):
-    groups = [np.array([0, 2]), np.array([1, 3, 4])]
-    return (lambda t: T.group_mean_rows(t, groups)), _tensors(rng, (5, 3))
-
-
-def _check_softmax_rows(rng):
-    return T.softmax_rows, _tensors(rng, (4, 6))
-
-
 def _check_cross_entropy(rng):
     targets = rng.integers(0, 3, size=6)
     return (lambda t: T.cross_entropy(t, targets)), _tensors(rng, (6, 3))
 
 
-def _check_einsum_batched(rng):
-    return (lambda a, b: T.einsum("bnhd,bnhe->bhde", a, b)), _tensors(rng, (2, 4, 2, 3), (2, 4, 2, 3))
+def _mlp(x, w1, b1, w2, b2):
+    return T.mlp_forward(x, SimpleNamespace(w1=w1, b1=b1, w2=w2, b2=b2))
 
 
-def _check_standard_attention(rng):
-    return standard_attention, _tensors(rng, (5, 4), (5, 4), (5, 4))
-
-
-def _check_linear_attention(rng):
-    return linear_attention, _tensors(rng, (6, 4), (6, 4), (6, 4))
-
-
-def _check_multi_head_linear_attention(rng):
-    x, = _tensors(rng, (2, 5, 8))
-    ws = _tensors(rng, (8, 8), (8, 8), (8, 8), (8, 8))
-    op = lambda x, wq, wk, wv, wo: multi_head_linear_attention(
-        x, SimpleNamespace(w_q=wq, w_k=wk, w_v=wv, w_o=wo, head_count=2)
-    )
-    return op, [x] + ws
+def _two_head_attention(x, w_q, w_k, w_v, w_o):
+    return multi_head_linear_attention(x, SimpleNamespace(w_q=w_q, w_k=w_k, w_v=w_v, w_o=w_o, head_count=2))
 
 
 OP_CHECKS = [
-    ("matmul", _check_matmul),
-    ("add_broadcast", _check_add_broadcast),
-    ("mul", _check_mul),
+    ("matmul", _on_normals(T.matmul, (3, 4), (4, 2))),
+    ("add_broadcast", _on_normals(T.add, (4, 5), (5,))),
+    ("mul", _on_normals(T.mul, (3, 4), (3, 4))),
     ("div", _check_div),
-    ("concat", _check_concat),
-    ("transpose_first_two", _check_transpose_first_two),
-    ("reshape", _check_reshape),
-    ("narrow", _check_narrow),
+    ("concat", _on_normals(lambda a, b: T.concat([a, b], axis=1), (4, 1, 8), (4, 2, 8))),
+    ("transpose_first_two", _on_normals(T.transpose_first_two, (2, 5, 3))),
+    ("reshape", _on_normals(lambda t: T.reshape(t, (6, 2)), (3, 4))),
+    ("narrow", _on_normals(lambda t: T.narrow(t, 1, 1, 2), (3, 4, 2))),
     ("take_rows", _check_take_rows),
-    ("elu", _check_elu),
-    ("elu_plus_one", _check_elu_plus_one),
+    ("elu", _on_normals(T.elu, (4, 5))),
+    ("elu_plus_one", _on_normals(T.elu_plus_one, (4, 5))),
     ("layer_norm", _check_layer_norm),
-    ("mlp_forward", _check_mlp_forward),
-    ("cosine_rows", _check_cosine_rows),
-    ("max_pool_rows", _check_max_pool_rows),
+    ("mlp_forward", _on_normals(_mlp, (5, 4), (4, 6), (6,), (6, 3), (3,))),
+    ("cosine_rows", _on_normals(T.cosine_rows, (3, 4), (2, 4))),
+    ("max_pool_rows", _on_normals(T.max_pool_rows, (5, 7))),
     ("masked_mean_rows", _check_masked_mean_rows),
-    ("group_mean_rows", _check_group_mean_rows),
-    ("softmax_rows", _check_softmax_rows),
+    ("group_mean_rows", _on_normals(lambda t: T.group_mean_rows(t, [np.array([0, 2]), np.array([1, 3, 4])]), (5, 3))),
+    ("softmax_rows", _on_normals(T.softmax_rows, (4, 6))),
     ("cross_entropy", _check_cross_entropy),
-    ("einsum_batched", _check_einsum_batched),
-    ("standard_attention", _check_standard_attention),
-    ("linear_attention", _check_linear_attention),
-    ("multi_head_linear_attention", _check_multi_head_linear_attention),
+    ("einsum_batched", _on_normals(lambda a, b: T.einsum("bnhd,bnhe->bhde", a, b), (2, 4, 2, 3), (2, 4, 2, 3))),
+    ("standard_attention", _on_normals(standard_attention, (5, 4), (5, 4), (5, 4))),
+    ("linear_attention", _on_normals(linear_attention, (6, 4), (6, 4), (6, 4))),
+    ("multi_head_linear_attention", _on_normals(_two_head_attention, (2, 5, 8), (8, 8), (8, 8), (8, 8), (8, 8))),
 ]
 
 
@@ -199,10 +132,7 @@ def _end_to_end_setup(seed: int):
         pool, split, "train", 1, 1, config.min_fg_points, config.max_points, derive_seed(seed, "gradcheck-episode")
     )
     rng = np.random.default_rng(derive_seed(seed, "gradcheck-init"))
-    params = M.ModelParams.create(
-        rng, dim=config.dim, n_prototypes=config.n_prototypes,
-        n_layers=config.hca_layers, heads=config.heads, n_base=len(split.train_classes),
-    )
+    params = M.ModelParams.for_config(rng, config, len(split.train_classes))
     bank = M.BasePrototypeBank.zeros(split.train_classes, config.dim, config.momentum)
     for cid in split.train_classes:  # live guidance so its gradient path is exercised
         bank.apply_update(cid, rng.standard_normal(config.dim))
@@ -235,10 +165,11 @@ def check_corrupted(seed: int) -> float:
     return finite_difference_check(_corrupted_scale, _tensors(rng, (4, 3)), rng=rng)
 
 
-def run_suite(seed: int, trials: int = 10, include_corrupt: bool = False, e2e_trials: int | None = None):
-    """Run every check; returns [(name, max_rel_error)]."""
+def run_suite(seed: int, trials: int = 10, include_corrupt: bool = False):
+    """Run every check; returns [(name, max_rel_error)]. The end-to-end
+    check runs min(trials, 10) times."""
     results = [(name, check_op(builder, seed, trials)) for name, builder in OP_CHECKS]
-    results.append(("end_to_end_loss", check_end_to_end(seed, e2e_trials if e2e_trials is not None else min(trials, 10))))
+    results.append(("end_to_end_loss", check_end_to_end(seed, min(trials, 10))))
     if include_corrupt:
         results.append(("deliberately_corrupted", check_corrupted(seed)))
     return results

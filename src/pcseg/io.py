@@ -209,15 +209,20 @@ def save_model(path, params: ModelParams, bank: BasePrototypeBank, config: RunCo
     atomic_write_text(path, format_model(params, bank, config, meta))
 
 
-def _split_sections(lines: list[str]) -> dict[str, list[str]]:
-    sections: dict[str, list[str]] = {}
+class _PlacedError(ValueError):
+    """An artifact error whose message already names the file and line."""
+
+
+def _split_sections(lines: list[str]) -> dict[str, tuple[int, list[str]]]:
+    """Section name -> (file line of its `[name]` header, its lines)."""
+    sections: dict[str, tuple[int, list[str]]] = {}
     current = None
-    for line in lines:
+    for lineno, line in enumerate(lines, start=1):
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1]
-            sections[current] = []
+            sections[current] = (lineno, [])
         elif current is not None:
-            sections[current].append(line)
+            sections[current][1].append(line)
     return sections
 
 
@@ -228,13 +233,16 @@ def load_model(path):
     bit-identical forward outputs. Every record is checked: value count
     against shape, shape against the config, the bank against its class
     ids, and every value for finiteness; so is `[meta]`: `fold` is 0 or
-    1 and `classes` a comma-separated list of ints. A failure raises
-    ValueError naming the path and the record or key.
+    1, `classes` a comma-separated list of ints, and no other key
+    appears. A failure raises ValueError naming the path and the record
+    or key, or for `[config]` the path and the file line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     try:
-        return _parse_model(lines)
+        return _parse_model(lines, path)
+    except _PlacedError:
+        raise
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -258,19 +266,22 @@ def _int_list(text: str) -> list[int]:
     return [int(c) for c in text.split(",")]
 
 
-def _parse_model(lines: list[str]):
+def _parse_model(lines: list[str], path):
     if not lines or lines[0] != MODEL_MAGIC:
         raise ValueError(f"not a {MODEL_MAGIC} file")
-    sections = _split_sections(lines[1:])
+    sections = _split_sections(lines)
     for needed in ("meta", "config", "params", "bank"):
         if needed not in sections:
             raise ValueError(f"missing [{needed}] section")
 
     meta: dict[str, str] = {}
-    for line in sections["meta"]:
+    for line in sections["meta"][1]:
         if line.strip():
             key, _, value = line.partition("=")
             meta[key] = value
+    unknown = sorted(set(meta) - {"fold", "classes", "share_background_fc"})
+    if unknown:
+        raise ValueError(f"[meta] unknown key {unknown[0]!r}")
     shared_fc = meta.pop("share_background_fc", "0")
     if shared_fc != "0":
         raise ValueError(f"[meta] share_background_fc must be 0 (no shared background layer), got {shared_fc!r}")
@@ -278,9 +289,13 @@ def _parse_model(lines: list[str]):
         raise ValueError(f"[meta] fold must be 0 or 1, got {meta['fold']!r}")
     _section_value("meta", meta, "classes", _int_list)
 
-    config = RunConfig.from_text("\n".join(sections["config"]))
+    header, config_lines = sections["config"]
+    try:  # blank lines ahead of the section make from_text count file lines
+        config = RunConfig.from_text("\n" * header + "\n".join(config_lines), source=path)
+    except ValueError as exc:
+        raise _PlacedError(str(exc)) from None
 
-    bank_lines = sections["bank"]
+    bank_lines = sections["bank"][1]
     bank_kv = {}
     record_start = 0
     for i, line in enumerate(bank_lines):
@@ -316,15 +331,8 @@ def _parse_model(lines: list[str]):
         class_ids=class_ids,
     )
 
-    params = ModelParams.create(
-        np.random.default_rng(0),
-        dim=config.dim,
-        n_prototypes=config.n_prototypes,
-        n_layers=config.hca_layers,
-        heads=config.heads,
-        n_base=len(class_ids),
-    )
-    records = T.parse_records("\n".join(sections["params"]))
+    params = ModelParams.for_config(np.random.default_rng(0), config, len(class_ids))
+    records = T.parse_records("\n".join(sections["params"][1]))
     expected = {p.name for p in params.parameters()}
     if set(records) != expected:
         missing = expected - set(records)

@@ -29,7 +29,7 @@ from .attention import AttentionParams, multi_head_linear_attention
 from .episodes import Episode, ClassSplit, confusion_counts, generate_episode, iou_from_counts
 from .geometry import EmptyMaskError, PointCloud, cluster_to_seeds, farthest_point_sample
 from .seeding import derive_seed
-from .tensor import Parameter, Tensor
+from .tensor import Parameter, ParameterGroup, Tensor
 
 
 class NonFiniteLossError(ArithmeticError):
@@ -41,7 +41,7 @@ class NonFiniteLossError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class MLPParams:
+class MLPParams(ParameterGroup):
     """Two affine layers with an ELU between them."""
 
     w1: Parameter
@@ -58,12 +58,9 @@ class MLPParams:
             Parameter(np.zeros(d_out), f"{prefix}.b2"),
         )
 
-    def parameters(self) -> list[Parameter]:
-        return [self.w1, self.b1, self.w2, self.b2]
-
 
 @dataclass
-class LayerNormParams:
+class LayerNormParams(ParameterGroup):
     gain: Parameter
     bias: Parameter
 
@@ -71,12 +68,9 @@ class LayerNormParams:
     def create(cls, prefix: str, dim: int) -> "LayerNormParams":
         return cls(Parameter(np.ones(dim), f"{prefix}.gain"), Parameter(np.zeros(dim), f"{prefix}.bias"))
 
-    def parameters(self) -> list[Parameter]:
-        return [self.gain, self.bias]
-
 
 @dataclass
-class RefineLayerParams:
+class RefineLayerParams(ParameterGroup):
     """One refinement layer: point attention, class attention, their MLPs,
     pre-norms, and the background-calibration linear map (2D -> D)."""
 
@@ -108,22 +102,9 @@ class RefineLayerParams:
             class_mlp=MLPParams.create(rng, f"{prefix}.class_mlp", dim, dim, dim),
         )
 
-    def parameters(self) -> list[Parameter]:
-        return (
-            self.ln_point_attn.parameters()
-            + self.point_attn.parameters()
-            + self.ln_point_mlp.parameters()
-            + self.point_mlp.parameters()
-            + [self.bg_fc_w, self.bg_fc_b]
-            + self.ln_class_attn.parameters()
-            + self.class_attn.parameters()
-            + self.ln_class_mlp.parameters()
-            + self.class_mlp.parameters()
-        )
-
 
 @dataclass
-class ModelParams:
+class ModelParams(ParameterGroup):
     """All trainable parameters. Shapes never depend on n_way, so one
     trained model serves 1-way and 2-way episodes alike."""
 
@@ -151,11 +132,11 @@ class ModelParams:
             base_head=MLPParams.create(rng, "base_head", dim, dim, n_base + 1),
         )
 
-    def parameters(self) -> list[Parameter]:
-        out = self.stub.parameters() + self.proj.parameters()
-        for lp in self.layers:
-            out += lp.parameters()
-        return out + self.decoder.parameters() + self.base_head.parameters()
+    @classmethod
+    def for_config(cls, rng, config, n_base: int) -> "ModelParams":
+        """The model a run config describes, for `n_base` training classes."""
+        return cls.create(rng, dim=config.dim, n_prototypes=config.n_prototypes,
+                          n_layers=config.hca_layers, heads=config.heads, n_base=n_base)
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +366,22 @@ def base_targets(labels, class_ids) -> np.ndarray:
 # training and evaluation
 # ---------------------------------------------------------------------------
 
+# `meta_train` draws from this stream, and `pcseg episodes` lists it, so a
+# train-phase manifest names exactly the episodes training uses.
+TRAIN_STREAM = "episodes"
+
+
+def episode_stream(pool, split: ClassSplit, phase: str, config, seed: int, stream: str, n: int):
+    """Episodes 0..n-1 of one seeded stream at the config's way, shot,
+    foreground floor and point cap; episode i is built from
+    `derive_seed(seed, stream, i)`."""
+    for i in range(n):
+        yield generate_episode(
+            pool, split, phase, config.n_way, config.k_shot, config.min_fg_points, config.max_points,
+            derive_seed(seed, stream, i),
+        )
+
+
 @dataclass
 class TrainResult:
     params: ModelParams
@@ -422,28 +419,12 @@ def meta_train(pool, split: ClassSplit, config) -> TrainResult:
     degenerates; a bad gradient leaves the parameters untouched.
     """
     rng = np.random.default_rng(derive_seed(config.seed, "init"))
-    params = ModelParams.create(
-        rng,
-        dim=config.dim,
-        n_prototypes=config.n_prototypes,
-        n_layers=config.hca_layers,
-        heads=config.heads,
-        n_base=len(split.train_classes),
-    )
+    params = ModelParams.for_config(rng, config, len(split.train_classes))
     bank = BasePrototypeBank.zeros(split.train_classes, config.dim, config.momentum)
     opt = T.AdamW(params.parameters(), lr=config.lr, weight_decay=config.weight_decay)
     losses: list[float] = []
-    for i in range(config.episodes):
-        episode = generate_episode(
-            pool,
-            split,
-            "train",
-            config.n_way,
-            config.k_shot,
-            config.min_fg_points,
-            config.max_points,
-            derive_seed(config.seed, "episodes", i),
-        )
+    episodes = episode_stream(pool, split, "train", config, config.seed, TRAIN_STREAM, config.episodes)
+    for i, episode in enumerate(episodes):
         seg_logits, base_logits, aux = _forward_parts(episode, params, bank, "train")
         step_loss = loss(seg_logits, base_logits, episode.query_gt, base_targets(episode.query.labels, bank.class_ids))
         value = float(step_loss.data)
@@ -470,17 +451,7 @@ class EvalResult:
 
 def eval_episodes(pool, split: ClassSplit, config, n_episodes: int, seed: int):
     """The seeded stream of test-phase episodes that every evaluation scores."""
-    for i in range(n_episodes):
-        yield generate_episode(
-            pool,
-            split,
-            "test",
-            config.n_way,
-            config.k_shot,
-            config.min_fg_points,
-            config.max_points,
-            derive_seed(seed, "eval", i),
-        )
+    return episode_stream(pool, split, "test", config, seed, "eval", n_episodes)
 
 
 def score(pairs) -> EvalResult:

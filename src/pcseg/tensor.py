@@ -22,6 +22,7 @@ plain numpy arrays, never Tensors.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import math
 
 import numpy as np
@@ -30,6 +31,9 @@ from .geometry import EmptyMaskError
 
 _LN_EPS = 1e-12
 _COS_EPS = 1e-8
+_ADAM_BETAS = (0.9, 0.999)
+_ADAM_EPS = 1e-8
+_FD_EPS = 1e-5
 
 
 _grad_enabled = True
@@ -139,6 +143,26 @@ class Parameter(Tensor):
         return f"Parameter({self.name}, shape={self.data.shape})"
 
 
+class ParameterGroup:
+    """Base of the parameter dataclasses.
+
+    `parameters()` walks the fields in declaration order: a Parameter is
+    taken as is, a group or a list of groups contributes its own
+    parameters, and any other field (a size, a head count) is skipped.
+    """
+
+    def parameters(self) -> list[Parameter]:
+        out: list[Parameter] = []
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            for item in value if isinstance(value, list) else [value]:
+                if isinstance(item, Parameter):
+                    out.append(item)
+                elif isinstance(item, ParameterGroup):
+                    out += item.parameters()
+        return out
+
+
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -195,21 +219,15 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return Tensor(a.data * c, (a,), lambda g: (g * c,))
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product; batched contractions go through `einsum`."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """Matrix product of two matrices, or of two stacks of matrices with
+    identical leading axes."""
+    if a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     return Tensor(
-        a.data @ b.data,
+        np.matmul(a.data, b.data),
         (a, b),
-        lambda g: (g @ b.data.T, a.data.T @ g),
+        lambda g: (np.matmul(g, b.data.swapaxes(-1, -2)), np.matmul(a.data.swapaxes(-1, -2), g)),
     )
 
 
@@ -254,24 +272,9 @@ def transpose_first_two(t: Tensor) -> Tensor:
     return swap_axes(t, 0, 1)
 
 
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product of two stacks with identical leading axes."""
-    if a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"bmm shape mismatch: {a.shape} @ {b.shape}")
-    return Tensor(
-        np.matmul(a.data, b.data),
-        (a, b),
-        lambda g: (np.matmul(g, b.data.swapaxes(-1, -2)), np.matmul(a.data.swapaxes(-1, -2), g)),
-    )
-
-
-def sum_axis(t: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    def backward(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, t.data.shape).copy(),)
-
-    return Tensor(t.data.sum(axis=axis, keepdims=keepdims), (t,), backward)
+def sum_axis(t: Tensor, axis: int) -> Tensor:
+    """Sum along `axis`, which stays as an axis of length 1."""
+    return Tensor(t.data.sum(axis=axis, keepdims=True), (t,), lambda g: (np.broadcast_to(g, t.data.shape).copy(),))
 
 
 def reshape(t: Tensor, shape) -> Tensor:
@@ -524,7 +527,8 @@ class NonFiniteGradientError(ArithmeticError):
 
 
 class AdamW:
-    """AdamW with decoupled weight decay (decay applies even at zero gradient).
+    """AdamW with decoupled weight decay (decay applies even at zero gradient),
+    betas (0.9, 0.999) and eps 1e-8.
 
     Parameters and both moments live in flat buffers, one slice per
     parameter, so a step is a few whole-buffer numpy calls. Each
@@ -532,14 +536,12 @@ class AdamW:
     `p.data` after construction and the optimizer no longer sees it.
     """
 
-    def __init__(self, params, lr: float, weight_decay: float = 0.0, betas=(0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params, lr: float, weight_decay: float = 0.0):
         self.params = list(params)
         if len({id(p) for p in self.params}) != len(self.params):
             raise ValueError("AdamW needs distinct parameters")
         self.lr = lr
         self.weight_decay = weight_decay
-        self.betas = betas
-        self.eps = eps
         self.step_count = 0
         self._flat = np.concatenate([p.data.reshape(-1) for p in self.params] or [np.empty(0)])
         self._slices = []
@@ -567,7 +569,7 @@ class AdamW:
             bad = next(p for p, sl in zip(self.params, self._slices) if not np.isfinite(g[sl]).all())
             raise NonFiniteGradientError(f"gradient of {bad.name} is not finite")
         self.step_count += 1
-        b1, b2 = self.betas
+        b1, b2 = _ADAM_BETAS
         m, v = self._m, self._v
         m *= b1
         m += (1 - b1) * g
@@ -578,7 +580,7 @@ class AdamW:
         mhat = m / (1 - b1 ** self.step_count)
         vhat = np.divide(v, 1 - b2 ** self.step_count, out=g2)
         np.sqrt(vhat, out=vhat)
-        vhat += self.eps
+        vhat += _ADAM_EPS
         mhat *= self.lr
         mhat /= vhat
         self._flat *= 1.0 - self.lr * self.weight_decay
@@ -589,12 +591,12 @@ class AdamW:
 # gradient verification
 # ---------------------------------------------------------------------------
 
-def finite_difference_check(op, inputs, eps: float = 1e-5, rng=None, max_coords=None) -> float:
+def finite_difference_check(op, inputs, rng=None, max_coords=None) -> float:
     """Compare analytic gradients of `op(*inputs)` against central differences.
 
     The output is reduced to a scalar with a fixed random projection, the
     analytic gradient of that scalar is computed by backward(), and each
-    input coordinate is perturbed by +/-eps. Returns the largest absolute
+    input coordinate is perturbed by +/-1e-5. Returns the largest absolute
     gradient discrepancy divided by max(1, largest gradient magnitude).
 
     `max_coords` caps the number of coordinates checked per input (all by
@@ -622,12 +624,12 @@ def finite_difference_check(op, inputs, eps: float = 1e-5, rng=None, max_coords=
             coords = rng.choice(flat.size, size=max_coords, replace=False)
         for c in coords:
             keep = flat[c]
-            flat[c] = keep + eps
+            flat[c] = keep + _FD_EPS
             up = scalarize()
-            flat[c] = keep - eps
+            flat[c] = keep - _FD_EPS
             down = scalarize()
             flat[c] = keep
-            fd = (up - down) / (2 * eps)
+            fd = (up - down) / (2 * _FD_EPS)
             a = analytic.reshape(-1)[c]
             worst_abs = max(worst_abs, abs(a - fd))
             scale_ref = max(scale_ref, abs(a), abs(fd))

@@ -11,7 +11,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from pcseg.attention import linear_attention, linear_attention_quadratic, standard_attention
+from attention_oracles import linear_attention_quadratic
+from pcseg.attention import linear_attention, standard_attention
 from pcseg.cli import EXIT_OK, main
 from pcseg.config import RunConfig
 from pcseg.episodes import generate_episode, make_split

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from attention_oracles import linear_attention_quadratic
 from pcseg.attention import (
     AttentionParams,
     linear_attention,
-    linear_attention_quadratic,
     multi_head_linear_attention,
     standard_attention,
 )

@@ -305,8 +305,8 @@ class TestAdamW:
         rng = np.random.default_rng(4)
         fast = self._params(rng)
         slow = [Parameter(p.data.copy(), p.name) for p in fast]
-        opt_fast = T.AdamW(fast, lr=0.01, weight_decay=0.05, betas=(0.8, 0.99), eps=1e-7)
-        opt_slow = RefAdamW(slow, lr=0.01, weight_decay=0.05, betas=(0.8, 0.99), eps=1e-7)
+        opt_fast = T.AdamW(fast, lr=0.01, weight_decay=0.05)
+        opt_slow = RefAdamW(slow, lr=0.01, weight_decay=0.05)
         for step in range(25):
             for i, (a, b) in enumerate(zip(fast, slow)):
                 if (step + i) % 4 == 0:

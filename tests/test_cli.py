@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pcseg import model as M
 from pcseg.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, load_pool, main
 from pcseg.config import RunConfig
 from pcseg.episodes import generate_episode, make_split
@@ -193,6 +194,35 @@ class TestEpisodes:
             assert got_support == tuple(support.split(","))
             assert sources[episode.query_index] == query
 
+    def test_train_manifest_lists_the_episodes_meta_train_draws(self, scene_dir, config_path, tmp_path,
+                                                                monkeypatch):
+        config = RunConfig.from_file(config_path)
+        out = tmp_path / "episodes.manifest"
+        assert main(["episodes", "--pool", str(scene_dir), "--config", str(config_path),
+                     "--n", str(config.episodes), "--phase", "train", "--fold", "1", "--out", str(out)]) == EXIT_OK
+        clouds, sources = load_pool([str(scene_dir)], config)
+        labels = sorted({int(c) for cloud in clouds for c in np.unique(cloud.labels) if c >= 0})
+        drawn = []
+
+        def spy(*args):
+            episode = generate_episode(*args)
+            drawn.append((args[-1], episode))
+            return episode
+
+        monkeypatch.setattr(M, "generate_episode", spy)
+        M.meta_train(clouds, make_split(labels, 1), config)
+        want = [
+            "\t".join([
+                str(seed),
+                ",".join(str(c) for c in episode.target_classes),
+                ",".join(sources[j] for way in episode.support_indices for j in way),
+                sources[episode.query_index],
+            ])
+            for seed, episode in drawn
+        ]
+        assert len(want) == config.episodes
+        assert out.read_text().splitlines() == want
+
 
 class TestGradcheck:
     def test_clean_suite_passes(self, tmp_path):
@@ -339,10 +369,14 @@ class TestTrainEval:
         ("classes", lambda v: "classes="),
         ("classes", lambda v: "classes=1,,3"),
         ("share_background_fc", lambda v: "share_background_fc=1"),
+        ("fodl", lambda v: "fodl=1"),  # a misspelled key, added to [meta]
     ])
     def test_bad_meta_exits_2_with_one_line(self, scene_dir, config_path, tmp_path, capsys, key, edit):
         def corrupt(lines):
-            idx = next(i for i, l in enumerate(lines) if l.startswith(f"{key}="))
+            idx = next((i for i, l in enumerate(lines) if l.startswith(f"{key}=")), None)
+            if idx is None:
+                lines.insert(lines.index("[meta]") + 1, edit(None))
+                return
             new = edit(lines[idx])
             if new is None:
                 del lines[idx]
@@ -365,10 +399,11 @@ class TestTrainEval:
 
         model = self._edited_model(scene_dir, config_path, tmp_path,
                                    lambda lines: lines.insert(lines.index("[config]") + 1, "bogus=1"))
+        lineno = model.read_text().splitlines().index("bogus=1") + 1
         capsys.readouterr()
         assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
         err = capsys.readouterr().err
-        assert err == f"pcseg: {model}: line 1: unknown config key 'bogus'\n"
+        assert err == f"pcseg: {model}:{lineno}: unknown config key 'bogus'\n"
 
     @pytest.mark.parametrize("line", ["lr=inf", "grid_size=inf", "block_size=inf", "weight_decay=nan"])
     def test_non_finite_config_exits_64_but_in_an_artifact_exits_2(self, scene_dir, config_path, tmp_path,

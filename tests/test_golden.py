@@ -34,6 +34,7 @@ GOLDEN = {
     "synth": "0742bcc1ab49636a7b626fc1c298ce01b23d223d81512283883d8c42553adefa",
     "audit": "b0399715d01b3bb0c770253e916d2c3d7d2010928e85b9859eeeaab5c28df116",
     "episodes": "b0b880a96bc5555754b63e8e3da85d1d00144f8bbfa94128024a6908f0c36a9c",
+    "episodes --phase test": "15505e9119c30d349b599a3c2c60d0a47504ac39d5b20f9ed9dc05c0fe104d4b",
     "gradcheck": "24fbf72a8193897e3c3db4dc00b635852fe493041fae8fed032935e4d7f022cb",
     "train": "0c5a69936d64a7c480e89550fb5bcc310230b1caa918ebbd2d916ff6da265ac2",
     "eval": "e9dafb9e0613c2e604915b070967b3afb19f0ddbc326635f135f6261261a95e6",
@@ -65,6 +66,8 @@ def outputs(tmp_path_factory):
                       "--fg-class", "1", "--m", "64", "--trials", "12", "--seed", "3", "--out", "audit.txt"],
             "episodes": ["episodes", *pool, "--config", "run.cfg", "--n", "8", "--phase", "train",
                          "--fold", "1", "--out", "episodes.manifest"],
+            "episodes --phase test": ["episodes", *pool, "--config", "run.cfg", "--n", "8", "--phase", "test",
+                                      "--fold", "0", "--out", "test_episodes.manifest"],
             "gradcheck": ["gradcheck", "--seed", "4", "--trials", "1", "--out", "grad.txt"],
             "train": ["train", *pool, "--config", "run.cfg", "--fold", "0", "--out", "model.txt"],
             "eval": ["eval", *pool, "--model", "model.txt", "--episodes", "6", "--seed", "5",
@@ -79,6 +82,7 @@ def outputs(tmp_path_factory):
             "synth": _sha(*sorted(Path("scenes").glob("*.pcseg"))),
             "audit": _sha("audit.txt"),
             "episodes": _sha("episodes.manifest"),
+            "episodes --phase test": _sha("test_episodes.manifest"),
             "gradcheck": _sha("grad.txt"),
             "train": _sha("model.txt"),
             "eval": _sha("metrics.txt"),
