@@ -108,10 +108,6 @@ def multi_head_linear_attention(x: Tensor, params: AttentionParams) -> Tensor:
         raise ValueError(f"expected a B x N x D tensor, got shape {x.shape}")
     b, n, dim = x.shape
     h = params.head_count
-    if dim != params.w_q.shape[0]:
-        raise ValueError(f"input dim {dim} does not match projections {params.w_q.shape}")
-    if dim % h != 0:
-        raise ValueError(f"head_count {h} does not divide dim {dim}")
     dh = dim // h
     flat = T.reshape(x, (b * n, dim))
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import gradcheck as G
 from . import io as pio
 from . import model as M
-from .config import RunConfig
+from .config import RunConfig, format_pairs
 from .episodes import EpisodeDescriptor, PoolExhaustedError, make_split
 from .geometry import grid_subsample, split_blocks
 from .sampling import leakage_audit
@@ -128,7 +128,7 @@ def cmd_audit(args) -> int:
                 cloud, args.fg_class, args.m, sampler, args.trials,
                 derive_seed(args.seed, f"audit-{sampler}"),
             )
-            blocks.append(f"cloud={path}\nsampler={sampler}\n" + report.to_text())
+            blocks.append(format_pairs([("cloud", path), ("sampler", sampler)]) + report.to_text())
     text = "\n".join(blocks)
     if args.out:
         pio.atomic_write_text(args.out, text)

@@ -1,10 +1,52 @@
-"""Run configuration: a typed key=value file with validated ranges."""
+"""The `key=value` format, and the run configuration written in it.
+
+Config files, metrics, audit reports and the `key=value` heads of model
+artifacts are written by `format_pairs` and read by `parse_pairs`.
+"""
 
 from __future__ import annotations
 
 import math
 import os
 from dataclasses import dataclass, fields
+
+
+class PlacedError(ValueError):
+    """A ValueError whose message already names the bad input's file or line."""
+
+
+def format_pairs(pairs) -> str:
+    """One `key=value` line per pair: a float with 17 significant digits
+    (exact for float64), any other value with `str`."""
+    return "".join(f"{key}={value:.17g}\n" if isinstance(value, float) else f"{key}={value}\n"
+                   for key, value in pairs)
+
+
+def parse_pairs(lines, kind: str, known, source: str | None = None, first_line: int = 1):
+    """Yield (place, key, raw value) for each `key=value` line, in order.
+
+    Blank lines and `#` comments are skipped; keys and values are stripped.
+    `place` is `source:line` (`line N` without a source), counting
+    `lines[0]` as file line `first_line`. A line without `=`, a key not
+    in `known` or a repeated key raises PlacedError, with `kind`
+    (`config`, `[meta]`, ...) naming the key set.
+    """
+    seen = set()
+    for lineno, line in enumerate(lines, start=first_line):
+        at = f"{source}:{lineno}" if source else f"line {lineno}"
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise PlacedError(f"{at}: expected {kind} key=value, got {line!r}")
+        key, _, raw = line.partition("=")
+        key = key.strip()
+        if key not in known:
+            raise PlacedError(f"{at}: unknown {kind} key {key!r}")
+        if key in seen:
+            raise PlacedError(f"{at}: duplicate {kind} key {key!r}")
+        seen.add(key)
+        yield at, key, raw.strip()
 
 
 @dataclass
@@ -63,43 +105,26 @@ class RunConfig:
                 raise ValueError(f"config field {name} must be {requirement}, got {getattr(self, name)}")
 
     def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" or isinstance(value, float):
-                lines.append(f"{f.name}={value:.17g}")
-            else:
-                lines.append(f"{f.name}={value}")
-        return "\n".join(lines) + "\n"
+        return format_pairs(
+            (f.name, float(getattr(self, f.name)) if f.type == "float" else getattr(self, f.name))
+            for f in fields(self)
+        )
 
     @classmethod
-    def from_text(cls, text: str, source: str | None = None) -> "RunConfig":
-        """Parse `key=value` lines; errors name `source:line`, or `line N` without a source."""
+    def from_text(cls, text: str, source: str | None = None, first_line: int = 1) -> "RunConfig":
+        """Parse `key=value` lines (see `parse_pairs`); a range error names `source`."""
         types = {f.name: f.type for f in fields(cls)}
         kwargs = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            at = f"{source}:{lineno}" if source else f"line {lineno}"
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{at}: expected key=value, got {line!r}")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if key not in types:
-                raise ValueError(f"{at}: unknown config key {key!r}")
-            if key in kwargs:
-                raise ValueError(f"{at}: duplicate config key {key!r}")
+        for at, key, raw in parse_pairs(text.splitlines(), "config", types, source, first_line):
             try:
                 kwargs[key] = float(raw) if types[key] == "float" else int(raw)
             except ValueError:
-                raise ValueError(f"{at}: cannot parse {key}={raw!r}") from None
+                raise PlacedError(f"{at}: cannot parse {key}={raw!r}") from None
         try:
             return cls(**kwargs)
         except ValueError as exc:
             if source:
-                raise ValueError(f"{source}: {exc}") from None
+                raise PlacedError(f"{source}: {exc}") from None
             raise
 
     @classmethod

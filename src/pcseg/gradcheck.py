@@ -8,13 +8,11 @@ against a sampled subset of every model parameter.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 
 from . import model as M
 from . import tensor as T
-from .attention import linear_attention, multi_head_linear_attention, standard_attention
+from .attention import AttentionParams, linear_attention, multi_head_linear_attention, standard_attention
 from .config import RunConfig
 from .episodes import generate_episode, make_split
 from .seeding import derive_seed
@@ -64,11 +62,11 @@ def _check_cross_entropy(rng):
 
 
 def _mlp(x, w1, b1, w2, b2):
-    return T.mlp_forward(x, SimpleNamespace(w1=w1, b1=b1, w2=w2, b2=b2))
+    return T.mlp_forward(x, M.MLPParams(w1, b1, w2, b2))
 
 
 def _two_head_attention(x, w_q, w_k, w_v, w_o):
-    return multi_head_linear_attention(x, SimpleNamespace(w_q=w_q, w_k=w_k, w_v=w_v, w_o=w_o, head_count=2))
+    return multi_head_linear_attention(x, AttentionParams(w_q, w_k, w_v, w_o, head_count=2))
 
 
 OP_CHECKS = [

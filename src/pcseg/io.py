@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from . import tensor as T
-from .config import RunConfig
+from .config import PlacedError, RunConfig, format_pairs, parse_pairs
 from .geometry import PointCloud
 from .model import BasePrototypeBank, ModelParams
 
@@ -170,18 +170,8 @@ def write_manifest(path, descriptors) -> None:
 # metrics
 # ---------------------------------------------------------------------------
 
-def format_metrics(pairs) -> str:
-    lines = []
-    for key, value in pairs:
-        if isinstance(value, float):
-            lines.append(f"{key}={value:.17g}")
-        else:
-            lines.append(f"{key}={value}")
-    return "\n".join(lines) + "\n"
-
-
 def write_metrics(path, pairs) -> None:
-    atomic_write_text(path, format_metrics(pairs))
+    atomic_write_text(path, format_pairs(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -189,37 +179,35 @@ def write_metrics(path, pairs) -> None:
 # ---------------------------------------------------------------------------
 
 def format_model(params: ModelParams, bank: BasePrototypeBank, config: RunConfig, meta: dict) -> str:
-    parts = [MODEL_MAGIC, "[meta]"]
-    for key in sorted(meta):
-        parts.append(f"{key}={meta[key]}")
-    parts.append("share_background_fc=0")  # a fixed line, kept so artifact bytes stay the same
-    parts.append("[config]")
-    parts.append(config.to_text().rstrip("\n"))
-    parts.append("[params]")
-    parts.append(T.format_records((p.name, p.data) for p in params.parameters()).rstrip("\n"))
-    parts.append("[bank]")
-    parts.append(f"class_ids={','.join(str(c) for c in bank.class_ids)}")
-    parts.append(f"momentum={bank.momentum:.17g}")
-    parts.append("update_counts=" + " ".join(str(int(c)) for c in bank.update_counts))
-    parts.append(T.format_records([("prototypes", bank.prototypes)]).rstrip("\n"))
-    return "\n".join(parts) + "\n"
+    # share_background_fc=0 is a fixed line, kept so artifact bytes stay the same
+    meta_pairs = [*sorted(meta.items()), ("share_background_fc", 0)]
+    bank_pairs = [
+        ("class_ids", ",".join(str(c) for c in bank.class_ids)),
+        ("momentum", float(bank.momentum)),
+        ("update_counts", " ".join(str(int(c)) for c in bank.update_counts)),
+    ]
+    return "".join([
+        f"{MODEL_MAGIC}\n[meta]\n", format_pairs(meta_pairs),
+        "[config]\n", config.to_text(),
+        "[params]\n", T.format_records((p.name, p.data) for p in params.parameters()),
+        "[bank]\n", format_pairs(bank_pairs), T.format_records([("prototypes", bank.prototypes)]),
+    ])
 
 
 def save_model(path, params: ModelParams, bank: BasePrototypeBank, config: RunConfig, meta: dict) -> None:
     atomic_write_text(path, format_model(params, bank, config, meta))
 
 
-class _PlacedError(ValueError):
-    """An artifact error whose message already names the file and line."""
-
-
-def _split_sections(lines: list[str]) -> dict[str, tuple[int, list[str]]]:
-    """Section name -> (file line of its `[name]` header, its lines)."""
+def _split_sections(lines: list[str], path) -> dict[str, tuple[int, list[str]]]:
+    """Section name -> (file line of its `[name]` header, its lines); a
+    repeated header is an error at its line."""
     sections: dict[str, tuple[int, list[str]]] = {}
     current = None
     for lineno, line in enumerate(lines, start=1):
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1]
+            if current in sections:
+                raise PlacedError(f"{path}:{lineno}: repeated section {line}")
             sections[current] = (lineno, [])
         elif current is not None:
             sections[current][1].append(line)
@@ -234,14 +222,14 @@ def load_model(path):
     against shape, shape against the config, the bank against its class
     ids, and every value for finiteness; so is `[meta]`: `fold` is 0 or
     1, `classes` a comma-separated list of ints, and no other key
-    appears. A failure raises ValueError naming the path and the record
-    or key, or for `[config]` the path and the file line.
+    appears; no section repeats. A failure raises ValueError naming the
+    path and the record or key, and the file line where there is one.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     try:
         return _parse_model(lines, path)
-    except _PlacedError:
+    except PlacedError:
         raise
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
@@ -252,13 +240,20 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
         raise ValueError(f"record {name} holds a non-finite value")
 
 
-def _section_value(section: str, values: dict[str, str], key: str, parse):
-    if key not in values:
+def _section_pairs(path, name: str, header: int, lines: list[str], known) -> dict[str, tuple[str, str]]:
+    """Key -> (place, raw value) for the `key=value` lines of `[name]`,
+    whose first line follows the header on file line `header`."""
+    return {key: (at, raw) for at, key, raw in parse_pairs(lines, f"[{name}]", known, path, header + 1)}
+
+
+def _section_value(section: str, pairs: dict[str, tuple[str, str]], key: str, parse):
+    if key not in pairs:
         raise ValueError(f"[{section}] has no {key}= line")
+    at, raw = pairs[key]
     try:
-        return parse(values[key])
+        return parse(raw)
     except ValueError:
-        raise ValueError(f"[{section}] {key}={values[key]!r} is malformed") from None
+        raise PlacedError(f"{at}: [{section}] {key}={raw!r} is malformed") from None
 
 
 def _int_list(text: str) -> list[int]:
@@ -269,53 +264,36 @@ def _int_list(text: str) -> list[int]:
 def _parse_model(lines: list[str], path):
     if not lines or lines[0] != MODEL_MAGIC:
         raise ValueError(f"not a {MODEL_MAGIC} file")
-    sections = _split_sections(lines)
+    sections = _split_sections(lines, path)
     for needed in ("meta", "config", "params", "bank"):
         if needed not in sections:
             raise ValueError(f"missing [{needed}] section")
 
-    meta: dict[str, str] = {}
-    for line in sections["meta"][1]:
-        if line.strip():
-            key, _, value = line.partition("=")
-            meta[key] = value
-    unknown = sorted(set(meta) - {"fold", "classes", "share_background_fc"})
-    if unknown:
-        raise ValueError(f"[meta] unknown key {unknown[0]!r}")
-    shared_fc = meta.pop("share_background_fc", "0")
+    meta = _section_pairs(path, "meta", *sections["meta"], ("fold", "classes", "share_background_fc"))
+    _, shared_fc = meta.pop("share_background_fc", (None, "0"))
     if shared_fc != "0":
         raise ValueError(f"[meta] share_background_fc must be 0 (no shared background layer), got {shared_fc!r}")
     if _section_value("meta", meta, "fold", int) not in (0, 1):
-        raise ValueError(f"[meta] fold must be 0 or 1, got {meta['fold']!r}")
+        at, raw = meta["fold"]
+        raise PlacedError(f"{at}: [meta] fold must be 0 or 1, got {raw!r}")
     _section_value("meta", meta, "classes", _int_list)
 
     header, config_lines = sections["config"]
-    try:  # blank lines ahead of the section make from_text count file lines
-        config = RunConfig.from_text("\n" * header + "\n".join(config_lines), source=path)
-    except ValueError as exc:
-        raise _PlacedError(str(exc)) from None
+    config = RunConfig.from_text("\n".join(config_lines), source=path, first_line=header + 1)
 
-    bank_lines = sections["bank"][1]
-    bank_kv = {}
-    record_start = 0
-    for i, line in enumerate(bank_lines):
-        if "=" in line:
-            key, _, value = line.partition("=")
-            bank_kv[key] = value
-            record_start = i + 1
-        else:
-            break
-
+    header, bank_lines = sections["bank"]  # key=value lines, then the one record, prototypes
+    n_pairs = bank_lines.index("prototypes") if "prototypes" in bank_lines else len(bank_lines)
+    bank_kv = _section_pairs(path, "bank", header, bank_lines[:n_pairs], ("class_ids", "momentum", "update_counts"))
     class_ids = tuple(_section_value("bank", bank_kv, "class_ids", _int_list))
     counts = _section_value("bank", bank_kv, "update_counts",
                             lambda v: np.array([int(c) for c in v.split()], dtype=np.int64))
     if counts.shape != (len(class_ids),) or (counts < 0).any():
         raise ValueError(
             f"[bank] update_counts needs {len(class_ids)} non-negative entries, one per class id, "
-            f"got {bank_kv['update_counts']!r}"
+            f"got {bank_kv['update_counts'][1]!r}"
         )
     momentum = _section_value("bank", bank_kv, "momentum", float)
-    bank_records = T.parse_records("\n".join(bank_lines[record_start:]))
+    bank_records = T.parse_records("\n".join(bank_lines[n_pairs:]))
     if set(bank_records) != {"prototypes"}:
         raise ValueError(f"[bank] needs exactly one record, prototypes, got {sorted(bank_records)}")
     prototypes = bank_records["prototypes"]
@@ -344,4 +322,4 @@ def _parse_model(lines: list[str], path):
             raise ValueError(f"record {p.name} has shape {arr.shape}, expected {p.data.shape}")
         _check_finite(p.name, arr)
         p.data = arr
-    return params, bank, config, meta
+    return params, bank, config, {key: raw for key, (_, raw) in meta.items()}

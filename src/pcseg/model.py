@@ -108,10 +108,7 @@ class ModelParams(ParameterGroup):
     """All trainable parameters. Shapes never depend on n_way, so one
     trained model serves 1-way and 2-way episodes alike."""
 
-    dim: int
     n_prototypes: int
-    heads: int
-    n_base: int
     stub: MLPParams
     proj: MLPParams
     layers: list[RefineLayerParams]
@@ -121,10 +118,7 @@ class ModelParams(ParameterGroup):
     @classmethod
     def create(cls, rng, dim: int, n_prototypes: int, n_layers: int, heads: int, n_base: int) -> "ModelParams":
         return cls(
-            dim=dim,
             n_prototypes=n_prototypes,
-            heads=heads,
-            n_base=n_base,
             stub=MLPParams.create(rng, "stub", 6, dim, dim),
             proj=MLPParams.create(rng, "proj", n_prototypes, dim, dim),
             layers=[RefineLayerParams.create(rng, f"layers.{i}", dim, heads) for i in range(n_layers)],

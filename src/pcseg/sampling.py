@@ -10,10 +10,11 @@ for the biased sampler, against the closed-form expectation f(2-f).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .config import format_pairs
 from .geometry import PointCloud
 
 
@@ -29,13 +30,7 @@ class DensityReport:
 
     def to_text(self) -> str:
         """Flat key=value block, one line per field."""
-        return (
-            f"input_fg_fraction={self.input_fg_fraction:.17g}\n"
-            f"mean_output_fg_fraction={self.mean_output_fg_fraction:.17g}\n"
-            f"expected_biased_fraction={self.expected_biased_fraction:.17g}\n"
-            f"density_ratio={self.density_ratio:.17g}\n"
-            f"trials={self.trials}\n"
-        )
+        return format_pairs(asdict(self).items())
 
 
 def uniform_indices(n: int, m: int, rng_seed: int) -> np.ndarray:

@@ -388,6 +388,43 @@ class TestTrainEval:
         assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(model) in err and "[meta]" in err and key in err
+        # a bad line that is there is named; the share_background_fc message names only the path
+        if edit(None) is not None and key != "share_background_fc":
+            lineno = model.read_text().splitlines().index(edit(None)) + 1
+            assert err.startswith(f"pcseg: {model}:{lineno}: ")
+
+    @staticmethod
+    def _insert_after(prefix, line):
+        def edit(lines):
+            lines.insert(next(i for i, l in enumerate(lines) if l.startswith(prefix)) + 1, line)
+        return edit
+
+    @staticmethod
+    def _append_copy(section, seed=None):
+        def edit(lines):
+            start = lines.index(f"[{section}]")
+            end = next(i for i in range(start + 1, len(lines)) if lines[i].startswith("["))
+            lines.extend(f"seed={seed}" if seed is not None and l.startswith("seed=") else l
+                         for l in lines[start:end])
+        return edit
+
+    @pytest.mark.parametrize("edit, bad_line, message", [
+        (_insert_after("fold=", "fold=1"), "fold=1", "duplicate [meta] key 'fold'"),
+        (_insert_after("[meta]", "fold"), "fold", "expected [meta] key=value, got 'fold'"),
+        (_insert_after("update_counts=", "momentum=0.5"), "momentum=0.5", "duplicate [bank] key 'momentum'"),
+        (_insert_after("update_counts=", "bogus=1"), "bogus=1", "unknown [bank] key 'bogus'"),
+        (_append_copy("config", seed=999), "[config]", "repeated section [config]"),
+        (_append_copy("params"), "[params]", "repeated section [params]"),
+    ], ids=["meta-repeated-key", "meta-no-equals", "bank-repeated-key", "bank-unknown-key",
+            "second-config", "second-params"])
+    def test_repeated_key_or_section_exits_2_naming_the_line(self, scene_dir, config_path, tmp_path, capsys,
+                                                             edit, bad_line, message):
+        model = self._edited_model(scene_dir, config_path, tmp_path, edit)
+        lines = model.read_text().splitlines()
+        lineno = len(lines) - lines[::-1].index(bad_line)  # the last line that reads `bad_line`
+        capsys.readouterr()
+        assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
+        assert capsys.readouterr().err == f"pcseg: {model}:{lineno}: {message}\n"
 
     def test_bad_config_exits_64_but_in_an_artifact_exits_2(self, scene_dir, config_path, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

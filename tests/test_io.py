@@ -1,12 +1,15 @@
 """File formats: cloud round-trips, manifests, configs, model artifacts."""
 
+import math
+import struct
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import pcseg.io as pio
-from pcseg.config import RunConfig
+from pcseg.config import RunConfig, format_pairs, parse_pairs
 from pcseg.episodes import EpisodeDescriptor, make_split
 from pcseg.model import BasePrototypeBank, ModelParams, forward, meta_train
 from pcseg.episodes import generate_episode
@@ -163,12 +166,45 @@ class TestRunConfig:
         assert str(exc.value).startswith(f"{path}: config field {key} must be ")
 
     def test_duplicate_key_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match=r"^line 2: duplicate config key 'seed'$"):
             RunConfig.from_text("seed=1\nseed=2\n")
 
     def test_comments_and_blanks_ignored(self):
         config = RunConfig.from_text("# comment\n\nseed=4\n")
         assert config.seed == 4
+
+
+_VALUES = st.one_of(
+    st.integers(),
+    # no line boundary that str.splitlines knows, and no '=' or '#'
+    st.text(st.characters(blacklist_categories=("Cc", "Zl", "Zp"), blacklist_characters="=#")),
+    st.floats(allow_nan=False, allow_subnormal=True),
+    st.just(math.nan),  # a NaN's sign and payload are not written, so only the default NaN round-trips
+)
+
+
+class TestKeyValueFormat:
+    @given(st.lists(st.tuples(st.from_regex(r"[a-z_]+", fullmatch=True), _VALUES), unique_by=lambda kv: kv[0]))
+    def test_round_trip(self, pairs):
+        text = format_pairs(pairs)
+        back = list(parse_pairs(text.splitlines(), "test", {key for key, _ in pairs}, "f.txt", 5))
+        assert [key for _, key, _ in back] == [key for key, _ in pairs]
+        assert [at for at, _, _ in back] == [f"f.txt:{5 + i}" for i in range(len(pairs))]
+        for (key, value), (_, _, raw) in zip(pairs, back):
+            if isinstance(value, float):
+                assert struct.pack("<d", float(raw)) == struct.pack("<d", value)
+            else:
+                assert raw == str(value).strip()
+
+    @pytest.mark.parametrize("text, message", [
+        ("a=1\nb\n", "f.txt:3: expected test key=value, got 'b'"),
+        ("a=1\n\n# note\na=2\n", "f.txt:5: duplicate test key 'a'"),
+        ("c=1\n", "f.txt:2: unknown test key 'c'"),
+    ], ids=["no-equals", "duplicate", "unknown"])
+    def test_bad_line_names_its_place(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            list(parse_pairs(text.splitlines(), "test", {"a", "b"}, "f.txt", 2))
+        assert str(exc.value) == message
 
 
 class TestModelArtifact:
@@ -291,6 +327,16 @@ class TestModelArtifact:
             path = self._load_broken(tmp_path, lines)
             with pytest.raises(ValueError, match=rf"^{path}: \[meta\] share_background_fc must be 0 .*, got '{value}'$"):
                 pio.load_model(path)
+
+    def test_comments_and_blanks_in_key_value_heads_skipped(self, tmp_path):
+        lines = self._artifact_lines()
+        _, bank0, config0, meta0 = pio.load_model(self._load_broken(tmp_path, lines))
+        for header in ("[meta]", "[bank]"):
+            lines[lines.index(header) + 1:lines.index(header) + 1] = ["# a note", ""]
+        _, bank, config, meta = pio.load_model(self._load_broken(tmp_path, lines))
+        assert meta == meta0 and config == config0
+        assert bank.class_ids == bank0.class_ids and bank.momentum == bank0.momentum
+        np.testing.assert_array_equal(bank.update_counts, bank0.update_counts)
 
     def test_bank_momentum_out_of_range_rejected(self, tmp_path):
         lines = self._artifact_lines()
