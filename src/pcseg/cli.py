@@ -18,7 +18,7 @@ from . import gradcheck as G
 from . import io as pio
 from . import model as M
 from .config import RunConfig, format_pairs
-from .episodes import EpisodeDescriptor, PoolExhaustedError, make_split
+from .episodes import PoolExhaustedError, make_split
 from .geometry import grid_subsample, split_blocks
 from .sampling import leakage_audit
 from .seeding import derive_seed
@@ -142,17 +142,9 @@ def cmd_episodes(args) -> int:
     config = _load_config(args)
     clouds, sources = load_pool(args.pool, config)
     split = make_split(_pool_classes(clouds), args.fold)
-    descriptors = [
-        EpisodeDescriptor(
-            seed=episode.seed,
-            target_classes=episode.target_classes,
-            support_sources=tuple(sources[j] for way in episode.support_indices for j in way),
-            query_source=sources[episode.query_index],
-        )
-        for episode in M.episode_stream(clouds, split, args.phase, config, config.seed, M.TRAIN_STREAM, args.n)
-    ]
-    pio.write_manifest(args.out, descriptors)
-    print(f"wrote {len(descriptors)} episodes to {args.out}")
+    episodes = M.episode_stream(clouds, split, args.phase, config, config.seed, M.TRAIN_STREAM, args.n)
+    pio.write_manifest(args.out, episodes, sources)
+    print(f"wrote {args.n} episodes to {args.out}")
     return EXIT_OK
 
 
@@ -202,17 +194,20 @@ def cmd_eval(args) -> int:
         episodes = M.eval_episodes(clouds, split, config, args.episodes, args.seed)
         results = [(args.fold, M.score((ep.query_gt, ep) for ep in episodes))]
     else:
-        results = []
+        models = {}  # fold -> (path, params, bank, config, meta); all are loaded before any is evaluated
         for path in args.model:
             params, bank, config, meta = pio.load_model(path)
             fold = int(meta["fold"])
-            classes = [int(c) for c in meta["classes"].split(",")]
-            split = make_split(classes, fold)
+            if fold in models:
+                raise UsageError(f"{path}: a second model of fold {fold} (the first is {models[fold][0]})")
+            models[fold] = (path, params, bank, config, meta)
+        results = []
+        for fold, (_, params, bank, config, meta) in models.items():
+            split = make_split([int(c) for c in meta["classes"].split(",")], fold)
             clouds, _ = load_pool(args.pool, config)
             if args.zero_bank:
                 bank = bank.zeroed()
-            result = M.evaluate(clouds, split, params, bank, config, args.episodes, args.seed)
-            results.append((fold, result))
+            results.append((fold, M.evaluate(clouds, split, params, bank, config, args.episodes, args.seed)))
     for fold, result in results:
         prefix = f"fold{fold}_"
         for cid, iou in result.per_class.items():

@@ -74,16 +74,6 @@ class Episode:
     seed: int = -1
 
 
-@dataclass(frozen=True)
-class EpisodeDescriptor:
-    """Manifest entry: everything needed to regenerate one episode."""
-
-    seed: int
-    target_classes: tuple[int, ...]
-    support_sources: tuple[str, ...]
-    query_source: str
-
-
 def generate_episode(
     pool,
     split: ClassSplit,

@@ -49,13 +49,6 @@ def _check_layer_norm(rng):
     return T.layer_norm, [t, gain, bias]
 
 
-def _check_masked_mean_rows(rng):
-    mask = rng.random(6) < 0.6
-    if not mask.any():
-        mask[0] = True
-    return (lambda t: T.masked_mean_rows(t, mask)), _tensors(rng, (6, 4))
-
-
 def _check_cross_entropy(rng):
     targets = rng.integers(0, 3, size=6)
     return (lambda t: T.cross_entropy(t, targets)), _tensors(rng, (6, 3))
@@ -85,7 +78,6 @@ OP_CHECKS = [
     ("mlp_forward", _on_normals(_mlp, (5, 4), (4, 6), (6,), (6, 3), (3,))),
     ("cosine_rows", _on_normals(T.cosine_rows, (3, 4), (2, 4))),
     ("max_pool_rows", _on_normals(T.max_pool_rows, (5, 7))),
-    ("masked_mean_rows", _check_masked_mean_rows),
     ("group_mean_rows", _on_normals(lambda t: T.group_mean_rows(t, [np.array([0, 2]), np.array([1, 3, 4])]), (5, 3))),
     ("softmax_rows", _on_normals(T.softmax_rows, (4, 6))),
     ("cross_entropy", _check_cross_entropy),

@@ -14,7 +14,6 @@ import warnings
 
 import numpy as np
 
-from . import tensor as T
 from .config import PlacedError, RunConfig, format_pairs, parse_pairs
 from .geometry import PointCloud
 from .model import BasePrototypeBank, ModelParams
@@ -146,24 +145,15 @@ def _bad_row(fields: list[str]) -> str | None:
 # episode manifests
 # ---------------------------------------------------------------------------
 
-def format_manifest(descriptors) -> str:
-    lines = []
-    for d in descriptors:
-        lines.append(
-            "\t".join(
-                [
-                    str(d.seed),
-                    ",".join(str(c) for c in d.target_classes),
-                    ",".join(d.support_sources),
-                    d.query_source,
-                ]
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_manifest(path, descriptors) -> None:
-    atomic_write_text(path, format_manifest(descriptors))
+def write_manifest(path, episodes, sources) -> None:
+    """One tab-separated row per episode: its seed, its target classes,
+    the sources of its support shots (way by way) and of its query."""
+    rows = (
+        f"{ep.seed}\t{','.join(str(c) for c in ep.target_classes)}\t"
+        f"{','.join(sources[j] for way in ep.support_indices for j in way)}\t{sources[ep.query_index]}\n"
+        for ep in episodes
+    )
+    atomic_write_text(path, "".join(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +168,67 @@ def write_metrics(path, pairs) -> None:
 # model artifacts
 # ---------------------------------------------------------------------------
 
+def format_records(named_arrays) -> str:
+    """Serialize (name, array) pairs as text records.
+
+    Record layout: the name on one line, then `rank d0 d1 ...`, then all
+    values space-separated with 17 significant digits (lossless for
+    float64 round-trips).
+    """
+    lines = []
+    for name, arr in named_arrays:
+        arr = np.asarray(arr, dtype=np.float64)
+        dims = " ".join(str(d) for d in arr.shape)
+        lines.append(name)
+        lines.append(f"{arr.ndim} {dims}".rstrip())
+        lines.append(" ".join(f"{v:.17g}" for v in arr.reshape(-1)))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def parse_records(text: str, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Inverse of `format_records`, for exactly the records named in
+    `shapes`, each of that shape and finite.
+
+    Raises ValueError naming the record when its header is malformed, its
+    value count does not match its shape, its name repeats, its shape is
+    not the expected one or it holds a non-finite value, and naming every
+    missing and extra record when the names differ from `shapes`.
+    """
+    lines = text.splitlines()
+    out: dict[str, np.ndarray] = {}
+    i = 0
+    while i < len(lines):
+        if not lines[i].strip():
+            i += 1
+            continue
+        name = lines[i].strip()
+        if i + 2 >= len(lines):
+            raise ValueError(f"record {name}: truncated (needs a header line and a values line)")
+        try:
+            header = [int(d) for d in lines[i + 1].split()]
+            values = np.array(lines[i + 2].split(), dtype=np.float64)
+        except ValueError:
+            raise ValueError(f"record {name}: malformed header or values") from None
+        if not header or header[0] != len(header) - 1 or min(header) < 0:
+            raise ValueError(f"record {name}: bad header {lines[i + 1]!r}")
+        shape = tuple(header[1:])
+        if values.size != math.prod(shape):
+            raise ValueError(f"record {name}: {values.size} values for shape {shape}")
+        if name in out:
+            raise ValueError(f"record {name} appears twice")
+        if name in shapes and shape != shapes[name]:
+            raise ValueError(f"record {name} has shape {shape}, expected {shapes[name]}")
+        if not np.isfinite(values).all():
+            raise ValueError(f"record {name} holds a non-finite value")
+        out[name] = values.reshape(shape)
+        i += 3
+    if out.keys() != shapes.keys():
+        missing = sorted(shapes.keys() - out.keys())
+        extra = sorted(out.keys() - shapes.keys())
+        raise ValueError(f"records mismatch (missing {missing}, extra {extra})")
+    return out
+
+
 def format_model(params: ModelParams, bank: BasePrototypeBank, config: RunConfig, meta: dict) -> str:
     # share_background_fc=0 is a fixed line, kept so artifact bytes stay the same
     meta_pairs = [*sorted(meta.items()), ("share_background_fc", 0)]
@@ -189,8 +240,8 @@ def format_model(params: ModelParams, bank: BasePrototypeBank, config: RunConfig
     return "".join([
         f"{MODEL_MAGIC}\n[meta]\n", format_pairs(meta_pairs),
         "[config]\n", config.to_text(),
-        "[params]\n", T.format_records((p.name, p.data) for p in params.parameters()),
-        "[bank]\n", format_pairs(bank_pairs), T.format_records([("prototypes", bank.prototypes)]),
+        "[params]\n", format_records((p.name, p.data) for p in params.parameters()),
+        "[bank]\n", format_pairs(bank_pairs), format_records([("prototypes", bank.prototypes)]),
     ])
 
 
@@ -200,10 +251,11 @@ def save_model(path, params: ModelParams, bank: BasePrototypeBank, config: RunCo
 
 def _split_sections(lines: list[str], path) -> dict[str, tuple[int, list[str]]]:
     """Section name -> (file line of its `[name]` header, its lines); a
-    repeated header is an error at its line."""
+    repeated header, or a non-blank line before the first header, is an
+    error at its line."""
     sections: dict[str, tuple[int, list[str]]] = {}
     current = None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(lines[1:], start=2):  # line 1 is the magic
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1]
             if current in sections:
@@ -211,6 +263,8 @@ def _split_sections(lines: list[str], path) -> dict[str, tuple[int, list[str]]]:
             sections[current] = (lineno, [])
         elif current is not None:
             sections[current][1].append(line)
+        elif line.strip():
+            raise PlacedError(f"{path}:{lineno}: expected a [section] header, got {line!r}")
     return sections
 
 
@@ -233,11 +287,6 @@ def load_model(path):
         raise
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def _check_finite(name: str, arr: np.ndarray) -> None:
-    if not np.isfinite(arr).all():
-        raise ValueError(f"record {name} holds a non-finite value")
 
 
 def _section_pairs(path, name: str, header: int, lines: list[str], known) -> dict[str, tuple[str, str]]:
@@ -293,33 +342,16 @@ def _parse_model(lines: list[str], path):
             f"got {bank_kv['update_counts'][1]!r}"
         )
     momentum = _section_value("bank", bank_kv, "momentum", float)
-    bank_records = T.parse_records("\n".join(bank_lines[n_pairs:]))
-    if set(bank_records) != {"prototypes"}:
-        raise ValueError(f"[bank] needs exactly one record, prototypes, got {sorted(bank_records)}")
-    prototypes = bank_records["prototypes"]
-    if prototypes.shape != (len(class_ids), config.dim):
-        raise ValueError(
-            f"record prototypes has shape {prototypes.shape}, expected {(len(class_ids), config.dim)}"
-        )
-    _check_finite("prototypes", prototypes)
+    prototypes = parse_records("\n".join(bank_lines[n_pairs:]), {"prototypes": (len(class_ids), config.dim)})
     bank = BasePrototypeBank(
-        prototypes=prototypes,
+        prototypes=prototypes["prototypes"],
         update_counts=counts,
         momentum=momentum,
         class_ids=class_ids,
     )
 
     params = ModelParams.for_config(np.random.default_rng(0), config, len(class_ids))
-    records = T.parse_records("\n".join(sections["params"][1]))
-    expected = {p.name for p in params.parameters()}
-    if set(records) != expected:
-        missing = expected - set(records)
-        extra = set(records) - expected
-        raise ValueError(f"parameter records mismatch (missing {sorted(missing)}, extra {sorted(extra)})")
+    records = parse_records("\n".join(sections["params"][1]), {p.name: p.data.shape for p in params.parameters()})
     for p in params.parameters():
-        arr = records[p.name]
-        if arr.shape != p.data.shape:
-            raise ValueError(f"record {p.name} has shape {arr.shape}, expected {p.data.shape}")
-        _check_finite(p.name, arr)
-        p.data = arr
+        p.data = records[p.name]
     return params, bank, config, {key: raw for key, (_, raw) in meta.items()}

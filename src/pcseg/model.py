@@ -105,8 +105,8 @@ class RefineLayerParams(ParameterGroup):
 
 @dataclass
 class ModelParams(ParameterGroup):
-    """All trainable parameters. Shapes never depend on n_way, so one
-    trained model serves 1-way and 2-way episodes alike."""
+    """All trainable parameters. Their shapes do not depend on n_way; that
+    says nothing of how a model trained at one way scores at another."""
 
     n_prototypes: int
     stub: MLPParams

@@ -23,11 +23,9 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import math
 
 import numpy as np
 
-from .geometry import EmptyMaskError
 
 _LN_EPS = 1e-12
 _COS_EPS = 1e-8
@@ -163,10 +161,6 @@ class ParameterGroup:
         return out
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
@@ -187,7 +181,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     return Tensor(
         a.data + b.data,
         (a, b),
@@ -196,7 +189,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     return Tensor(
         a.data * b.data,
         (a, b),
@@ -208,7 +200,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     return Tensor(
         a.data / b.data,
         (a, b),
@@ -251,7 +242,6 @@ def einsum(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
 
 def concat(tensors, axis: int = 0) -> Tensor:
     """Concatenate along `axis`; the backward splits the gradient back up."""
-    tensors = [as_tensor(t) for t in tensors]
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
@@ -450,23 +440,6 @@ def max_pool_rows(t: Tensor) -> Tensor:
     return Tensor(t.data[rows, arg], (t,), backward)
 
 
-def masked_mean_rows(t: Tensor, mask) -> Tensor:
-    """Mean of the masked rows of an N x D matrix, shape (1, D)."""
-    mask = np.asarray(mask, dtype=bool)
-    if t.ndim != 2 or mask.shape != (t.shape[0],):
-        raise ValueError(f"mask shape {mask.shape} does not match tensor {t.shape}")
-    count = int(mask.sum())
-    if count == 0:
-        raise EmptyMaskError("masked_mean_rows needs at least one masked row")
-
-    def backward(g):
-        z = np.zeros_like(t.data)
-        z[mask] = g / count
-        return (z,)
-
-    return Tensor(t.data[mask].mean(axis=0, keepdims=True), (t,), backward)
-
-
 def group_mean_rows(t: Tensor, groups) -> Tensor:
     """Mean feature of each row group: (len(groups)) x D."""
     if t.ndim != 2:
@@ -634,57 +607,3 @@ def finite_difference_check(op, inputs, rng=None, max_coords=None) -> float:
             worst_abs = max(worst_abs, abs(a - fd))
             scale_ref = max(scale_ref, abs(a), abs(fd))
     return worst_abs / scale_ref
-
-
-# ---------------------------------------------------------------------------
-# parameter serialization
-# ---------------------------------------------------------------------------
-
-def format_records(named_arrays) -> str:
-    """Serialize (name, array) pairs as text records.
-
-    Record layout: the name on one line, then `rank d0 d1 ...`, then all
-    values space-separated with 17 significant digits (lossless for
-    float64 round-trips).
-    """
-    lines = []
-    for name, arr in named_arrays:
-        arr = np.asarray(arr, dtype=np.float64)
-        dims = " ".join(str(d) for d in arr.shape)
-        lines.append(name)
-        lines.append(f"{arr.ndim} {dims}".rstrip())
-        lines.append(" ".join(f"{v:.17g}" for v in arr.reshape(-1)))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_records(text: str) -> dict[str, np.ndarray]:
-    """Inverse of `format_records`.
-
-    Raises ValueError naming the record when its header is malformed, its
-    value count does not match its shape, or its name repeats.
-    """
-    lines = text.splitlines()
-    out: dict[str, np.ndarray] = {}
-    i = 0
-    while i < len(lines):
-        if not lines[i].strip():
-            i += 1
-            continue
-        name = lines[i].strip()
-        if i + 2 >= len(lines):
-            raise ValueError(f"record {name}: truncated (needs a header line and a values line)")
-        try:
-            header = [int(d) for d in lines[i + 1].split()]
-            values = np.array(lines[i + 2].split(), dtype=np.float64)
-        except ValueError:
-            raise ValueError(f"record {name}: malformed header or values") from None
-        if not header or header[0] != len(header) - 1 or min(header) < 0:
-            raise ValueError(f"record {name}: bad header {lines[i + 1]!r}")
-        shape = tuple(header[1:])
-        if values.size != math.prod(shape):
-            raise ValueError(f"record {name}: {values.size} values for shape {shape}")
-        if name in out:
-            raise ValueError(f"record {name} appears twice")
-        out[name] = values.reshape(shape)
-        i += 3
-    return out

@@ -15,9 +15,9 @@ from attention_oracles import linear_attention_quadratic
 from pcseg.attention import linear_attention, standard_attention
 from pcseg.cli import EXIT_OK, main
 from pcseg.config import RunConfig
-from pcseg.episodes import generate_episode, make_split
+from pcseg.episodes import confusion_counts, generate_episode, iou_from_counts, make_split
 from pcseg.gradcheck import OP_CHECKS, check_end_to_end, check_op
-from pcseg.geometry import cluster_to_seeds, farthest_point_sample, grid_subsample
+from pcseg.geometry import PointCloud, cluster_to_seeds, farthest_point_sample, grid_subsample
 from pcseg.model import (
     BasePrototypeBank,
     ModelParams,
@@ -30,7 +30,7 @@ from pcseg.model import (
     forward,
     meta_train,
 )
-from pcseg.sampling import leakage_audit
+from pcseg.sampling import biased_sample, leakage_audit, uniform_sample
 from pcseg.synth import make_pool
 from pcseg.tensor import Tensor
 
@@ -92,6 +92,38 @@ def test_leakage_law():
         assert abs(biased.expected_biased_fraction - 0.36) < 1e-3
         assert abs(uniform.mean_output_fg_fraction - 0.20) < 0.01, uniform
         assert biased.density_ratio >= 1.7
+
+
+def _duplicate_point_iou(cloud, m, fg_class, sample, trials):
+    """IoU of a zero-parameter segmenter, "a row whose point appears twice
+    is foreground", with (TP, FP, FN) pooled over `trials` draws."""
+    tp = fp = fn = 0
+    for t in range(trials):
+        out = sample(cloud, m, t)
+        _, inverse, counts = np.unique(out.positions, axis=0, return_inverse=True, return_counts=True)
+        pred = (counts[inverse.reshape(-1)] > 1).astype(np.int64)
+        (a, b, c), = confusion_counts(pred, (out.labels == fg_class).astype(np.int64), [fg_class]).values()
+        tp, fp, fn = tp + a, fp + b, fn + c
+    return tp, iou_from_counts([(tp, fp, fn)])[1]
+
+
+def test_leakage_exploit():
+    """The double sampler's duplicates alone find foreground: the segmenter
+    scores 2(m/n)(1-f)/(2-f) under `biased_sample` and 0 under
+    `uniform_sample`, which draws no point twice."""
+    with criterion("leakage-exploit", 30.0):
+        rng = np.random.default_rng(5)
+        n = 5_000
+        for f in (0.1, 0.2, 0.4):
+            labels = np.zeros(n, dtype=np.int64)
+            labels[: int(f * n)] = 1
+            cloud = PointCloud(rng.uniform(0, 1, (n, 3)), rng.random((n, 3)), labels)
+            for m in (512, 2048):
+                _, biased = _duplicate_point_iou(cloud, m, 1, lambda c, m, s: biased_sample(c, m, 1, s), 200)
+                expected = 2 * (m / n) * (1 - f) / (2 - f)
+                assert abs(biased - expected) < 0.01, (f, m, biased, expected)
+                tp, uniform = _duplicate_point_iou(cloud, m, 1, uniform_sample, 200)
+                assert tp == 0 and uniform == 0.0, (f, m, tp, uniform)
 
 
 def test_attention_oracle():

@@ -400,6 +400,12 @@ class TestTrainEval:
         return edit
 
     @staticmethod
+    def _drop_record(name):
+        def edit(lines):
+            del lines[lines.index(name):lines.index(name) + 3]  # name, header, values
+        return edit
+
+    @staticmethod
     def _append_copy(section, seed=None):
         def edit(lines):
             start = lines.index(f"[{section}]")
@@ -415,8 +421,10 @@ class TestTrainEval:
         (_insert_after("update_counts=", "bogus=1"), "bogus=1", "unknown [bank] key 'bogus'"),
         (_append_copy("config", seed=999), "[config]", "repeated section [config]"),
         (_append_copy("params"), "[params]", "repeated section [params]"),
+        (_insert_after("PCSEG-MODEL v1", "garbage line"), "garbage line",
+         "expected a [section] header, got 'garbage line'"),
     ], ids=["meta-repeated-key", "meta-no-equals", "bank-repeated-key", "bank-unknown-key",
-            "second-config", "second-params"])
+            "second-config", "second-params", "stray-line-before-sections"])
     def test_repeated_key_or_section_exits_2_naming_the_line(self, scene_dir, config_path, tmp_path, capsys,
                                                              edit, bad_line, message):
         model = self._edited_model(scene_dir, config_path, tmp_path, edit)
@@ -425,6 +433,18 @@ class TestTrainEval:
         capsys.readouterr()
         assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
         assert capsys.readouterr().err == f"pcseg: {model}:{lineno}: {message}\n"
+
+    @pytest.mark.parametrize("edit, message", [
+        (_drop_record("stub.w1"), "records mismatch (missing ['stub.w1'], extra [])"),
+        (lambda lines: lines.extend(["extra", "1 1", "0"]),  # [bank] is the last section
+         "records mismatch (missing [], extra ['extra'])"),
+    ], ids=["params-missing", "bank-extra"])
+    def test_missing_or_extra_record_exits_2_naming_it(self, scene_dir, config_path, tmp_path, capsys,
+                                                       edit, message):
+        model = self._edited_model(scene_dir, config_path, tmp_path, edit)
+        capsys.readouterr()
+        assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
+        assert capsys.readouterr().err == f"pcseg: {model}: {message}\n"
 
     def test_bad_config_exits_64_but_in_an_artifact_exits_2(self, scene_dir, config_path, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -502,3 +522,18 @@ class TestTrainEval:
         assert "fold0_mean_iou" in values and "fold1_mean_iou" in values
         want = (float(values["fold0_mean_iou"]) + float(values["fold1_mean_iou"])) / 2
         np.testing.assert_allclose(float(values["mean_iou"]), want, rtol=1e-12)
+
+    def test_two_models_of_one_fold_exit_64_before_evaluating(self, scene_dir, config_path, tmp_path, capsys,
+                                                               monkeypatch):
+        first, second = tmp_path / "a.model", tmp_path / "b.model"
+        assert main(["train", "--pool", str(scene_dir), "--config", str(config_path),
+                     "--fold", "0", "--out", str(first)]) == EXIT_OK
+        second.write_bytes(first.read_bytes())
+        monkeypatch.setattr(M, "evaluate", lambda *args: pytest.fail("evaluated before the folds were checked"))
+        metrics = tmp_path / "metrics.txt"
+        capsys.readouterr()
+        assert main(["eval", "--pool", str(scene_dir), "--model", str(first), "--model", str(second),
+                     "--episodes", "3", "--seed", "1", "--out", str(metrics)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"pcseg: error: {second}: a second model of fold 0 (the first is {first})\n"
+        assert not metrics.exists()

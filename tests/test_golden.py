@@ -35,7 +35,7 @@ GOLDEN = {
     "audit": "b0399715d01b3bb0c770253e916d2c3d7d2010928e85b9859eeeaab5c28df116",
     "episodes": "b0b880a96bc5555754b63e8e3da85d1d00144f8bbfa94128024a6908f0c36a9c",
     "episodes --phase test": "15505e9119c30d349b599a3c2c60d0a47504ac39d5b20f9ed9dc05c0fe104d4b",
-    "gradcheck": "24fbf72a8193897e3c3db4dc00b635852fe493041fae8fed032935e4d7f022cb",
+    "gradcheck": "9d6ffddc2368d5cca2f49b03f90a634961470476a968b03bd57c571680b308c0",
     "train": "0c5a69936d64a7c480e89550fb5bcc310230b1caa918ebbd2d916ff6da265ac2",
     "eval": "e9dafb9e0613c2e604915b070967b3afb19f0ddbc326635f135f6261261a95e6",
     "eval --zero-bank": "60d90aac346fb119879dd615f6051bfcc85a4a7aec5218a7ef05dac8fb3b8918",

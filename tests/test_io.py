@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 import pcseg.io as pio
 from pcseg.config import RunConfig, format_pairs, parse_pairs
-from pcseg.episodes import EpisodeDescriptor, make_split
+from pcseg.episodes import Episode, make_split
 from pcseg.model import BasePrototypeBank, ModelParams, forward, meta_train
 from pcseg.episodes import generate_episode
 from pcseg.synth import make_pool, synth_scene
@@ -107,18 +107,50 @@ class TestCloudFormat:
 
 class TestManifest:
     def test_round_trip(self, tmp_path):
-        descriptors = [
-            EpisodeDescriptor(12, (3,), ("a.pcseg",), "b.pcseg"),
-            EpisodeDescriptor(13, (5, 7), ("a.pcseg", "c.pcseg#1"), "d.pcseg"),
+        sources = ["a.pcseg", "b.pcseg", "c.pcseg#1", "d.pcseg"]
+        episodes = [
+            Episode([], None, None, (3,), support_indices=[[0]], query_index=1, seed=12),
+            Episode([], None, None, (5, 7), support_indices=[[0], [2]], query_index=3, seed=13),
         ]
         path = tmp_path / "episodes.manifest"
-        pio.write_manifest(path, descriptors)
+        pio.write_manifest(path, iter(episodes), sources)
         assert path.read_bytes() == b"12\t3\ta.pcseg\tb.pcseg\n13\t5,7\ta.pcseg,c.pcseg#1\td.pcseg\n"
         back = [
-            EpisodeDescriptor(int(seed), tuple(map(int, targets.split(","))), tuple(support.split(",")), query)
+            (int(seed), tuple(map(int, targets.split(","))), tuple(support.split(",")), query)
             for seed, targets, support, query in (line.split("\t") for line in path.read_text().splitlines())
         ]
-        assert back == descriptors
+        assert back == [
+            (ep.seed, ep.target_classes, tuple(sources[j] for way in ep.support_indices for j in way),
+             sources[ep.query_index])
+            for ep in episodes
+        ]
+
+
+class TestSerialization:
+    def test_round_trip_exact(self):
+        rng = np.random.default_rng(23)
+        arrays = [
+            ("a", rng.standard_normal((3, 4))),
+            ("b.w1", rng.standard_normal(7) * 1e-17),
+            ("c", np.array(3.5)),
+        ]
+        text = pio.format_records(arrays)
+        back = pio.parse_records(text, {name: np.shape(arr) for name, arr in arrays})
+        assert set(back) == {"a", "b.w1", "c"}
+        for name, arr in arrays:
+            assert back[name].shape == np.asarray(arr).shape
+            np.testing.assert_array_equal(back[name], arr)
+
+    def test_seventeen_digits_restore_bits(self):
+        rng = np.random.default_rng(24)
+        values = rng.standard_normal(1000) * 10.0 ** rng.integers(-30, 30, size=1000)
+        back = pio.parse_records(pio.format_records([("x", values)]), {"x": (1000,)})["x"]
+        assert (back == values).all()
+
+    def test_repeated_record_rejected(self):
+        text = pio.format_records([("a", np.zeros(2)), ("a", np.zeros(2))])
+        with pytest.raises(ValueError, match=r"^record a appears twice$"):
+            pio.parse_records(text, {"a": (2,)})
 
 
 class TestRunConfig:

@@ -1,12 +1,11 @@
 """Tensor kernel: forward values against hand oracles, gradients against
-finite differences, optimizer arithmetic, and serialization round-trips."""
+finite differences, and optimizer arithmetic."""
 
 import numpy as np
 import pytest
 
 import pcseg.tensor as T
 from pcseg.gradcheck import OP_CHECKS, check_op
-from pcseg.geometry import EmptyMaskError
 from pcseg.tensor import AdamW, Parameter, Tensor, finite_difference_check
 
 
@@ -155,31 +154,6 @@ class TestForwardOracles:
         want = np.array([max(row) for row in x])
         np.testing.assert_array_equal(T.max_pool_rows(Tensor(x)).data, want)
 
-    def test_masked_mean_full_mask(self):
-        rng = np.random.default_rng(16)
-        x = rng.standard_normal((6, 4))
-        out = T.masked_mean_rows(Tensor(x), np.ones(6, dtype=bool)).data
-        np.testing.assert_allclose(out, x.mean(axis=0, keepdims=True))
-
-    def test_masked_mean_single_row(self):
-        rng = np.random.default_rng(17)
-        x = rng.standard_normal((6, 4))
-        mask = np.zeros(6, dtype=bool)
-        mask[3] = True
-        np.testing.assert_array_equal(T.masked_mean_rows(Tensor(x), mask).data, x[3:4])
-
-    def test_masked_mean_sum_count_oracle(self):
-        rng = np.random.default_rng(18)
-        x = rng.standard_normal((10, 5))
-        mask = rng.random(10) < 0.5
-        mask[0] = True
-        want = x[mask].sum(axis=0) / mask.sum()
-        np.testing.assert_allclose(T.masked_mean_rows(Tensor(x), mask).data[0], want)
-
-    def test_masked_mean_empty_raises(self):
-        with pytest.raises(EmptyMaskError):
-            T.masked_mean_rows(Tensor(np.zeros((3, 2))), np.zeros(3, dtype=bool))
-
     def test_cross_entropy_uniform_logits(self):
         out = T.cross_entropy(Tensor(np.zeros((5, 2))), np.array([0, 1, 0, 1, 1]))
         np.testing.assert_allclose(float(out.data), np.log(2.0), rtol=1e-12)
@@ -269,28 +243,6 @@ class TestAdamW:
         w.grad = np.array([2.0])
         opt.step()
         np.testing.assert_allclose(w.data, [1.0 - 0.05 * 2.0 / (2.0 + 1e-8)], rtol=1e-10)
-
-
-class TestSerialization:
-    def test_round_trip_exact(self):
-        rng = np.random.default_rng(23)
-        arrays = [
-            ("a", rng.standard_normal((3, 4))),
-            ("b.w1", rng.standard_normal(7) * 1e-17),
-            ("c", np.array(3.5)),
-        ]
-        text = T.format_records(arrays)
-        back = T.parse_records(text)
-        assert set(back) == {"a", "b.w1", "c"}
-        for name, arr in arrays:
-            assert back[name].shape == np.asarray(arr).shape
-            np.testing.assert_array_equal(back[name], arr)
-
-    def test_seventeen_digits_restore_bits(self):
-        rng = np.random.default_rng(24)
-        values = rng.standard_normal(1000) * 10.0 ** rng.integers(-30, 30, size=1000)
-        back = T.parse_records(T.format_records([("x", values)]))["x"]
-        assert (back == values).all()
 
 
 class TestGraphLifetime:
