@@ -7,63 +7,3 @@ N-way K-shot episode machinery with mIoU scoring, a small autodiff
 tensor kernel, linear attention, and a prototype-correlation model with
 momentum-learned background calibration.
 """
-
-from .config import RunConfig
-from .episodes import ClassSplit, Episode, PoolExhaustedError, generate_episode, make_split, miou
-from .geometry import (
-    EmptyMaskError,
-    PointCloud,
-    cluster_to_seeds,
-    farthest_point_sample,
-    grid_subsample,
-    split_blocks,
-)
-from .model import (
-    BasePrototypeBank,
-    ModelParams,
-    NonFiniteLossError,
-    TrainResult,
-    evaluate,
-    forward,
-    loss,
-    meta_train,
-)
-from .sampling import DensityReport, biased_sample, cap_points, leakage_audit, uniform_sample
-from .synth import make_pool, synth_scene
-from .tensor import Parameter, Tensor, finite_difference_check
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BasePrototypeBank",
-    "ClassSplit",
-    "DensityReport",
-    "EmptyMaskError",
-    "Episode",
-    "ModelParams",
-    "NonFiniteLossError",
-    "Parameter",
-    "PointCloud",
-    "PoolExhaustedError",
-    "RunConfig",
-    "Tensor",
-    "TrainResult",
-    "biased_sample",
-    "cap_points",
-    "cluster_to_seeds",
-    "evaluate",
-    "farthest_point_sample",
-    "finite_difference_check",
-    "forward",
-    "generate_episode",
-    "grid_subsample",
-    "leakage_audit",
-    "loss",
-    "make_pool",
-    "make_split",
-    "meta_train",
-    "miou",
-    "split_blocks",
-    "synth_scene",
-    "uniform_sample",
-]

@@ -58,7 +58,7 @@ def _load_config(args) -> RunConfig:
     """The --config file (or the defaults) with --seed applied."""
     try:
         config = RunConfig.from_file(args.config) if args.config else RunConfig()
-        if getattr(args, "seed", None) is not None:
+        if args.seed is not None:
             config.seed = args.seed
             config.validate()
     except ValueError as exc:
@@ -142,7 +142,7 @@ def cmd_episodes(args) -> int:
     config = _load_config(args)
     clouds, sources = load_pool(args.pool, config)
     split = make_split(_pool_classes(clouds), args.fold)
-    episodes = M.episode_stream(clouds, split, args.phase, config, config.seed, M.TRAIN_STREAM, args.n)
+    episodes = M.episode_stream(clouds, split, args.phase, config, config.seed, args.n)
     pio.write_manifest(args.out, episodes, sources)
     print(f"wrote {args.n} episodes to {args.out}")
     return EXIT_OK
@@ -191,7 +191,7 @@ def cmd_eval(args) -> int:
         config = _load_config(args)
         clouds, _ = load_pool(args.pool, config)
         split = make_split(_pool_classes(clouds), args.fold)
-        episodes = M.eval_episodes(clouds, split, config, args.episodes, args.seed)
+        episodes = M.episode_stream(clouds, split, "test", config, args.seed, args.episodes)
         results = [(args.fold, M.score((ep.query_gt, ep) for ep in episodes))]
     else:
         models = {}  # fold -> (path, params, bank, config, meta); all are loaded before any is evaluated
@@ -202,12 +202,15 @@ def cmd_eval(args) -> int:
                 raise UsageError(f"{path}: a second model of fold {fold} (the first is {models[fold][0]})")
             models[fold] = (path, params, bank, config, meta)
         results = []
+        pools = {}  # (grid_size, block_size) -> clouds; folds that preprocess alike share one read
         for fold, (_, params, bank, config, meta) in models.items():
             split = make_split([int(c) for c in meta["classes"].split(",")], fold)
-            clouds, _ = load_pool(args.pool, config)
+            key = (config.grid_size, config.block_size)
+            if key not in pools:
+                pools[key], _ = load_pool(args.pool, config)
             if args.zero_bank:
                 bank = bank.zeroed()
-            results.append((fold, M.evaluate(clouds, split, params, bank, config, args.episodes, args.seed)))
+            results.append((fold, M.evaluate(pools[key], split, params, bank, config, args.episodes, args.seed)))
     for fold, result in results:
         prefix = f"fold{fold}_"
         for cid, iou in result.per_class.items():
@@ -216,7 +219,7 @@ def cmd_eval(args) -> int:
         pairs.append((f"{prefix}episode_miou_mean", result.episode_miou_mean))
         fold_means.append(result.mean_iou)
     pairs.append(("mean_iou", float(np.mean(fold_means))))
-    pio.write_metrics(args.out, pairs)
+    pio.atomic_write_text(args.out, format_pairs(pairs))
     print(f"wrote metrics to {args.out}")
     return EXIT_OK
 

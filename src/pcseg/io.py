@@ -157,14 +157,6 @@ def write_manifest(path, episodes, sources) -> None:
 
 
 # ---------------------------------------------------------------------------
-# metrics
-# ---------------------------------------------------------------------------
-
-def write_metrics(path, pairs) -> None:
-    atomic_write_text(path, format_pairs(pairs))
-
-
-# ---------------------------------------------------------------------------
 # model artifacts
 # ---------------------------------------------------------------------------
 
@@ -301,7 +293,7 @@ def _section_value(section: str, pairs: dict[str, tuple[str, str]], key: str, pa
     at, raw = pairs[key]
     try:
         return parse(raw)
-    except ValueError:
+    except (ValueError, OverflowError):
         raise PlacedError(f"{at}: [{section}] {key}={raw!r} is malformed") from None
 
 

@@ -360,15 +360,12 @@ def base_targets(labels, class_ids) -> np.ndarray:
 # training and evaluation
 # ---------------------------------------------------------------------------
 
-# `meta_train` draws from this stream, and `pcseg episodes` lists it, so a
-# train-phase manifest names exactly the episodes training uses.
-TRAIN_STREAM = "episodes"
-
-
-def episode_stream(pool, split: ClassSplit, phase: str, config, seed: int, stream: str, n: int):
-    """Episodes 0..n-1 of one seeded stream at the config's way, shot,
-    foreground floor and point cap; episode i is built from
-    `derive_seed(seed, stream, i)`."""
+def episode_stream(pool, split: ClassSplit, phase: str, config, seed: int, n: int):
+    """Episodes 0..n-1 of the phase's seeded stream at the config's way,
+    shot, foreground floor and point cap; episode i is built from
+    `derive_seed(seed, stream, i)`. The phase picks the stream, so a
+    manifest of a phase lists what training or evaluation draws."""
+    stream = "episodes" if phase == "train" else "eval"
     for i in range(n):
         yield generate_episode(
             pool, split, phase, config.n_way, config.k_shot, config.min_fg_points, config.max_points,
@@ -417,7 +414,7 @@ def meta_train(pool, split: ClassSplit, config) -> TrainResult:
     bank = BasePrototypeBank.zeros(split.train_classes, config.dim, config.momentum)
     opt = T.AdamW(params.parameters(), lr=config.lr, weight_decay=config.weight_decay)
     losses: list[float] = []
-    episodes = episode_stream(pool, split, "train", config, config.seed, TRAIN_STREAM, config.episodes)
+    episodes = episode_stream(pool, split, "train", config, config.seed, config.episodes)
     for i, episode in enumerate(episodes):
         seg_logits, base_logits, aux = _forward_parts(episode, params, bank, "train")
         step_loss = loss(seg_logits, base_logits, episode.query_gt, base_targets(episode.query.labels, bank.class_ids))
@@ -441,11 +438,6 @@ class EvalResult:
     mean_iou: float
     episode_miou_mean: float
     n_episodes: int
-
-
-def eval_episodes(pool, split: ClassSplit, config, n_episodes: int, seed: int):
-    """The seeded stream of test-phase episodes that every evaluation scores."""
-    return episode_stream(pool, split, "test", config, seed, "eval", n_episodes)
 
 
 def score(pairs) -> EvalResult:
@@ -488,7 +480,7 @@ def evaluate(
     seed: int,
 ) -> EvalResult:
     """Frozen-model evaluation: `score` over the argmax predictions on
-    `eval_episodes`.
+    the test-phase `episode_stream`.
 
     Raises NonFiniteLossError with the episode index on a NaN or infinite
     segmentation logit. The forward pass runs under `no_grad`, so it
@@ -496,7 +488,7 @@ def evaluate(
     """
 
     def predictions():
-        for i, episode in enumerate(eval_episodes(pool, split, config, n_episodes, seed)):
+        for i, episode in enumerate(episode_stream(pool, split, "test", config, seed, n_episodes)):
             with T.no_grad():
                 seg_logits, _ = forward(episode, params, bank, "test")
             if not np.isfinite(seg_logits.data).all():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pcseg import io as pio
 from pcseg import model as M
 from pcseg.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, load_pool, main
 from pcseg.config import RunConfig
@@ -223,6 +224,23 @@ class TestEpisodes:
         assert len(want) == config.episodes
         assert out.read_text().splitlines() == want
 
+    def test_test_manifest_lists_the_episodes_eval_scores(self, scene_dir, config_path, tmp_path, monkeypatch):
+        model, out = tmp_path / "model.txt", tmp_path / "episodes.manifest"
+        assert main(["train", "--pool", str(scene_dir), "--config", str(config_path), "--fold", "0",
+                     "--out", str(model)]) == EXIT_OK
+        assert main(["episodes", "--pool", str(scene_dir), "--config", str(config_path), "--n", "4",
+                     "--phase", "test", "--fold", "0", "--seed", "5", "--out", str(out)]) == EXIT_OK
+        seeds = []
+
+        def spy(*args):
+            seeds.append(args[-1])
+            return generate_episode(*args)
+
+        monkeypatch.setattr(M, "generate_episode", spy)
+        assert main(["eval", "--pool", str(scene_dir), "--model", str(model), "--episodes", "4",
+                     "--seed", "5", "--out", str(tmp_path / "metrics.txt")]) == EXIT_OK
+        assert seeds == [int(line.split("\t")[0]) for line in out.read_text().splitlines()]
+
 
 class TestGradcheck:
     def test_clean_suite_passes(self, tmp_path):
@@ -344,6 +362,7 @@ class TestTrainEval:
     @pytest.mark.parametrize("record, edit", [
         ("update_counts", lambda v: v.rsplit(" ", 1)[0]),  # one entry dropped
         ("decoder.b2", lambda v: "nan"),
+        pytest.param("update_counts", lambda v: f"{v} {2**63}", id="update_counts-beyond-int64"),
     ])
     def test_corrupt_artifact_exits_2_with_one_line(self, scene_dir, config_path, tmp_path, capsys,
                                                      record, edit):
@@ -487,7 +506,7 @@ class TestTrainEval:
         assert err.count("\n") == 1 and err.startswith(f"pcseg: {model}: config field {key} must be ")
 
     @pytest.mark.parametrize("count", ["0", "-1"])
-    def test_eval_episodes_below_one_is_usage_error(self, scene_dir, tmp_path, capsys, count):
+    def test_eval_episode_count_below_one_is_usage_error(self, scene_dir, tmp_path, capsys, count):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--pool", str(scene_dir), "--model", "m.txt", "--episodes", count,
                   "--out", str(tmp_path / "m.txt")])
@@ -522,6 +541,36 @@ class TestTrainEval:
         assert "fold0_mean_iou" in values and "fold1_mean_iou" in values
         want = (float(values["fold0_mean_iou"]) + float(values["fold1_mean_iou"])) / 2
         np.testing.assert_allclose(float(values["mean_iou"]), want, rtol=1e-12)
+
+    def test_two_fold_eval_reads_the_pool_once(self, config_path, tmp_path, monkeypatch):
+        pool = tmp_path / "pool"
+        assert main(["synth", "--out", str(pool), "--seed", "3", "--scenes", "10",
+                     "--classes", "6", "--blobs", "3", "--points", "150"]) == EXIT_OK
+        models = []
+        for fold in (0, 1):
+            models.append(tmp_path / f"fold{fold}.model")
+            assert main(["train", "--pool", str(pool), "--config", str(config_path),
+                         "--fold", str(fold), "--out", str(models[-1])]) == EXIT_OK
+
+        def eval_metrics(*paths):
+            out = tmp_path / "metrics.txt"
+            argv = ["eval", "--pool", str(pool), "--episodes", "3", "--seed", "1", "--out", str(out)]
+            assert main(argv + [arg for path in paths for arg in ("--model", str(path))]) == EXIT_OK
+            return out.read_text().splitlines()
+
+        # each fold alone, read from its own pool: the two-fold file is their rows and the mean
+        rows0, rows1 = eval_metrics(models[0])[:-1], eval_metrics(models[1])[2:-1]
+        mean = np.mean([float(rows0[-2].split("=")[1]), float(rows1[-2].split("=")[1])])
+        reads = []
+        real_read = pio.read_cloud
+
+        def counting_read(path):
+            reads.append(path)
+            return real_read(path)
+
+        monkeypatch.setattr(pio, "read_cloud", counting_read)
+        assert eval_metrics(*models) == rows0 + rows1 + [f"mean_iou={float(mean):.17g}"]
+        assert len(reads) == 10
 
     def test_two_models_of_one_fold_exit_64_before_evaluating(self, scene_dir, config_path, tmp_path, capsys,
                                                                monkeypatch):

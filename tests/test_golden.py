@@ -34,7 +34,7 @@ GOLDEN = {
     "synth": "0742bcc1ab49636a7b626fc1c298ce01b23d223d81512283883d8c42553adefa",
     "audit": "b0399715d01b3bb0c770253e916d2c3d7d2010928e85b9859eeeaab5c28df116",
     "episodes": "b0b880a96bc5555754b63e8e3da85d1d00144f8bbfa94128024a6908f0c36a9c",
-    "episodes --phase test": "15505e9119c30d349b599a3c2c60d0a47504ac39d5b20f9ed9dc05c0fe104d4b",
+    "episodes --phase test": "ca2ef8cce590a65c03f7492083f5203ffe24571a2d20e385c9a3c1a19bd4de4e",
     "gradcheck": "9d6ffddc2368d5cca2f49b03f90a634961470476a968b03bd57c571680b308c0",
     "train": "0c5a69936d64a7c480e89550fb5bcc310230b1caa918ebbd2d916ff6da265ac2",
     "eval": "e9dafb9e0613c2e604915b070967b3afb19f0ddbc326635f135f6261261a95e6",

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import pcseg.io as pio
 from pcseg.config import RunConfig, format_pairs, parse_pairs
@@ -239,6 +239,27 @@ class TestKeyValueFormat:
         assert str(exc.value) == message
 
 
+# one value of an artifact line: free text without a line boundary, or one
+# of the number shapes the format holds (an int, a float, a list of ints),
+# with ints drawn past either end of int64 as often as within it
+_INTS = st.one_of(st.integers(), st.integers(min_value=2**63), st.integers(max_value=-2**63 - 1))
+_ARTIFACT_VALUES = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cc", "Zl", "Zp"))),
+    _INTS.map(str),
+    st.floats().map(repr),
+    st.lists(_INTS, min_size=1, max_size=4).map(lambda xs: " ".join(map(str, xs))),
+    st.lists(_INTS, min_size=1, max_size=4).map(lambda xs: ",".join(map(str, xs))),
+)
+
+
+def _untrained_artifact_lines() -> list[str]:
+    """A tiny artifact trained for 0 episodes (its initialization)."""
+    config = RunConfig(seed=2, dim=8, n_prototypes=4, hca_layers=1, heads=1, episodes=0)
+    result = meta_train([], make_split(range(1, 7), 0), config)
+    meta = {"fold": 0, "classes": "1,2,3,4,5,6"}
+    return pio.format_model(result.params, result.bank, config, meta).splitlines()
+
+
 class TestModelArtifact:
     def _trained(self, pool, split):
         config = RunConfig(
@@ -384,3 +405,33 @@ class TestModelArtifact:
         path = self._load_broken(tmp_path, lines)
         with pytest.raises(ValueError, match=rf"{path}: record stub\.w1: malformed header or values"):
             pio.load_model(path)
+
+    _LINES = _untrained_artifact_lines()
+
+    # [config] is left alone, so no drawn size can allocate
+    @pytest.mark.parametrize("section, key", [
+        ("meta", "fold"), ("meta", "classes"), ("meta", "share_background_fc"),
+        ("bank", "class_ids"), ("bank", "momentum"), ("bank", "update_counts"),
+        ("params", None),  # one value of one record's values line
+    ])
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_one_drawn_value_loads_or_names_the_path(self, tmp_path_factory, section, key, data):
+        lines = list(self._LINES)
+        start = lines.index(f"[{section}]")
+        if key is None:
+            # each record is its name, its `rank dims` line and its values line
+            index = data.draw(st.sampled_from(range(start + 3, lines.index("[bank]"), 3)), label="values line")
+            values = lines[index].split()
+            values[data.draw(st.integers(0, len(values) - 1), label="position")] = data.draw(_ARTIFACT_VALUES)
+            lines[index] = " ".join(values)
+        else:
+            index = next(i for i in range(start, len(lines)) if lines[i].startswith(f"{key}="))
+            lines[index] = f"{key}={data.draw(_ARTIFACT_VALUES, label=key)}"
+        path = tmp_path_factory.mktemp("fuzz") / "model.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            pio.load_model(path)
+        except ValueError as exc:
+            message = str(exc)
+            assert message.startswith(str(path)) and "\n" not in message, message
