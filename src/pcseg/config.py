@@ -49,6 +49,14 @@ def parse_pairs(lines, kind: str, known, source: str | None = None, first_line: 
         yield at, key, raw.strip()
 
 
+def _int64(raw: str) -> int:
+    """`int(raw)`, raising ValueError for a value that numpy cannot hold as int64."""
+    value = int(raw)
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"{raw!r} is outside int64")
+    return value
+
+
 @dataclass
 class RunConfig:
     """Every knob of the pipeline, with desk-scale defaults.
@@ -94,7 +102,7 @@ class RunConfig:
             ("episodes", self.episodes >= 0, ">= 0"),
             ("min_fg_points", self.min_fg_points >= 1, ">= 1"),
             ("heads", self.heads >= 1, ">= 1"),
-            ("heads", self.dim % self.heads == 0, "a divisor of dim"),
+            ("heads", self.heads >= 1 and self.dim % self.heads == 0, "a divisor of dim"),
         ]
         checks += [
             (name, math.isfinite(getattr(self, name)), "finite")
@@ -117,7 +125,7 @@ class RunConfig:
         kwargs = {}
         for at, key, raw in parse_pairs(text.splitlines(), "config", types, source, first_line):
             try:
-                kwargs[key] = float(raw) if types[key] == "float" else int(raw)
+                kwargs[key] = float(raw) if types[key] == "float" else _int64(raw)
             except ValueError:
                 raise PlacedError(f"{at}: cannot parse {key}={raw!r}") from None
         try:

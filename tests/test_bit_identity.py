@@ -5,12 +5,14 @@ and elu+1 by boolean indexing, layer norm with fresh temporaries and
 `.mean`, AdamW looping over parameters, episode generation that caps
 every pool entry, a backward pass that keeps the whole graph alive, voxel
 subsampling through `np.unique(axis=0)` and block splitting by one scan of
-every point per block. The fast versions do the same per-element
-arithmetic on the same random streams, so every comparison here is on
-bytes.
+every point per block, a plain `np.matmul` forward, `affine` as four nodes
+and `transpose_first_two` as a strided view. The fast versions do the same
+per-element arithmetic on the same random streams, so every comparison
+here is on bytes.
 """
 
 import contextlib
+import dataclasses
 
 import numpy as np
 import pytest
@@ -72,6 +74,30 @@ def ref_layer_norm(t, gain, bias):
         return gt, (g * y).sum(axis=lead), g.sum(axis=lead)
 
     return Tensor(y * gain.data + bias.data, (t, gain, bias), backward)
+
+
+def ref_matmul(a, b):
+    if a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
+        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
+    return Tensor(
+        np.matmul(a.data, b.data),
+        (a, b),
+        lambda g: (np.matmul(g, b.data.swapaxes(-1, -2)), np.matmul(a.data.swapaxes(-1, -2), g)),
+    )
+
+
+def ref_affine(t, w, b):
+    if t.ndim == 2:
+        return T.add(ref_matmul(t, w), b)
+    lead = t.shape[:-1]
+    flat = T.reshape(t, (-1, t.shape[-1]))
+    return T.reshape(T.add(ref_matmul(flat, w), b), lead + (w.shape[1],))
+
+
+def ref_transpose_first_two(t):
+    if t.ndim < 2:
+        raise ValueError(f"need at least 2 dimensions, got shape {t.shape}")
+    return T.swap_axes(t, 0, 1)
 
 
 class RefAdamW:
@@ -296,6 +322,30 @@ def test_cosine_rows_norms_match_linalg():
     assert same_bytes(T.cosine_rows(Tensor(a), Tensor(b)).data, (a @ b.T) / ca[:, None] / cb[None, :])
 
 
+PRODUCT_ROWS = [255, 257, 975, 977, 1024, 1025, 1543, 6144, 6145]
+# (32, 36): a column count whose small-kernel tail sums in another order.
+PRODUCT_SHAPES = [(32, 32), (10, 32), (64, 32), (6, 32), (32, 1), (32, 5), (32, 36)]
+
+
+@pytest.mark.parametrize("m", PRODUCT_ROWS)
+def test_matmul_forward_matches_np_matmul(m):
+    rng = np.random.default_rng(m)
+    for k, n in PRODUCT_SHAPES:
+        a, b = rng.standard_normal((m, k)), rng.standard_normal((k, n))
+        assert same_bytes(T.matmul(Tensor(a), Tensor(b)).data, np.matmul(a, b)), (k, n)
+        f = np.asfortranarray(b)  # a right operand that is not C-contiguous
+        assert same_bytes(T.matmul(Tensor(a), Tensor(f)).data, np.matmul(a, f)), (k, n)
+
+
+def test_stacked_matmul_forward_matches_np_matmul():
+    rng = np.random.default_rng(8)
+    a, b = rng.standard_normal((3, 1, 2048, 32)), rng.standard_normal((3, 1, 32, 32))
+    assert same_bytes(T.matmul(Tensor(a), Tensor(b)).data, np.matmul(a, b))
+    heads = rng.standard_normal((3, 2048, 2, 16)).swapaxes(1, 2)  # split heads, as attention feeds them
+    b = rng.standard_normal((3, 2, 16, 32))
+    assert same_bytes(T.matmul(Tensor(heads), Tensor(b)).data, np.matmul(heads, b))
+
+
 class TestAdamW:
     def _params(self, rng):
         shapes = [(3, 4), (5,), (), (2, 3, 2), (1,)]
@@ -439,6 +489,81 @@ def test_evaluate_matches_a_recorded_forward(monkeypatch):
     assert all(t._backward is None for t in logits[:5]) and all(t._backward is not None for t in logits[5:])
     for a, b in zip(logits[:5], logits[5:]):
         assert same_bytes(a.data, b.data)
+
+
+def _use_reference_dense_path(monkeypatch):
+    monkeypatch.setattr(T, "matmul", ref_matmul)
+    monkeypatch.setattr(T, "affine", ref_affine)
+    monkeypatch.setattr(T, "transpose_first_two", ref_transpose_first_two)
+
+
+def _count_blocked_products(monkeypatch):
+    """Count the forward products large enough for row blocks to engage."""
+    blocked = []
+    real = T._forward_product
+
+    def spy(a, b):
+        m, k, n = a.shape[-2], a.shape[-1], b.shape[-1]
+        blocked.append(m * k * n > T._SMALL_GEMM_MAX and m > T._BLOCK_ROWS + 1 and n % 8 == 0
+                       and b.flags.c_contiguous)
+        return real(a, b)
+
+    monkeypatch.setattr(T, "_forward_product", spy)
+    return blocked
+
+
+def test_train_episode_with_row_blocks_matches_reference(monkeypatch):
+    pool = make_pool(33, 12, range(1, 9), blobs_per_scene=3, points_per_blob=200)  # 600 points each
+    split = make_split(range(1, 9), 0)
+    config = RunConfig(seed=4, dim=32, n_prototypes=6, hca_layers=2, heads=2, max_points=512,
+                       min_fg_points=40, episodes=3, lr=1e-2, n_way=2)
+    trained = M.meta_train(pool, split, config)  # a bank with rows, so guidance is live
+    episode = generate_episode(pool, split, "train", 2, 1, 40, 512, 6)
+    assert len(episode.query) == 512  # 3 classes x 512 points: (1536, 32) @ (32, 32) products
+
+    def run():
+        for p in trained.params.parameters():
+            p.grad = None
+        root = _episode_loss(trained.params, trained.bank, episode)
+        leaves = _leaves(root)
+        root.backward()
+        grads = sorted(leaf.grad.tobytes() for leaf in leaves if leaf.grad is not None)
+        named = {p.name: p.grad.copy() for p in trained.params.parameters()}
+        return root.data.tobytes(), grads, named
+
+    blocked = _count_blocked_products(monkeypatch)
+    fast = run()
+    assert any(blocked)
+    _use_reference_dense_path(monkeypatch)
+    slow = run()
+    assert fast[0] == slow[0] and fast[1] == slow[1]
+    assert all(same_bytes(fast[2][name], slow[2][name]) for name in fast[2])
+
+
+def test_evaluate_with_row_blocks_matches_reference(monkeypatch):
+    pool = make_pool(34, 12, range(1, 9), blobs_per_scene=3, points_per_blob=800)  # 2,400 points each
+    split = make_split(range(1, 9), 0)
+    config = RunConfig(seed=5, dim=32, n_prototypes=6, hca_layers=2, heads=1, max_points=256,
+                       min_fg_points=40, episodes=3, lr=1e-2, n_way=2)
+    trained = M.meta_train(pool, split, config)
+    wide = dataclasses.replace(config, max_points=2048)
+    logits = []
+    real_forward = M.forward
+
+    def keep_logits(*args):
+        seg_logits, base_logits = real_forward(*args)
+        logits.append(seg_logits.data)
+        return seg_logits, base_logits
+
+    monkeypatch.setattr(M, "forward", keep_logits)
+    blocked = _count_blocked_products(monkeypatch)
+    fast = M.evaluate(pool, split, trained.params, trained.bank, wide, 3, 12)
+    assert any(blocked) and all(len(x) == 2048 for x in logits)
+    _use_reference_dense_path(monkeypatch)
+    slow = M.evaluate(pool, split, trained.params, trained.bank, wide, 3, 12)
+    assert fast == slow and len(logits) == 6
+    for a, b in zip(logits[:3], logits[3:]):
+        assert same_bytes(a, b)
 
 
 def _outcome(generate, *args):

@@ -465,21 +465,33 @@ class TestTrainEval:
         assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
         assert capsys.readouterr().err == f"pcseg: {model}: {message}\n"
 
-    def test_bad_config_exits_64_but_in_an_artifact_exits_2(self, scene_dir, config_path, tmp_path, capsys):
-        bad = tmp_path / "bad.cfg"
-        bad.write_text(config_path.read_text() + "bogus=1\n")
-        code = main(["train", "--pool", str(scene_dir), "--config", str(bad), "--out", str(tmp_path / "m")])
-        assert code == EXIT_USAGE
-        lineno = len(config_path.read_text().splitlines()) + 1
-        assert capsys.readouterr().err == f"pcseg: error: {bad}:{lineno}: unknown config key 'bogus'\n"
+    # (line, message): each line is appended to a config file, or put in an
+    # artifact's [config] section, in place of any line with the same key.
+    BAD_CONFIG_LINES = [
+        ("bogus=1", "unknown config key 'bogus'"),
+        ("n_prototypes=99999999999999999999", "cannot parse n_prototypes='99999999999999999999'"),
+    ]
 
-        model = self._edited_model(scene_dir, config_path, tmp_path,
-                                   lambda lines: lines.insert(lines.index("[config]") + 1, "bogus=1"))
-        lineno = model.read_text().splitlines().index("bogus=1") + 1
-        capsys.readouterr()
-        assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
-        err = capsys.readouterr().err
-        assert err == f"pcseg: {model}:{lineno}: unknown config key 'bogus'\n"
+    def test_bad_config_exits_64_but_in_an_artifact_exits_2(self, scene_dir, config_path, tmp_path, capsys):
+        for line, message in self.BAD_CONFIG_LINES:
+            key = line.split("=")[0] + "="
+            bad = tmp_path / "bad.cfg"
+            kept = [l for l in config_path.read_text().splitlines() if not l.startswith(key)]
+            bad.write_text("\n".join(kept + [line]) + "\n")
+            code = main(["train", "--pool", str(scene_dir), "--config", str(bad), "--out", str(tmp_path / "m")])
+            assert code == EXIT_USAGE, line
+            assert capsys.readouterr().err == f"pcseg: error: {bad}:{len(kept) + 1}: {message}\n"
+
+            def edit(lines):
+                start = lines.index("[config]")
+                end = lines.index("[params]")
+                lines[start + 1:end] = [l for l in lines[start + 1:end] if not l.startswith(key)] + [line]
+
+            model = self._edited_model(scene_dir, config_path, tmp_path, edit)
+            lineno = model.read_text().splitlines().index(line) + 1
+            capsys.readouterr()
+            assert self._eval(scene_dir, model, tmp_path) == EXIT_IO, line
+            assert capsys.readouterr().err == f"pcseg: {model}:{lineno}: {message}\n"
 
     @pytest.mark.parametrize("line", ["lr=inf", "grid_size=inf", "block_size=inf", "weight_decay=nan"])
     def test_non_finite_config_exits_64_but_in_an_artifact_exits_2(self, scene_dir, config_path, tmp_path,

@@ -1,5 +1,6 @@
 """File formats: cloud round-trips, manifests, configs, model artifacts."""
 
+import dataclasses
 import math
 import struct
 import warnings
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pcseg.io as pio
-from pcseg.config import RunConfig, format_pairs, parse_pairs
+from pcseg.config import PlacedError, RunConfig, format_pairs, parse_pairs
 from pcseg.episodes import Episode, make_split
 from pcseg.model import BasePrototypeBank, ModelParams, forward, meta_train
 from pcseg.episodes import generate_episode
@@ -250,6 +251,36 @@ _ARTIFACT_VALUES = st.one_of(
     st.lists(_INTS, min_size=1, max_size=4).map(lambda xs: " ".join(map(str, xs))),
     st.lists(_INTS, min_size=1, max_size=4).map(lambda xs: ",".join(map(str, xs))),
 )
+
+
+# one value of a config line: free text, an int past either end of int64 as
+# often as within it, or a float
+_CONFIG_VALUES = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cc", "Zl", "Zp"))),
+    _INTS.map(str),
+    st.floats().map(repr),
+)
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RunConfig)])
+@settings(max_examples=50, deadline=None)
+@given(value=_CONFIG_VALUES)
+def test_one_drawn_config_value_parses_to_int64_or_names_its_place(field, value):
+    lines = RunConfig().to_text().splitlines()
+    index = next(i for i, line in enumerate(lines) if line.startswith(f"{field}="))
+    lines[index] = f"{field}={value}"
+    try:
+        config = RunConfig.from_text("\n".join(lines) + "\n", source="fuzz.cfg")
+    except PlacedError as exc:
+        message = str(exc)
+        assert message.startswith("fuzz.cfg:") and "\n" not in message, message
+        return
+    for f in dataclasses.fields(config):
+        got = getattr(config, f.name)
+        if f.type == "int":
+            assert type(got) is int and -2**63 <= got < 2**63, (f.name, got)
+        else:
+            assert type(got) is float, (f.name, got)
 
 
 def _untrained_artifact_lines() -> list[str]:

@@ -203,6 +203,20 @@ class TestGradients:
             )
             assert err < 1e-4
 
+    def test_three_d_affine_passes_finite_differences(self):
+        rng = np.random.default_rng(23)
+        x, w, b = (Tensor(rng.standard_normal(s)) for s in ((2, 5, 4), (4, 3), (3,)))
+        assert finite_difference_check(T.affine, [x, w, b], rng=rng) < 1e-8
+
+    @pytest.mark.parametrize("shape", [(5, 4), (2, 5, 4)])
+    def test_affine_records_one_node(self, shape):
+        rng = np.random.default_rng(24)
+        x, w, b = (Parameter(rng.standard_normal(s), n) for s, n in ((shape, "x"), ((4, 3), "w"), ((3,), "b")))
+        out = T.affine(x, w, b)
+        assert out.shape == shape[:-1] + (3,)
+        assert out._backward is not None and len(out._parents) == 3
+        assert all(p is q for p, q in zip(out._parents, (x, w, b)))
+
     def test_fanout_accumulation(self):
         # x used twice: gradient must sum both paths (d/dx of x*x + x = 2x + 1)
         x = Tensor(np.array([3.0]))
