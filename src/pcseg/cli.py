@@ -149,10 +149,9 @@ def cmd_episodes(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = G.run_suite(args.seed, trials=args.trials, include_corrupt=args.corrupt)
     lines = []
     failed = False
-    for name, err in results:
+    for name, err in G.run_suite(args.seed, trials=args.trials):
         status = "PASS" if err < G.TOLERANCE else "FAIL"
         failed = failed or status == "FAIL"
         lines.append(f"{name} {status} max_rel_error={err:.3e}")
@@ -183,35 +182,24 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if not args.oracle and not args.model:
-        raise UsageError("provide --model (repeatable) or --oracle")
+    models = {}  # fold -> (path, params, bank, config, meta); all are loaded before any is evaluated
+    for path in args.model:
+        params, bank, config, meta = pio.load_model(path)
+        fold = int(meta["fold"])
+        if fold in models:
+            raise UsageError(f"{path}: a second model of fold {fold} (the first is {models[fold][0]})")
+        models[fold] = (path, params, bank, config, meta)
     pairs: list[tuple[str, object]] = [("episodes", args.episodes), ("seed", args.seed)]
     fold_means = []
-    if args.oracle:
-        config = _load_config(args)
-        clouds, _ = load_pool(args.pool, config)
-        split = make_split(_pool_classes(clouds), args.fold)
-        episodes = M.episode_stream(clouds, split, "test", config, args.seed, args.episodes)
-        results = [(args.fold, M.score((ep.query_gt, ep) for ep in episodes))]
-    else:
-        models = {}  # fold -> (path, params, bank, config, meta); all are loaded before any is evaluated
-        for path in args.model:
-            params, bank, config, meta = pio.load_model(path)
-            fold = int(meta["fold"])
-            if fold in models:
-                raise UsageError(f"{path}: a second model of fold {fold} (the first is {models[fold][0]})")
-            models[fold] = (path, params, bank, config, meta)
-        results = []
-        pools = {}  # (grid_size, block_size) -> clouds; folds that preprocess alike share one read
-        for fold, (_, params, bank, config, meta) in models.items():
-            split = make_split([int(c) for c in meta["classes"].split(",")], fold)
-            key = (config.grid_size, config.block_size)
-            if key not in pools:
-                pools[key], _ = load_pool(args.pool, config)
-            if args.zero_bank:
-                bank = bank.zeroed()
-            results.append((fold, M.evaluate(pools[key], split, params, bank, config, args.episodes, args.seed)))
-    for fold, result in results:
+    pools = {}  # (grid_size, block_size) -> clouds; folds that preprocess alike share one read
+    for fold, (_, params, bank, config, meta) in models.items():
+        split = make_split([int(c) for c in meta["classes"].split(",")], fold)
+        key = (config.grid_size, config.block_size)
+        if key not in pools:
+            pools[key], _ = load_pool(args.pool, config)
+        if args.zero_bank:
+            bank = bank.zeroed()
+        result = M.evaluate(pools[key], split, params, bank, config, args.episodes, args.seed)
         prefix = f"fold{fold}_"
         for cid, iou in result.per_class.items():
             pairs.append((f"{prefix}iou_{cid}", iou))
@@ -263,7 +251,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient report")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_int_at_least(1), default=3)
-    p.add_argument("--corrupt", action="store_true", help="include a deliberately broken gradient (must FAIL)")
     p.add_argument("--out", help="report file (stdout if omitted)")
     p.set_defaults(func=cmd_gradcheck)
 
@@ -277,14 +264,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="evaluate trained model(s) on held-out episodes")
     p.add_argument("--pool", required=True, nargs="+")
-    p.add_argument("--model", action="append", default=[], help="model artifact (repeat for per-fold rows)")
+    p.add_argument("--model", action="append", required=True, help="model artifact (repeat for per-fold rows)")
     p.add_argument("--episodes", type=_int_at_least(1), default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--zero-bank", action="store_true", dest="zero_bank",
                    help="ablation: wipe the class-prototype bank before evaluating")
-    p.add_argument("--oracle", action="store_true", help="score ground truth against itself (pipeline sanity)")
-    p.add_argument("--fold", type=int, choices=(0, 1), default=0, help="fold for --oracle")
-    p.add_argument("--config", help="config file for --oracle")
     p.add_argument("--out", required=True, help="metrics file")
     p.set_defaults(func=cmd_eval)
 

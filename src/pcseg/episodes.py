@@ -1,4 +1,4 @@
-"""Class splits, N-way K-shot episode construction, and mIoU.
+"""Class splits, N-way K-shot episode construction, and IoU counts.
 
 A class split divides the label universe into disjoint train/test halves
 by position in the sorted class list. Episode generation draws target
@@ -159,15 +159,6 @@ def generate_episode(
         query_index=query_index,
         seed=rng_seed,
     )
-
-
-def miou(pred, gt, n_way: int) -> tuple[np.ndarray, float]:
-    """Per-foreground-class IoU (TP / (TP + FP + FN)) and their mean.
-
-    Classes absent from both pred and gt get NaN and are excluded from
-    the mean; the mean itself is NaN only if every class is excluded.
-    """
-    return iou_from_counts(confusion_counts(pred, gt, range(1, n_way + 1)).values())
 
 
 def confusion_counts(pred, gt, class_of_way) -> dict[int, tuple[int, int, int]]:

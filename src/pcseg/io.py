@@ -96,12 +96,12 @@ def _first_bad_line(path) -> str | None:
     """`<path>:<line>: <what>` for the first line `read_cloud` rejects.
 
     Each line is decoded on its own, so a byte that is not UTF-8 is placed
-    exactly. Rows are split as `np.loadtxt` splits them: `#` starts a
-    comment and blank lines are skipped.
+    exactly. As in `np.loadtxt`, a lone CR also ends a line, `#` starts
+    a comment and blank lines are skipped.
     """
     n = rows = lineno = 0
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
             try:
                 line = raw.decode("utf-8")
                 if lineno == 1:
@@ -126,8 +126,8 @@ def _first_bad_line(path) -> str | None:
 def _bad_row(fields: list[str]) -> str | None:
     if len(fields) != 7:
         return f"expected 7 fields, got {len(fields)}"
-    try:
-        values = [float(f) for f in fields]
+    try:  # the fast path's parser: `float` would also take `1_0` and non-ASCII digits
+        values = np.loadtxt(fields, dtype=np.float64).tolist()
     except ValueError:
         return f"cannot read {' '.join(fields)!r} as 7 numbers"
     if not all(math.isfinite(v) for v in values[:3]):
@@ -271,8 +271,13 @@ def load_model(path):
     appears; no section repeats. A failure raises ValueError naming the
     path and the record or key, and the file line where there is one.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:  # name the line the bad byte is on
+        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise PlacedError(f"{path}:{lineno}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})") from None
     try:
         return _parse_model(lines, path)
     except PlacedError:

@@ -274,10 +274,10 @@ def apply_refine_layer(corr: Tensor, guide: Tensor, lp: RefineLayerParams) -> Te
     classes (per query point), and another MLP. Output layout is again
     N_Q x N_C x D.
     """
-    t = T.transpose_first_two(corr)  # (N_C, N_Q, D): attend across points
+    t = T.swap_axes(corr, 0, 1)  # (N_C, N_Q, D): attend across points
     t = T.add(t, multi_head_linear_attention(T.layer_norm(t, lp.ln_point_attn.gain, lp.ln_point_attn.bias), lp.point_attn))
     t = T.add(t, T.mlp_forward(T.layer_norm(t, lp.ln_point_mlp.gain, lp.ln_point_mlp.bias), lp.point_mlp))
-    c = T.transpose_first_two(t)  # (N_Q, N_C, D): attend across classes
+    c = T.swap_axes(t, 0, 1)  # (N_Q, N_C, D): attend across classes
     c = calibrate_background(c, guide, lp.bg_fc_w, lp.bg_fc_b)
     c = T.add(c, multi_head_linear_attention(T.layer_norm(c, lp.ln_class_attn.gain, lp.ln_class_attn.bias), lp.class_attn))
     c = T.add(c, T.mlp_forward(T.layer_norm(c, lp.ln_class_mlp.gain, lp.ln_class_mlp.bias), lp.class_mlp))

@@ -291,19 +291,6 @@ def swap_axes(t: Tensor, a: int, b: int) -> Tensor:
     return Tensor(t.data.swapaxes(a, b), (t,), lambda g: (g.swapaxes(a, b),))
 
 
-def transpose_first_two(t: Tensor) -> Tensor:
-    """Swap the first two axes (a plain transpose for 2-D tensors)."""
-    if t.ndim < 2:
-        raise ValueError(f"need at least 2 dimensions, got shape {t.shape}")
-    # A copy, unlike `swap_axes`: the ops downstream run faster on a
-    # C-contiguous array and compute the same bytes.
-    return Tensor(
-        np.ascontiguousarray(t.data.swapaxes(0, 1)),
-        (t,),
-        lambda g: (np.ascontiguousarray(g.swapaxes(0, 1)),),
-    )
-
-
 def sum_axis(t: Tensor, axis: int) -> Tensor:
     """Sum along `axis`, which stays as an axis of length 1."""
     return Tensor(t.data.sum(axis=axis, keepdims=True), (t,), lambda g: (np.broadcast_to(g, t.data.shape).copy(),))

@@ -5,10 +5,9 @@ and elu+1 by boolean indexing, layer norm with fresh temporaries and
 `.mean`, AdamW looping over parameters, episode generation that caps
 every pool entry, a backward pass that keeps the whole graph alive, voxel
 subsampling through `np.unique(axis=0)` and block splitting by one scan of
-every point per block, a plain `np.matmul` forward, `affine` as four nodes
-and `transpose_first_two` as a strided view. The fast versions do the same
-per-element arithmetic on the same random streams, so every comparison
-here is on bytes.
+every point per block, a plain `np.matmul` forward and `affine` as four
+nodes. The fast versions do the same per-element arithmetic on the same
+random streams, so every comparison here is on bytes.
 """
 
 import contextlib
@@ -92,12 +91,6 @@ def ref_affine(t, w, b):
     lead = t.shape[:-1]
     flat = T.reshape(t, (-1, t.shape[-1]))
     return T.reshape(T.add(ref_matmul(flat, w), b), lead + (w.shape[1],))
-
-
-def ref_transpose_first_two(t):
-    if t.ndim < 2:
-        raise ValueError(f"need at least 2 dimensions, got shape {t.shape}")
-    return T.swap_axes(t, 0, 1)
 
 
 class RefAdamW:
@@ -494,7 +487,6 @@ def test_evaluate_matches_a_recorded_forward(monkeypatch):
 def _use_reference_dense_path(monkeypatch):
     monkeypatch.setattr(T, "matmul", ref_matmul)
     monkeypatch.setattr(T, "affine", ref_affine)
-    monkeypatch.setattr(T, "transpose_first_two", ref_transpose_first_two)
 
 
 def _count_blocked_products(monkeypatch):

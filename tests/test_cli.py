@@ -1,13 +1,17 @@
 """CLI: exit codes, file outputs, byte determinism, manifest replay."""
 
+import argparse
+
 import numpy as np
 import pytest
 
+from pcseg import gradcheck as G
 from pcseg import io as pio
 from pcseg import model as M
-from pcseg.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, load_pool, main
+from pcseg.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, load_pool, main
 from pcseg.config import RunConfig
 from pcseg.episodes import generate_episode, make_split
+from pcseg.tensor import Tensor
 
 TINY_CONFIG = """\
 seed=4
@@ -47,6 +51,26 @@ def run_twice(tmp_path, argv_of):
         assert code == EXIT_OK
         outputs.append(out.read_bytes())
     return outputs
+
+
+# Every subcommand's options. A new knob is a deliberate edit of this table.
+OPTIONS = {
+    "synth": ["--out", "--seed", "--scenes", "--classes", "--blobs", "--points"],
+    "audit": ["--cloud", "--fg-class", "--m", "--trials", "--seed", "--out"],
+    "episodes": ["--pool", "--config", "--seed", "--n", "--phase", "--fold", "--out"],
+    "gradcheck": ["--seed", "--trials", "--out"],
+    "train": ["--pool", "--config", "--seed", "--fold", "--out"],
+    "eval": ["--pool", "--model", "--episodes", "--seed", "--zero-bank", "--out"],
+}
+
+
+def test_option_surface_is_pinned():
+    sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: [opt for action in p._actions for opt in action.option_strings if opt not in ("-h", "--help")]
+        for name, p in sub.choices.items()
+    }
+    assert got == OPTIONS
 
 
 class TestSynth:
@@ -118,6 +142,8 @@ class TestAudit:
         (None, "0.1 0.2 0.3 0.5 0.5 0.5 1"),  # one row beyond the header's count
         (7, "0.1 0.2 0.3 0.5 0.5 0.5 1.5"),
         (8, "0.1 0.2 0.3 0.5 0.5 0.5 -5"),
+        (3, "1_0 0 0 0.5 0.5 0.5 1"),  # Python's float reads these two; np.loadtxt does not
+        (3, "\uff11 0 0 0.5 0.5 0.5 1"),  # a full-width digit one
     ])
     def test_bad_cloud_exits_2_naming_path_and_line(self, scene_dir, tmp_path, capsys, lineno, row):
         lines = (sorted(scene_dir.glob("*.pcseg"))[0]).read_text().splitlines()
@@ -252,12 +278,17 @@ class TestGradcheck:
         for op in ("matmul", "cosine_rows", "linear_attention", "end_to_end_loss"):
             assert op in text
 
-    def test_corrupt_flag_fails(self, tmp_path):
+    def test_broken_backward_exits_70_with_a_fail_row(self, tmp_path, monkeypatch):
+        def broken_scale(rng):  # its backward is 5% off
+            op = lambda t: Tensor(t.data * 2.0, (t,), lambda g: (g * 2.1,))
+            return op, [Tensor(rng.standard_normal((4, 3)))]
+
+        monkeypatch.setattr(G, "OP_CHECKS", [*G.OP_CHECKS[:1], ("broken_scale", broken_scale)])
         out = tmp_path / "grad.txt"
-        code = main(["gradcheck", "--seed", "2", "--trials", "1", "--corrupt",
-                     "--out", str(out)])
+        code = main(["gradcheck", "--seed", "2", "--trials", "1", "--out", str(out)])
         assert code == EXIT_NUMERIC
-        assert "deliberately_corrupted FAIL" in out.read_text()
+        rows = [line.split()[:2] for line in out.read_text().splitlines()]
+        assert rows == [["matmul", "PASS"], ["broken_scale", "FAIL"], ["end_to_end_loss", "PASS"]]
 
     def test_zero_trials_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -318,20 +349,13 @@ class TestTrainEval:
         )
         assert one == two
 
-    def test_oracle_scores_one(self, scene_dir, config_path, tmp_path):
-        metrics = tmp_path / "oracle.txt"
-        code = main(["eval", "--pool", str(scene_dir), "--config", str(config_path),
-                     "--oracle", "--episodes", "4", "--seed", "8", "--out", str(metrics)])
-        assert code == EXIT_OK
-        values = dict(
-            line.split("=") for line in metrics.read_text().strip().splitlines()
-        )
-        assert float(values["mean_iou"]) == 1.0
-        assert float(values["fold0_episode_miou_mean"]) == 1.0
-
-    def test_eval_without_model_or_oracle_is_usage_error(self, scene_dir, tmp_path):
-        code = main(["eval", "--pool", str(scene_dir), "--out", str(tmp_path / "m.txt")])
-        assert code == EXIT_USAGE
+    def test_eval_without_model_exits_64(self, scene_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--pool", str(scene_dir), "--out", str(tmp_path / "m.txt")])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--model" in err
+        assert not (tmp_path / "m.txt").exists()
 
     def test_non_finite_loss_exits_70(self, scene_dir, config_path, tmp_path, monkeypatch, capsys):
         import pcseg.cli as cli
@@ -352,7 +376,7 @@ class TestTrainEval:
                      "--out", str(model)]) == EXIT_OK
         lines = model.read_text().splitlines()
         edit(lines)
-        model.write_text("\n".join(lines) + "\n")
+        model.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
         return model
 
     def _eval(self, scene_dir, model, tmp_path):
@@ -363,22 +387,29 @@ class TestTrainEval:
         ("update_counts", lambda v: v.rsplit(" ", 1)[0]),  # one entry dropped
         ("decoder.b2", lambda v: "nan"),
         pytest.param("update_counts", lambda v: f"{v} {2**63}", id="update_counts-beyond-int64"),
+        # byte 0xff (written through surrogateescape) opening line 2, which the message names
+        pytest.param(2, lambda v: "\udcff" + v, id="line-2-not-utf-8"),
     ])
     def test_corrupt_artifact_exits_2_with_one_line(self, scene_dir, config_path, tmp_path, capsys,
                                                      record, edit):
         def corrupt(lines):
             if record == "update_counts":
                 idx = next(i for i, l in enumerate(lines) if l.startswith("update_counts="))
-                lines[idx] = edit(lines[idx])
+            elif record == 2:
+                idx = 1
             else:
                 idx = lines.index(record) + 2
-                lines[idx] = edit(lines[idx])
+            lines[idx] = edit(lines[idx])
 
         model = self._edited_model(scene_dir, config_path, tmp_path, corrupt)
         capsys.readouterr()
         assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and str(model) in err and record in err
+        assert err.count("\n") == 1 and str(model) in err
+        if record == 2:
+            assert err.startswith(f"pcseg: {model}:2: ")
+        else:
+            assert record in err
 
     @pytest.mark.parametrize("key, edit", [
         ("fold", lambda v: None),

@@ -1,4 +1,4 @@
-"""Class splits, episode construction, and mIoU scoring."""
+"""Class splits, episode construction, and IoU counts."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,10 @@ import pytest
 from pcseg.episodes import (
     ClassSplit,
     PoolExhaustedError,
+    confusion_counts,
     generate_episode,
+    iou_from_counts,
     make_split,
-    miou,
 )
 from pcseg.synth import make_pool
 
@@ -114,6 +115,11 @@ class TestGenerateEpisode:
     def test_impossible_min_fg_raises(self):
         with pytest.raises(PoolExhaustedError):
             generate_episode(POOL, SPLIT, "train", 1, 1, 10_000, CAP, 0)
+
+
+def miou(pred, gt, n_way: int):
+    """Per-way IoU and its mean for one episode whose ways are classes 1..n_way."""
+    return iou_from_counts(confusion_counts(pred, gt, range(1, n_way + 1)).values())
 
 
 class TestMiou:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import struct
 import warnings
 
@@ -59,12 +60,15 @@ class TestCloudFormat:
         (3, "0.1 0.2 0.3 0.5 0.5 0.5 one", "cannot read '0.1 0.2 0.3 0.5 0.5 0.5 one' as 7 numbers"),
         (22, "0.1 0.2 0.3 0.5 0.5 0.5 1", "more rows than the header's count 20"),
         (1, "PCSEG v1 0", "not a 'PCSEG v1 <count>' header with a count >= 1: 'PCSEG v1 0'"),
+        (3, "1_0 0.2 0.3 0.5 0.5 0.5 1", "cannot read '1_0 0.2 0.3 0.5 0.5 0.5 1' as 7 numbers"),
+        (3, "\uff11 0.2 0.3 0.5 0.5 0.5 1", "cannot read '\uff11 0.2 0.3 0.5 0.5 0.5 1' as 7 numbers"),
+        (3, "0.1 0.2 0.3\r0.5 0.5 0.5 1", "expected 7 fields, got 3"),  # a lone CR ends a line
     ])
     def test_bad_line_named(self, tmp_path, lineno, row, what):
         lines = pio.format_cloud(synth_scene(4, [(1, 10), (2, 10)])).splitlines()
         lines[lineno - 1:lineno] = [row]
         path = tmp_path / "bad.pcseg"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", newline="")
         with pytest.raises(ValueError) as exc:
             pio.read_cloud(path)
         assert str(exc.value) == f"{path}:{lineno}: {what}"
@@ -283,6 +287,53 @@ def test_one_drawn_config_value_parses_to_int64_or_names_its_place(field, value)
             assert type(got) is float, (f.name, got)
 
 
+# one field of a cloud file: free text without a line boundary, a number,
+# one of the shapes Python's `float` reads and `np.loadtxt` does not
+# (digit-group underscores, non-ASCII decimal digits), or number-like text
+# that may hold a tab, a comment or a lone CR (which ends a line)
+_CLOUD_FIELDS = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cc", "Zl", "Zp"))),
+    _INTS.map(str),
+    st.floats().map(repr),
+    st.integers().map(lambda i: f"{i:_}"),
+    st.text(st.characters(whitelist_categories=("Nd",)), min_size=1),
+    st.text(st.sampled_from("01.5-e_ \t#\r"), min_size=1),
+)
+_CLOUD_LINES = pio.format_cloud(synth_scene(5, [(1, 6), (2, 6)])).splitlines()
+
+
+@pytest.mark.parametrize("column", ["count", 0, 1, 2, 3, 4, 5, 6])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_one_drawn_cloud_field_loads_or_names_its_line(tmp_path_factory, column, data):
+    lines = list(_CLOUD_LINES)
+    value = data.draw(_CLOUD_FIELDS, label="value")
+    if column == "count":
+        lineno = 1
+        lines[0] = f"{pio.CLOUD_MAGIC} {value}"
+    else:
+        lineno = data.draw(st.integers(2, len(lines)), label="line")
+        fields = lines[lineno - 1].split()
+        fields[column] = value
+        lines[lineno - 1] = " ".join(fields)
+    path = tmp_path_factory.mktemp("fuzz") / "cloud.pcseg"
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogatepass"))  # a lone surrogate becomes bytes that are not UTF-8
+    try:
+        cloud = pio.read_cloud(path)
+    except ValueError as exc:
+        message = str(exc)
+        place = re.match(rf"{re.escape(str(path))}:(\d+): [^\n]*$", message)
+        assert place, message
+        if column != "count":  # a count that parses can place the fault at any row
+            # a CR starts a line; a `#` that comments the whole row out leaves the file a row short
+            at, extra = int(place[1]), value.count("\r")
+            assert lineno <= at <= lineno + extra or ("#" in value and at == len(lines) + 1 + extra), message
+        return
+    assert len(cloud) == len(lines) - 1
+    assert np.isfinite(cloud.positions).all() and ((cloud.colors >= 0) & (cloud.colors <= 1)).all()
+    assert (cloud.labels >= -1).all()
+
+
 def _untrained_artifact_lines() -> list[str]:
     """A tiny artifact trained for 0 episodes (its initialization)."""
     config = RunConfig(seed=2, dim=8, n_prototypes=4, hca_layers=1, heads=1, episodes=0)
@@ -460,7 +511,7 @@ class TestModelArtifact:
             index = next(i for i in range(start, len(lines)) if lines[i].startswith(f"{key}="))
             lines[index] = f"{key}={data.draw(_ARTIFACT_VALUES, label=key)}"
         path = tmp_path_factory.mktemp("fuzz") / "model.txt"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogatepass"))  # a lone surrogate becomes bytes that are not UTF-8
         try:
             pio.load_model(path)
         except ValueError as exc:

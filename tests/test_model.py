@@ -506,6 +506,18 @@ class TestMetaTrain:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("n_way", [1, 2])
+    def test_ground_truth_scores_one(self, pool8, split8, fast_config, n_way):
+        from pcseg import model as M
+
+        config = RunConfig(**{**fast_config.__dict__, "n_way": n_way})
+        episodes = list(M.episode_stream(pool8, split8, "test", config, 8, 4))
+        result = M.score((ep.query_gt, ep) for ep in episodes)
+        assert result.mean_iou == result.episode_miou_mean == 1.0
+        assert result.n_episodes == 4
+        assert set(result.per_class) <= set(split8.test_classes)
+        assert all(iou == 1.0 for iou in result.per_class.values())
+
     def test_non_finite_logits_raise(self, pool8, split8, fast_config, monkeypatch):
         from pcseg import model as M
 
