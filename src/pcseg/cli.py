@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: synth, audit, episodes, gradcheck, train, eval. Every
+Subcommands: synth, audit, episodes, train, eval. Every
 command takes --seed and produces byte-deterministic outputs for a fixed
 seed. Exit codes: 0 success, 2 I/O failure, 64 usage error, 70 internal
 numeric failure.
@@ -14,10 +14,9 @@ import sys
 
 import numpy as np
 
-from . import gradcheck as G
 from . import io as pio
 from . import model as M
-from .config import RunConfig, format_pairs
+from .config import RunConfig, _int64, format_pairs
 from .episodes import PoolExhaustedError, make_split
 from .geometry import grid_subsample, split_blocks
 from .sampling import leakage_audit
@@ -41,12 +40,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_at_least(low: int):
-    """An argparse type: an int >= `low`."""
+    """An argparse type: an int64 >= `low`."""
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            value = _int64(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+            raise argparse.ArgumentTypeError(f"invalid int64 value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
@@ -67,6 +66,8 @@ def _load_config(args) -> RunConfig:
 
 
 def _pool_paths(pool_args) -> list[str]:
+    """The scene files `--pool` names; a file named twice is a usage error,
+    since an episode could then draw one scene as both support and query."""
     paths: list[str] = []
     for entry in pool_args:
         if os.path.isdir(entry):
@@ -76,6 +77,12 @@ def _pool_paths(pool_args) -> list[str]:
             paths.extend(os.path.join(entry, n) for n in names)
         else:
             paths.append(entry)
+    first = {}  # realpath -> the path that named it first
+    for path in paths:
+        real = os.path.realpath(path)
+        if real in first:
+            raise UsageError(f"{path}: --pool names this file twice (first as {first[real]})")
+        first[real] = path
     return paths
 
 
@@ -146,22 +153,6 @@ def cmd_episodes(args) -> int:
     pio.write_manifest(args.out, episodes, sources)
     print(f"wrote {args.n} episodes to {args.out}")
     return EXIT_OK
-
-
-def cmd_gradcheck(args) -> int:
-    lines = []
-    failed = False
-    for name, err in G.run_suite(args.seed, trials=args.trials):
-        status = "PASS" if err < G.TOLERANCE else "FAIL"
-        failed = failed or status == "FAIL"
-        lines.append(f"{name} {status} max_rel_error={err:.3e}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        pio.atomic_write_text(args.out, text)
-        print(f"wrote gradient report to {args.out}")
-    else:
-        sys.stdout.write(text)
-    return EXIT_NUMERIC if failed else EXIT_OK
 
 
 def cmd_train(args) -> int:
@@ -247,12 +238,6 @@ def build_parser() -> _Parser:
     p.add_argument("--fold", type=int, choices=(0, 1), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_episodes)
-
-    p = sub.add_parser("gradcheck", help="finite-difference gradient report")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=_int_at_least(1), default=3)
-    p.add_argument("--out", help="report file (stdout if omitted)")
-    p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("train", help="meta-train on a scene pool")
     p.add_argument("--pool", required=True, nargs="+")

@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 
 from .config import PlacedError, RunConfig, format_pairs, parse_pairs
+from .episodes import make_split
 from .geometry import PointCloud
 from .model import BasePrototypeBank, ModelParams
 
@@ -268,8 +269,10 @@ def load_model(path):
     against shape, shape against the config, the bank against its class
     ids, and every value for finiteness; so is `[meta]`: `fold` is 0 or
     1, `classes` a comma-separated list of ints, and no other key
-    appears; no section repeats. A failure raises ValueError naming the
-    path and the record or key, and the file line where there is one.
+    appears; no section repeats. Last, the bank's class ids must be the
+    training classes that `fold` splits from `classes`. A failure raises
+    ValueError naming the path and the record or key, and the file line
+    where there is one.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -319,10 +322,11 @@ def _parse_model(lines: list[str], path):
     _, shared_fc = meta.pop("share_background_fc", (None, "0"))
     if shared_fc != "0":
         raise ValueError(f"[meta] share_background_fc must be 0 (no shared background layer), got {shared_fc!r}")
-    if _section_value("meta", meta, "fold", int) not in (0, 1):
+    fold = _section_value("meta", meta, "fold", int)
+    if fold not in (0, 1):
         at, raw = meta["fold"]
         raise PlacedError(f"{at}: [meta] fold must be 0 or 1, got {raw!r}")
-    _section_value("meta", meta, "classes", _int_list)
+    classes = _section_value("meta", meta, "classes", _int_list)
 
     header, config_lines = sections["config"]
     config = RunConfig.from_text("\n".join(config_lines), source=path, first_line=header + 1)
@@ -351,4 +355,9 @@ def _parse_model(lines: list[str], path):
     records = parse_records("\n".join(sections["params"][1]), {p.name: p.data.shape for p in params.parameters()})
     for p in params.parameters():
         p.data = records[p.name]
+    train_classes = make_split(classes, fold).train_classes
+    if class_ids != train_classes:
+        at, raw = bank_kv["class_ids"]
+        raise PlacedError(f"{at}: [bank] class_ids={raw} do not match [meta]: fold {fold} trains on "
+                          f"{','.join(map(str, train_classes))}")
     return params, bank, config, {key: raw for key, (_, raw) in meta.items()}

@@ -4,8 +4,8 @@ Every value is a float64 numpy array wrapped in a `Tensor`. Each
 operation computes its forward value eagerly and records an analytic
 backward closure; `Tensor.backward()` replays the closures in reverse
 topological order. The op set is small and fixed -- exactly what the
-correlation model needs -- and every differentiable op is validated
-against central finite differences (see `finite_difference_check`).
+correlation model needs -- and the tests check every differentiable op
+against central finite differences (`tests/gradient_oracles.py`).
 
 The graph lives only as long as a gradient needs it. Inside `no_grad()`
 no op records its parents or its closure, so a forward-only pass (as in
@@ -31,7 +31,6 @@ _LN_EPS = 1e-12
 _COS_EPS = 1e-8
 _ADAM_BETAS = (0.9, 0.999)
 _ADAM_EPS = 1e-8
-_FD_EPS = 1e-5
 # OpenBLAS's small-matrix dgemm path takes a product only when M*K*N <= 1e6;
 # a larger forward product runs as a stack of row blocks that each fit it.
 _SMALL_GEMM_MAX = 10**6
@@ -599,52 +598,3 @@ class AdamW:
         mhat /= vhat
         self._flat *= 1.0 - self.lr * self.weight_decay
         self._flat -= mhat
-
-
-# ---------------------------------------------------------------------------
-# gradient verification
-# ---------------------------------------------------------------------------
-
-def finite_difference_check(op, inputs, rng=None, max_coords=None) -> float:
-    """Compare analytic gradients of `op(*inputs)` against central differences.
-
-    The output is reduced to a scalar with a fixed random projection, the
-    analytic gradient of that scalar is computed by backward(), and each
-    input coordinate is perturbed by +/-1e-5. Returns the largest absolute
-    gradient discrepancy divided by max(1, largest gradient magnitude).
-
-    `max_coords` caps the number of coordinates checked per input (all by
-    default), sampling them with `rng`.
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    inputs = list(inputs)
-    out = op(*inputs)
-    proj = rng.standard_normal(out.data.shape)
-
-    def scalarize():
-        return float((op(*inputs).data * proj).sum())
-
-    for t in inputs:
-        t.grad = None
-    out.backward(proj.copy())
-
-    worst_abs = 0.0
-    scale_ref = 1.0
-    for t in inputs:
-        analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
-        flat = t.data.reshape(-1)
-        coords = np.arange(flat.size)
-        if max_coords is not None and flat.size > max_coords:
-            coords = rng.choice(flat.size, size=max_coords, replace=False)
-        for c in coords:
-            keep = flat[c]
-            flat[c] = keep + _FD_EPS
-            up = scalarize()
-            flat[c] = keep - _FD_EPS
-            down = scalarize()
-            flat[c] = keep
-            fd = (up - down) / (2 * _FD_EPS)
-            a = analytic.reshape(-1)[c]
-            worst_abs = max(worst_abs, abs(a - fd))
-            scale_ref = max(scale_ref, abs(a), abs(fd))
-    return worst_abs / scale_ref

@@ -1,25 +1,69 @@
-"""Finite-difference verification for every differentiable operation.
+"""Finite-difference oracles for every differentiable operation, which only
+the tests run.
 
-Each entry builds random inputs, runs the op, and compares analytic
-gradients with central differences via `tensor.finite_difference_check`.
-The suite ends with an end-to-end check: the episode loss differentiated
-against a sampled subset of every model parameter.
+`finite_difference_check` compares an op's analytic gradients with
+central differences. Each `OP_CHECKS` entry builds random inputs for one
+op; `check_end_to_end` differentiates the episode loss against a sampled
+subset of every model parameter.
 """
-
-from __future__ import annotations
 
 import numpy as np
 
-from . import model as M
-from . import tensor as T
-from .attention import AttentionParams, linear_attention, multi_head_linear_attention, standard_attention
-from .config import RunConfig
-from .episodes import generate_episode, make_split
-from .seeding import derive_seed
-from .synth import synth_scene
-from .tensor import Tensor, finite_difference_check
+from pcseg import model as M
+from pcseg import tensor as T
+from pcseg.attention import AttentionParams, linear_attention, multi_head_linear_attention, standard_attention
+from pcseg.config import RunConfig
+from pcseg.episodes import generate_episode, make_split
+from pcseg.seeding import derive_seed
+from pcseg.synth import synth_scene
+from pcseg.tensor import Tensor
 
-TOLERANCE = 1e-4
+_FD_EPS = 1e-5
+
+
+def finite_difference_check(op, inputs, rng=None, max_coords=None) -> float:
+    """Compare analytic gradients of `op(*inputs)` against central differences.
+
+    The output is reduced to a scalar with a fixed random projection, the
+    analytic gradient of that scalar is computed by backward(), and each
+    input coordinate is perturbed by +/-1e-5. Returns the largest absolute
+    gradient discrepancy divided by max(1, largest gradient magnitude).
+
+    `max_coords` caps the number of coordinates checked per input (all by
+    default), sampling them with `rng`.
+    """
+    rng = np.random.default_rng(0) if rng is None else rng
+    inputs = list(inputs)
+    out = op(*inputs)
+    proj = rng.standard_normal(out.data.shape)
+
+    def scalarize():
+        return float((op(*inputs).data * proj).sum())
+
+    for t in inputs:
+        t.grad = None
+    out.backward(proj.copy())
+
+    worst_abs = 0.0
+    scale_ref = 1.0
+    for t in inputs:
+        analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
+        flat = t.data.reshape(-1)
+        coords = np.arange(flat.size)
+        if max_coords is not None and flat.size > max_coords:
+            coords = rng.choice(flat.size, size=max_coords, replace=False)
+        for c in coords:
+            keep = flat[c]
+            flat[c] = keep + _FD_EPS
+            up = scalarize()
+            flat[c] = keep - _FD_EPS
+            down = scalarize()
+            flat[c] = keep
+            fd = (up - down) / (2 * _FD_EPS)
+            a = analytic.reshape(-1)[c]
+            worst_abs = max(worst_abs, abs(a - fd))
+            scale_ref = max(scale_ref, abs(a), abs(fd))
+    return worst_abs / scale_ref
 
 
 def _tensors(rng, *shapes):
@@ -143,10 +187,3 @@ def check_end_to_end(seed: int, trials: int, coords_per_param: int = 2) -> float
         worst = max(worst, finite_difference_check(op, leaves, rng=rng, max_coords=coords_per_param))
     return worst
 
-
-def run_suite(seed: int, trials: int = 10):
-    """Run every check; returns [(name, max_rel_error)]. The end-to-end
-    check runs min(trials, 10) times."""
-    results = [(name, check_op(builder, seed, trials)) for name, builder in OP_CHECKS]
-    results.append(("end_to_end_loss", check_end_to_end(seed, min(trials, 10))))
-    return results

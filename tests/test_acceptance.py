@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from attention_oracles import linear_attention_quadratic
+from gradient_oracles import OP_CHECKS, check_end_to_end, check_op
 from pcseg.attention import linear_attention, standard_attention
 from pcseg.cli import EXIT_OK, main
 from pcseg.config import RunConfig
 from pcseg.episodes import confusion_counts, generate_episode, iou_from_counts, make_split
-from pcseg.gradcheck import OP_CHECKS, check_end_to_end, check_op
 from pcseg.geometry import PointCloud, cluster_to_seeds, farthest_point_sample, grid_subsample
 from pcseg.model import (
     BasePrototypeBank,
@@ -322,12 +322,6 @@ def test_cli_determinism(tmp_path):
             main(["episodes", "--pool", scenes, "--config", str(cfg), "--n", "5",
                   "--out", str(out / "episodes.manifest")]),
             [out / "episodes.manifest"],
-        ))
-
-        # gradcheck
-        pair(lambda out: (
-            main(["gradcheck", "--seed", "3", "--trials", "1", "--out", str(out / "grad.txt")]),
-            [out / "grad.txt"],
         ))
 
         # train

@@ -5,13 +5,11 @@ import argparse
 import numpy as np
 import pytest
 
-from pcseg import gradcheck as G
 from pcseg import io as pio
 from pcseg import model as M
 from pcseg.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, load_pool, main
 from pcseg.config import RunConfig
 from pcseg.episodes import generate_episode, make_split
-from pcseg.tensor import Tensor
 
 TINY_CONFIG = """\
 seed=4
@@ -58,7 +56,6 @@ OPTIONS = {
     "synth": ["--out", "--seed", "--scenes", "--classes", "--blobs", "--points"],
     "audit": ["--cloud", "--fg-class", "--m", "--trials", "--seed", "--out"],
     "episodes": ["--pool", "--config", "--seed", "--n", "--phase", "--fold", "--out"],
-    "gradcheck": ["--seed", "--trials", "--out"],
     "train": ["--pool", "--config", "--seed", "--fold", "--out"],
     "eval": ["--pool", "--model", "--episodes", "--seed", "--zero-bank", "--out"],
 }
@@ -71,6 +68,32 @@ def test_option_surface_is_pinned():
         for name, p in sub.choices.items()
     }
     assert got == OPTIONS
+
+
+# Every `_int_at_least` flag, with the arguments its subcommand requires.
+INT_FLAGS = [
+    (["synth", "--out", "OUT"], "--scenes"),
+    (["synth", "--out", "OUT"], "--classes"),
+    (["synth", "--out", "OUT"], "--blobs"),
+    (["synth", "--out", "OUT"], "--points"),
+    (["audit", "--cloud", "SCENE", "--fg-class", "1", "--out", "OUT"], "--m"),
+    (["audit", "--cloud", "SCENE", "--fg-class", "1", "--out", "OUT"], "--trials"),
+    (["episodes", "--pool", "POOL", "--out", "OUT"], "--n"),
+    (["eval", "--pool", "POOL", "--model", "MODEL", "--out", "OUT"], "--episodes"),
+]
+
+
+@pytest.mark.parametrize("value", [str(2**63), "99999999999999999999"])
+@pytest.mark.parametrize("argv, flag", INT_FLAGS, ids=[f"{a[0]}{f}" for a, f in INT_FLAGS])
+def test_int_flag_beyond_int64_is_usage_error(scene_dir, tmp_path, capsys, argv, flag, value):
+    out = tmp_path / "out"
+    paths = {"OUT": str(out), "SCENE": str(sorted(scene_dir.glob("*.pcseg"))[0]), "POOL": str(scene_dir),
+             "MODEL": str(tmp_path / "m.txt")}
+    with pytest.raises(SystemExit) as exc:
+        main([paths.get(a, a) for a in argv] + [flag, value])
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().err.endswith(f"error: argument {flag}: invalid int64 value: '{value}'\n")
+    assert not out.exists()
 
 
 class TestSynth:
@@ -266,35 +289,6 @@ class TestEpisodes:
         assert main(["eval", "--pool", str(scene_dir), "--model", str(model), "--episodes", "4",
                      "--seed", "5", "--out", str(tmp_path / "metrics.txt")]) == EXIT_OK
         assert seeds == [int(line.split("\t")[0]) for line in out.read_text().splitlines()]
-
-
-class TestGradcheck:
-    def test_clean_suite_passes(self, tmp_path):
-        out = tmp_path / "grad.txt"
-        code = main(["gradcheck", "--seed", "2", "--trials", "1", "--out", str(out)])
-        assert code == EXIT_OK
-        text = out.read_text()
-        assert "FAIL" not in text
-        for op in ("matmul", "cosine_rows", "linear_attention", "end_to_end_loss"):
-            assert op in text
-
-    def test_broken_backward_exits_70_with_a_fail_row(self, tmp_path, monkeypatch):
-        def broken_scale(rng):  # its backward is 5% off
-            op = lambda t: Tensor(t.data * 2.0, (t,), lambda g: (g * 2.1,))
-            return op, [Tensor(rng.standard_normal((4, 3)))]
-
-        monkeypatch.setattr(G, "OP_CHECKS", [*G.OP_CHECKS[:1], ("broken_scale", broken_scale)])
-        out = tmp_path / "grad.txt"
-        code = main(["gradcheck", "--seed", "2", "--trials", "1", "--out", str(out)])
-        assert code == EXIT_NUMERIC
-        rows = [line.split()[:2] for line in out.read_text().splitlines()]
-        assert rows == [["matmul", "PASS"], ["broken_scale", "FAIL"], ["end_to_end_loss", "PASS"]]
-
-    def test_zero_trials_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["gradcheck", "--trials", "0"])
-        assert exc.value.code == EXIT_USAGE
-        assert "--trials" in capsys.readouterr().err
 
 
 class TestTrainEval:
@@ -629,3 +623,42 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert err == f"pcseg: error: {second}: a second model of fold 0 (the first is {first})\n"
         assert not metrics.exists()
+
+    @pytest.mark.parametrize("second", ["dir", "dir/scene_000.pcseg"])
+    @pytest.mark.parametrize("command", ["train", "eval", "episodes"])
+    def test_a_scene_named_twice_in_pool_exits_64(self, scene_dir, config_path, tmp_path, capsys, command, second):
+        model = tmp_path / "model.txt"
+        if command == "eval":
+            assert main(["train", "--pool", str(scene_dir), "--config", str(config_path),
+                         "--out", str(model)]) == EXIT_OK
+        twice = str(scene_dir / "scene_000.pcseg")
+        pool = [str(scene_dir), str(scene_dir) if second == "dir" else twice]
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--config", str(config_path)],
+            "eval": ["eval", "--model", str(model), "--episodes", "2"],
+            "episodes": ["episodes", "--config", str(config_path), "--n", "2"],
+        }[command]
+        capsys.readouterr()
+        assert main(argv + ["--pool", *pool, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"pcseg: error: {twice}: --pool names this file twice (first as {twice})\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, edit", [
+        ("fold", lambda v: "1"),
+        ("classes", lambda v: v.rsplit(",", 1)[0]),  # the last class dropped
+        ("class_ids", lambda v: ",".join(str(int(c) - 1) for c in v.split(","))),  # the fold's test classes
+    ], ids=["fold", "classes", "class_ids"])
+    def test_meta_split_that_disagrees_with_the_bank_exits_2(self, scene_dir, config_path, tmp_path, capsys,
+                                                              key, edit):
+        def change(lines):
+            idx = next(i for i, l in enumerate(lines) if l.startswith(f"{key}="))
+            lines[idx] = f"{key}={edit(lines[idx].split('=', 1)[1])}"
+
+        model = self._edited_model(scene_dir, config_path, tmp_path, change)
+        lines = model.read_text().splitlines()
+        lineno = next(i for i, l in enumerate(lines) if l.startswith("class_ids=")) + 1
+        capsys.readouterr()
+        assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"pcseg: {model}:{lineno}: [bank] class_ids=")

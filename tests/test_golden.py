@@ -35,7 +35,6 @@ GOLDEN = {
     "audit": "b0399715d01b3bb0c770253e916d2c3d7d2010928e85b9859eeeaab5c28df116",
     "episodes": "b0b880a96bc5555754b63e8e3da85d1d00144f8bbfa94128024a6908f0c36a9c",
     "episodes --phase test": "ca2ef8cce590a65c03f7492083f5203ffe24571a2d20e385c9a3c1a19bd4de4e",
-    "gradcheck": "a0e6bab4a212a964a55d7b0c3f1a72bdc7d618bedffc729f7cd8db425d2e5e4e",
     "train": "0c5a69936d64a7c480e89550fb5bcc310230b1caa918ebbd2d916ff6da265ac2",
     "eval": "e9dafb9e0613c2e604915b070967b3afb19f0ddbc326635f135f6261261a95e6",
     "eval --zero-bank": "60d90aac346fb119879dd615f6051bfcc85a4a7aec5218a7ef05dac8fb3b8918",
@@ -67,7 +66,6 @@ def outputs(tmp_path_factory):
                          "--fold", "1", "--out", "episodes.manifest"],
             "episodes --phase test": ["episodes", *pool, "--config", "run.cfg", "--n", "8", "--phase", "test",
                                       "--fold", "0", "--out", "test_episodes.manifest"],
-            "gradcheck": ["gradcheck", "--seed", "4", "--trials", "1", "--out", "grad.txt"],
             "train": ["train", *pool, "--config", "run.cfg", "--fold", "0", "--out", "model.txt"],
             "eval": ["eval", *pool, "--model", "model.txt", "--episodes", "6", "--seed", "5",
                      "--out", "metrics.txt"],
@@ -80,7 +78,6 @@ def outputs(tmp_path_factory):
             "audit": _sha("audit.txt"),
             "episodes": _sha("episodes.manifest"),
             "episodes --phase test": _sha("test_episodes.manifest"),
-            "gradcheck": _sha("grad.txt"),
             "train": _sha("model.txt"),
             "eval": _sha("metrics.txt"),
             "eval --zero-bank": _sha("zero.txt"),

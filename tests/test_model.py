@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import pcseg.tensor as T
+from gradient_oracles import check_end_to_end, finite_difference_check
 from pcseg.config import RunConfig
 from pcseg.episodes import Episode, generate_episode
 from pcseg.geometry import EmptyMaskError, PointCloud
@@ -56,7 +57,7 @@ class TestBackboneStub:
     def test_gradient_reaches_stub_parameters(self):
         scene = synth_scene(4, [(1, 20), (2, 20)])
         params = tiny_params(np.random.default_rng(2))
-        err = T.finite_difference_check(
+        err = finite_difference_check(
             lambda *ws: backbone_stub(scene, params.stub),
             params.stub.parameters(),
             rng=np.random.default_rng(3),
@@ -426,8 +427,6 @@ class TestForwardAndLoss:
 
 class TestEndToEndGradient:
     def test_loss_gradient_matches_finite_differences(self):
-        from pcseg.gradcheck import check_end_to_end
-
         assert check_end_to_end(seed=99, trials=2, coords_per_param=2) < 1e-4
 
 

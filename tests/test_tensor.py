@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import pcseg.tensor as T
-from pcseg.gradcheck import OP_CHECKS, check_op
-from pcseg.tensor import AdamW, Parameter, Tensor, finite_difference_check
+from gradient_oracles import OP_CHECKS, check_op, finite_difference_check
+from pcseg.tensor import AdamW, Parameter, Tensor
 
 
 class TestForwardOracles:
