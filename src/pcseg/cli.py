@@ -1,9 +1,8 @@
 """Command-line entry point.
 
-Subcommands: synth, audit, episodes, train, eval. Every
-command takes --seed and produces byte-deterministic outputs for a fixed
-seed. Exit codes: 0 success, 2 I/O failure, 64 usage error, 70 internal
-numeric failure.
+Subcommands: synth, audit, train, eval. Every command takes --seed and
+produces byte-deterministic outputs for a fixed seed. Exit codes: 0
+success, 2 I/O failure, 64 usage error, 70 internal numeric failure.
 """
 
 from __future__ import annotations
@@ -145,16 +144,6 @@ def cmd_audit(args) -> int:
     return EXIT_OK
 
 
-def cmd_episodes(args) -> int:
-    config = _load_config(args)
-    clouds, sources = load_pool(args.pool, config)
-    split = make_split(_pool_classes(clouds), args.fold)
-    episodes = M.episode_stream(clouds, split, args.phase, config, config.seed, args.n)
-    pio.write_manifest(args.out, episodes, sources)
-    print(f"wrote {args.n} episodes to {args.out}")
-    return EXIT_OK
-
-
 def cmd_train(args) -> int:
     config = _load_config(args)
     clouds, _ = load_pool(args.pool, config)
@@ -228,16 +217,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="report file (stdout if omitted)")
     p.set_defaults(func=cmd_audit)
-
-    p = sub.add_parser("episodes", help="write an episode manifest")
-    p.add_argument("--pool", required=True, nargs="+", help="scene files or directories")
-    p.add_argument("--config", help="config file (defaults applied if omitted)")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--n", type=_int_at_least(1), default=100, help="episode count")
-    p.add_argument("--phase", choices=("train", "test"), default="test")
-    p.add_argument("--fold", type=int, choices=(0, 1), default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_episodes)
 
     p = sub.add_parser("train", help="meta-train on a scene pool")
     p.add_argument("--pool", required=True, nargs="+")

@@ -108,6 +108,10 @@ class RunConfig:
             (name, math.isfinite(getattr(self, name)), "finite")
             for name in ("grid_size", "block_size", "lr", "weight_decay")
         ]
+        checks += [
+            (f.name, -2**63 <= getattr(self, f.name) < 2**63, "within int64")
+            for f in fields(self) if f.type == "int"
+        ]
         for name, ok, requirement in checks:
             if not ok:
                 raise ValueError(f"config field {name} must be {requirement}, got {getattr(self, name)}")

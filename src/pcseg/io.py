@@ -1,4 +1,4 @@
-"""File formats: point clouds, episode manifests, metrics, model artifacts.
+"""File formats: point clouds, metrics, model artifacts.
 
 All writers are atomic (write to a temp file in the target directory,
 then rename) and produce byte-stable output for fixed inputs: floats are
@@ -143,21 +143,6 @@ def _bad_row(fields: list[str]) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# episode manifests
-# ---------------------------------------------------------------------------
-
-def write_manifest(path, episodes, sources) -> None:
-    """One tab-separated row per episode: its seed, its target classes,
-    the sources of its support shots (way by way) and of its query."""
-    rows = (
-        f"{ep.seed}\t{','.join(str(c) for c in ep.target_classes)}\t"
-        f"{','.join(sources[j] for way in ep.support_indices for j in way)}\t{sources[ep.query_index]}\n"
-        for ep in episodes
-    )
-    atomic_write_text(path, "".join(rows))
-
-
-# ---------------------------------------------------------------------------
 # model artifacts
 # ---------------------------------------------------------------------------
 
@@ -267,12 +252,12 @@ def load_model(path):
     Reconstruction is value-exact, so reloaded parameters reproduce
     bit-identical forward outputs. Every record is checked: value count
     against shape, shape against the config, the bank against its class
-    ids, and every value for finiteness; so is `[meta]`: `fold` is 0 or
-    1, `classes` a comma-separated list of ints, and no other key
-    appears; no section repeats. Last, the bank's class ids must be the
-    training classes that `fold` splits from `classes`. A failure raises
-    ValueError naming the path and the record or key, and the file line
-    where there is one.
+    ids and its momentum against the config's, and every value for
+    finiteness; so is `[meta]`: `fold` is 0 or 1, `classes` a
+    comma-separated list of ints, and no other key appears; no section
+    repeats. Last, the bank's class ids must be the training classes
+    that `fold` splits from `classes`. A failure raises ValueError naming
+    the path and the record or key, and the file line where there is one.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -350,6 +335,9 @@ def _parse_model(lines: list[str], path):
         momentum=momentum,
         class_ids=class_ids,
     )
+    if momentum != config.momentum:  # checked after the bank's own range check
+        at, raw = bank_kv["momentum"]
+        raise PlacedError(f"{at}: [bank] momentum={raw} does not match [config] momentum={config.momentum!r}")
 
     params = ModelParams.for_config(np.random.default_rng(0), config, len(class_ids))
     records = parse_records("\n".join(sections["params"][1]), {p.name: p.data.shape for p in params.parameters()})

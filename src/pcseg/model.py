@@ -363,8 +363,9 @@ def base_targets(labels, class_ids) -> np.ndarray:
 def episode_stream(pool, split: ClassSplit, phase: str, config, seed: int, n: int):
     """Episodes 0..n-1 of the phase's seeded stream at the config's way,
     shot, foreground floor and point cap; episode i is built from
-    `derive_seed(seed, stream, i)`. The phase picks the stream, so a
-    manifest of a phase lists what training or evaluation draws."""
+    `derive_seed(seed, stream, i)`. The phase picks the stream: `train`
+    is what `meta_train` draws at the config's seed, `test` what
+    `evaluate` scores at its `seed`."""
     stream = "episodes" if phase == "train" else "eval"
     for i in range(n):
         yield generate_episode(

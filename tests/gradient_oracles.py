@@ -144,7 +144,6 @@ def check_op(builder, seed: int, trials: int) -> float:
 def _end_to_end_setup(seed: int):
     """A tiny 1-way training episode plus freshly initialized parameters."""
     config = RunConfig(
-        seed=seed,
         dim=8,
         n_prototypes=4,
         hca_layers=2,

@@ -317,13 +317,6 @@ def test_cli_determinism(tmp_path):
             [out / "audit.txt"],
         ))
 
-        # episodes
-        pair(lambda out: (
-            main(["episodes", "--pool", scenes, "--config", str(cfg), "--n", "5",
-                  "--out", str(out / "episodes.manifest")]),
-            [out / "episodes.manifest"],
-        ))
-
         # train
         pair(lambda out: (
             main(["train", "--pool", scenes, "--config", str(cfg), "--out", str(out / "model.txt")]),

@@ -1,4 +1,4 @@
-"""CLI: exit codes, file outputs, byte determinism, manifest replay."""
+"""CLI: exit codes, file outputs, byte determinism."""
 
 import argparse
 
@@ -7,9 +7,7 @@ import pytest
 
 from pcseg import io as pio
 from pcseg import model as M
-from pcseg.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, load_pool, main
-from pcseg.config import RunConfig
-from pcseg.episodes import generate_episode, make_split
+from pcseg.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
 
 TINY_CONFIG = """\
 seed=4
@@ -55,7 +53,6 @@ def run_twice(tmp_path, argv_of):
 OPTIONS = {
     "synth": ["--out", "--seed", "--scenes", "--classes", "--blobs", "--points"],
     "audit": ["--cloud", "--fg-class", "--m", "--trials", "--seed", "--out"],
-    "episodes": ["--pool", "--config", "--seed", "--n", "--phase", "--fold", "--out"],
     "train": ["--pool", "--config", "--seed", "--fold", "--out"],
     "eval": ["--pool", "--model", "--episodes", "--seed", "--zero-bank", "--out"],
 }
@@ -70,6 +67,16 @@ def test_option_surface_is_pinned():
     assert got == OPTIONS
 
 
+def test_episodes_command_is_gone(scene_dir, tmp_path, capsys):
+    out = tmp_path / "episodes.manifest"
+    with pytest.raises(SystemExit) as exc:
+        main(["episodes", "--pool", str(scene_dir), "--n", "4", "--out", str(out)])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("pcseg: error: argument command: invalid choice: 'episodes'")
+    assert not out.exists()
+
+
 # Every `_int_at_least` flag, with the arguments its subcommand requires.
 INT_FLAGS = [
     (["synth", "--out", "OUT"], "--scenes"),
@@ -78,7 +85,6 @@ INT_FLAGS = [
     (["synth", "--out", "OUT"], "--points"),
     (["audit", "--cloud", "SCENE", "--fg-class", "1", "--out", "OUT"], "--m"),
     (["audit", "--cloud", "SCENE", "--fg-class", "1", "--out", "OUT"], "--trials"),
-    (["episodes", "--pool", "POOL", "--out", "OUT"], "--n"),
     (["eval", "--pool", "POOL", "--model", "MODEL", "--out", "OUT"], "--episodes"),
 ]
 
@@ -201,96 +207,6 @@ class TestAudit:
         assert one == two
 
 
-class TestEpisodes:
-    def test_manifest_line_count(self, scene_dir, config_path, tmp_path):
-        out = tmp_path / "episodes.manifest"
-        code = main(["episodes", "--pool", str(scene_dir), "--config", str(config_path),
-                     "--n", "10", "--out", str(out)])
-        assert code == EXIT_OK
-        assert len(out.read_text().strip().splitlines()) == 10
-
-    def test_zero_episodes_is_usage_error(self, scene_dir, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["episodes", "--pool", str(scene_dir), "--n", "0", "--out", str(tmp_path / "e.manifest")])
-        assert exc.value.code == EXIT_USAGE
-        assert "--n" in capsys.readouterr().err
-
-    def test_byte_deterministic(self, scene_dir, config_path, tmp_path):
-        one, two = run_twice(
-            tmp_path,
-            lambda out: ["episodes", "--pool", str(scene_dir), "--config", str(config_path),
-                         "--n", "6", "--seed", "9", "--out", out],
-        )
-        assert one == two
-
-    def test_manifest_replay_regenerates_identical_episodes(self, scene_dir, config_path, tmp_path):
-        out = tmp_path / "episodes.manifest"
-        assert main(["episodes", "--pool", str(scene_dir), "--config", str(config_path),
-                     "--n", "5", "--phase", "test", "--fold", "0", "--out", str(out)]) == EXIT_OK
-        config = RunConfig.from_file(config_path)
-        clouds, sources = load_pool([str(scene_dir)], config)
-        labels = sorted({int(c) for cloud in clouds for c in np.unique(cloud.labels) if c >= 0})
-        split = make_split(labels, 0)
-        for line in out.read_text().splitlines():
-            seed, targets, support, query = line.split("\t")
-            episode = generate_episode(
-                clouds, split, "test", config.n_way, config.k_shot,
-                config.min_fg_points, config.max_points, int(seed),
-            )
-            assert episode.target_classes == tuple(int(c) for c in targets.split(","))
-            got_support = tuple(
-                sources[j] for way in episode.support_indices for j in way
-            )
-            assert got_support == tuple(support.split(","))
-            assert sources[episode.query_index] == query
-
-    def test_train_manifest_lists_the_episodes_meta_train_draws(self, scene_dir, config_path, tmp_path,
-                                                                monkeypatch):
-        config = RunConfig.from_file(config_path)
-        out = tmp_path / "episodes.manifest"
-        assert main(["episodes", "--pool", str(scene_dir), "--config", str(config_path),
-                     "--n", str(config.episodes), "--phase", "train", "--fold", "1", "--out", str(out)]) == EXIT_OK
-        clouds, sources = load_pool([str(scene_dir)], config)
-        labels = sorted({int(c) for cloud in clouds for c in np.unique(cloud.labels) if c >= 0})
-        drawn = []
-
-        def spy(*args):
-            episode = generate_episode(*args)
-            drawn.append((args[-1], episode))
-            return episode
-
-        monkeypatch.setattr(M, "generate_episode", spy)
-        M.meta_train(clouds, make_split(labels, 1), config)
-        want = [
-            "\t".join([
-                str(seed),
-                ",".join(str(c) for c in episode.target_classes),
-                ",".join(sources[j] for way in episode.support_indices for j in way),
-                sources[episode.query_index],
-            ])
-            for seed, episode in drawn
-        ]
-        assert len(want) == config.episodes
-        assert out.read_text().splitlines() == want
-
-    def test_test_manifest_lists_the_episodes_eval_scores(self, scene_dir, config_path, tmp_path, monkeypatch):
-        model, out = tmp_path / "model.txt", tmp_path / "episodes.manifest"
-        assert main(["train", "--pool", str(scene_dir), "--config", str(config_path), "--fold", "0",
-                     "--out", str(model)]) == EXIT_OK
-        assert main(["episodes", "--pool", str(scene_dir), "--config", str(config_path), "--n", "4",
-                     "--phase", "test", "--fold", "0", "--seed", "5", "--out", str(out)]) == EXIT_OK
-        seeds = []
-
-        def spy(*args):
-            seeds.append(args[-1])
-            return generate_episode(*args)
-
-        monkeypatch.setattr(M, "generate_episode", spy)
-        assert main(["eval", "--pool", str(scene_dir), "--model", str(model), "--episodes", "4",
-                     "--seed", "5", "--out", str(tmp_path / "metrics.txt")]) == EXIT_OK
-        assert seeds == [int(line.split("\t")[0]) for line in out.read_text().splitlines()]
-
-
 class TestTrainEval:
     def test_train_writes_artifact(self, scene_dir, config_path, tmp_path):
         out = tmp_path / "model.txt"
@@ -343,6 +259,14 @@ class TestTrainEval:
         )
         assert one == two
 
+    @pytest.mark.parametrize("seed", [str(2**63), "99999999999999999999"])
+    def test_train_seed_beyond_int64_exits_64(self, scene_dir, config_path, tmp_path, capsys, seed):
+        out = tmp_path / "model.txt"
+        assert main(["train", "--pool", str(scene_dir), "--config", str(config_path), "--seed", seed,
+                     "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"pcseg: error: config field seed must be within int64, got {seed}\n"
+        assert not out.exists()
+
     def test_eval_without_model_exits_64(self, scene_dir, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--pool", str(scene_dir), "--out", str(tmp_path / "m.txt")])
@@ -383,25 +307,30 @@ class TestTrainEval:
         pytest.param("update_counts", lambda v: f"{v} {2**63}", id="update_counts-beyond-int64"),
         # byte 0xff (written through surrogateescape) opening line 2, which the message names
         pytest.param(2, lambda v: "\udcff" + v, id="line-2-not-utf-8"),
+        # in range, but not the [config] momentum (0.995) that save_model writes alongside it
+        pytest.param("momentum", lambda v: "momentum=0.25", id="bank-momentum-disagrees-with-config"),
     ])
     def test_corrupt_artifact_exits_2_with_one_line(self, scene_dir, config_path, tmp_path, capsys,
                                                      record, edit):
+        edited = []
+
         def corrupt(lines):
-            if record == "update_counts":
-                idx = next(i for i, l in enumerate(lines) if l.startswith("update_counts="))
-            elif record == 2:
+            if record == 2:
                 idx = 1
+            elif record in ("update_counts", "momentum"):  # a [bank] key=value line
+                idx = next(i for i in range(lines.index("[bank]"), len(lines)) if lines[i].startswith(f"{record}="))
             else:
                 idx = lines.index(record) + 2
             lines[idx] = edit(lines[idx])
+            edited.append(idx + 1)
 
         model = self._edited_model(scene_dir, config_path, tmp_path, corrupt)
         capsys.readouterr()
         assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(model) in err
-        if record == 2:
-            assert err.startswith(f"pcseg: {model}:2: ")
+        if record in (2, "momentum"):
+            assert err.startswith(f"pcseg: {model}:{edited[0]}: ")
         else:
             assert record in err
 
@@ -625,7 +554,7 @@ class TestTrainEval:
         assert not metrics.exists()
 
     @pytest.mark.parametrize("second", ["dir", "dir/scene_000.pcseg"])
-    @pytest.mark.parametrize("command", ["train", "eval", "episodes"])
+    @pytest.mark.parametrize("command", ["train", "eval"])
     def test_a_scene_named_twice_in_pool_exits_64(self, scene_dir, config_path, tmp_path, capsys, command, second):
         model = tmp_path / "model.txt"
         if command == "eval":
@@ -637,7 +566,6 @@ class TestTrainEval:
         argv = {
             "train": ["train", "--config", str(config_path)],
             "eval": ["eval", "--model", str(model), "--episodes", "2"],
-            "episodes": ["episodes", "--config", str(config_path), "--n", "2"],
         }[command]
         capsys.readouterr()
         assert main(argv + ["--pool", *pool, "--out", str(out)]) == EXIT_USAGE

@@ -1,4 +1,4 @@
-"""File formats: cloud round-trips, manifests, configs, model artifacts."""
+"""File formats: cloud round-trips, configs, model artifacts."""
 
 import dataclasses
 import math
@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import pcseg.io as pio
 from pcseg.config import PlacedError, RunConfig, format_pairs, parse_pairs
-from pcseg.episodes import Episode, make_split
+from pcseg.episodes import make_split
 from pcseg.model import BasePrototypeBank, ModelParams, forward, meta_train
 from pcseg.episodes import generate_episode
 from pcseg.synth import make_pool, synth_scene
@@ -110,27 +110,6 @@ class TestCloudFormat:
         assert a.read_bytes() == b.read_bytes()
 
 
-class TestManifest:
-    def test_round_trip(self, tmp_path):
-        sources = ["a.pcseg", "b.pcseg", "c.pcseg#1", "d.pcseg"]
-        episodes = [
-            Episode([], None, None, (3,), support_indices=[[0]], query_index=1, seed=12),
-            Episode([], None, None, (5, 7), support_indices=[[0], [2]], query_index=3, seed=13),
-        ]
-        path = tmp_path / "episodes.manifest"
-        pio.write_manifest(path, iter(episodes), sources)
-        assert path.read_bytes() == b"12\t3\ta.pcseg\tb.pcseg\n13\t5,7\ta.pcseg,c.pcseg#1\td.pcseg\n"
-        back = [
-            (int(seed), tuple(map(int, targets.split(","))), tuple(support.split(",")), query)
-            for seed, targets, support, query in (line.split("\t") for line in path.read_text().splitlines())
-        ]
-        assert back == [
-            (ep.seed, ep.target_classes, tuple(sources[j] for way in ep.support_indices for j in way),
-             sources[ep.query_index])
-            for ep in episodes
-        ]
-
-
 class TestSerialization:
     def test_round_trip_exact(self):
         rng = np.random.default_rng(23)
@@ -190,6 +169,11 @@ class TestRunConfig:
             RunConfig(momentum=1.5)
         with pytest.raises(ValueError, match="heads"):
             RunConfig(dim=10, heads=3)
+
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(RunConfig) if f.type == "int"])
+    def test_int_field_beyond_int64_rejected(self, key):
+        with pytest.raises(ValueError, match=rf"^config field {key} must be .*, got {2**63}$"):
+            RunConfig(**{key: 2**63})
 
     @pytest.mark.parametrize("key", ["lr", "grid_size", "block_size", "weight_decay"])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])

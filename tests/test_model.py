@@ -39,6 +39,26 @@ def episode_for(pool, split, config, seed=11, phase="train", n_way=1, k_shot=1):
     )
 
 
+def spy_episodes(monkeypatch):
+    """Record every episode that `model` builds from here on."""
+    from pcseg import model as M
+
+    drawn = []
+
+    def spy(*args):
+        drawn.append(generate_episode(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(M, "generate_episode", spy)
+    return drawn
+
+
+def episode_key(episode):
+    """What fixes an episode: its seed, targets, pool entries and capped query points."""
+    return (episode.seed, episode.target_classes, episode.support_indices, episode.query_index,
+            episode.query.positions.tobytes())
+
+
 class TestBackboneStub:
     def test_identical_points_identical_rows(self):
         pos = np.array([[0.1, 0.2, 0.3], [0.1, 0.2, 0.3], [0.5, 0.5, 0.5]])
@@ -449,6 +469,15 @@ class TestMetaTrain:
         assert (result.bank.prototypes == 0).all()
         assert result.losses == []
 
+    def test_draws_the_train_stream(self, pool8, split8, fast_config, monkeypatch):
+        from pcseg import model as M
+
+        config = RunConfig(**{**fast_config.__dict__, "episodes": 3})
+        want = [episode_key(ep) for ep in M.episode_stream(pool8, split8, "train", config, config.seed, config.episodes)]
+        drawn = spy_episodes(monkeypatch)
+        meta_train(pool8, split8, config)
+        assert [episode_key(ep) for ep in drawn] == want
+
     def test_loss_trends_down_over_200_episodes(self, pool8, split8, fast_config):
         config = RunConfig(**{**fast_config.__dict__, "episodes": 200})
         result = meta_train(pool8, split8, config)
@@ -516,6 +545,17 @@ class TestEvaluate:
         assert result.n_episodes == 4
         assert set(result.per_class) <= set(split8.test_classes)
         assert all(iou == 1.0 for iou in result.per_class.values())
+
+    def test_scores_the_test_stream(self, pool8, split8, fast_config, monkeypatch):
+        from pcseg import model as M
+
+        trained = meta_train(pool8, split8, fast_config)
+        seed = fast_config.seed + 3  # the argument picks the stream, not the config's seed
+        want = [episode_key(ep) for ep in M.episode_stream(pool8, split8, "test", fast_config, seed, 4)]
+        drawn = spy_episodes(monkeypatch)
+        result = M.evaluate(pool8, split8, trained.params, trained.bank, fast_config, 4, seed)
+        assert [episode_key(ep) for ep in drawn] == want
+        assert result.n_episodes == 4
 
     def test_non_finite_logits_raise(self, pool8, split8, fast_config, monkeypatch):
         from pcseg import model as M
