@@ -93,8 +93,11 @@ def load_pool(pool_args, config: RunConfig):
     """
     clouds, sources = [], []
     for path in _pool_paths(pool_args):
-        scene = grid_subsample(pio.read_cloud(path), config.grid_size)
-        blocks = split_blocks(scene, config.block_size)
+        scene = pio.read_cloud(path)
+        try:
+            blocks = split_blocks(grid_subsample(scene, config.grid_size), config.block_size)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         for i, block in enumerate(blocks):
             clouds.append(block)
             sources.append(path if len(blocks) == 1 else f"{path}#{i}")
@@ -126,9 +129,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    clouds = [pio.read_cloud(path) for path in args.cloud]
+    if not any((cloud.labels == args.fg_class).any() for cloud in clouds):
+        raise ValueError(f"{', '.join(args.cloud)}: no point has class {args.fg_class}")
     blocks = []
-    for path in args.cloud:
-        cloud = pio.read_cloud(path)
+    for path, cloud in zip(args.cloud, clouds):
         for sampler in ("biased", "uniform"):
             report = leakage_audit(
                 cloud, args.fg_class, args.m, sampler, args.trials,
@@ -211,7 +216,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("audit", help="foreground-density audit of both samplers")
     p.add_argument("--cloud", required=True, nargs="+", help="input .pcseg file(s)")
-    p.add_argument("--fg-class", required=True, type=int, dest="fg_class")
+    p.add_argument("--fg-class", required=True, type=_int_at_least(0), dest="fg_class")
     p.add_argument("--m", type=_int_at_least(1), default=2048, help="points per draw")
     p.add_argument("--trials", type=_int_at_least(1), default=1000)
     p.add_argument("--seed", type=int, default=0)
@@ -252,7 +257,7 @@ def main(argv=None) -> int:
     except M.NonFiniteLossError as exc:
         sys.stderr.write(f"pcseg: numeric failure: {exc}\n")
         return EXIT_NUMERIC
-    except (OSError, ValueError, PoolExhaustedError) as exc:
+    except (OSError, ValueError, PoolExhaustedError, MemoryError) as exc:
         sys.stderr.write(f"pcseg: {exc}\n")
         return EXIT_IO
 

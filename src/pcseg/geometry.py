@@ -75,9 +75,7 @@ def grid_subsample(cloud: PointCloud, grid_size: float) -> PointCloud:
     ascending voxel key (x, then y, then z), which makes the operation
     idempotent. One stable sort of the keys: O(N log N).
     """
-    if grid_size <= 0:
-        raise ValueError(f"grid_size must be positive, got {grid_size}")
-    keys = np.floor(cloud.positions / grid_size).astype(np.int64)
+    keys = _cell_index(cloud.positions, grid_size, "grid_size")
     # A stable sort keeps equal keys in input order, so the first row of
     # each run of equal keys is the lowest original index in that voxel.
     order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
@@ -92,12 +90,22 @@ def split_blocks(cloud: PointCloud, block_size: float) -> list[PointCloud]:
     points keep their relative order inside each block. One stable sort
     of the cells: O(N log N).
     """
-    if block_size <= 0:
-        raise ValueError(f"block_size must be positive, got {block_size}")
-    cells = np.floor(cloud.positions[:, :2] / block_size).astype(np.int64)
+    cells = _cell_index(cloud.positions[:, :2], block_size, "block_size")
     order = np.lexsort((cells[:, 1], cells[:, 0]))
     starts = np.flatnonzero(_run_starts(cells[order]))
     return [cloud.take(member) for member in np.split(order, starts[1:])]
+
+
+def _cell_index(coords: np.ndarray, size: float, name: str) -> np.ndarray:
+    """floor(coords / size) as int64; ValueError if `size` is not positive
+    or puts an index outside int64, where the cast would wrap silently."""
+    if size <= 0:
+        raise ValueError(f"{name} must be positive, got {size}")
+    with np.errstate(over="ignore"):
+        cells = np.floor(coords / size)
+    if not (cells.min() >= -2.0**63 and cells.max() < 2.0**63):
+        raise ValueError(f"{name}={size!r} puts a cell index outside int64")
+    return cells.astype(np.int64)
 
 
 def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:

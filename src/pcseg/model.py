@@ -9,8 +9,8 @@ stacked refinement layers run linear attention first across query
 points, then across classes, recalibrating the background slice each
 time with guidance from momentum-learned prototypes of the training
 classes; a per-point decoder turns the refined tensor into segmentation
-logits, and a separate head predicts training-class membership from the
-raw query features.
+logits. In training only, a separate head predicts training-class
+membership from the raw query features.
 
 Prototypes for the training classes are non-parametric: zero-initialized
 rows updated by masked average pooling with momentum, the first update
@@ -288,7 +288,10 @@ def apply_refine_layer(corr: Tensor, guide: Tensor, lp: RefineLayerParams) -> Te
 # forward / loss
 # ---------------------------------------------------------------------------
 
-def _forward_parts(episode: Episode, params: ModelParams, bank: BasePrototypeBank, phase: str):
+def forward(episode: Episode, params: ModelParams, bank: BasePrototypeBank, phase: str):
+    """Segmentation logits (N_Q x (n_way+1), background first) and the
+    backbone features of the episode's clouds: every support shot, way by
+    way, then the query last."""
     if phase not in ("train", "test"):
         raise ValueError(f"phase must be 'train' or 'test', got {phase!r}")
     support_feats = [
@@ -325,20 +328,7 @@ def _forward_parts(episode: Episode, params: ModelParams, bank: BasePrototypeBan
     # Tensor class order is (ways..., background); ground truth uses 0 for
     # background, so move the background column to the front.
     seg_logits = T.concat([T.narrow(decoded, 1, n_c - 1, 1), T.narrow(decoded, 1, 0, n_c - 1)], axis=1)
-    base_logits = T.mlp_forward(query_features, params.base_head)
-
-    aux = {
-        "query_features": query_features,
-        "support_features": support_feats,
-    }
-    return seg_logits, base_logits, aux
-
-
-def forward(episode: Episode, params: ModelParams, bank: BasePrototypeBank, phase: str):
-    """Segmentation logits (N_Q x (n_way+1), background first) and
-    training-class logits (N_Q x (n_base+1))."""
-    seg_logits, base_logits, _ = _forward_parts(episode, params, bank, phase)
-    return seg_logits, base_logits
+    return seg_logits, all_feats + [query_features]
 
 
 def loss(seg_logits: Tensor, base_logits: Tensor, query_gt, base_gt) -> Tensor:
@@ -381,22 +371,20 @@ class TrainResult:
     losses: list[float] = field(default_factory=list)
 
 
-def _update_bank_from_episode(bank: BasePrototypeBank, episode: Episode, aux) -> None:
+def _update_bank_from_episode(bank: BasePrototypeBank, episode: Episode, features) -> None:
     """One momentum step per training class present in the episode.
 
-    Each cloud (every support shot plus the query) contributes one masked
-    average; a class seen in several clouds gets their plain average
-    before the single momentum step.
+    Each cloud (every support shot plus the query, in `forward`'s feature
+    order) contributes one masked average; a class seen in several clouds
+    gets their plain average before the single momentum step.
     """
     clouds = [cloud for way in episode.support for cloud, _ in way] + [episode.query]
-    feats = [f.data for shots in aux["support_features"] for f in shots]
-    feats.append(aux["query_features"].data)
     for class_id in bank.class_ids:
         pooled = []
-        for cloud, feat in zip(clouds, feats):
+        for cloud, feat in zip(clouds, features):
             mask = cloud.labels == class_id
             if mask.any():
-                pooled.append(feat[mask].mean(axis=0))
+                pooled.append(feat.data[mask].mean(axis=0))
         if pooled:
             bank.apply_update(class_id, np.mean(pooled, axis=0))
 
@@ -405,10 +393,11 @@ def meta_train(pool, split: ClassSplit, config) -> TrainResult:
     """Episodic training on the train half of the split.
 
     Per episode: forward in train phase (guidance excludes the episode's
-    targets), backprop the summed cross-entropy, one AdamW step, then a
-    bank update from the support and query features. Raises
-    NonFiniteLossError with the episode index if the loss or a gradient
-    degenerates; a bad gradient leaves the parameters untouched.
+    targets), the base head on the query features, backprop the summed
+    cross-entropy, one AdamW step, then a bank update from the support
+    and query features. Raises NonFiniteLossError with the episode index
+    if the loss or a gradient degenerates; a bad gradient leaves the
+    parameters untouched.
     """
     rng = np.random.default_rng(derive_seed(config.seed, "init"))
     params = ModelParams.for_config(rng, config, len(split.train_classes))
@@ -417,7 +406,8 @@ def meta_train(pool, split: ClassSplit, config) -> TrainResult:
     losses: list[float] = []
     episodes = episode_stream(pool, split, "train", config, config.seed, config.episodes)
     for i, episode in enumerate(episodes):
-        seg_logits, base_logits, aux = _forward_parts(episode, params, bank, "train")
+        seg_logits, features = forward(episode, params, bank, "train")
+        base_logits = T.mlp_forward(features[-1], params.base_head)
         step_loss = loss(seg_logits, base_logits, episode.query_gt, base_targets(episode.query.labels, bank.class_ids))
         value = float(step_loss.data)
         if not math.isfinite(value):
@@ -428,7 +418,7 @@ def meta_train(pool, split: ClassSplit, config) -> TrainResult:
             opt.step()
         except T.NonFiniteGradientError as exc:
             raise NonFiniteLossError(f"episode {i}: {exc}") from None
-        _update_bank_from_episode(bank, episode, aux)
+        _update_bank_from_episode(bank, episode, features)
         losses.append(value)
     return TrainResult(params=params, bank=bank, losses=losses)
 
@@ -491,7 +481,7 @@ def evaluate(
     def predictions():
         for i, episode in enumerate(episode_stream(pool, split, "test", config, seed, n_episodes)):
             with T.no_grad():
-                seg_logits, _ = forward(episode, params, bank, "test")
+                seg_logits = forward(episode, params, bank, "test")[0]
             if not np.isfinite(seg_logits.data).all():
                 raise NonFiniteLossError(f"episode {i}: segmentation logits are not finite")
             yield seg_logits.data.argmax(axis=1), episode

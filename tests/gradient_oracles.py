@@ -171,7 +171,8 @@ def _end_to_end_setup(seed: int):
     base_gt = M.base_targets(episode.query.labels, bank.class_ids)
 
     def op(*_params):
-        seg_logits, base_logits = M.forward(episode, params, bank, "train")
+        seg_logits, features = M.forward(episode, params, bank, "train")
+        base_logits = T.mlp_forward(features[-1], params.base_head)
         return M.loss(seg_logits, base_logits, episode.query_gt, base_gt)
 
     return op, params.parameters()

@@ -419,7 +419,8 @@ def test_meta_train_matches_reference_kernels(monkeypatch):
 
 
 def _episode_loss(params, bank, episode):
-    seg_logits, base_logits, _ = M._forward_parts(episode, params, bank, "train")
+    seg_logits, features = M.forward(episode, params, bank, "train")
+    base_logits = T.mlp_forward(features[-1], params.base_head)
     return M.loss(seg_logits, base_logits, episode.query_gt, M.base_targets(episode.query.labels, bank.class_ids))
 
 
@@ -470,9 +471,9 @@ def test_evaluate_matches_a_recorded_forward(monkeypatch):
     real_forward = M.forward
 
     def keep_logits(*args):
-        seg_logits, base_logits = real_forward(*args)
+        seg_logits, features = real_forward(*args)
         logits.append(seg_logits)
-        return seg_logits, base_logits
+        return seg_logits, features
 
     monkeypatch.setattr(M, "forward", keep_logits)
     fast = M.evaluate(pool, split, trained.params, trained.bank, config, 5, 11)
@@ -543,9 +544,9 @@ def test_evaluate_with_row_blocks_matches_reference(monkeypatch):
     real_forward = M.forward
 
     def keep_logits(*args):
-        seg_logits, base_logits = real_forward(*args)
+        seg_logits, features = real_forward(*args)
         logits.append(seg_logits.data)
-        return seg_logits, base_logits
+        return seg_logits, features
 
     monkeypatch.setattr(M, "forward", keep_logits)
     blocked = _count_blocked_products(monkeypatch)

@@ -197,6 +197,24 @@ class TestAudit:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and flag in err
 
+    @pytest.mark.parametrize("value", ["-1", "9223372036854775808"])
+    def test_bad_fg_class_is_usage_error(self, scene_dir, capsys, value):
+        scene = str(sorted(scene_dir.glob("*.pcseg"))[0])
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "--cloud", scene, "--fg-class", value])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--fg-class" in err
+
+    def test_absent_fg_class_exits_2(self, scene_dir, tmp_path, capsys):
+        scene = str(sorted(scene_dir.glob("*.pcseg"))[0])
+        out = tmp_path / "r.txt"
+        code = main(["audit", "--cloud", scene, "--fg-class", "77", "--m", "16", "--trials", "2",
+                     "--out", str(out)])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == f"pcseg: {scene}: no point has class 77\n"
+        assert not out.exists()
+
     def test_byte_deterministic(self, scene_dir, tmp_path):
         scene = str(sorted(scene_dir.glob("*.pcseg"))[0])
         one, two = run_twice(
@@ -470,6 +488,24 @@ class TestTrainEval:
         assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"pcseg: {model}: config field {key} must be ")
+
+    def test_cell_index_outside_int64_exits_2_naming_the_scene(self, scene_dir, tmp_path, capsys):
+        scene = sorted(scene_dir.glob("*.pcseg"))[0]
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CONFIG + "grid_size=1e-300\n")
+        code = main(["train", "--pool", str(scene), "--config", str(cfg), "--out", str(tmp_path / "m.txt")])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == f"pcseg: {scene}: grid_size=1e-300 puts a cell index outside int64\n"
+
+    def test_impossible_allocation_exits_2(self, scene_dir, tmp_path, capsys):
+        cfg = tmp_path / "huge.cfg"
+        # A (10**15, 8) projection exceeds any 48-bit address space, so no host can overcommit it.
+        cfg.write_text(TINY_CONFIG.replace("n_prototypes=4", f"n_prototypes={10**15}"))
+        code = main(["train", "--pool", str(scene_dir), "--config", str(cfg), "--out", str(tmp_path / "m.txt")])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("pcseg: ") and "allocate" in err
+        assert not (tmp_path / "m.txt").exists()
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_eval_episode_count_below_one_is_usage_error(self, scene_dir, tmp_path, capsys, count):

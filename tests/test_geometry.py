@@ -135,6 +135,16 @@ class TestGridSubsample:
         with pytest.raises(ValueError):
             grid_subsample(cloud, 0.0)
 
+    @pytest.mark.parametrize("size", [1e-19, 1e-300])
+    def test_rejects_cell_index_outside_int64(self, size):
+        cloud = random_cloud(np.random.default_rng(14), 1000)  # a 2 m cube
+        with pytest.raises(ValueError, match="outside int64"):
+            grid_subsample(cloud, size)
+
+    def test_smallest_cells_that_fit_int64_keep_every_point(self):
+        cloud = random_cloud(np.random.default_rng(14), 1000)
+        assert len(grid_subsample(cloud, 1e-18)) == 1000
+
 
 # ---------------------------------------------------------------------------
 # split_blocks
@@ -168,6 +178,12 @@ class TestSplitBlocks:
         cloud = cloud_from_positions([(0, 0, 0)])
         with pytest.raises(ValueError):
             split_blocks(cloud, -1.0)
+
+    @pytest.mark.parametrize("size", [1e-19, 1e-300])
+    def test_rejects_cell_index_outside_int64(self, size):
+        cloud = random_cloud(np.random.default_rng(15), 1000)
+        with pytest.raises(ValueError, match="outside int64"):
+            split_blocks(cloud, size)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pcseg.io as pio
+import pcseg.tensor as T
 from pcseg.config import PlacedError, RunConfig, format_pairs, parse_pairs
 from pcseg.episodes import make_split
 from pcseg.model import BasePrototypeBank, ModelParams, forward, meta_train
@@ -350,9 +351,11 @@ class TestModelArtifact:
         assert bank2.class_ids == result.bank.class_ids
 
         episode = generate_episode(pool, split, "test", 1, 1, 20, 128, 99)
-        seg_a, base_a = forward(episode, result.params, result.bank, "test")
-        seg_b, base_b = forward(episode, params2, bank2, "test")
+        seg_a, features_a = forward(episode, result.params, result.bank, "test")
+        seg_b, features_b = forward(episode, params2, bank2, "test")
         assert (seg_a.data == seg_b.data).all()
+        base_a = T.mlp_forward(features_a[-1], result.params.base_head)
+        base_b = T.mlp_forward(features_b[-1], params2.base_head)
         assert (base_a.data == base_b.data).all()
 
     def test_artifact_byte_stable(self, tmp_path):

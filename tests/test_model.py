@@ -225,9 +225,8 @@ class TestBasePrototypeBank:
         support = PointCloud(rng.uniform(size=(10, 3)), rng.uniform(size=(10, 3)), support_labels)
         query = PointCloud(rng.uniform(size=(6, 3)), rng.uniform(size=(6, 3)), query_labels)
         episode = Episode([[(support, support_labels == 3)]], query, (query_labels == 3).astype(np.int64), (3,))
-        aux = {"support_features": [[Tensor(support_feats)]], "query_features": Tensor(query_feats)}
         bank = BasePrototypeBank.zeros([1, 2], 4, momentum=0.9)
-        _update_bank_from_episode(bank, episode, aux)
+        _update_bank_from_episode(bank, episode, [Tensor(support_feats), Tensor(query_feats)])
         # class 1: one masked average per cloud, then their plain average
         want = np.mean([support_feats[:4].mean(axis=0), query_feats[[1, 4]].mean(axis=0)], axis=0)
         np.testing.assert_allclose(bank.prototypes[0], want, rtol=1e-12)
@@ -375,8 +374,11 @@ class TestForwardAndLoss:
         bank = BasePrototypeBank.zeros(split8.train_classes, 16, 0.995)
         for n_way, want_cols in ((1, 2), (2, 3)):
             ep = episode_for(pool8, split8, fast_config, seed=40 + n_way, n_way=n_way)
-            seg, base = forward(ep, params, bank, "train")
+            seg, features = forward(ep, params, bank, "train")
             assert seg.shape == (len(ep.query), want_cols)
+            clouds = [cloud for way in ep.support for cloud, _ in way] + [ep.query]
+            assert [f.shape for f in features] == [(len(cloud), 16) for cloud in clouds]
+            base = T.mlp_forward(features[-1], params.base_head)
             assert base.shape == (len(ep.query), len(split8.train_classes) + 1)
 
     def test_same_params_serve_both_way_counts(self, pool8, split8, fast_config):
@@ -389,10 +391,10 @@ class TestForwardAndLoss:
         params = ModelParams.create(rng, 16, 6, 2, 1, n_base=4)
         bank = BasePrototypeBank.zeros(split8.train_classes, 16, 0.995)
         ep = episode_for(pool8, split8, fast_config, seed=50)
-        a_seg, a_base = forward(ep, params, bank, "train")
-        b_seg, b_base = forward(ep, params, bank, "train")
+        a_seg, a_features = forward(ep, params, bank, "train")
+        b_seg, b_features = forward(ep, params, bank, "train")
         assert (a_seg.data == b_seg.data).all()
-        assert (a_base.data == b_base.data).all()
+        assert all((a.data == b.data).all() for a, b in zip(a_features, b_features))
 
     def test_forward_query_permutation_equivariant(self, pool8, split8, fast_config):
         rng = np.random.default_rng(25)
@@ -564,9 +566,9 @@ class TestEvaluate:
         real_forward = M.forward
 
         def nan_forward(*args, **kwargs):
-            seg, base = real_forward(*args, **kwargs)
+            seg, features = real_forward(*args, **kwargs)
             seg.data[0, 0] = np.nan
-            return seg, base
+            return seg, features
 
         monkeypatch.setattr(M, "forward", nan_forward)
         with pytest.raises(M.NonFiniteLossError, match="episode 0: segmentation logits"):
@@ -580,9 +582,9 @@ class TestEvaluate:
         real_forward = M.forward
 
         def keep(*args, **kwargs):
-            seg, base = real_forward(*args, **kwargs)
-            kept.append((seg, base))
-            return seg, base
+            seg, features = real_forward(*args, **kwargs)
+            kept.append((seg, features))
+            return seg, features
 
         made = {"nodes": 0, "closures": 0}
         real_init = T.Tensor.__init__
@@ -596,10 +598,28 @@ class TestEvaluate:
         monkeypatch.setattr(T.Tensor, "__init__", counting_init)
         M.evaluate(pool8, split8, result.params, result.bank, fast_config, 3, seed=1)
         assert len(kept) == 3
-        for seg, base in kept:
-            assert seg._backward is None and seg._parents == ()
-            assert base._backward is None and base._parents == ()
+        for seg, features in kept:
+            for t in [seg, *features]:
+                assert t._backward is None and t._parents == ()
         assert made["nodes"] > 100 and made["closures"] == 0
+
+    def test_base_head_runs_only_in_training(self, pool8, split8, fast_config, monkeypatch):
+        from pcseg import model as M
+
+        heads = []
+        real_mlp = T.mlp_forward
+
+        def spy(t, params):
+            heads.append(params)
+            return real_mlp(t, params)
+
+        monkeypatch.setattr(T, "mlp_forward", spy)
+        config = RunConfig(**{**fast_config.__dict__, "episodes": 3})
+        trained = meta_train(pool8, split8, config)
+        assert sum(p is trained.params.base_head for p in heads) == 3
+        heads.clear()
+        M.evaluate(pool8, split8, trained.params, trained.bank, config, 4, seed=1)
+        assert heads and not any(p is trained.params.base_head for p in heads)
 
     @pytest.mark.parametrize("where", ["logits", "forward"])
     def test_graph_recording_returns_after_a_failure(self, pool8, split8, fast_config, monkeypatch, where):
@@ -618,6 +638,7 @@ class TestEvaluate:
         bank = BasePrototypeBank.zeros(split8.train_classes, fast_config.dim, fast_config.momentum)
         with np.errstate(all="ignore"), pytest.raises(M.NonFiniteLossError):
             M.evaluate(pool8, split8, params, bank, fast_config, 2, seed=1)
+        monkeypatch.undo()  # meta_train runs the same `forward`
         x = Tensor(np.ones(2))
         assert T.add(x, x)._backward is not None
         again = meta_train(pool8, split8, config)  # without a graph, no gradient would reach the parameters
