@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Subcommands: synth, audit, train, eval. Every command takes --seed and
-produces byte-deterministic outputs for a fixed seed. Exit codes: 0
+Subcommands: synth, audit, train, eval. synth, audit and eval take
+--seed; train reads every setting, its seed included, from its --config
+file. Outputs are byte-deterministic for fixed inputs. Exit codes: 0
 success, 2 I/O failure, 64 usage error, 70 internal numeric failure.
 """
 
@@ -50,18 +51,6 @@ def _int_at_least(low: int):
         return value
 
     return parse
-
-
-def _load_config(args) -> RunConfig:
-    """The --config file (or the defaults) with --seed applied."""
-    try:
-        config = RunConfig.from_file(args.config) if args.config else RunConfig()
-        if args.seed is not None:
-            config.seed = args.seed
-            config.validate()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    return config
 
 
 def _pool_paths(pool_args) -> list[str]:
@@ -150,7 +139,10 @@ def cmd_audit(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args)
+    try:
+        config = RunConfig.from_file(args.config)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     clouds, _ = load_pool(args.pool, config)
     classes = _pool_classes(clouds)
     split = make_split(classes, args.fold)
@@ -225,8 +217,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="meta-train on a scene pool")
     p.add_argument("--pool", required=True, nargs="+")
-    p.add_argument("--config", help="config file")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--config", required=True, help="config file; its seed= line seeds the run")
     p.add_argument("--fold", type=int, choices=(0, 1), default=0)
     p.add_argument("--out", required=True, help="model artifact path")
     p.set_defaults(func=cmd_train)

@@ -57,13 +57,14 @@ def _int64(raw: str) -> int:
     return value
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Every knob of the pipeline, with desk-scale defaults.
 
     `max_points` is the per-cloud cap applied when building episodes;
     `episodes` is the training episode count; `momentum` drives the
-    training-class prototype updates.
+    training-class prototype updates. Every field is checked once, at
+    construction, and none can change after that.
     """
 
     seed: int = 0
@@ -83,9 +84,6 @@ class RunConfig:
     heads: int = 1
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         checks = [
             ("seed", self.seed >= 0, ">= 0"),
             ("grid_size", self.grid_size > 0, "> 0"),

@@ -88,7 +88,7 @@ def read_cloud(path) -> PointCloud:
 def _header_count(line: str) -> int:
     header = line.rstrip("\r\n")
     magic, _, count = header.rpartition(" ")
-    if magic != CLOUD_MAGIC or not count.isdigit() or int(count) < 1:
+    if magic != CLOUD_MAGIC or not (count.isascii() and count.isdigit()) or int(count) < 1:
         raise ValueError(f"not a '{CLOUD_MAGIC} <count>' header with a count >= 1: {header!r}")
     return int(count)
 
@@ -304,9 +304,9 @@ def _parse_model(lines: list[str], path):
             raise ValueError(f"missing [{needed}] section")
 
     meta = _section_pairs(path, "meta", *sections["meta"], ("fold", "classes", "share_background_fc"))
-    _, shared_fc = meta.pop("share_background_fc", (None, "0"))
+    at, shared_fc = meta.pop("share_background_fc", (None, "0"))
     if shared_fc != "0":
-        raise ValueError(f"[meta] share_background_fc must be 0 (no shared background layer), got {shared_fc!r}")
+        raise PlacedError(f"{at}: [meta] share_background_fc must be 0 (no shared background layer), got {shared_fc!r}")
     fold = _section_value("meta", meta, "fold", int)
     if fold not in (0, 1):
         at, raw = meta["fold"]
@@ -323,11 +323,13 @@ def _parse_model(lines: list[str], path):
     counts = _section_value("bank", bank_kv, "update_counts",
                             lambda v: np.array([int(c) for c in v.split()], dtype=np.int64))
     if counts.shape != (len(class_ids),) or (counts < 0).any():
-        raise ValueError(
-            f"[bank] update_counts needs {len(class_ids)} non-negative entries, one per class id, "
-            f"got {bank_kv['update_counts'][1]!r}"
-        )
+        at, raw = bank_kv["update_counts"]
+        raise PlacedError(f"{at}: [bank] update_counts needs {len(class_ids)} non-negative entries, "
+                          f"one per class id, got {raw!r}")
     momentum = _section_value("bank", bank_kv, "momentum", float)
+    if momentum != config.momentum:  # [config]'s is in [0, 1], so this also rejects one out of range
+        at, raw = bank_kv["momentum"]
+        raise PlacedError(f"{at}: [bank] momentum={raw} does not match [config] momentum={config.momentum!r}")
     prototypes = parse_records("\n".join(bank_lines[n_pairs:]), {"prototypes": (len(class_ids), config.dim)})
     bank = BasePrototypeBank(
         prototypes=prototypes["prototypes"],
@@ -335,9 +337,6 @@ def _parse_model(lines: list[str], path):
         momentum=momentum,
         class_ids=class_ids,
     )
-    if momentum != config.momentum:  # checked after the bank's own range check
-        at, raw = bank_kv["momentum"]
-        raise PlacedError(f"{at}: [bank] momentum={raw} does not match [config] momentum={config.momentum!r}")
 
     params = ModelParams.for_config(np.random.default_rng(0), config, len(class_ids))
     records = parse_records("\n".join(sections["params"][1]), {p.name: p.data.shape for p in params.parameters()})

@@ -1,6 +1,8 @@
 """CLI: exit codes, file outputs, byte determinism."""
 
 import argparse
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,7 +55,7 @@ def run_twice(tmp_path, argv_of):
 OPTIONS = {
     "synth": ["--out", "--seed", "--scenes", "--classes", "--blobs", "--points"],
     "audit": ["--cloud", "--fg-class", "--m", "--trials", "--seed", "--out"],
-    "train": ["--pool", "--config", "--seed", "--fold", "--out"],
+    "train": ["--pool", "--config", "--fold", "--out"],
     "eval": ["--pool", "--model", "--episodes", "--seed", "--zero-bank", "--out"],
 }
 
@@ -65,6 +67,22 @@ def test_option_surface_is_pinned():
         for name, p in sub.choices.items()
     }
     assert got == OPTIONS
+
+
+def _readme_commands():
+    """Every line of a README code block that starts `pcseg `."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = text.split("```")[1::2]
+    return [line.strip() for block in blocks for line in block.splitlines() if line.strip().startswith("pcseg ")]
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_parses(line):
+    build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_readme_documents_every_command():
+    assert {line.split()[1] for line in _readme_commands()} == set(OPTIONS)
 
 
 def test_episodes_command_is_gone(scene_dir, tmp_path, capsys):
@@ -173,6 +191,8 @@ class TestAudit:
         (8, "0.1 0.2 0.3 0.5 0.5 0.5 -5"),
         (3, "1_0 0 0 0.5 0.5 0.5 1"),  # Python's float reads these two; np.loadtxt does not
         (3, "\uff11 0 0 0.5 0.5 0.5 1"),  # a full-width digit one
+        (1, "PCSEG v1 \u0665"),  # `str.isdigit` takes these two; the header count is ASCII digits
+        (1, "PCSEG v1 \u00b2"),
     ])
     def test_bad_cloud_exits_2_naming_path_and_line(self, scene_dir, tmp_path, capsys, lineno, row):
         lines = (sorted(scene_dir.glob("*.pcseg"))[0]).read_text().splitlines()
@@ -187,6 +207,8 @@ class TestAudit:
         assert code == EXIT_IO
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"pcseg: {bad}:{lineno}: ")
+        if lineno == 1:
+            assert "not a 'PCSEG v1 <count>' header" in err
 
     @pytest.mark.parametrize("flag", ["--m", "--trials"])
     def test_zero_count_is_usage_error(self, scene_dir, capsys, flag):
@@ -277,12 +299,20 @@ class TestTrainEval:
         )
         assert one == two
 
-    @pytest.mark.parametrize("seed", [str(2**63), "99999999999999999999"])
-    def test_train_seed_beyond_int64_exits_64(self, scene_dir, config_path, tmp_path, capsys, seed):
+    # a training run's settings come from its --config file alone
+    @pytest.mark.parametrize("extra, message", [
+        ([], "the following arguments are required: --config"),
+        (["--config", "CONFIG", "--seed", "3"], "unrecognized arguments: --seed 3"),
+    ], ids=["no-config", "seed-flag"])
+    def test_train_without_config_or_with_seed_exits_64(self, scene_dir, config_path, tmp_path, capsys,
+                                                         extra, message):
         out = tmp_path / "model.txt"
-        assert main(["train", "--pool", str(scene_dir), "--config", str(config_path), "--seed", seed,
-                     "--out", str(out)]) == EXIT_USAGE
-        assert capsys.readouterr().err == f"pcseg: error: config field seed must be within int64, got {seed}\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--pool", str(scene_dir), "--out", str(out)]
+                 + [str(config_path) if a == "CONFIG" else a for a in extra])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith(f": error: {message}\n")
         assert not out.exists()
 
     def test_eval_without_model_exits_64(self, scene_dir, tmp_path, capsys):

@@ -61,6 +61,9 @@ class TestCloudFormat:
         (3, "0.1 0.2 0.3 0.5 0.5 0.5 one", "cannot read '0.1 0.2 0.3 0.5 0.5 0.5 one' as 7 numbers"),
         (22, "0.1 0.2 0.3 0.5 0.5 0.5 1", "more rows than the header's count 20"),
         (1, "PCSEG v1 0", "not a 'PCSEG v1 <count>' header with a count >= 1: 'PCSEG v1 0'"),
+        # digits that `str.isdigit` takes: an Arabic-Indic five, which `int` reads, and a superscript two
+        (1, "PCSEG v1 \u0665", "not a 'PCSEG v1 <count>' header with a count >= 1: 'PCSEG v1 \u0665'"),
+        (1, "PCSEG v1 \u00b2", "not a 'PCSEG v1 <count>' header with a count >= 1: 'PCSEG v1 \u00b2'"),
         (3, "1_0 0.2 0.3 0.5 0.5 0.5 1", "cannot read '1_0 0.2 0.3 0.5 0.5 0.5 1' as 7 numbers"),
         (3, "\uff11 0.2 0.3 0.5 0.5 0.5 1", "cannot read '\uff11 0.2 0.3 0.5 0.5 0.5 1' as 7 numbers"),
         (3, "0.1 0.2 0.3\r0.5 0.5 0.5 1", "expected 7 fields, got 3"),  # a lone CR ends a line
@@ -162,6 +165,12 @@ class TestRunConfig:
         with pytest.raises(ValueError) as exc:
             RunConfig.from_file(path)
         assert str(exc.value).startswith(f"{path}: not UTF-8 text")
+
+    def test_frozen_after_validation(self):
+        config = RunConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.seed = 2**63
+        assert config.seed == 0 and not hasattr(RunConfig, "validate")
 
     def test_range_validation(self):
         with pytest.raises(ValueError, match="grid_size"):
@@ -404,7 +413,7 @@ class TestModelArtifact:
         idx = lines.index("update_counts=1 0")
         lines[idx] = "update_counts=1"
         path = self._load_broken(tmp_path, lines)
-        with pytest.raises(ValueError, match=rf"{path}: \[bank\] update_counts needs 2"):
+        with pytest.raises(ValueError, match=rf"^{path}:{idx + 1}: \[bank\] update_counts needs 2 .*, got '1'$"):
             pio.load_model(path)
 
     def test_non_finite_parameter_rejected(self, tmp_path):
@@ -444,10 +453,12 @@ class TestModelArtifact:
         lines = self._artifact_lines()
         assert lines[lines.index("[meta]") + 3] == "share_background_fc=0"  # written for format compatibility
         assert pio.load_model(self._load_broken(tmp_path, lines))[3] == {"classes": "1,2,3,4", "fold": "0"}
+        idx = lines.index("[meta]") + 3
         for value in ("1", "true", ""):
-            lines[lines.index("[meta]") + 3] = f"share_background_fc={value}"
+            lines[idx] = f"share_background_fc={value}"
             path = self._load_broken(tmp_path, lines)
-            with pytest.raises(ValueError, match=rf"^{path}: \[meta\] share_background_fc must be 0 .*, got '{value}'$"):
+            with pytest.raises(ValueError,
+                               match=rf"^{path}:{idx + 1}: \[meta\] share_background_fc must be 0 .*, got '{value}'$"):
                 pio.load_model(path)
 
     def test_comments_and_blanks_in_key_value_heads_skipped(self, tmp_path):
@@ -462,9 +473,11 @@ class TestModelArtifact:
 
     def test_bank_momentum_out_of_range_rejected(self, tmp_path):
         lines = self._artifact_lines()
-        lines[lines.index("momentum=0.995", lines.index("[bank]"))] = "momentum=1.5"
+        idx = lines.index("momentum=0.995", lines.index("[bank]"))
+        lines[idx] = "momentum=1.5"
         path = self._load_broken(tmp_path, lines)
-        with pytest.raises(ValueError, match=rf"^{path}: momentum must lie in \[0, 1\], got 1.5$"):
+        message = rf"^{path}:{idx + 1}: \[bank\] momentum=1.5 does not match \[config\] momentum=0.995$"
+        with pytest.raises(ValueError, match=message):
             pio.load_model(path)
 
     def test_dropped_header_line_rejected(self, tmp_path):
