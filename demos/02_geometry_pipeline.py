@@ -24,7 +24,7 @@ block = max(blocks, key=len)
 mask = block.labels == 1
 print(f"\nclass 1 has {mask.sum()} points in the main block")
 
-seeds = farthest_point_sample(block, mask, count=8)
+seeds = farthest_point_sample(block.positions, mask, count=8)
 print(f"8 farthest-point seeds (selection order): {seeds.tolist()}")
 
 gaps = []

@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: synth, audit, train, eval. synth, audit and eval take
---seed; train reads every setting, its seed included, from its --config
-file. Outputs are byte-deterministic for fixed inputs. Exit codes: 0
-success, 2 I/O failure, 64 usage error, 70 internal numeric failure.
+--seed, an int64 >= 0; train reads every setting, its seed included,
+from its --config file. Outputs are byte-deterministic for fixed inputs.
+Exit codes: 0 success, 2 I/O failure, 64 usage error, 70 internal
+numeric failure.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate synthetic blob scenes")
     p.add_argument("--out", required=True, help="output directory for .pcseg files")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--scenes", type=_int_at_least(1), default=20)
     p.add_argument("--classes", type=_int_at_least(2), default=8)
     p.add_argument("--blobs", type=_int_at_least(2), default=3, help="classes per scene, at most --classes")
@@ -211,7 +212,7 @@ def build_parser() -> _Parser:
     p.add_argument("--fg-class", required=True, type=_int_at_least(0), dest="fg_class")
     p.add_argument("--m", type=_int_at_least(1), default=2048, help="points per draw")
     p.add_argument("--trials", type=_int_at_least(1), default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", help="report file (stdout if omitted)")
     p.set_defaults(func=cmd_audit)
 
@@ -226,7 +227,7 @@ def build_parser() -> _Parser:
     p.add_argument("--pool", required=True, nargs="+")
     p.add_argument("--model", action="append", required=True, help="model artifact (repeat for per-fold rows)")
     p.add_argument("--episodes", type=_int_at_least(1), default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--zero-bank", action="store_true", dest="zero_bank",
                    help="ablation: wipe the class-prototype bank before evaluating")
     p.add_argument("--out", required=True, help="metrics file")

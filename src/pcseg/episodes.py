@@ -35,13 +35,6 @@ class ClassSplit:
         if set(self.train_classes) & set(self.test_classes):
             raise ValueError("train and test classes must be disjoint")
 
-    def classes_for(self, phase: str) -> tuple[int, ...]:
-        if phase == "train":
-            return self.train_classes
-        if phase == "test":
-            return self.test_classes
-        raise ValueError(f"phase must be 'train' or 'test', got {phase!r}")
-
 
 def make_split(all_classes, fold: int) -> ClassSplit:
     """Split sorted classes by position: fold 0 tests even positions, fold 1 odd."""
@@ -76,15 +69,15 @@ class Episode:
 
 def generate_episode(
     pool,
-    split: ClassSplit,
-    phase: str,
+    classes,
     n_way: int,
     k_shot: int,
     min_fg_points: int,
     m_cap: int,
     rng_seed: int,
 ) -> Episode:
-    """Build one episode from `pool`, deterministically from `rng_seed`.
+    """Build one episode from `pool`, its `n_way` targets drawn from
+    `classes`, deterministically from `rng_seed`.
 
     Every pool entry gets its own capping seed. Eligibility (at least
     `min_fg_points` points of a class) is judged on the entry as capped
@@ -100,9 +93,8 @@ def generate_episode(
     rng = np.random.default_rng(rng_seed)
     cap_seeds = rng.integers(0, 2**63 - 1, size=len(pool)).tolist()
 
-    classes = split.classes_for(phase)
     if n_way > len(classes):
-        raise ValueError(f"n_way {n_way} exceeds the {len(classes)} classes of phase {phase!r}")
+        raise ValueError(f"n_way {n_way} exceeds the {len(classes)} classes {sorted(classes)}")
     targets = tuple(int(c) for c in rng.choice(sorted(classes), size=n_way, replace=False))
 
     capped_labels: dict[int, np.ndarray] = {}

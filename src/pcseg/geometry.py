@@ -116,24 +116,22 @@ def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
     return starts
 
 
-def farthest_point_sample(cloud, mask, count: int) -> np.ndarray:
+def farthest_point_sample(coords, mask, count: int) -> np.ndarray:
     """Greedy max-min seed selection restricted to masked points.
 
     Starts from the lowest-index masked point and repeatedly picks the
     masked point farthest from the seeds chosen so far (ties go to the
     lowest index). Returns global point indices in selection order; the
     result is clamped to the number of masked points.
-
-    `cloud` may be a PointCloud or a raw (N, 3) coordinate array.
     """
-    positions = cloud.positions if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=np.float64)
+    coords = np.asarray(coords, dtype=np.float64)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    mask = _check_mask(mask, positions.shape[0])
+    mask = _check_mask(mask, coords.shape[0])
     masked = np.flatnonzero(mask)
     if masked.size == 0:
         raise EmptyMaskError("farthest_point_sample needs at least one masked point")
-    pts = positions[masked]
+    pts = coords[masked]
     k = min(count, masked.size)
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = 0

@@ -288,12 +288,11 @@ def apply_refine_layer(corr: Tensor, guide: Tensor, lp: RefineLayerParams) -> Te
 # forward / loss
 # ---------------------------------------------------------------------------
 
-def forward(episode: Episode, params: ModelParams, bank: BasePrototypeBank, phase: str):
+def forward(episode: Episode, params: ModelParams, bank: BasePrototypeBank, excluded):
     """Segmentation logits (N_Q x (n_way+1), background first) and the
     backbone features of the episode's clouds: every support shot, way by
-    way, then the query last."""
-    if phase not in ("train", "test"):
-        raise ValueError(f"phase must be 'train' or 'test', got {phase!r}")
+    way, then the query last. Guidance leaves out the bank rows of the
+    `excluded` class ids."""
     support_feats = [
         [backbone_stub(cloud, params.stub) for cloud, _ in way] for way in episode.support
     ]
@@ -316,7 +315,6 @@ def forward(episode: Episode, params: ModelParams, bank: BasePrototypeBank, phas
     protos = fg_protos + [bg_protos]
 
     query_features = backbone_stub(episode.query, params.stub)
-    excluded = set(episode.target_classes) if phase == "train" else set()
     guide = base_guidance(query_features, bank, excluded)
 
     corr = compute_correlations(query_features, protos, params.proj)
@@ -353,13 +351,18 @@ def base_targets(labels, class_ids) -> np.ndarray:
 def episode_stream(pool, split: ClassSplit, phase: str, config, seed: int, n: int):
     """Episodes 0..n-1 of the phase's seeded stream at the config's way,
     shot, foreground floor and point cap; episode i is built from
-    `derive_seed(seed, stream, i)`. The phase picks the stream: `train`
-    is what `meta_train` draws at the config's seed, `test` what
-    `evaluate` scores at its `seed`."""
-    stream = "episodes" if phase == "train" else "eval"
+    `derive_seed(seed, stream, i)`. The phase picks the classes and the
+    stream: `train` is what `meta_train` draws at the config's seed, `test`
+    what `evaluate` scores at its `seed`. This is the one reader of a phase."""
+    if phase == "train":
+        classes, stream = split.train_classes, "episodes"
+    elif phase == "test":
+        classes, stream = split.test_classes, "eval"
+    else:
+        raise ValueError(f"phase must be 'train' or 'test', got {phase!r}")
     for i in range(n):
         yield generate_episode(
-            pool, split, phase, config.n_way, config.k_shot, config.min_fg_points, config.max_points,
+            pool, classes, config.n_way, config.k_shot, config.min_fg_points, config.max_points,
             derive_seed(seed, stream, i),
         )
 
@@ -392,10 +395,10 @@ def _update_bank_from_episode(bank: BasePrototypeBank, episode: Episode, feature
 def meta_train(pool, split: ClassSplit, config) -> TrainResult:
     """Episodic training on the train half of the split.
 
-    Per episode: forward in train phase (guidance excludes the episode's
-    targets), the base head on the query features, backprop the summed
-    cross-entropy, one AdamW step, then a bank update from the support
-    and query features. Raises NonFiniteLossError with the episode index
+    Per episode: forward with guidance leaving out the bank rows of the
+    episode's targets, the base head on the query features, backprop the
+    summed cross-entropy, one AdamW step, then a bank update from the
+    support and query features. Raises NonFiniteLossError with the episode index
     if the loss or a gradient degenerates; a bad gradient leaves the
     parameters untouched.
     """
@@ -406,7 +409,7 @@ def meta_train(pool, split: ClassSplit, config) -> TrainResult:
     losses: list[float] = []
     episodes = episode_stream(pool, split, "train", config, config.seed, config.episodes)
     for i, episode in enumerate(episodes):
-        seg_logits, features = forward(episode, params, bank, "train")
+        seg_logits, features = forward(episode, params, bank, episode.target_classes)
         base_logits = T.mlp_forward(features[-1], params.base_head)
         step_loss = loss(seg_logits, base_logits, episode.query_gt, base_targets(episode.query.labels, bank.class_ids))
         value = float(step_loss.data)
@@ -481,7 +484,7 @@ def evaluate(
     def predictions():
         for i, episode in enumerate(episode_stream(pool, split, "test", config, seed, n_episodes)):
             with T.no_grad():
-                seg_logits = forward(episode, params, bank, "test")[0]
+                seg_logits = forward(episode, params, bank, ())[0]
             if not np.isfinite(seg_logits.data).all():
                 raise NonFiniteLossError(f"episode {i}: segmentation logits are not finite")
             yield seg_logits.data.argmax(axis=1), episode

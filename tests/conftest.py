@@ -1,8 +1,15 @@
 import pytest
+from hypothesis import settings
 
 from pcseg.config import RunConfig
 from pcseg.episodes import make_split
 from pcseg.synth import make_pool
+
+# One profile for every property test: no per-example deadline, which a
+# slow example on a shared host can miss, and a failure prints the blob
+# that replays it (`@reproduce_failure`).
+settings.register_profile("tier1", deadline=None, print_blob=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -161,7 +161,7 @@ def _end_to_end_setup(seed: int):
     ]
     split = make_split(range(1, 5), fold=0)
     episode = generate_episode(
-        pool, split, "train", 1, 1, config.min_fg_points, config.max_points, derive_seed(seed, "gradcheck-episode")
+        pool, split.train_classes, 1, 1, config.min_fg_points, config.max_points, derive_seed(seed, "gradcheck-episode")
     )
     rng = np.random.default_rng(derive_seed(seed, "gradcheck-init"))
     params = M.ModelParams.for_config(rng, config, len(split.train_classes))
@@ -171,7 +171,7 @@ def _end_to_end_setup(seed: int):
     base_gt = M.base_targets(episode.query.labels, bank.class_ids)
 
     def op(*_params):
-        seg_logits, features = M.forward(episode, params, bank, "train")
+        seg_logits, features = M.forward(episode, params, bank, episode.target_classes)
         base_logits = T.mlp_forward(features[-1], params.base_head)
         return M.loss(seg_logits, base_logits, episode.query_gt, base_gt)
 

@@ -168,7 +168,7 @@ def test_geometry_oracles():
             if not mask.any():
                 mask[int(rng.integers(n))] = True
             count = int(rng.integers(1, mask.sum() + 1))
-            got = farthest_point_sample(cloud, mask, count)
+            got = farthest_point_sample(cloud.positions, mask, count)
             assert list(got) == fps_oracle(cloud.positions, mask, count)
 
         for _ in range(20):
@@ -200,7 +200,7 @@ def test_shape_and_equivariance_suite():
         for c in split.train_classes:
             bank.apply_update(c, rng.standard_normal(dim))
         for n_way in (1, 2):
-            ep = generate_episode(pool, split, "train", n_way, 1, 40, 256, 60 + n_way)
+            ep = generate_episode(pool, split.train_classes, n_way, 1, 40, 256, 60 + n_way)
             fq = backbone_stub(ep.query, params.stub)
             protos = [Tensor(rng.standard_normal((n_protos, dim))) for _ in range(n_way + 1)]
             corr = compute_correlations(fq, protos, params.proj)
@@ -220,8 +220,8 @@ def test_shape_and_equivariance_suite():
         assert (calibrated.data[:, :2, :] == corr.data[:, :2, :]).all()
 
         # full forward equivariance under query permutation
-        ep = generate_episode(pool, split, "test", 1, 1, 40, 256, 77)
-        seg, _ = forward(ep, params, bank, "test")
+        ep = generate_episode(pool, split.test_classes, 1, 1, 40, 256, 77)
+        seg, _ = forward(ep, params, bank, ())
         perm = rng.permutation(len(ep.query))
         permuted = type(ep)(
             support=ep.support,
@@ -229,11 +229,11 @@ def test_shape_and_equivariance_suite():
             query_gt=ep.query_gt[perm],
             target_classes=ep.target_classes,
         )
-        seg_p, _ = forward(permuted, params, bank, "test")
+        seg_p, _ = forward(permuted, params, bank, ())
         np.testing.assert_allclose(seg_p.data, seg.data[perm], atol=1e-9)
 
         # train-phase exclusion == deleting the excluded bank rows
-        ep = generate_episode(pool, split, "train", 2, 1, 40, 256, 78)
+        ep = generate_episode(pool, split.train_classes, 2, 1, 40, 256, 78)
         fq = backbone_stub(ep.query, params.stub)
         excluded = set(ep.target_classes)
         with_exclusion = base_guidance(fq, bank, excluded).data

@@ -162,7 +162,7 @@ def ref_cap_points(cloud, max_points, rng_seed):
     return cloud.take(rng.choice(len(cloud), size=max_points, replace=False))
 
 
-def ref_generate_episode(pool, split, phase, n_way, k_shot, min_fg_points, m_cap, rng_seed):
+def ref_generate_episode(pool, classes, n_way, k_shot, min_fg_points, m_cap, rng_seed):
     def eligible(capped, class_id):
         return [i for i, c in enumerate(capped) if int((c.labels == class_id).sum()) >= min_fg_points]
 
@@ -173,9 +173,8 @@ def ref_generate_episode(pool, split, phase, n_way, k_shot, min_fg_points, m_cap
     cap_seeds = rng.integers(0, 2**63 - 1, size=len(pool))
     capped = [ref_cap_points(c, m_cap, int(s)) for c, s in zip(pool, cap_seeds)]
 
-    classes = split.classes_for(phase)
     if n_way > len(classes):
-        raise ValueError(f"n_way {n_way} exceeds the {len(classes)} classes of phase {phase!r}")
+        raise ValueError(f"n_way {n_way} exceeds the {len(classes)} classes {sorted(classes)}")
     targets = tuple(int(c) for c in rng.choice(sorted(classes), size=n_way, replace=False))
 
     used = set()
@@ -419,7 +418,7 @@ def test_meta_train_matches_reference_kernels(monkeypatch):
 
 
 def _episode_loss(params, bank, episode):
-    seg_logits, features = M.forward(episode, params, bank, "train")
+    seg_logits, features = M.forward(episode, params, bank, episode.target_classes)
     base_logits = T.mlp_forward(features[-1], params.base_head)
     return M.loss(seg_logits, base_logits, episode.query_gt, M.base_targets(episode.query.labels, bank.class_ids))
 
@@ -443,7 +442,7 @@ def test_leaf_gradients_match_a_graph_that_is_kept():
     config = RunConfig(seed=9, dim=16, n_prototypes=6, hca_layers=2, heads=2, max_points=256,
                        min_fg_points=40, episodes=6, lr=1e-2)
     trained = M.meta_train(pool, split, config)  # a bank with rows, so guidance is live
-    episode = generate_episode(pool, split, "train", 2, 1, 40, 256, 5)
+    episode = generate_episode(pool, split.train_classes, 2, 1, 40, 256, 5)
     for p in trained.params.parameters():
         p.grad = None
     kept = _episode_loss(trained.params, trained.bank, episode)
@@ -511,7 +510,7 @@ def test_train_episode_with_row_blocks_matches_reference(monkeypatch):
     config = RunConfig(seed=4, dim=32, n_prototypes=6, hca_layers=2, heads=2, max_points=512,
                        min_fg_points=40, episodes=3, lr=1e-2, n_way=2)
     trained = M.meta_train(pool, split, config)  # a bank with rows, so guidance is live
-    episode = generate_episode(pool, split, "train", 2, 1, 40, 512, 6)
+    episode = generate_episode(pool, split.train_classes, 2, 1, 40, 512, 6)
     assert len(episode.query) == 512  # 3 classes x 512 points: (1536, 32) @ (32, 32) products
 
     def run():
@@ -592,13 +591,14 @@ def test_episodes_match_eager_capping(m_cap):
     pool = make_pool(21, 14, range(1, 9), blobs_per_scene=3, points_per_blob=100)  # 300 points each
     pool += make_pool(22, 4, range(1, 9), blobs_per_scene=2, points_per_blob=60)  # 120 points each
     split = make_split(range(1, 9), 1)
+    train, test = split.train_classes, split.test_classes
     exhausted = 0
     for seed in range(60):
-        for phase, n_way, k_shot, min_fg in (("train", 1, 1, 30), ("test", 2, 1, 50), ("test", 2, 3, 60),
-                                             ("train", 3, 2, 90), ("train", 2, 4, 95)):
-            args = (pool, split, phase, n_way, k_shot, min_fg, m_cap, seed)
+        for classes, n_way, k_shot, min_fg in ((train, 1, 1, 30), (test, 2, 1, 50), (test, 2, 3, 60),
+                                               (train, 3, 2, 90), (train, 2, 4, 95)):
+            args = (pool, classes, n_way, k_shot, min_fg, m_cap, seed)
             fast, ref = _outcome(generate_episode, *args), _outcome(ref_generate_episode, *args)
-            assert _same_episode(fast, ref), (args[2:], fast if isinstance(fast, tuple) else None)
+            assert _same_episode(fast, ref), (args[1:], fast if isinstance(fast, tuple) else None)
             exhausted += isinstance(ref, tuple)
     assert 0 < exhausted < 300  # both paths are exercised
 
@@ -606,8 +606,9 @@ def test_episodes_match_eager_capping(m_cap):
 def test_episode_errors_match_eager_capping():
     pool = make_pool(23, 4, range(1, 5), blobs_per_scene=2, points_per_blob=50)
     split = make_split(range(1, 5), 0)
-    for args in ((pool, split, "train", 1, 1, 10, 0, 1), (pool, split, "train", 3, 1, 10, 64, 1),
-                 ([], split, "train", 1, 1, 10, 0, 1), (pool, split, "train", 0, 1, 10, 64, 1)):
+    train = split.train_classes
+    for args in ((pool, train, 1, 1, 10, 0, 1), (pool, train, 3, 1, 10, 64, 1),
+                 ([], train, 1, 1, 10, 0, 1), (pool, train, 0, 1, 10, 64, 1)):
         assert _outcome(generate_episode, *args) == _outcome(ref_generate_episode, *args)
 
 

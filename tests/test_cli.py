@@ -1,11 +1,16 @@
 """CLI: exit codes, file outputs, byte determinism."""
 
 import argparse
+import contextlib
+import io
+import os
 import shlex
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from pcseg import io as pio
 from pcseg import model as M
@@ -96,28 +101,46 @@ def test_episodes_command_is_gone(scene_dir, tmp_path, capsys):
 
 
 # Every `_int_at_least` flag, with the arguments its subcommand requires.
+SYNTH, AUDIT, EVAL = (["synth", "--out", "OUT"], ["audit", "--cloud", "SCENE", "--fg-class", "1", "--out", "OUT"],
+                      ["eval", "--pool", "POOL", "--model", "MODEL", "--out", "OUT"])
 INT_FLAGS = [
-    (["synth", "--out", "OUT"], "--scenes"),
-    (["synth", "--out", "OUT"], "--classes"),
-    (["synth", "--out", "OUT"], "--blobs"),
-    (["synth", "--out", "OUT"], "--points"),
-    (["audit", "--cloud", "SCENE", "--fg-class", "1", "--out", "OUT"], "--m"),
-    (["audit", "--cloud", "SCENE", "--fg-class", "1", "--out", "OUT"], "--trials"),
-    (["eval", "--pool", "POOL", "--model", "MODEL", "--out", "OUT"], "--episodes"),
+    (SYNTH, "--scenes"),
+    (SYNTH, "--classes"),
+    (SYNTH, "--blobs"),
+    (SYNTH, "--points"),
+    (SYNTH, "--seed"),
+    (AUDIT, "--m"),
+    (AUDIT, "--trials"),
+    (AUDIT, "--seed"),
+    (EVAL, "--episodes"),
+    (EVAL, "--seed"),
 ]
+
+
+def _usage_error(scene_dir, tmp_path, capsys, argv):
+    """Run `argv` (placeholders filled in), require exit 64 and no output
+    file, and return stderr."""
+    out = tmp_path / "out"
+    paths = {"OUT": str(out), "SCENE": str(sorted(scene_dir.glob("*.pcseg"))[0]), "POOL": str(scene_dir),
+             "MODEL": str(tmp_path / "m.txt")}
+    with pytest.raises(SystemExit) as exc:
+        main([paths.get(a, a) for a in argv])
+    assert exc.value.code == EXIT_USAGE
+    assert not out.exists()
+    return capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", [str(2**63), "99999999999999999999"])
 @pytest.mark.parametrize("argv, flag", INT_FLAGS, ids=[f"{a[0]}{f}" for a, f in INT_FLAGS])
 def test_int_flag_beyond_int64_is_usage_error(scene_dir, tmp_path, capsys, argv, flag, value):
-    out = tmp_path / "out"
-    paths = {"OUT": str(out), "SCENE": str(sorted(scene_dir.glob("*.pcseg"))[0]), "POOL": str(scene_dir),
-             "MODEL": str(tmp_path / "m.txt")}
-    with pytest.raises(SystemExit) as exc:
-        main([paths.get(a, a) for a in argv] + [flag, value])
-    assert exc.value.code == EXIT_USAGE
-    assert capsys.readouterr().err.endswith(f"error: argument {flag}: invalid int64 value: '{value}'\n")
-    assert not out.exists()
+    err = _usage_error(scene_dir, tmp_path, capsys, argv + [flag, value])
+    assert err.endswith(f"error: argument {flag}: invalid int64 value: '{value}'\n")
+
+
+@pytest.mark.parametrize("argv", [SYNTH, AUDIT, EVAL], ids=["synth", "audit", "eval"])
+def test_negative_seed_is_usage_error(scene_dir, tmp_path, capsys, argv):
+    err = _usage_error(scene_dir, tmp_path, capsys, argv + ["--seed", "-1"])
+    assert err == f"pcseg {argv[0]}: error: argument --seed: must be >= 0, got -1\n"
 
 
 class TestSynth:
@@ -559,6 +582,17 @@ class TestTrainEval:
         assert code == EXIT_NUMERIC
         assert "numeric failure: episode 0: segmentation logits are not finite" in capsys.readouterr().err
 
+    def test_n_way_beyond_the_test_classes_exits_2_naming_them(self, scene_dir, config_path, tmp_path, capsys):
+        def widen(lines):
+            idx = next(i for i in range(lines.index("[config]"), len(lines)) if lines[i].startswith("n_way="))
+            lines[idx] = "n_way=4"
+
+        model = self._edited_model(scene_dir, config_path, tmp_path, widen)
+        capsys.readouterr()
+        assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
+        assert capsys.readouterr().err == "pcseg: n_way 4 exceeds the 3 classes [1, 3, 5]\n"
+        assert not (tmp_path / "metrics.txt").exists()
+
     def test_two_fold_table_layout(self, scene_dir, config_path, tmp_path):
         m0 = tmp_path / "fold0.model"
         m1 = tmp_path / "fold1.model"
@@ -656,3 +690,95 @@ class TestTrainEval:
         assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"pcseg: {model}:{lineno}: [bank] class_ids=")
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz of main()
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Placeholder -> path: a 6-scene pool, one of its scenes, a 2-episode
+    config and a model trained on them."""
+    root = tmp_path_factory.mktemp("fuzz")
+    pool, config, model = root / "pool", root / "two.cfg", root / "model.txt"
+    assert main(["synth", "--out", str(pool), "--seed", "2", "--scenes", "6", "--classes", "4",
+                 "--blobs", "3", "--points", "150"]) == EXIT_OK
+    config.write_text(TINY_CONFIG.replace("episodes=3", "episodes=2"))
+    assert main(["train", "--pool", str(pool), "--config", str(config), "--out", str(model)]) == EXIT_OK
+    return {"POOL": str(pool), "SCENE": str(sorted(pool.glob("*.pcseg"))[0]), "CONFIG": str(config),
+            "MODEL": str(model)}
+
+
+# Values any flag may draw besides its valid ones. OUT is a fresh path;
+# MISSING, DIR and NOT_UTF8 are made for each example.
+EDGES = ["0", "-1", str(2**63), str(2**64), "abc", "", "MISSING", "DIR", "NOT_UTF8"]
+_COUNT = st.integers(1, 50).map(str)  # valid work sizes stay small
+# synth's center placement slows with the square of --blobs past 5
+# (500 rejected draws per center that does not fit), so valid draws stop there.
+_BLOBS = st.integers(2, 5).map(str)
+_SEED = st.integers(0, 2**63 - 1).map(str)
+FUZZ_FLAGS = {  # flag -> its valid values; None for a switch
+    "synth": {"--out": st.just("OUT"), "--seed": _SEED, "--scenes": _COUNT, "--classes": _COUNT,
+              "--blobs": _BLOBS, "--points": _COUNT},
+    "audit": {"--cloud": st.just("SCENE"), "--fg-class": st.integers(0, 5).map(str), "--m": _COUNT,
+              "--trials": _COUNT, "--seed": _SEED, "--out": st.just("OUT")},
+    "train": {"--pool": st.sampled_from(["POOL", "SCENE"]), "--config": st.just("CONFIG"),
+              "--fold": st.sampled_from(["0", "1"]), "--out": st.just("OUT")},
+    "eval": {"--pool": st.sampled_from(["POOL", "SCENE"]), "--model": st.just("MODEL"), "--episodes": _COUNT,
+             "--seed": _SEED, "--zero-bank": None, "--out": st.just("OUT")},
+}
+# Always given: their defaults would start large work.
+WORK_SIZE = {"--scenes", "--classes", "--blobs", "--points", "--m", "--trials", "--episodes"}
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A subcommand and its flags: at most one flag takes an edge value, and
+    a flag that sets no work size may be left out."""
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    flags = FUZZ_FLAGS[command]
+    broken = draw(st.sampled_from([None, *flags]))
+    argv = [command]
+    for flag, valid in flags.items():
+        if flag not in WORK_SIZE and draw(st.integers(0, 3)) == 0:
+            continue
+        if valid is None:
+            argv.append(flag)
+            continue
+        if flag == broken:
+            values = [draw(st.sampled_from(EDGES))]
+        else:
+            values = draw(st.lists(valid, min_size=1, max_size=2 if flag in ("--cloud", "--pool", "--model") else 1))
+        argv += [a for v in values for a in (flag, v)] if flag == "--model" else [flag, *values]
+    if draw(st.integers(0, 9)) == 0:
+        argv.append("-h")
+    return argv
+
+
+@settings(max_examples=500)
+@given(argv=fuzz_argv())
+def test_any_argv_exits_with_a_documented_code_and_one_line(fuzz_inputs, argv):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # an edge value such as `--out abc` is a path relative to here
+        try:
+            os.mkdir("dir")
+            Path("not-utf-8").write_bytes(b"\xff\xfe bad\n")
+            paths = dict(fuzz_inputs, OUT="out", MISSING=os.path.join("missing", "x"), DIR="dir",
+                         NOT_UTF8="not-utf-8")
+            argv = [paths.get(a, a) for a in argv]
+            outs = [v for flag, v in zip(argv, argv[1:]) if flag == "--out" and not os.path.lexists(v)]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            event(f"{argv[0]} exit {code}")
+            assert code in (EXIT_OK, EXIT_IO, EXIT_USAGE, EXIT_NUMERIC), (code, err.getvalue())
+            assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue(), err.getvalue()
+            if code != EXIT_OK:
+                assert not any(os.path.lexists(out) for out in outs)
+        finally:
+            os.chdir(cwd)

@@ -194,19 +194,19 @@ class TestFarthestPointSample:
     def test_line_count_two(self):
         cloud = cloud_from_positions([(0, 0, 0), (1, 0, 0), (10, 0, 0)])
         mask = np.ones(3, dtype=bool)
-        got = farthest_point_sample(cloud, mask, 2)
+        got = farthest_point_sample(cloud.positions, mask, 2)
         assert list(got) == fps_oracle(cloud.positions, mask, 2) == [0, 2]
 
     def test_line_count_three(self):
         cloud = cloud_from_positions([(0, 0, 0), (1, 0, 0), (10, 0, 0)])
         mask = np.ones(3, dtype=bool)
-        got = farthest_point_sample(cloud, mask, 3)
+        got = farthest_point_sample(cloud.positions, mask, 3)
         assert list(got) == fps_oracle(cloud.positions, mask, 3) == [0, 2, 1]
 
     def test_clamps_to_mask_size(self):
         cloud = cloud_from_positions([(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)])
         mask = np.array([True, False, True, True])
-        assert len(farthest_point_sample(cloud, mask, 5)) == 3
+        assert len(farthest_point_sample(cloud.positions, mask, 5)) == 3
 
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(14)
@@ -217,7 +217,7 @@ class TestFarthestPointSample:
             if not mask.any():
                 mask[int(rng.integers(n))] = True
             count = int(rng.integers(1, mask.sum() + 1))
-            got = farthest_point_sample(cloud, mask, count)
+            got = farthest_point_sample(cloud.positions, mask, count)
             assert list(got) == fps_oracle(cloud.positions, mask, count)
 
     def test_selection_restricted_to_mask(self):
@@ -225,14 +225,14 @@ class TestFarthestPointSample:
         cloud = random_cloud(rng, 40)
         mask = rng.random(40) < 0.5
         mask[3] = True
-        got = farthest_point_sample(cloud, mask, 10)
+        got = farthest_point_sample(cloud.positions, mask, 10)
         assert mask[got].all()
 
     def test_greedy_min_distance_monotone(self):
         rng = np.random.default_rng(16)
         cloud = random_cloud(rng, 60)
         mask = np.ones(60, dtype=bool)
-        seeds = farthest_point_sample(cloud, mask, 20)
+        seeds = farthest_point_sample(cloud.positions, mask, 20)
         gaps = []
         for k in range(1, len(seeds)):
             d = min(
@@ -251,22 +251,22 @@ class TestFarthestPointSample:
             n = 30
             cloud = random_cloud(rng, n)
             mask = np.ones(n, dtype=bool)
-            base = farthest_point_sample(cloud, mask, 8)
+            base = farthest_point_sample(cloud.positions, mask, 8)
             perm = np.concatenate([[0], 1 + rng.permutation(n - 1)])  # keeps the start point at index 0
             inverse = np.argsort(perm)
             permuted = cloud.take(perm)
-            got = farthest_point_sample(permuted, mask[perm], 8)
+            got = farthest_point_sample(permuted.positions, mask[perm], 8)
             np.testing.assert_array_equal(got, inverse[base])
 
     def test_empty_mask_raises(self):
         cloud = cloud_from_positions([(0, 0, 0), (1, 0, 0)])
         with pytest.raises(EmptyMaskError):
-            farthest_point_sample(cloud, np.zeros(2, dtype=bool), 1)
+            farthest_point_sample(cloud.positions, np.zeros(2, dtype=bool), 1)
 
     def test_bad_count_raises(self):
         cloud = cloud_from_positions([(0, 0, 0)])
         with pytest.raises(ValueError):
-            farthest_point_sample(cloud, np.ones(1, dtype=bool), 0)
+            farthest_point_sample(cloud.positions, np.ones(1, dtype=bool), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -261,7 +261,7 @@ _CONFIG_VALUES = st.one_of(
 
 
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RunConfig)])
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(value=_CONFIG_VALUES)
 def test_one_drawn_config_value_parses_to_int64_or_names_its_place(field, value):
     lines = RunConfig().to_text().splitlines()
@@ -297,7 +297,7 @@ _CLOUD_LINES = pio.format_cloud(synth_scene(5, [(1, 6), (2, 6)])).splitlines()
 
 
 @pytest.mark.parametrize("column", ["count", 0, 1, 2, 3, 4, 5, 6])
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(data=st.data())
 def test_one_drawn_cloud_field_loads_or_names_its_line(tmp_path_factory, column, data):
     lines = list(_CLOUD_LINES)
@@ -359,9 +359,9 @@ class TestModelArtifact:
         np.testing.assert_array_equal(bank2.update_counts, result.bank.update_counts)
         assert bank2.class_ids == result.bank.class_ids
 
-        episode = generate_episode(pool, split, "test", 1, 1, 20, 128, 99)
-        seg_a, features_a = forward(episode, result.params, result.bank, "test")
-        seg_b, features_b = forward(episode, params2, bank2, "test")
+        episode = generate_episode(pool, split.test_classes, 1, 1, 20, 128, 99)
+        seg_a, features_a = forward(episode, result.params, result.bank, ())
+        seg_b, features_b = forward(episode, params2, bank2, ())
         assert (seg_a.data == seg_b.data).all()
         base_a = T.mlp_forward(features_a[-1], result.params.base_head)
         base_b = T.mlp_forward(features_b[-1], params2.base_head)
@@ -496,7 +496,7 @@ class TestModelArtifact:
         ("bank", "class_ids"), ("bank", "momentum"), ("bank", "update_counts"),
         ("params", None),  # one value of one record's values line
     ])
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(data=st.data())
     def test_one_drawn_value_loads_or_names_the_path(self, tmp_path_factory, section, key, data):
         lines = list(self._LINES)
