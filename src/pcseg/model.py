@@ -185,32 +185,31 @@ def backbone_stub(cloud: PointCloud, stub: MLPParams) -> Tensor:
     return T.mlp_forward(Tensor(np.hstack([cloud.positions, cloud.colors])), stub)
 
 
-def extract_prototypes(features_per_shot, masks_per_shot, coords_per_shot, n_prototypes: int) -> Tensor:
-    """Prototypes for one class from its support shots.
+def extract_prototypes(features_per_shot, shots, n_prototypes: int) -> Tensor:
+    """Prototypes for one class from its support shots, each a (cloud, mask)
+    pair as an `Episode` holds them, with one feature tensor per shot.
 
     Per shot: floor(n_prototypes / k) farthest-point seeds on the masked
-    coordinates (at least 1), nearest-seed clustering, and one mean
-    feature per cluster. Shot prototypes are concatenated; if fewer than
+    positions (at least 1), nearest-seed clustering, and one mean feature
+    per cluster. Shot prototypes are concatenated; if fewer than
     `n_prototypes` come out, the earliest rows are cycled to fill, and
-    any excess is trimmed. Shots with empty masks are skipped; all empty
-    raises EmptyMaskError.
+    any excess is trimmed. Shots with empty masks are skipped; no shots,
+    or all empty, raises EmptyMaskError.
     """
     if n_prototypes < 1:
         raise ValueError(f"n_prototypes must be >= 1, got {n_prototypes}")
-    if not (len(features_per_shot) == len(masks_per_shot) == len(coords_per_shot)):
-        raise ValueError("per-shot lists must have equal length")
-    k = len(features_per_shot)
-    per_shot = max(1, n_prototypes // k)
+    if len(features_per_shot) != len(shots):
+        raise ValueError(f"need one feature tensor per shot, got {len(features_per_shot)} for {len(shots)}")
     pieces = []
-    for feats, mask, coords in zip(features_per_shot, masks_per_shot, coords_per_shot):
+    for feats, (cloud, mask) in zip(features_per_shot, shots):
         mask = np.asarray(mask, dtype=bool)
         if not mask.any():
             continue
-        seeds = farthest_point_sample(coords, mask, per_shot)
-        groups = cluster_to_seeds(coords, mask, seeds)
+        seeds = farthest_point_sample(cloud.positions, mask, max(1, n_prototypes // len(shots)))
+        groups = cluster_to_seeds(cloud.positions, mask, seeds)
         pieces.append(T.group_mean_rows(feats, groups))
     if not pieces:
-        raise EmptyMaskError("every support shot had an empty mask")
+        raise EmptyMaskError("no support shot has a masked point")
     merged = T.concat(pieces, axis=0) if len(pieces) > 1 else pieces[0]
     total = merged.shape[0]
     return T.take_rows(merged, [i % total for i in range(n_prototypes)])
@@ -293,26 +292,13 @@ def forward(episode: Episode, params: ModelParams, bank: BasePrototypeBank, excl
     backbone features of the episode's clouds: every support shot, way by
     way, then the query last. Guidance leaves out the bank rows of the
     `excluded` class ids."""
-    support_feats = [
-        [backbone_stub(cloud, params.stub) for cloud, _ in way] for way in episode.support
-    ]
-
-    fg_protos = []
-    for way, feats in zip(episode.support, support_feats):
-        fg_protos.append(
-            extract_prototypes(
-                feats,
-                [mask for _, mask in way],
-                [cloud.positions for cloud, _ in way],
-                params.n_prototypes,
-            )
-        )
-    # Background prototypes share the budget across every support cloud.
-    all_feats = [f for shots in support_feats for f in shots]
-    all_inv = [~mask for way in episode.support for _, mask in way]
-    all_coords = [cloud.positions for way in episode.support for cloud, _ in way]
-    bg_protos = extract_prototypes(all_feats, all_inv, all_coords, params.n_prototypes)
-    protos = fg_protos + [bg_protos]
+    support_feats = [[backbone_stub(cloud, params.stub) for cloud, _ in way] for way in episode.support]
+    all_feats = [f for feats in support_feats for f in feats]
+    # The background is one more way: every support cloud with its mask
+    # inverted, all sharing one prototype budget.
+    background = [(cloud, ~mask) for way in episode.support for cloud, mask in way]
+    protos = [extract_prototypes(feats, shots, params.n_prototypes)
+              for feats, shots in zip(support_feats + [all_feats], episode.support + [background])]
 
     query_features = backbone_stub(episode.query, params.stub)
     guide = base_guidance(query_features, bank, excluded)

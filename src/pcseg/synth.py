@@ -28,26 +28,28 @@ def class_color(class_id: int) -> np.ndarray:
 def _pick_centers(rng: np.random.Generator, count: int) -> np.ndarray:
     """Blob centers in a ~1 m cell, pairwise at least 10 sigma apart.
 
-    Deterministic rejection sampling; after 500 failed draws the
-    best-so-far candidate is accepted (unreachable for <= 5 blobs).
+    Deterministic rejection sampling over up to 500 candidates per blob:
+    the first candidate that fits is taken, else the first of those
+    farthest from the placed centers. A blob's candidates are drawn in one
+    batch; when one fits, the generator is rewound and only the candidates
+    up to it are redrawn, so it consumes exactly what a one-at-a-time loop
+    would.
     """
-    centers: list[np.ndarray] = []
+    low, high = (0.1, 0.1, 0.1), (0.9, 0.9, 0.4)
+    centers = np.empty((0, 3))
     for _ in range(count):
-        best, best_dist = None, -1.0
-        for _ in range(500):
-            c = np.array([
-                rng.uniform(0.1, 0.9),
-                rng.uniform(0.1, 0.9),
-                rng.uniform(0.1, 0.4),
-            ])
-            dist = min((np.linalg.norm(c - o) for o in centers), default=np.inf)
-            if dist >= MIN_CENTER_SEPARATION:
-                best = c
-                break
-            if dist > best_dist:
-                best, best_dist = c, dist
-        centers.append(best)
-    return np.stack(centers)
+        state = rng.bit_generator.state
+        candidates = rng.uniform(low, high, size=(500, 3))
+        dist = np.linalg.norm(candidates[:, None] - centers[None], axis=2).min(axis=1, initial=np.inf)
+        fits = np.flatnonzero(dist >= MIN_CENTER_SEPARATION)
+        if fits.size:
+            pick = fits[0]
+            rng.bit_generator.state = state
+            rng.uniform(low, high, size=(pick + 1, 3))
+        else:
+            pick = np.argmax(dist)
+        centers = np.vstack([centers, candidates[pick]])
+    return centers
 
 
 def synth_scene(seed: int, class_layout) -> PointCloud:

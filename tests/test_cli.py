@@ -714,9 +714,7 @@ def fuzz_inputs(tmp_path_factory):
 # MISSING, DIR and NOT_UTF8 are made for each example.
 EDGES = ["0", "-1", str(2**63), str(2**64), "abc", "", "MISSING", "DIR", "NOT_UTF8"]
 _COUNT = st.integers(1, 50).map(str)  # valid work sizes stay small
-# synth's center placement slows with the square of --blobs past 5
-# (500 rejected draws per center that does not fit), so valid draws stop there.
-_BLOBS = st.integers(2, 5).map(str)
+_BLOBS = st.integers(2, 50).map(str)
 _SEED = st.integers(0, 2**63 - 1).map(str)
 FUZZ_FLAGS = {  # flag -> its valid values; None for a switch
     "synth": {"--out": st.just("OUT"), "--seed": _SEED, "--scenes": _COUNT, "--classes": _COUNT,

@@ -86,6 +86,12 @@ class TestBackboneStub:
         assert err < 1e-4
 
 
+def shot(coords, mask):
+    """A support shot as an `Episode` holds it: (cloud, mask)."""
+    n = len(coords)
+    return PointCloud(coords, np.zeros((n, 3)), np.zeros(n, dtype=np.int64)), mask
+
+
 class TestExtractPrototypes:
     def test_single_prototype_is_masked_mean(self):
         rng = np.random.default_rng(4)
@@ -93,21 +99,20 @@ class TestExtractPrototypes:
         feats = Tensor(rng.standard_normal((30, 8)))
         mask = rng.random(30) < 0.5
         mask[0] = True
-        out = extract_prototypes([feats], [mask], [coords], 1)
+        out = extract_prototypes([feats], [shot(coords, mask)], 1)
         np.testing.assert_allclose(out.data[0], feats.data[mask].mean(axis=0))
 
     def test_budget_shared_across_shots(self):
         rng = np.random.default_rng(5)
-        shots = []
+        feats, shots = [], []
         for _ in range(2):
             coords = rng.uniform(0, 1, (60, 3))
-            feats = Tensor(rng.standard_normal((60, 8)))
-            mask = np.ones(60, dtype=bool)
-            shots.append((feats, mask, coords))
-        out = extract_prototypes(*(list(z) for z in zip(*shots)), 10)
+            feats.append(Tensor(rng.standard_normal((60, 8))))
+            shots.append(shot(coords, np.ones(60, dtype=bool)))
+        out = extract_prototypes(feats, shots, 10)
         assert out.shape == (10, 8)
         # per-shot budget 5: the first five rows come from shot 1's features
-        first_shot = extract_prototypes([shots[0][0]], [shots[0][1]], [shots[0][2]], 5)
+        first_shot = extract_prototypes(feats[:1], shots[:1], 5)
         np.testing.assert_array_equal(out.data[:5], first_shot.data)
 
     def test_cycle_duplication_when_short(self):
@@ -116,7 +121,7 @@ class TestExtractPrototypes:
         feats = Tensor(rng.standard_normal((10, 4)))
         mask = np.zeros(10, dtype=bool)
         mask[[1, 4, 7]] = True  # 3 masked points, 5 prototypes requested
-        out = extract_prototypes([feats], [mask], [coords], 5)
+        out = extract_prototypes([feats], [shot(coords, mask)], 5)
         assert out.shape == (5, 4)
         np.testing.assert_array_equal(out.data[3], out.data[0])
         np.testing.assert_array_equal(out.data[4], out.data[1])
@@ -125,16 +130,18 @@ class TestExtractPrototypes:
     def test_all_empty_masks_raise(self):
         feats = Tensor(np.zeros((5, 4)))
         with pytest.raises(EmptyMaskError):
-            extract_prototypes([feats], [np.zeros(5, dtype=bool)], [np.zeros((5, 3))], 3)
+            extract_prototypes([feats], [shot(np.zeros((5, 3)), np.zeros(5, dtype=bool))], 3)
+
+    def test_no_shots_raise(self):
+        with pytest.raises(EmptyMaskError):
+            extract_prototypes([], [], 3)
 
     def test_empty_shots_skipped(self):
         rng = np.random.default_rng(7)
         coords = rng.uniform(0, 1, (12, 3))
         feats = Tensor(rng.standard_normal((12, 4)))
         good = np.ones(12, dtype=bool)
-        out = extract_prototypes(
-            [feats, feats], [good, np.zeros(12, dtype=bool)], [coords, coords], 4
-        )
+        out = extract_prototypes([feats, feats], [shot(coords, good), shot(coords, np.zeros(12, dtype=bool))], 4)
         assert out.shape == (4, 4)
 
 
@@ -380,6 +387,17 @@ class TestForwardAndLoss:
             assert [f.shape for f in features] == [(len(cloud), 16) for cloud in clouds]
             base = T.mlp_forward(features[-1], params.base_head)
             assert base.shape == (len(ep.query), len(split8.train_classes) + 1)
+
+    def test_features_are_support_way_by_way_then_query(self, pool8, split8, fast_config):
+        # `_update_bank_from_episode` pairs these features with the clouds in this order.
+        params = tiny_params(np.random.default_rng(27), dim=16, n_base=len(split8.train_classes))
+        bank = BasePrototypeBank.zeros(split8.train_classes, 16, 0.995)
+        ep = episode_for(pool8, split8, fast_config, seed=52, n_way=2, k_shot=2)
+        _, features = forward(ep, params, bank, ep.target_classes)
+        clouds = [cloud for way in ep.support for cloud, _ in way] + [ep.query]
+        assert len(features) == len(clouds) == 5
+        for feat, cloud in zip(features, clouds):
+            assert feat.data.tobytes() == backbone_stub(cloud, params.stub).data.tobytes()
 
     def test_forward_deterministic(self, pool8, split8, fast_config):
         rng = np.random.default_rng(24)

@@ -3,7 +3,28 @@
 import numpy as np
 import pytest
 
-from pcseg.synth import BLOB_SIGMA, class_color, make_pool, synth_scene
+from pcseg.synth import BLOB_SIGMA, MIN_CENTER_SEPARATION, _pick_centers, class_color, make_pool, synth_scene
+
+
+def pick_centers_one_at_a_time(rng, count):
+    """The loop `_pick_centers` batches: one candidate per draw, as it was."""
+    centers = []
+    for _ in range(count):
+        best, best_dist = None, -1.0
+        for _ in range(500):
+            c = np.array([
+                rng.uniform(0.1, 0.9),
+                rng.uniform(0.1, 0.9),
+                rng.uniform(0.1, 0.4),
+            ])
+            dist = min((np.linalg.norm(c - o) for o in centers), default=np.inf)
+            if dist >= MIN_CENTER_SEPARATION:
+                best = c
+                break
+            if dist > best_dist:
+                best, best_dist = c, dist
+        centers.append(best)
+    return np.stack(centers)
 
 
 class TestSynthScene:
@@ -65,6 +86,17 @@ class TestSynthScene:
             synth_scene(0, [(1, 100)])
         with pytest.raises(ValueError):
             synth_scene(0, [(1, 100), (2, 0)])
+
+
+# From 4 blobs on some blobs find no candidate that fits, so both the
+# first-fit and the farthest-candidate branch are compared. The reference
+# takes about 2 s at 50 blobs, so the large counts get one seed each.
+@pytest.mark.parametrize("count, seed", [(c, s) for c in range(2, 13) for s in range(4)] + [(20, 0), (50, 0)])
+def test_pick_centers_matches_one_at_a_time_loop(count, seed):
+    batched, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _pick_centers(batched, count)
+    assert got.tobytes() == pick_centers_one_at_a_time(reference, count).tobytes()
+    assert batched.bit_generator.state == reference.bit_generator.state
 
 
 class TestMakePool:
