@@ -15,6 +15,18 @@ class PlacedError(ValueError):
     """A ValueError whose message already names the bad input's file or line."""
 
 
+def read_utf8(path) -> str:
+    """The text of the file at `path`; a byte that is not UTF-8 raises
+    PlacedError naming the line it is on."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise PlacedError(f"{path}:{lineno}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})") from None
+
+
 def format_pairs(pairs) -> str:
     """One `key=value` line per pair: a float with 17 significant digits
     (exact for float64), any other value with `str`."""
@@ -140,9 +152,4 @@ class RunConfig:
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         path = os.fspath(path)
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                text = fh.read()
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
-        return cls.from_text(text, source=path)
+        return cls.from_text(read_utf8(path), source=path)

@@ -21,7 +21,8 @@ class EmptyMaskError(ValueError):
 class PointCloud:
     """A scene or block: per-point positions (meters), colors in [0, 1], labels.
 
-    Labels are integer class ids (>= 0), with -1 for unlabeled points.
+    Labels are integer class ids (>= 0), with -1 for unlabeled points;
+    labels of another dtype must hold whole numbers that fit int64.
     All three arrays share the same leading length N >= 1.
     """
 
@@ -32,7 +33,14 @@ class PointCloud:
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=np.float64)
         self.colors = np.asarray(self.colors, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        with np.errstate(invalid="ignore"):
+            self.labels = labels.astype(np.int64, copy=False)
+        # Int64 labels, as every `take` passes, are kept as they are; a cast
+        # from any other dtype must keep every value (NaN and values past
+        # int64 come out changed).
+        if labels.dtype != np.int64 and (self.labels != labels).any():
+            raise ValueError("labels must be integers")
         if self.positions.ndim != 2 or self.positions.shape[1] != 3:
             raise ValueError(f"positions must have shape (N, 3), got {self.positions.shape}")
         if self.colors.shape != self.positions.shape:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import AttentionParams, multi_head_linear_attention
-from .episodes import Episode, ClassSplit, confusion_counts, generate_episode, iou_from_counts
+from .episodes import Episode, ClassSplit, PoolExhaustedError, confusion_counts, generate_episode, iou_from_counts
 from .geometry import EmptyMaskError, PointCloud, cluster_to_seeds, farthest_point_sample
 from .seeding import derive_seed
 from .tensor import Parameter, ParameterGroup, Tensor
@@ -339,7 +339,9 @@ def episode_stream(pool, split: ClassSplit, phase: str, config, seed: int, n: in
     shot, foreground floor and point cap; episode i is built from
     `derive_seed(seed, stream, i)`. The phase picks the classes and the
     stream: `train` is what `meta_train` draws at the config's seed, `test`
-    what `evaluate` scores at its `seed`. This is the one reader of a phase."""
+    what `evaluate` scores at its `seed`. This is the one reader of a phase.
+    A pool that cannot build episode i raises PoolExhaustedError naming i
+    and its seed."""
     if phase == "train":
         classes, stream = split.train_classes, "episodes"
     elif phase == "test":
@@ -347,10 +349,14 @@ def episode_stream(pool, split: ClassSplit, phase: str, config, seed: int, n: in
     else:
         raise ValueError(f"phase must be 'train' or 'test', got {phase!r}")
     for i in range(n):
-        yield generate_episode(
-            pool, classes, config.n_way, config.k_shot, config.min_fg_points, config.max_points,
-            derive_seed(seed, stream, i),
-        )
+        episode_seed = derive_seed(seed, stream, i)
+        try:
+            episode = generate_episode(
+                pool, classes, config.n_way, config.k_shot, config.min_fg_points, config.max_points, episode_seed,
+            )
+        except PoolExhaustedError as exc:
+            raise PoolExhaustedError(f"episode {i} (seed {episode_seed}): {exc}") from None
+        yield episode
 
 
 @dataclass

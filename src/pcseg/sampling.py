@@ -11,6 +11,7 @@ for the biased sampler, against the closed-form expectation f(2-f).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -33,19 +34,12 @@ class DensityReport:
         return format_pairs(asdict(self).items())
 
 
-def uniform_indices(n: int, m: int, rng_seed: int) -> np.ndarray:
-    """The draw of `uniform_sample` on an n-point cloud."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if n == 0:
-        raise ValueError("cannot sample from an empty cloud")
-    rng = np.random.default_rng(rng_seed)
-    return rng.choice(n, size=m, replace=n < m)
-
-
 def uniform_sample(cloud: PointCloud, m: int, rng_seed: int) -> PointCloud:
     """Draw m points uniformly: without replacement when n >= m, with when n < m."""
-    return cloud.take(uniform_indices(len(cloud), m, rng_seed))
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    n = len(cloud)
+    return cloud.take(np.random.default_rng(rng_seed).choice(n, size=m, replace=n < m))
 
 
 def biased_fg_count(n: int, m: int, n_fg_points: int) -> int:
@@ -67,8 +61,6 @@ def biased_sample(cloud: PointCloud, m: int, fg_class: int, rng_seed: int) -> Po
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     n = len(cloud)
-    if n == 0:
-        raise ValueError("cannot sample from an empty cloud")
     rng = np.random.default_rng(rng_seed)
     fg_idx = np.flatnonzero(cloud.labels == fg_class)
     n_fg = biased_fg_count(n, m, fg_idx.size)
@@ -89,16 +81,13 @@ def cap_indices(n: int, max_points: int, rng_seed: int):
     check_max_points(max_points)
     if n <= max_points:
         return None
-    return uniform_indices(n, max_points, rng_seed)
+    return np.random.default_rng(rng_seed).choice(n, size=max_points, replace=False)
 
 
 def cap_points(cloud: PointCloud, max_points: int, rng_seed: int) -> PointCloud:
     """Identity when the cloud fits, else a uniform draw of `max_points`."""
     idx = cap_indices(len(cloud), max_points, rng_seed)
     return cloud if idx is None else cloud.take(idx)
-
-
-_SAMPLERS = {"biased": biased_sample, "uniform": uniform_sample}
 
 
 def leakage_audit(
@@ -118,27 +107,23 @@ def leakage_audit(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if sampler not in _SAMPLERS:
-        raise ValueError(f"sampler must be one of {sorted(_SAMPLERS)}, got {sampler!r}")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     n = len(cloud)
     n_fg_points = int((cloud.labels == fg_class).sum())
     f_in = n_fg_points / n
-
-    fractions = np.empty(trials, dtype=np.float64)
-    for t in range(trials):
-        if sampler == "biased":
-            out = biased_sample(cloud, m, fg_class, rng_seed + t)
-        else:
-            out = uniform_sample(cloud, m, rng_seed + t)
-        fractions[t] = (out.labels == fg_class).mean()
-    mean_out = float(fractions.mean())
-
     if sampler == "biased":
+        draw = partial(biased_sample, cloud, m, fg_class)
         n_fg = biased_fg_count(n, m, n_fg_points)
         expected = (n_fg + (m - n_fg) * f_in) / m
-    else:
+    elif sampler == "uniform":
+        draw = partial(uniform_sample, cloud, m)
         expected = f_in
+    else:
+        raise ValueError(f"sampler must be one of ['biased', 'uniform'], got {sampler!r}")
 
+    fractions = np.array([(draw(rng_seed + t).labels == fg_class).mean() for t in range(trials)])
+    mean_out = float(fractions.mean())
     ratio = mean_out / f_in if f_in > 0 else 0.0
     return DensityReport(
         input_fg_fraction=f_in,

@@ -5,9 +5,10 @@ and elu+1 by boolean indexing, layer norm with fresh temporaries and
 `.mean`, AdamW looping over parameters, episode generation that caps
 every pool entry, a backward pass that keeps the whole graph alive, voxel
 subsampling through `np.unique(axis=0)` and block splitting by one scan of
-every point per block, a plain `np.matmul` forward and `affine` as four
-nodes. The fast versions do the same per-element arithmetic on the same
-random streams, so every comparison here is on bytes.
+every point per block, a plain `np.matmul` forward, `affine` as four
+nodes and a cloud formatter over numpy scalars. The fast versions do the
+same per-element arithmetic on the same random streams, so every
+comparison here is on bytes.
 """
 
 import contextlib
@@ -202,6 +203,15 @@ def ref_generate_episode(pool, classes, n_way, k_shot, min_fg_points, m_cap, rng
     for n, class_id in enumerate(targets, start=1):
         query_gt[query.labels == class_id] = n
     return Episode(support, query, query_gt, targets, support_indices, query_index)
+
+
+def ref_format_cloud(cloud):
+    lines = [f"{pio.CLOUD_MAGIC} {len(cloud)}"]
+    for p, c, label in zip(cloud.positions, cloud.colors, cloud.labels):
+        lines.append(
+            f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g} {c[0]:.17g} {c[1]:.17g} {c[2]:.17g} {label}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +657,19 @@ def _clouds():
         "single_block": [_cloud(rng, rng.uniform(0, 0.999, (3_000, 3)))],
         "room_36_blocks": [_room(rng)],
     }
+
+
+def test_format_cloud_matches_numpy_scalar_formatting():
+    special = PointCloud(
+        np.array([[-0.0, 5e-324, 1e300], [-5e-324, -1e300, 1e-310], [2.0**63, 0.1, -1 / 3]]),
+        np.array([[-0.0, 5e-324, 1.0], [0.0, 1e-310, 0.5], [1 / 3, 2 / 3, 0.1]]),
+        np.array([-1, 2**63 - 1, 0]),
+    )
+    rng = np.random.default_rng(33)
+    for n in (1, 1_024, 1_025, 5_000):  # rows are formatted 1,024 at a time
+        cloud = _cloud(rng, rng.normal(0, 50, (n, 3)))
+        assert pio.format_cloud(cloud) == ref_format_cloud(cloud), n
+    assert pio.format_cloud(special) == ref_format_cloud(special)
 
 
 @pytest.mark.parametrize("kind", list(_clouds()))

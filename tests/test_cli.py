@@ -15,6 +15,7 @@ from hypothesis import event, given, settings, strategies as st
 from pcseg import io as pio
 from pcseg import model as M
 from pcseg.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
+from test_golden import COMMANDS as GOLDEN_COMMANDS, MULTI_SHOT_CONFIG
 
 TINY_CONFIG = """\
 seed=4
@@ -358,6 +359,18 @@ class TestTrainEval:
                      "--out", str(tmp_path / "m.txt")])
         assert code == EXIT_NUMERIC
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_a_pool_that_runs_dry_names_the_episode(self, tmp_path, monkeypatch, capsys):
+        # The golden pool holds each class in few scenes: at seed 15 the 2-way
+        # 3-shot stream first draws a class pair it cannot serve at episode 6.
+        monkeypatch.chdir(tmp_path)
+        assert main(GOLDEN_COMMANDS["synth"]) == EXIT_OK
+        Path("dry.cfg").write_text(MULTI_SHOT_CONFIG.replace("seed=13", "seed=15"))
+        code = main(["train", "--pool", "scenes", "--config", "dry.cfg", "--out", "model.txt"])
+        err = capsys.readouterr().err
+        assert code == EXIT_IO and not Path("model.txt").exists()
+        assert err.count("\n") == 1 and err.startswith("pcseg: episode 6 (seed "), err
+        assert err.endswith("): class 6: need 3 support clouds with >= 30 foreground points, pool offers 2\n")
 
     def _edited_model(self, scene_dir, config_path, tmp_path, edit):
         model = tmp_path / "model.txt"

@@ -95,6 +95,18 @@ class TestPointCloud:
         with pytest.raises(ValueError, match=r"labels must be >= -1 \(-1 marks unlabeled\), got -5"):
             PointCloud(np.zeros((3, 3)), np.zeros((3, 3)), [-1, -5, 4])
 
+    @pytest.mark.parametrize("labels", [[1.7, -0.5], [np.nan, 1], [1e19]], ids=["fraction", "nan", "past-int64"])
+    def test_labels_that_are_not_integers_rejected(self, labels):
+        n = len(labels)
+        with pytest.raises(ValueError, match="^labels must be integers$"):
+            PointCloud(np.zeros((n, 3)), np.zeros((n, 3)), labels)
+
+    @pytest.mark.parametrize("labels", [np.zeros(4), np.array([-1.0, 0.0, 3.0, 2.0**62]), np.arange(4, dtype=np.int32)],
+                             ids=["zeros", "whole-floats", "int32"])
+    def test_labels_holding_integers_load_as_int64(self, labels):
+        cloud = PointCloud(np.zeros((4, 3)), np.zeros((4, 3)), labels)
+        assert cloud.labels.dtype == np.int64 and cloud.labels.tolist() == labels.astype(np.int64).tolist()
+
 
 # ---------------------------------------------------------------------------
 # grid_subsample

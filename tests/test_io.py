@@ -164,7 +164,7 @@ class TestRunConfig:
         path.write_bytes(b"seed=1\n\xff\n")
         with pytest.raises(ValueError) as exc:
             RunConfig.from_file(path)
-        assert str(exc.value).startswith(f"{path}: not UTF-8 text")
+        assert str(exc.value) == f"{path}:2: byte 0xff is not UTF-8 (invalid start byte)"
 
     def test_frozen_after_validation(self):
         config = RunConfig()

@@ -187,6 +187,18 @@ class TestLeakageAudit:
         with pytest.raises(ValueError):
             leakage_audit(cloud, 1, 64, "sobol", 5, 0)
 
+    def test_unknown_sampler_message_names_the_samplers(self):
+        cloud = labeled_cloud(100, 20)
+        with pytest.raises(ValueError) as exc:
+            leakage_audit(cloud, 1, 64, "Biased", 5, 0)
+        assert str(exc.value) == "sampler must be one of ['biased', 'uniform'], got 'Biased'"
+
+    @pytest.mark.parametrize("sampler", ["biased", "uniform"])
+    def test_rejects_bad_m(self, sampler):
+        cloud = labeled_cloud(100, 20)
+        with pytest.raises(ValueError, match="^m must be >= 1, got 0$"):
+            leakage_audit(cloud, 1, 0, sampler, 5, 0)
+
     def test_deterministic(self):
         cloud = labeled_cloud(1000, 200)
         a = leakage_audit(cloud, 1, 256, "biased", 50, 21)
