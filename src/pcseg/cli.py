@@ -10,7 +10,9 @@ numeric failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
+import stat
 import sys
 
 import numpy as np
@@ -73,6 +75,17 @@ def _pool_paths(pool_args) -> list[str]:
             raise UsageError(f"{path}: --pool names this file twice (first as {first[real]})")
         first[real] = path
     return paths
+
+
+def _check_out_dir(path) -> None:
+    """Raise, before any work, the OSError that writing the output file
+    `path` would raise when its directory is missing or not a directory."""
+    directory = os.path.dirname(path) or "."
+    try:
+        if not stat.S_ISDIR(os.stat(directory).st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def load_pool(pool_args, config: RunConfig):
@@ -242,6 +255,8 @@ def main(argv=None) -> int:
     if args.command == "synth" and args.blobs > args.classes:
         parser.error(f"argument --blobs: must be <= --classes ({args.classes}), got {args.blobs}")
     try:
+        if args.command != "synth" and args.out:  # synth's --out is a directory it makes
+            _check_out_dir(args.out)
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"pcseg: error: {exc}\n")

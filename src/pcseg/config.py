@@ -15,6 +15,12 @@ class PlacedError(ValueError):
     """A ValueError whose message already names the bad input's file or line."""
 
 
+def not_utf8(path, lineno: int, exc: UnicodeDecodeError) -> str:
+    """`<path>:<line>: byte 0x.. is not UTF-8 (<reason>)` for the byte `exc`
+    failed on, which sits on file line `lineno`."""
+    return f"{path}:{lineno}: byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})"
+
+
 def read_utf8(path) -> str:
     """The text of the file at `path`; a byte that is not UTF-8 raises
     PlacedError naming the line it is on."""
@@ -24,7 +30,7 @@ def read_utf8(path) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
-        raise PlacedError(f"{path}:{lineno}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})") from None
+        raise PlacedError(not_utf8(path, lineno, exc)) from None
 
 
 def format_pairs(pairs) -> str:

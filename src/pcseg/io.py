@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .config import PlacedError, RunConfig, format_pairs, parse_pairs, read_utf8
+from .config import PlacedError, RunConfig, format_pairs, not_utf8, parse_pairs, read_utf8
 from .episodes import make_split
 from .geometry import PointCloud
 from .model import BasePrototypeBank, ModelParams
@@ -24,14 +24,20 @@ MODEL_MAGIC = "PCSEG-MODEL v1"
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write `text` to `path` through a temp file; an OSError names `path`."""
+    """Write `text` to `path` through a temp file; an OSError names `path`.
+
+    The file gets the mode `open` would give a new file (0o666 less the
+    umask), not the temp file's 0o600."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
+    umask = os.umask(0)
+    os.umask(umask)
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
@@ -106,6 +112,8 @@ def _first_bad_line(path) -> str | None:
                 if lineno == 1:
                     n = _header_count(line)
                     continue
+            except UnicodeDecodeError as exc:
+                return not_utf8(path, lineno, exc)
             except ValueError as exc:
                 return f"{path}:{lineno}: {exc}"
             fields = line.split("#", 1)[0].split()
@@ -206,11 +214,12 @@ def parse_records(text: str, shapes: dict[str, tuple[int, ...]]) -> dict[str, np
 
 
 def format_model(params: ModelParams, bank: BasePrototypeBank, config: RunConfig, meta: dict) -> str:
-    # share_background_fc=0 is a fixed line, kept so artifact bytes stay the same
+    # share_background_fc=0 is a fixed line and [bank] momentum= repeats the
+    # config's; both are kept so artifact bytes stay the same
     meta_pairs = [*sorted(meta.items()), ("share_background_fc", 0)]
     bank_pairs = [
         ("class_ids", ",".join(str(c) for c in bank.class_ids)),
-        ("momentum", float(bank.momentum)),
+        ("momentum", float(config.momentum)),
         ("update_counts", " ".join(str(int(c)) for c in bank.update_counts)),
     ]
     return "".join([
@@ -250,7 +259,7 @@ def load_model(path):
     Reconstruction is value-exact, so reloaded parameters reproduce
     bit-identical forward outputs. Every record is checked: value count
     against shape, shape against the config, the bank against its class
-    ids and its momentum against the config's, and every value for
+    ids and its `momentum=` line against the config's, and every value for
     finiteness; so is `[meta]`: `fold` is 0 or 1, `classes` a
     comma-separated list of ints, and no other key appears; no section
     repeats. Last, the bank's class ids must be the training classes
@@ -318,17 +327,12 @@ def _parse_model(lines: list[str], path):
         at, raw = bank_kv["update_counts"]
         raise PlacedError(f"{at}: [bank] update_counts needs {len(class_ids)} non-negative entries, "
                           f"one per class id, got {raw!r}")
-    momentum = _section_value("bank", bank_kv, "momentum", float)
-    if momentum != config.momentum:  # [config]'s is in [0, 1], so this also rejects one out of range
+    # [config]'s momentum is in [0, 1], so this also rejects one out of range
+    if _section_value("bank", bank_kv, "momentum", float) != config.momentum:
         at, raw = bank_kv["momentum"]
         raise PlacedError(f"{at}: [bank] momentum={raw} does not match [config] momentum={config.momentum!r}")
     prototypes = parse_records("\n".join(bank_lines[n_pairs:]), {"prototypes": (len(class_ids), config.dim)})
-    bank = BasePrototypeBank(
-        prototypes=prototypes["prototypes"],
-        update_counts=counts,
-        momentum=momentum,
-        class_ids=class_ids,
-    )
+    bank = BasePrototypeBank(prototypes=prototypes["prototypes"], update_counts=counts, class_ids=class_ids)
 
     params = ModelParams.for_config(np.random.default_rng(0), config, len(class_ids))
     records = parse_records("\n".join(sections["params"][1]), {p.name: p.data.shape for p in params.parameters()})

@@ -142,42 +142,36 @@ class BasePrototypeBank:
     """Momentum-updated prototype per training class, plus seen-counts.
 
     Rows with update_count 0 are exactly zero and never contribute to
-    guidance.
+    guidance. The momentum is the run's `RunConfig.momentum`, passed to
+    each update.
     """
 
     prototypes: np.ndarray
     update_counts: np.ndarray
-    momentum: float
     class_ids: tuple[int, ...]
 
-    def __post_init__(self):
-        if not 0.0 <= self.momentum <= 1.0:
-            raise ValueError(f"momentum must lie in [0, 1], got {self.momentum}")
-
     @classmethod
-    def zeros(cls, class_ids, dim: int, momentum: float) -> "BasePrototypeBank":
+    def zeros(cls, class_ids, dim: int) -> "BasePrototypeBank":
         class_ids = tuple(int(c) for c in class_ids)
         return cls(
             prototypes=np.zeros((len(class_ids), dim)),
             update_counts=np.zeros(len(class_ids), dtype=np.int64),
-            momentum=momentum,
             class_ids=class_ids,
         )
 
-    def apply_update(self, class_id: int, new_vec: np.ndarray) -> None:
+    def apply_update(self, class_id: int, new_vec: np.ndarray, momentum: float) -> None:
         """Momentum step toward `new_vec`; the very first update assigns it."""
         row = self.class_ids.index(int(class_id))
         new_vec = np.asarray(new_vec, dtype=np.float64).reshape(-1)
         if self.update_counts[row] == 0:
             self.prototypes[row] = new_vec
         else:
-            mu = self.momentum
-            self.prototypes[row] = mu * self.prototypes[row] + (1.0 - mu) * new_vec
+            self.prototypes[row] = momentum * self.prototypes[row] + (1.0 - momentum) * new_vec
         self.update_counts[row] += 1
 
     def zeroed(self) -> "BasePrototypeBank":
         """Ablation copy: every row forgotten, so guidance is all zeros."""
-        return BasePrototypeBank.zeros(self.class_ids, self.prototypes.shape[1], self.momentum)
+        return BasePrototypeBank.zeros(self.class_ids, self.prototypes.shape[1])
 
 
 def backbone_stub(cloud: PointCloud, stub: MLPParams) -> Tensor:
@@ -366,8 +360,8 @@ class TrainResult:
     losses: list[float] = field(default_factory=list)
 
 
-def _update_bank_from_episode(bank: BasePrototypeBank, episode: Episode, features) -> None:
-    """One momentum step per training class present in the episode.
+def _update_bank_from_episode(bank: BasePrototypeBank, episode: Episode, features, momentum: float) -> None:
+    """One step at `momentum` per training class present in the episode.
 
     Each cloud (every support shot plus the query, in `forward`'s feature
     order) contributes one masked average; a class seen in several clouds
@@ -381,7 +375,7 @@ def _update_bank_from_episode(bank: BasePrototypeBank, episode: Episode, feature
             if mask.any():
                 pooled.append(feat.data[mask].mean(axis=0))
         if pooled:
-            bank.apply_update(class_id, np.mean(pooled, axis=0))
+            bank.apply_update(class_id, np.mean(pooled, axis=0), momentum)
 
 
 def meta_train(pool, split: ClassSplit, config) -> TrainResult:
@@ -396,7 +390,7 @@ def meta_train(pool, split: ClassSplit, config) -> TrainResult:
     """
     rng = np.random.default_rng(derive_seed(config.seed, "init"))
     params = ModelParams.for_config(rng, config, len(split.train_classes))
-    bank = BasePrototypeBank.zeros(split.train_classes, config.dim, config.momentum)
+    bank = BasePrototypeBank.zeros(split.train_classes, config.dim)
     opt = T.AdamW(params.parameters(), lr=config.lr, weight_decay=config.weight_decay)
     losses: list[float] = []
     episodes = episode_stream(pool, split, "train", config, config.seed, config.episodes)
@@ -413,7 +407,7 @@ def meta_train(pool, split: ClassSplit, config) -> TrainResult:
             opt.step()
         except T.NonFiniteGradientError as exc:
             raise NonFiniteLossError(f"episode {i}: {exc}") from None
-        _update_bank_from_episode(bank, episode, features)
+        _update_bank_from_episode(bank, episode, features, config.momentum)
         losses.append(value)
     return TrainResult(params=params, bank=bank, losses=losses)
 

@@ -165,9 +165,9 @@ def _end_to_end_setup(seed: int):
     )
     rng = np.random.default_rng(derive_seed(seed, "gradcheck-init"))
     params = M.ModelParams.for_config(rng, config, len(split.train_classes))
-    bank = M.BasePrototypeBank.zeros(split.train_classes, config.dim, config.momentum)
+    bank = M.BasePrototypeBank.zeros(split.train_classes, config.dim)
     for cid in split.train_classes:  # live guidance so its gradient path is exercised
-        bank.apply_update(cid, rng.standard_normal(config.dim))
+        bank.apply_update(cid, rng.standard_normal(config.dim), config.momentum)
     base_gt = M.base_targets(episode.query.labels, bank.class_ids)
 
     def op(*_params):

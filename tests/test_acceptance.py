@@ -196,9 +196,9 @@ def test_shape_and_equivariance_suite():
 
         # correlation tensor shape for 1-way and 2-way, same parameters
         params = ModelParams.create(rng, dim, n_protos, 3, 1, n_base=len(split.train_classes))
-        bank = BasePrototypeBank.zeros(split.train_classes, dim, 0.995)
+        bank = BasePrototypeBank.zeros(split.train_classes, dim)
         for c in split.train_classes:
-            bank.apply_update(c, rng.standard_normal(dim))
+            bank.apply_update(c, rng.standard_normal(dim), 0.995)
         for n_way in (1, 2):
             ep = generate_episode(pool, split.train_classes, n_way, 1, 40, 256, 60 + n_way)
             fq = backbone_stub(ep.query, params.stub)
@@ -241,7 +241,6 @@ def test_shape_and_equivariance_suite():
         pruned = BasePrototypeBank(
             bank.prototypes[keep],
             bank.update_counts[keep],
-            bank.momentum,
             tuple(bank.class_ids[i] for i in keep),
         )
         without = base_guidance(fq, pruned, set()).data
@@ -251,14 +250,14 @@ def test_shape_and_equivariance_suite():
 def test_momentum_law():
     with criterion("momentum-law", 1.0):
         mu = 0.995
-        bank = BasePrototypeBank.zeros([1, 2, 3], 8, momentum=mu)
+        bank = BasePrototypeBank.zeros([1, 2, 3], 8)
         rng = np.random.default_rng(5)
         first = rng.standard_normal(8)
         target = rng.standard_normal(8)
-        bank.apply_update(2, first)
+        bank.apply_update(2, first, mu)
         base_dist = np.linalg.norm(first - target)
         for u in range(2, 40):
-            bank.apply_update(2, target)
+            bank.apply_update(2, target, mu)
             dist = np.linalg.norm(bank.prototypes[1] - target)
             assert abs(dist - mu ** (u - 1) * base_dist) < 1e-12
         assert (bank.prototypes[0] == 0).all()

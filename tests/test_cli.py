@@ -2,9 +2,11 @@
 
 import argparse
 import contextlib
+import errno
 import io
 import os
 import shlex
+import stat
 import tempfile
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from pcseg import cli
 from pcseg import io as pio
 from pcseg import model as M
 from pcseg.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
@@ -703,6 +706,51 @@ class TestTrainEval:
         assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"pcseg: {model}:{lineno}: [bank] class_ids=")
+
+
+# ---------------------------------------------------------------------------
+# output files
+# ---------------------------------------------------------------------------
+
+def test_output_files_follow_the_umask(scene_dir, config_path, tmp_path):
+    scenes, model, metrics, report = (tmp_path / name for name in ("scenes", "model.txt", "metrics.txt", "audit.txt"))
+    scene = str(sorted(scene_dir.glob("*.pcseg"))[0])
+    old = os.umask(0o027)
+    try:
+        assert main(["synth", "--out", str(scenes), "--scenes", "2", "--classes", "2", "--blobs", "2",
+                     "--points", "20"]) == EXIT_OK
+        assert main(["train", "--pool", str(scene_dir), "--config", str(config_path), "--out", str(model)]) == EXIT_OK
+        assert main(["eval", "--pool", str(scene_dir), "--model", str(model), "--episodes", "2",
+                     "--out", str(metrics)]) == EXIT_OK
+        assert main(["audit", "--cloud", scene, "--fg-class", "1", "--m", "16", "--trials", "2",
+                     "--out", str(report)]) == EXIT_OK
+    finally:
+        os.umask(old)
+    written = [*scenes.iterdir(), model, metrics, report]
+    assert len(written) == 5
+    assert {path.name: oct(stat.S_IMODE(path.stat().st_mode)) for path in written} == {
+        path.name: oct(0o640) for path in written}
+
+
+@pytest.mark.parametrize("parent, code", [("nodir", errno.ENOENT), ("afile", errno.ENOTDIR)])
+@pytest.mark.parametrize("command", ["train", "eval", "audit"])
+def test_out_in_a_missing_directory_exits_2_before_any_work(scene_dir, config_path, tmp_path, capsys, monkeypatch,
+                                                            command, parent, code):
+    model = tmp_path / "model.txt"
+    if command == "eval":
+        assert main(["train", "--pool", str(scene_dir), "--config", str(config_path), "--out", str(model)]) == EXIT_OK
+    (tmp_path / "afile").write_text("")
+    for owner, name in ((M, "meta_train"), (M, "evaluate"), (cli, "leakage_audit")):
+        monkeypatch.setattr(owner, name, lambda *args, _name=name: pytest.fail(f"{_name} ran before --out was checked"))
+    out = tmp_path / parent / "out.txt"
+    argv = {
+        "train": ["train", "--pool", str(scene_dir), "--config", str(config_path)],
+        "eval": ["eval", "--pool", str(scene_dir), "--model", str(model), "--episodes", "2"],
+        "audit": ["audit", "--cloud", str(sorted(scene_dir.glob("*.pcseg"))[0]), "--fg-class", "1"],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == EXIT_IO
+    assert capsys.readouterr().err == f"pcseg: [Errno {code}] {os.strerror(code)}: '{out}'\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Model pieces: prototypes, correlations, guidance, calibration,
 refinement layers, forward/loss, the bank, and the training loop."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -177,31 +179,31 @@ class TestComputeCorrelations:
 
 class TestBasePrototypeBank:
     def test_momentum_formula(self):
-        bank = BasePrototypeBank.zeros([1], 4, momentum=0.9)
+        bank = BasePrototypeBank.zeros([1], 4)
         bank.update_counts[0] = 1  # pretend a first update happened at zero
-        bank.apply_update(1, np.ones(4))
+        bank.apply_update(1, np.ones(4), 0.9)
         np.testing.assert_allclose(bank.prototypes[0], np.full(4, 0.1), rtol=1e-12)
 
     def test_momentum_one_freezes(self):
-        bank = BasePrototypeBank.zeros([1], 4, momentum=1.0)
-        bank.apply_update(1, np.ones(4))          # first update assigns
-        bank.apply_update(1, np.full(4, 99.0))    # mu = 1 keeps the old value
+        bank = BasePrototypeBank.zeros([1], 4)
+        bank.apply_update(1, np.ones(4), 1.0)        # first update assigns
+        bank.apply_update(1, np.full(4, 99.0), 1.0)  # mu = 1 keeps the old value
         np.testing.assert_array_equal(bank.prototypes[0], np.ones(4))
 
     def test_three_updates_match_unrolled_recursion(self):
         mu = 0.8
         targets = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([2.0, 2.0])]
-        bank = BasePrototypeBank.zeros([7], 2, momentum=mu)
+        bank = BasePrototypeBank.zeros([7], 2)
         for t in targets:
-            bank.apply_update(7, t)
+            bank.apply_update(7, t, mu)
         want = targets[0]
         for t in targets[1:]:
             want = mu * want + (1 - mu) * t
         np.testing.assert_allclose(bank.prototypes[0], want, rtol=1e-12)
 
     def test_first_update_bypasses_momentum(self):
-        bank = BasePrototypeBank.zeros([2], 3, momentum=0.995)
-        bank.apply_update(2, np.full(3, 5.0))
+        bank = BasePrototypeBank.zeros([2], 3)
+        bank.apply_update(2, np.full(3, 5.0), 0.995)
         np.testing.assert_array_equal(bank.prototypes[0], np.full(3, 5.0))
         assert bank.update_counts[0] == 1
 
@@ -211,17 +213,17 @@ class TestBasePrototypeBank:
         mu = 0.95
         first = np.array([4.0, -2.0, 1.0])
         target = np.array([1.0, 1.0, 1.0])
-        bank = BasePrototypeBank.zeros([3], 3, momentum=mu)
-        bank.apply_update(3, first)
+        bank = BasePrototypeBank.zeros([3], 3)
+        bank.apply_update(3, first, mu)
         base_dist = np.linalg.norm(first - target)
         for u in range(2, 25):
-            bank.apply_update(3, target)
+            bank.apply_update(3, target, mu)
             dist = np.linalg.norm(bank.prototypes[0] - target)
             assert abs(dist - mu ** (u - 1) * base_dist) < 1e-12
 
     def test_unseen_rows_exactly_zero(self):
-        bank = BasePrototypeBank.zeros([1, 2, 3], 4, momentum=0.9)
-        bank.apply_update(2, np.ones(4))
+        bank = BasePrototypeBank.zeros([1, 2, 3], 4)
+        bank.apply_update(2, np.ones(4), 0.9)
         assert (bank.prototypes[0] == 0).all() and (bank.prototypes[2] == 0).all()
 
     def test_update_from_episode_skips_absent_class(self):
@@ -232,26 +234,21 @@ class TestBasePrototypeBank:
         support = PointCloud(rng.uniform(size=(10, 3)), rng.uniform(size=(10, 3)), support_labels)
         query = PointCloud(rng.uniform(size=(6, 3)), rng.uniform(size=(6, 3)), query_labels)
         episode = Episode([[(support, support_labels == 3)]], query, (query_labels == 3).astype(np.int64), (3,))
-        bank = BasePrototypeBank.zeros([1, 2], 4, momentum=0.9)
-        _update_bank_from_episode(bank, episode, [Tensor(support_feats), Tensor(query_feats)])
+        bank = BasePrototypeBank.zeros([1, 2], 4)
+        _update_bank_from_episode(bank, episode, [Tensor(support_feats), Tensor(query_feats)], 0.9)
         # class 1: one masked average per cloud, then their plain average
         want = np.mean([support_feats[:4].mean(axis=0), query_feats[[1, 4]].mean(axis=0)], axis=0)
         np.testing.assert_allclose(bank.prototypes[0], want, rtol=1e-12)
         # class 2 is in no cloud: its row stays untouched
         assert list(bank.update_counts) == [1, 0] and (bank.prototypes[1] == 0).all()
 
-    def test_bad_momentum_rejected(self):
-        for mu in (1.5, -0.1, float("nan")):
-            with pytest.raises(ValueError, match="momentum must lie in"):
-                BasePrototypeBank.zeros([1], 2, momentum=mu)
-
 
 class TestBaseGuidance:
     def test_exact_match_scores_one(self):
         rng = np.random.default_rng(12)
-        bank = BasePrototypeBank.zeros([1, 2], 6, momentum=0.9)
-        bank.apply_update(1, rng.standard_normal(6))
-        bank.apply_update(2, rng.standard_normal(6))
+        bank = BasePrototypeBank.zeros([1, 2], 6)
+        bank.apply_update(1, rng.standard_normal(6), 0.9)
+        bank.apply_update(2, rng.standard_normal(6), 0.9)
         fq = rng.standard_normal((4, 6))
         fq[1] = bank.prototypes[0]
         guide = base_guidance(Tensor(fq), bank, excluded=set()).data
@@ -259,23 +256,23 @@ class TestBaseGuidance:
 
     def test_all_excluded_gives_zeros(self):
         rng = np.random.default_rng(13)
-        bank = BasePrototypeBank.zeros([1, 2], 4, momentum=0.9)
-        bank.apply_update(1, rng.standard_normal(4))
-        bank.apply_update(2, rng.standard_normal(4))
+        bank = BasePrototypeBank.zeros([1, 2], 4)
+        bank.apply_update(1, rng.standard_normal(4), 0.9)
+        bank.apply_update(2, rng.standard_normal(4), 0.9)
         guide = base_guidance(Tensor(rng.standard_normal((3, 4))), bank, excluded={1, 2})
         np.testing.assert_array_equal(guide.data, np.zeros(3))
 
     def test_unseen_rows_ignored(self):
         rng = np.random.default_rng(14)
-        bank = BasePrototypeBank.zeros([1, 2], 4, momentum=0.9)
+        bank = BasePrototypeBank.zeros([1, 2], 4)
         guide = base_guidance(Tensor(rng.standard_normal((3, 4))), bank, excluded=set())
         np.testing.assert_array_equal(guide.data, np.zeros(3))
 
     def test_matches_max_cosine_oracle(self):
         rng = np.random.default_rng(15)
-        bank = BasePrototypeBank.zeros(list(range(5)), 6, momentum=0.9)
+        bank = BasePrototypeBank.zeros(list(range(5)), 6)
         for c in range(5):
-            bank.apply_update(c, rng.standard_normal(6))
+            bank.apply_update(c, rng.standard_normal(6), 0.9)
         fq = rng.standard_normal((8, 6))
         guide = base_guidance(Tensor(fq), bank, excluded=set()).data
         for i in range(8):
@@ -288,15 +285,15 @@ class TestBaseGuidance:
     def test_exclusion_equals_row_deletion(self):
         rng = np.random.default_rng(16)
         ids = [1, 2, 3, 4]
-        bank = BasePrototypeBank.zeros(ids, 6, momentum=0.9)
+        bank = BasePrototypeBank.zeros(ids, 6)
         for c in ids:
-            bank.apply_update(c, rng.standard_normal(6))
+            bank.apply_update(c, rng.standard_normal(6), 0.9)
         fq = Tensor(rng.standard_normal((10, 6)))
         excluded = {2, 4}
         with_exclusion = base_guidance(fq, bank, excluded).data
         keep = [i for i, c in enumerate(ids) if c not in excluded]
         pruned = BasePrototypeBank(
-            bank.prototypes[keep], bank.update_counts[keep], 0.9,
+            bank.prototypes[keep], bank.update_counts[keep],
             tuple(ids[i] for i in keep),
         )
         without = base_guidance(fq, pruned, set()).data
@@ -378,7 +375,7 @@ class TestForwardAndLoss:
             rng, dim=16, n_prototypes=6, n_layers=2, heads=1,
             n_base=len(split8.train_classes),
         )
-        bank = BasePrototypeBank.zeros(split8.train_classes, 16, 0.995)
+        bank = BasePrototypeBank.zeros(split8.train_classes, 16)
         for n_way, want_cols in ((1, 2), (2, 3)):
             ep = episode_for(pool8, split8, fast_config, seed=40 + n_way, n_way=n_way)
             seg, features = forward(ep, params, bank, ep.target_classes)
@@ -391,7 +388,7 @@ class TestForwardAndLoss:
     def test_features_are_support_way_by_way_then_query(self, pool8, split8, fast_config):
         # `_update_bank_from_episode` pairs these features with the clouds in this order.
         params = tiny_params(np.random.default_rng(27), dim=16, n_base=len(split8.train_classes))
-        bank = BasePrototypeBank.zeros(split8.train_classes, 16, 0.995)
+        bank = BasePrototypeBank.zeros(split8.train_classes, 16)
         ep = episode_for(pool8, split8, fast_config, seed=52, n_way=2, k_shot=2)
         _, features = forward(ep, params, bank, ep.target_classes)
         clouds = [cloud for way in ep.support for cloud, _ in way] + [ep.query]
@@ -402,7 +399,7 @@ class TestForwardAndLoss:
     def test_forward_deterministic(self, pool8, split8, fast_config):
         rng = np.random.default_rng(24)
         params = ModelParams.create(rng, 16, 6, 2, 1, n_base=4)
-        bank = BasePrototypeBank.zeros(split8.train_classes, 16, 0.995)
+        bank = BasePrototypeBank.zeros(split8.train_classes, 16)
         ep = episode_for(pool8, split8, fast_config, seed=50)
         a_seg, a_features = forward(ep, params, bank, ep.target_classes)
         b_seg, b_features = forward(ep, params, bank, ep.target_classes)
@@ -412,9 +409,9 @@ class TestForwardAndLoss:
     def test_forward_query_permutation_equivariant(self, pool8, split8, fast_config):
         rng = np.random.default_rng(25)
         params = ModelParams.create(rng, 16, 6, 2, 1, n_base=4)
-        bank = BasePrototypeBank.zeros(split8.train_classes, 16, 0.995)
+        bank = BasePrototypeBank.zeros(split8.train_classes, 16)
         for c in split8.train_classes:
-            bank.apply_update(c, rng.standard_normal(16))
+            bank.apply_update(c, rng.standard_normal(16), 0.995)
         ep = episode_for(pool8, split8, fast_config, seed=51)
         seg, _ = forward(ep, params, bank, ())
         perm = rng.permutation(len(ep.query))
@@ -500,6 +497,35 @@ class TestMetaTrain:
         assert losses.shape == (200,)
         assert np.isfinite(losses).all()
         assert losses[-50:].mean() < losses[:50].mean()
+
+    def test_bank_steps_at_the_config_momentum(self, pool8, split8, fast_config, tmp_path, monkeypatch):
+        from pcseg import io as pio
+
+        config = RunConfig(**{**fast_config.__dict__, "episodes": 3, "momentum": 0.5})
+        updates = []
+        real_update = BasePrototypeBank.apply_update
+
+        def spy(bank, class_id, new_vec, momentum):
+            updates.append((class_id, np.array(new_vec)))
+            return real_update(bank, class_id, new_vec, momentum)
+
+        monkeypatch.setattr(BasePrototypeBank, "apply_update", spy)
+        result = meta_train(pool8, split8, config)
+        bank = result.bank
+        counts = Counter(class_id for class_id, _ in updates)
+        assert max(counts.values()) >= 2  # some row takes a momentum step
+        replay = {}
+        for class_id, vec in updates:  # the first update of a row assigns it
+            replay[class_id] = 0.5 * replay[class_id] + 0.5 * vec if class_id in replay else vec
+        for row, class_id in enumerate(bank.class_ids):
+            np.testing.assert_array_equal(bank.prototypes[row], replay.get(class_id, np.zeros(config.dim)))
+            assert bank.update_counts[row] == counts[class_id]
+        path = tmp_path / "model.txt"
+        pio.save_model(path, result.params, bank, config, {"fold": 0, "classes": "1,2,3,4,5,6,7,8"})
+        _, loaded, loaded_config, _ = pio.load_model(path)
+        assert loaded_config.momentum == 0.5 and "momentum=0.5\n" in path.read_text().split("[bank]")[1]
+        np.testing.assert_array_equal(loaded.prototypes, bank.prototypes)
+        np.testing.assert_array_equal(loaded.update_counts, bank.update_counts)
 
     def test_bank_rows_for_unseen_classes_stay_zero(self, pool8, split8, fast_config):
         config = RunConfig(**{**fast_config.__dict__, "episodes": 20})
@@ -648,7 +674,7 @@ class TestEvaluate:
                 raise M.NonFiniteLossError("forward failed")
 
             monkeypatch.setattr(M, "forward", failing)
-        bank = BasePrototypeBank.zeros(split8.train_classes, fast_config.dim, fast_config.momentum)
+        bank = BasePrototypeBank.zeros(split8.train_classes, fast_config.dim)
         with np.errstate(all="ignore"), pytest.raises(M.NonFiniteLossError):
             M.evaluate(pool8, split8, params, bank, fast_config, 2, seed=1)
         monkeypatch.undo()  # meta_train runs the same `forward`

@@ -1,8 +1,9 @@
 """The CLI enters every function in `src/pcseg`, but for a listed few.
 
-Every golden command, plus two that fail (an `audit` of a cloud with a
-color out of range, and a `synth --scenes 0` that argparse rejects), runs
-in process under `sys.settrace`. A module-level function or method of
+Every golden command, plus three that fail (an `audit` of a cloud with a
+color out of range, one of a cloud with a byte that is not UTF-8, and a
+`synth --scenes 0` that argparse rejects), runs in process under
+`sys.settrace`. A module-level function or method of
 `pcseg` that none of them enters must be in UNREACHED, with its reason,
 and every entry of UNREACHED must still go unentered. So code that
 nothing runs fails here, and so does an entry that code has started to
@@ -61,6 +62,7 @@ def defined_functions() -> dict:
 def test_cli_enters_every_function_but_the_listed(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     Path("bad_color.pcseg").write_text("PCSEG v1 1\n0 0 0 1.5 0 0 1\n")
+    Path("bad_byte.pcseg").write_bytes(b"PCSEG v1 1\n0 0 0 0 0 0 \xff\n")
     src = str(Path(pcseg.__file__).parent)
     entered = set()
 
@@ -75,13 +77,14 @@ def test_cli_enters_every_function_but_the_listed(tmp_path, monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             codes = run_commands()
             bad_cloud = main(["audit", "--cloud", "bad_color.pcseg", "--fg-class", "1", "--out", "a.txt"])
+            bad_byte = main(["audit", "--cloud", "bad_byte.pcseg", "--fg-class", "1", "--out", "a.txt"])
             with pytest.raises(SystemExit) as bad_flag:
                 main(["synth", "--out", "none", "--scenes", "0"])
     finally:
         sys.settrace(previous)
 
     assert set(codes.values()) == {EXIT_OK}, codes
-    assert (bad_cloud, bad_flag.value.code) == (EXIT_IO, EXIT_USAGE)
+    assert (bad_cloud, bad_byte, bad_flag.value.code) == (EXIT_IO, EXIT_IO, EXIT_USAGE)
     functions = defined_functions()
     never_entered = {name for code, name in functions.items() if code not in entered}
     assert never_entered == set(UNREACHED)
