@@ -1,43 +1,47 @@
-"""Linear attention vs softmax attention: agreement and scaling.
+"""Kernel attention in its two association orders: agreement and scaling.
 
-The kernel phi(x) = elu(x) + 1 replaces the exponential similarity, and
-reassociating the matrix products turns the O(N^2 D) attention into
-O(N D^2). The two association orders agree to floating-point noise; the
-softmax form is kept as a well-understood oracle.
+The kernel phi(x) = elu(x) + 1 replaces the exponential similarity of
+softmax attention. `kernel_attention` either forms the N x N score matrix
+phi(q) phi(k)^T, at O(N^2 D), or reassociates the products to
+phi(q) (phi(k)^T v), at O(N D^2). The model picks the order per call, by
+whether the token axis is longer than a head's width: point attention
+runs the reassociated order and class attention the score-matrix one.
+The two orders agree to floating-point noise.
 """
 
 import time
 
 import numpy as np
 
-from pcseg.attention import linear_attention, standard_attention
+from pcseg import tensor as T
+from pcseg.attention import kernel_attention
 from pcseg.tensor import Tensor
 
 rng = np.random.default_rng(0)
 
-print("agreement of the two association orders (same kernel, same math):")
-for n in (8, 64, 256):
-    q, k, v = (Tensor(rng.standard_normal((n, 32))) for _ in range(3))
-    fast = linear_attention(q, k, v).data
-    fq, fk = (np.where(t.data > 0, t.data + 1.0, np.exp(np.minimum(t.data, 0.0))) for t in (q, k))
-    w = fq @ fk.T  # the N x N kernel matrix, phi = elu + 1
-    slow = (w @ v.data) / w.sum(axis=1, keepdims=True)
-    print(f"  N={n:4d}: max |reassociated - quadratic| = {np.abs(fast - slow).max():.2e}")
 
-print("\nsoftmax attention against its direct formula:")
-q, k, v = (Tensor(rng.standard_normal((50, 16))) for _ in range(3))
-w = np.exp(q.data @ k.data.T / np.sqrt(16))
-oracle = (w / w.sum(axis=1, keepdims=True)) @ v.data
-print(f"  max abs diff = {np.abs(standard_attention(q, k, v).data - oracle).max():.2e}")
+def stacks(n, dh=32):
+    """phi(q), phi(k) and v for one (1, 1, N, Dh) sequence."""
+    q, k, v = (Tensor(rng.standard_normal((1, 1, n, dh))) for _ in range(3))
+    return T.elu_plus_one(q), T.elu_plus_one(k), v
 
-print("\nwall-clock scaling with token count (D = 32):")
-print(f"  {'N':>6}  {'linear (ms)':>12}  {'softmax (ms)':>13}")
-for n in (256, 1024, 4096):
-    q, k, v = (Tensor(rng.standard_normal((n, 32))) for _ in range(3))
-    t0 = time.perf_counter()
-    linear_attention(q, k, v)
-    t1 = time.perf_counter()
-    standard_attention(q, k, v)
-    t2 = time.perf_counter()
-    print(f"  {n:>6}  {1e3 * (t1 - t0):>12.2f}  {1e3 * (t2 - t1):>13.2f}")
-print("\nthe linear form grows with N, the softmax form with N^2.")
+
+with T.no_grad():
+    print("agreement of the two association orders (same kernel, same math):")
+    for n in (3, 64, 512):
+        fq, fk, v = stacks(n)
+        fast = kernel_attention(fq, fk, v, reassociated=True).data
+        slow = kernel_attention(fq, fk, v, reassociated=False).data
+        print(f"  N={n:4d}: max |reassociated - score matrix| = {np.abs(fast - slow).max():.2e}")
+
+    print("\nwall-clock scaling with token count (Dh = 32):")
+    print(f"  {'N':>6}  {'reassociated (ms)':>18}  {'score matrix (ms)':>18}")
+    for n in (256, 1024, 4096):
+        fq, fk, v = stacks(n)
+        t0 = time.perf_counter()
+        kernel_attention(fq, fk, v, reassociated=True)
+        t1 = time.perf_counter()
+        kernel_attention(fq, fk, v, reassociated=False)
+        t2 = time.perf_counter()
+        print(f"  {n:>6}  {1e3 * (t1 - t0):>18.2f}  {1e3 * (t2 - t1):>18.2f}")
+print("\nthe reassociated order grows with N, the score-matrix order with N^2.")

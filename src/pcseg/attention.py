@@ -1,11 +1,11 @@
-"""Softmax attention (the oracle) and elu-kernel linear attention.
+"""Elu-kernel linear attention, multi-head.
 
-`standard_attention` computes the quadratic softmax form. `linear_attention`
-replaces exp(q k^T / sqrt(D)) with the kernel phi(q) phi(k)^T, phi(x) =
-elu(x) + 1, and reassociates the products so the cost is O(N D^2) instead
-of O(N^2 D). The kernel form carries no sqrt(D) scaling. The multi-head
-wrapper projects, splits heads along the channel axis, and treats the
-leading axis as an independent batch.
+`kernel_attention` replaces the softmax similarity exp(q k^T / sqrt(D))
+with the kernel phi(q) phi(k)^T, phi(x) = elu(x) + 1, and can
+reassociate the products so the cost is O(N D^2) instead of O(N^2 D).
+The kernel form carries no sqrt(D) scaling. The multi-head wrapper
+projects, splits heads along the channel axis, and treats the leading
+axis as an independent batch.
 """
 
 from __future__ import annotations
@@ -46,23 +46,9 @@ class AttentionParams(ParameterGroup):
         return cls(proj("w_q"), proj("w_k"), proj("w_v"), proj("w_o"), head_count)
 
 
-def _check_qkv(q: Tensor, k: Tensor, v: Tensor):
-    if q.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
-        raise ValueError(f"q, k, v must share one (N, D) shape, got {q.shape}, {k.shape}, {v.shape}")
-    if q.shape[0] < 1:
-        raise ValueError("attention needs at least one token")
-
-
-def standard_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Softmax attention: row i gets sum_j softmax_j(q_i k_j^T / sqrt(D)) v_j."""
-    _check_qkv(q, k, v)
-    dim = q.shape[1]
-    scores = T.mul(T.einsum("nd,md->nm", q, k), Tensor(1.0 / np.sqrt(dim)))
-    return T.einsum("nm,md->nd", T.softmax_rows(scores), v)
-
-
-def _kernel_attention(fq: Tensor, fk: Tensor, v: Tensor, reassociated: bool) -> Tensor:
-    """Normalized kernel attention on (B, H, N, Dh) stacks.
+def kernel_attention(fq: Tensor, fk: Tensor, v: Tensor, reassociated: bool) -> Tensor:
+    """Normalized kernel attention on (B, H, N, Dh) stacks of phi(q),
+    phi(k) and v.
 
     The two association orders are algebraically identical; `reassociated`
     picks the O(N Dh^2) one, otherwise the O(N^2 Dh) score matrix is
@@ -79,20 +65,6 @@ def _kernel_attention(fq: Tensor, fk: Tensor, v: Tensor, reassociated: bool) -> 
         num = T.matmul(scores, v)
         den = T.sum_axis(scores, axis=-1)
     return T.div(num, T.clamp_min(den, _DEN_FLOOR))
-
-
-def linear_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Kernel attention in the reassociated O(N D^2) order.
-
-    out_i = phi(q_i) (sum_j phi(k_j)^T v_j) / (phi(q_i) sum_j phi(k_j)^T).
-    """
-    _check_qkv(q, k, v)
-    n, dim = q.shape
-    lift = lambda t: T.reshape(t, (1, 1, n, dim))
-    out = _kernel_attention(
-        T.elu_plus_one(lift(q)), T.elu_plus_one(lift(k)), lift(v), reassociated=True
-    )
-    return T.reshape(out, (n, dim))
 
 
 def multi_head_linear_attention(x: Tensor, params: AttentionParams) -> Tensor:
@@ -118,6 +90,6 @@ def multi_head_linear_attention(x: Tensor, params: AttentionParams) -> Tensor:
     fq = T.elu_plus_one(split(params.w_q))
     fk = T.elu_plus_one(split(params.w_k))
     v4 = split(params.w_v)
-    out = _kernel_attention(fq, fk, v4, reassociated=n > dh)
+    out = kernel_attention(fq, fk, v4, reassociated=n > dh)
     merged = T.reshape(T.swap_axes(out, 1, 2), (b * n, dim))
     return T.reshape(T.matmul(merged, params.w_o), (b, n, dim))

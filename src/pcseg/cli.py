@@ -14,6 +14,7 @@ import errno
 import os
 import stat
 import sys
+import tempfile
 
 import numpy as np
 
@@ -79,11 +80,15 @@ def _pool_paths(pool_args) -> list[str]:
 
 def _check_out_dir(path) -> None:
     """Raise, before any work, the OSError that writing the output file
-    `path` would raise when its directory is missing or not a directory."""
+    `path` would raise when its directory is missing, not a directory or
+    cannot take a new file: a probe file is made there and removed."""
     directory = os.path.dirname(path) or "."
     try:
         if not stat.S_ISDIR(os.stat(directory).st_mode):
             raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        fd, probe = tempfile.mkstemp(dir=directory)
+        os.close(fd)
+        os.unlink(probe)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
 

@@ -21,6 +21,18 @@ def not_utf8(path, lineno: int, exc: UnicodeDecodeError) -> str:
     return f"{path}:{lineno}: byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})"
 
 
+def split_lines(text: str) -> list[str]:
+    r"""The lines of `text`, each ended by `\n`, `\r\n` or `\r` only, as
+    `bytes.splitlines` ends a cloud file's lines; `str.splitlines` would
+    also end one at a form feed, `\x85`, `\u2028` and the like."""
+    if "\r" in text:  # every file pcseg writes has none
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def read_utf8(path) -> str:
     """The text of the file at `path`; a byte that is not UTF-8 raises
     PlacedError naming the line it is on."""
@@ -29,7 +41,7 @@ def read_utf8(path) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        lineno = len(split_lines(data[:exc.start].decode("utf-8") + "x"))
         raise PlacedError(not_utf8(path, lineno, exc)) from None
 
 
@@ -143,7 +155,7 @@ class RunConfig:
         """Parse `key=value` lines (see `parse_pairs`); a range error names `source`."""
         types = {f.name: f.type for f in fields(cls)}
         kwargs = {}
-        for at, key, raw in parse_pairs(text.splitlines(), "config", types, source, first_line):
+        for at, key, raw in parse_pairs(split_lines(text), "config", types, source, first_line):
             try:
                 kwargs[key] = float(raw) if types[key] == "float" else _int64(raw)
             except ValueError:

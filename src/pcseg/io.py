@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .config import PlacedError, RunConfig, format_pairs, not_utf8, parse_pairs, read_utf8
+from .config import PlacedError, RunConfig, format_pairs, not_utf8, parse_pairs, read_utf8, split_lines
 from .episodes import make_split
 from .geometry import PointCloud
 from .model import BasePrototypeBank, ModelParams
@@ -178,7 +178,7 @@ def parse_records(text: str, shapes: dict[str, tuple[int, ...]]) -> dict[str, np
     not the expected one or it holds a non-finite value, and naming every
     missing and extra record when the names differ from `shapes`.
     """
-    lines = text.splitlines()
+    lines = split_lines(text)
     out: dict[str, np.ndarray] = {}
     i = 0
     while i < len(lines):
@@ -266,7 +266,7 @@ def load_model(path):
     that `fold` splits from `classes`. A failure raises ValueError naming
     the path and the record or key, and the file line where there is one.
     """
-    lines = read_utf8(path).splitlines()
+    lines = split_lines(read_utf8(path))
     try:
         return _parse_model(lines, path)
     except PlacedError:

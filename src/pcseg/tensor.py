@@ -123,11 +123,7 @@ class Tensor:
                 continue  # a leaf keeps its gradient
             parents = node._parents
             node._backward = node._parents = node.grad = None
-            if g is None:
-                continue
             for parent, pg in zip(parents, closure(g)):
-                if pg is None:
-                    continue
                 parent.grad = pg if parent.grad is None else parent.grad + pg
 
 
@@ -188,17 +184,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         a.data + b.data,
         (a, b),
         lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)),
-    )
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    return Tensor(
-        a.data * b.data,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
-        ),
     )
 
 
@@ -496,18 +481,6 @@ def group_mean_rows(t: Tensor, groups) -> Tensor:
         return (z,)
 
     return Tensor(data, (t,), backward)
-
-
-def softmax_rows(t: Tensor) -> Tensor:
-    """Softmax over the last axis (max-shifted for stability)."""
-    shifted = t.data - t.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
-
-    return Tensor(y, (t,), backward)
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:

@@ -9,9 +9,10 @@ subset of every model parameter.
 
 import numpy as np
 
+from attention_oracles import mul, softmax_rows, standard_attention
 from pcseg import model as M
 from pcseg import tensor as T
-from pcseg.attention import AttentionParams, linear_attention, multi_head_linear_attention, standard_attention
+from pcseg.attention import AttentionParams, multi_head_linear_attention
 from pcseg.config import RunConfig
 from pcseg.episodes import generate_episode, make_split
 from pcseg.seeding import derive_seed
@@ -109,7 +110,7 @@ def _two_head_attention(x, w_q, w_k, w_v, w_o):
 OP_CHECKS = [
     ("matmul", _on_normals(T.matmul, (3, 4), (4, 2))),
     ("add_broadcast", _on_normals(T.add, (4, 5), (5,))),
-    ("mul", _on_normals(T.mul, (3, 4), (3, 4))),
+    ("mul", _on_normals(mul, (3, 4), (3, 4))),
     ("div", _check_div),
     ("concat", _on_normals(lambda a, b: T.concat([a, b], axis=1), (4, 1, 8), (4, 2, 8))),
     ("reshape", _on_normals(lambda t: T.reshape(t, (6, 2)), (3, 4))),
@@ -122,12 +123,13 @@ OP_CHECKS = [
     ("cosine_rows", _on_normals(T.cosine_rows, (3, 4), (2, 4))),
     ("max_pool_rows", _on_normals(T.max_pool_rows, (5, 7))),
     ("group_mean_rows", _on_normals(lambda t: T.group_mean_rows(t, [np.array([0, 2]), np.array([1, 3, 4])]), (5, 3))),
-    ("softmax_rows", _on_normals(T.softmax_rows, (4, 6))),
+    ("softmax_rows", _on_normals(softmax_rows, (4, 6))),
     ("cross_entropy", _check_cross_entropy),
     ("einsum_batched", _on_normals(lambda a, b: T.einsum("bnhd,bnhe->bhde", a, b), (2, 4, 2, 3), (2, 4, 2, 3))),
     ("standard_attention", _on_normals(standard_attention, (5, 4), (5, 4), (5, 4))),
-    ("linear_attention", _on_normals(linear_attention, (6, 4), (6, 4), (6, 4))),
+    # 5 tokens > 4 channels per head takes the reassociated order, 3 tokens the score-matrix order
     ("multi_head_linear_attention", _on_normals(_two_head_attention, (2, 5, 8), (8, 8), (8, 8), (8, 8), (8, 8))),
+    ("multi_head_linear_attention_short", _on_normals(_two_head_attention, (4, 3, 8), (8, 8), (8, 8), (8, 8), (8, 8))),
 ]
 
 

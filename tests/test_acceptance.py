@@ -11,9 +11,10 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from attention_oracles import linear_attention_quadratic
+from attention_oracles import linear_attention_quadratic, standard_attention
 from gradient_oracles import OP_CHECKS, check_end_to_end, check_op
-from pcseg.attention import linear_attention, standard_attention
+from pcseg import tensor as T
+from pcseg.attention import kernel_attention
 from pcseg.cli import EXIT_OK, main
 from pcseg.config import RunConfig
 from pcseg.episodes import confusion_counts, generate_episode, iou_from_counts, make_split
@@ -127,17 +128,18 @@ def test_leakage_exploit():
 
 
 def test_attention_oracle():
+    """Both orders of the kernel attention the model runs match the einsum
+    reference, at random (1, 1, N, 32) stacks and at the point and class
+    attention stacks `forward` passes at TOY_CONFIG, 1-way and 2-way; the
+    softmax oracle matches its formula."""
     with criterion("attention-oracle", 5.0):
         rng = np.random.default_rng(1)
-        worst_linear = 0.0
+        stacks = []
         worst_standard = 0.0
         for _ in range(20):
             n = int(rng.integers(2, 65))
             d = 32
-            q, k, v = (Tensor(rng.standard_normal((n, d))) for _ in range(3))
-            fast = linear_attention(q, k, v).data
-            slow = linear_attention_quadratic(q, k, v).data
-            worst_linear = max(worst_linear, float(np.abs(fast - slow).max()))
+            stacks.append([Tensor(rng.standard_normal((1, 1, n, d))) for _ in range(3)])
 
             ns = int(rng.integers(2, 17))
             qs, ks, vs = (Tensor(rng.standard_normal((ns, 6))) for _ in range(3))
@@ -145,6 +147,17 @@ def test_attention_oracle():
             w = np.exp(qs.data @ ks.data.T / np.sqrt(6))
             want = (w / w.sum(axis=1, keepdims=True)) @ vs.data
             worst_standard = max(worst_standard, float(np.abs(got - want).max()))
+        heads, points = TOY_CONFIG.heads, TOY_CONFIG.max_points
+        dh = TOY_CONFIG.dim // heads
+        for n_way in (1, 2):
+            for shape in [(n_way + 1, heads, points, dh), (points, heads, n_way + 1, dh)]:
+                stacks.append([Tensor(rng.standard_normal(shape)) for _ in range(3)])
+        worst_linear = 0.0
+        for q, k, v in stacks:
+            slow = linear_attention_quadratic(q, k, v).data
+            for reassociated in (True, False):
+                fast = kernel_attention(T.elu_plus_one(q), T.elu_plus_one(k), v, reassociated).data
+                worst_linear = max(worst_linear, float(np.abs(fast - slow).max()))
         assert worst_linear < 1e-6, worst_linear
         assert worst_standard < 1e-12, worst_standard
 

