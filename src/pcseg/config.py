@@ -1,7 +1,10 @@
-"""The `key=value` format, and the run configuration written in it.
+"""The `key=value` format, the run configuration written in it, and the
+one reader of text files.
 
 Config files, metrics, audit reports and the `key=value` heads of model
-artifacts are written by `format_pairs` and read by `parse_pairs`.
+artifacts are written by `format_pairs` and read by `parse_pairs`. Cloud
+files, config files and model artifacts are decoded and split into
+numbered lines by `read_lines`.
 """
 
 from __future__ import annotations
@@ -12,37 +15,29 @@ from dataclasses import dataclass, fields
 
 
 class PlacedError(ValueError):
-    """A ValueError whose message already names the bad input's file or line."""
+    """A ValueError whose message already names the bad input's file and line."""
 
 
-def not_utf8(path, lineno: int, exc: UnicodeDecodeError) -> str:
-    """`<path>:<line>: byte 0x.. is not UTF-8 (<reason>)` for the byte `exc`
-    failed on, which sits on file line `lineno`."""
-    return f"{path}:{lineno}: byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})"
+def read_lines(path) -> list[str]:
+    r"""The lines of the UTF-8 text file at `path`, file line 1 first.
 
-
-def split_lines(text: str) -> list[str]:
-    r"""The lines of `text`, each ended by `\n`, `\r\n` or `\r` only, as
-    `bytes.splitlines` ends a cloud file's lines; `str.splitlines` would
-    also end one at a form feed, `\x85`, `\u2028` and the like."""
-    if "\r" in text:  # every file pcseg writes has none
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
+    Only `\n`, `\r\n` and `\r` end a line, as in `np.loadtxt`;
+    `str.splitlines` would also end one at a form feed, `\x85`, `\u2028`
+    and the like. A byte that is not UTF-8 raises PlacedError naming the
+    line it is on.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:  # none in files pcseg writes; 0x0d is never inside a UTF-8 sequence
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        lines = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise PlacedError(f"{path}:{lineno}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})") from None
     if not lines[-1]:
         lines.pop()
     return lines
-
-
-def read_utf8(path) -> str:
-    """The text of the file at `path`; a byte that is not UTF-8 raises
-    PlacedError naming the line it is on."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = len(split_lines(data[:exc.start].decode("utf-8") + "x"))
-        raise PlacedError(not_utf8(path, lineno, exc)) from None
 
 
 def format_pairs(pairs) -> str:
@@ -52,18 +47,18 @@ def format_pairs(pairs) -> str:
                    for key, value in pairs)
 
 
-def parse_pairs(lines, kind: str, known, source: str | None = None, first_line: int = 1):
-    """Yield (place, key, raw value) for each `key=value` line, in order.
+def parse_pairs(lines, kind: str, known, source, first_line: int = 1) -> dict[str, tuple[str, str]]:
+    """Key -> (place, raw value) for each `key=value` line, in file order.
 
     Blank lines and `#` comments are skipped; keys and values are stripped.
-    `place` is `source:line` (`line N` without a source), counting
-    `lines[0]` as file line `first_line`. A line without `=`, a key not
-    in `known` or a repeated key raises PlacedError, with `kind`
-    (`config`, `[meta]`, ...) naming the key set.
+    `place` is `source:line`, counting `lines[0]` as file line
+    `first_line`. A line without `=`, a key not in `known` or a repeated
+    key raises PlacedError, with `kind` (`config`, `[meta]`, ...) naming
+    the key set.
     """
-    seen = set()
+    pairs: dict[str, tuple[str, str]] = {}
     for lineno, line in enumerate(lines, start=first_line):
-        at = f"{source}:{lineno}" if source else f"line {lineno}"
+        at = f"{source}:{lineno}"
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -73,10 +68,23 @@ def parse_pairs(lines, kind: str, known, source: str | None = None, first_line: 
         key = key.strip()
         if key not in known:
             raise PlacedError(f"{at}: unknown {kind} key {key!r}")
-        if key in seen:
+        if key in pairs:
             raise PlacedError(f"{at}: duplicate {kind} key {key!r}")
-        seen.add(key)
-        yield at, key, raw.strip()
+        pairs[key] = (at, raw.strip())
+    return pairs
+
+
+def parse_value(pairs: dict[str, tuple[str, str]], kind: str, key: str, parse):
+    """`parse` of `key`'s raw value in `pairs` (from `parse_pairs`). A
+    value that `parse` rejects raises PlacedError at its line; a missing
+    key raises ValueError."""
+    if key not in pairs:
+        raise ValueError(f"{kind} has no {key}= line")
+    at, raw = pairs[key]
+    try:
+        return parse(raw)
+    except (ValueError, OverflowError):
+        raise PlacedError(f"{at}: cannot parse {kind} {key}={raw!r}") from None
 
 
 def _int64(raw: str) -> int:
@@ -151,23 +159,18 @@ class RunConfig:
         )
 
     @classmethod
-    def from_text(cls, text: str, source: str | None = None, first_line: int = 1) -> "RunConfig":
-        """Parse `key=value` lines (see `parse_pairs`); a range error names `source`."""
+    def from_lines(cls, lines: list[str], source, first_line: int = 1) -> "RunConfig":
+        """Parse `key=value` lines (see `parse_pairs`), `lines[0]` being line
+        `first_line` of the file `source`; a range error names `source`."""
         types = {f.name: f.type for f in fields(cls)}
-        kwargs = {}
-        for at, key, raw in parse_pairs(split_lines(text), "config", types, source, first_line):
-            try:
-                kwargs[key] = float(raw) if types[key] == "float" else _int64(raw)
-            except ValueError:
-                raise PlacedError(f"{at}: cannot parse {key}={raw!r}") from None
+        pairs = parse_pairs(lines, "config", types, source, first_line)
+        kwargs = {key: parse_value(pairs, "config", key, float if types[key] == "float" else _int64) for key in pairs}
         try:
             return cls(**kwargs)
         except ValueError as exc:
-            if source:
-                raise PlacedError(f"{source}: {exc}") from None
-            raise
+            raise PlacedError(f"{source}: {exc}") from None
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         path = os.fspath(path)
-        return cls.from_text(read_utf8(path), source=path)
+        return cls.from_lines(read_lines(path), path)

@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .config import PlacedError, RunConfig, format_pairs, not_utf8, parse_pairs, read_utf8, split_lines
+from .config import PlacedError, RunConfig, format_pairs, parse_pairs, parse_value, read_lines
 from .episodes import make_split
 from .geometry import PointCloud
 from .model import BasePrototypeBank, ModelParams
@@ -73,8 +73,9 @@ def read_cloud(path) -> PointCloud:
 
     A file that breaks any of this raises one ValueError of the form
     `<path>:<line>: <what>` naming the first bad line (the header is line
-    1). A good file is parsed in one `np.loadtxt` call; the line is only
-    searched for once that call or a check on its result has failed.
+    1); a byte that is not UTF-8 is named before any other fault. A good
+    file is parsed in one `np.loadtxt` call; the line is only searched for
+    once that call or a check on its result has failed.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -100,51 +101,45 @@ def _header_count(line: str) -> int:
 def _first_bad_line(path) -> str | None:
     """`<path>:<line>: <what>` for the first line `read_cloud` rejects.
 
-    Each line is decoded on its own, so a byte that is not UTF-8 is placed
-    exactly. As in `np.loadtxt`, a lone CR also ends a line, `#` starts
-    a comment and blank lines are skipped.
+    The file is read as every text file is, by `read_lines`: a byte that
+    is not UTF-8 raises its PlacedError first, wherever it sits, and as in
+    `np.loadtxt` a lone CR also ends a line. `#` starts a comment and
+    blank lines are skipped.
     """
-    n = rows = lineno = 0
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
-            try:
-                line = raw.decode("utf-8")
-                if lineno == 1:
-                    n = _header_count(line)
-                    continue
-            except UnicodeDecodeError as exc:
-                return not_utf8(path, lineno, exc)
-            except ValueError as exc:
-                return f"{path}:{lineno}: {exc}"
-            fields = line.split("#", 1)[0].split()
-            if not fields:
-                continue
-            rows += 1
-            what = _bad_row(fields) if rows <= n else f"more rows than the header's count {n}"
-            if what:
-                return f"{path}:{lineno}: {what}"
-    if lineno == 0:
+    lines = read_lines(path)
+    if not lines:
         return f"{path}:1: the file is empty"
+    try:
+        n = _header_count(lines[0])
+    except ValueError as exc:
+        return f"{path}:1: {exc}"
+    rows = 0
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split("#", 1)[0].split()
+        if not fields:
+            continue
+        rows += 1
+        what = _bad_row(fields) if rows <= n else f"more rows than the header's count {n}"
+        if what:
+            return f"{path}:{lineno}: {what}"
     if rows < n:
-        return f"{path}:{lineno + 1}: the file ends after {rows} of {n} rows"
+        return f"{path}:{len(lines) + 1}: the file ends after {rows} of {n} rows"
     return None
 
 
 def _bad_row(fields: list[str]) -> str | None:
+    """What is wrong with one row's fields: the format's own rules here,
+    a point's rules in `PointCloud`."""
     if len(fields) != 7:
         return f"expected 7 fields, got {len(fields)}"
     try:  # the fast path's parser: `float` would also take `1_0` and non-ASCII digits
-        values = np.loadtxt(fields, dtype=np.float64).tolist()
+        row = np.loadtxt(fields, dtype=np.float64)[None]
     except ValueError:
         return f"cannot read {' '.join(fields)!r} as 7 numbers"
-    if not all(math.isfinite(v) for v in values[:3]):
-        return f"position {' '.join(fields[:3])} is not finite"
-    if not all(0.0 <= v <= 1.0 for v in values[3:6]):
-        return f"color {' '.join(fields[3:6])} is not in [0, 1]"
-    if not values[6].is_integer() or not -2**63 <= values[6] < 2**63:
-        return f"label {fields[6]} is not an integer"
-    if values[6] < -1:
-        return f"label {fields[6]} is below -1"
+    try:
+        PointCloud(row[:, 0:3], row[:, 3:6], row[:, 6])
+    except ValueError as exc:
+        return f"row {' '.join(fields)!r}: {exc}"
     return None
 
 
@@ -169,16 +164,18 @@ def format_records(named_arrays) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_records(text: str, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+def parse_records(lines: list[str], shapes: dict[str, tuple[int, ...]], source,
+                  first_line: int = 1) -> dict[str, np.ndarray]:
     """Inverse of `format_records`, for exactly the records named in
-    `shapes`, each of that shape and finite.
+    `shapes`, each of that shape and finite; `lines[0]` is line
+    `first_line` of the file `source`.
 
-    Raises ValueError naming the record when its header is malformed, its
-    value count does not match its shape, its name repeats, its shape is
-    not the expected one or it holds a non-finite value, and naming every
-    missing and extra record when the names differ from `shapes`.
+    A record that is truncated, has a malformed header or values line, too
+    many or too few values for its shape, a repeated name, a shape other
+    than the expected one or a non-finite value raises PlacedError naming
+    `source:line` and the record. Names that differ from `shapes` raise
+    ValueError naming every missing and extra record.
     """
-    lines = split_lines(text)
     out: dict[str, np.ndarray] = {}
     i = 0
     while i < len(lines):
@@ -186,24 +183,28 @@ def parse_records(text: str, shapes: dict[str, tuple[int, ...]]) -> dict[str, np
             i += 1
             continue
         name = lines[i].strip()
+        at = [f"{source}:{first_line + i + k}: record {name}" for k in range(3)]  # its name, header, values
         if i + 2 >= len(lines):
-            raise ValueError(f"record {name}: truncated (needs a header line and a values line)")
+            raise PlacedError(f"{at[0]}: truncated (needs a header line and a values line)")
         try:
             header = [int(d) for d in lines[i + 1].split()]
+        except ValueError:
+            header = []
+        if not header or header[0] != len(header) - 1 or min(header) < 0:
+            raise PlacedError(f"{at[1]}: malformed header (expected 'rank d0 d1 ...')")
+        shape = tuple(header[1:])
+        try:
             values = np.array(lines[i + 2].split(), dtype=np.float64)
         except ValueError:
-            raise ValueError(f"record {name}: malformed header or values") from None
-        if not header or header[0] != len(header) - 1 or min(header) < 0:
-            raise ValueError(f"record {name}: bad header {lines[i + 1]!r}")
-        shape = tuple(header[1:])
+            raise PlacedError(f"{at[2]}: malformed values") from None
         if values.size != math.prod(shape):
-            raise ValueError(f"record {name}: {values.size} values for shape {shape}")
+            raise PlacedError(f"{at[2]}: {values.size} values for shape {shape}")
         if name in out:
-            raise ValueError(f"record {name} appears twice")
+            raise PlacedError(f"{at[0]} appears twice")
         if name in shapes and shape != shapes[name]:
-            raise ValueError(f"record {name} has shape {shape}, expected {shapes[name]}")
+            raise PlacedError(f"{at[1]} has shape {shape}, expected {shapes[name]}")
         if not np.isfinite(values).all():
-            raise ValueError(f"record {name} holds a non-finite value")
+            raise PlacedError(f"{at[2]} holds a non-finite value")
         out[name] = values.reshape(shape)
         i += 3
     if out.keys() != shapes.keys():
@@ -235,9 +236,9 @@ def save_model(path, params: ModelParams, bank: BasePrototypeBank, config: RunCo
 
 
 def _split_sections(lines: list[str], path) -> dict[str, tuple[int, list[str]]]:
-    """Section name -> (file line of its `[name]` header, its lines); a
-    repeated header, or a non-blank line before the first header, is an
-    error at its line."""
+    """Section name -> (file line of the line after its `[name]` header,
+    its lines); a repeated header, or a non-blank line before the first
+    header, is an error at its line."""
     sections: dict[str, tuple[int, list[str]]] = {}
     current = None
     for lineno, line in enumerate(lines[1:], start=2):  # line 1 is the magic
@@ -245,7 +246,7 @@ def _split_sections(lines: list[str], path) -> dict[str, tuple[int, list[str]]]:
             current = line[1:-1]
             if current in sections:
                 raise PlacedError(f"{path}:{lineno}: repeated section {line}")
-            sections[current] = (lineno, [])
+            sections[current] = (lineno + 1, [])
         elif current is not None:
             sections[current][1].append(line)
         elif line.strip():
@@ -261,34 +262,19 @@ def load_model(path):
     against shape, shape against the config, the bank against its class
     ids and its `momentum=` line against the config's, and every value for
     finiteness; so is `[meta]`: `fold` is 0 or 1, `classes` a
-    comma-separated list of ints, and no other key appears; no section
-    repeats. Last, the bank's class ids must be the training classes
+    comma-separated list of at least 2 ints, and no other key appears;
+    no section repeats. The bank's class ids must be the training classes
     that `fold` splits from `classes`. A failure raises ValueError naming
-    the path and the record or key, and the file line where there is one.
+    the path, and the file line wherever there is one; only a missing
+    section, key or record has none.
     """
-    lines = split_lines(read_utf8(path))
+    lines = read_lines(path)
     try:
         return _parse_model(lines, path)
     except PlacedError:
         raise
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def _section_pairs(path, name: str, header: int, lines: list[str], known) -> dict[str, tuple[str, str]]:
-    """Key -> (place, raw value) for the `key=value` lines of `[name]`,
-    whose first line follows the header on file line `header`."""
-    return {key: (at, raw) for at, key, raw in parse_pairs(lines, f"[{name}]", known, path, header + 1)}
-
-
-def _section_value(section: str, pairs: dict[str, tuple[str, str]], key: str, parse):
-    if key not in pairs:
-        raise ValueError(f"[{section}] has no {key}= line")
-    at, raw = pairs[key]
-    try:
-        return parse(raw)
-    except (ValueError, OverflowError):
-        raise PlacedError(f"{at}: [{section}] {key}={raw!r} is malformed") from None
 
 
 def _int_list(text: str) -> list[int]:
@@ -304,43 +290,50 @@ def _parse_model(lines: list[str], path):
         if needed not in sections:
             raise ValueError(f"missing [{needed}] section")
 
-    meta = _section_pairs(path, "meta", *sections["meta"], ("fold", "classes", "share_background_fc"))
+    first, meta_lines = sections["meta"]
+    meta = parse_pairs(meta_lines, "[meta]", ("fold", "classes", "share_background_fc"), path, first)
     at, shared_fc = meta.pop("share_background_fc", (None, "0"))
     if shared_fc != "0":
         raise PlacedError(f"{at}: [meta] share_background_fc must be 0 (no shared background layer), got {shared_fc!r}")
-    fold = _section_value("meta", meta, "fold", int)
+    fold = parse_value(meta, "[meta]", "fold", int)
     if fold not in (0, 1):
         at, raw = meta["fold"]
         raise PlacedError(f"{at}: [meta] fold must be 0 or 1, got {raw!r}")
-    classes = _section_value("meta", meta, "classes", _int_list)
+    classes = parse_value(meta, "[meta]", "classes", _int_list)
+    try:
+        train_classes = make_split(classes, fold).train_classes
+    except ValueError as exc:
+        at, raw = meta["classes"]
+        raise PlacedError(f"{at}: [meta] classes={raw}: {exc}") from None
 
-    header, config_lines = sections["config"]
-    config = RunConfig.from_text("\n".join(config_lines), source=path, first_line=header + 1)
+    first, config_lines = sections["config"]
+    config = RunConfig.from_lines(config_lines, path, first)
 
-    header, bank_lines = sections["bank"]  # key=value lines, then the one record, prototypes
+    first, bank_lines = sections["bank"]  # key=value lines, then the one record, prototypes
     n_pairs = bank_lines.index("prototypes") if "prototypes" in bank_lines else len(bank_lines)
-    bank_kv = _section_pairs(path, "bank", header, bank_lines[:n_pairs], ("class_ids", "momentum", "update_counts"))
-    class_ids = tuple(_section_value("bank", bank_kv, "class_ids", _int_list))
-    counts = _section_value("bank", bank_kv, "update_counts",
-                            lambda v: np.array([int(c) for c in v.split()], dtype=np.int64))
+    bank_kv = parse_pairs(bank_lines[:n_pairs], "[bank]", ("class_ids", "momentum", "update_counts"), path, first)
+    class_ids = tuple(parse_value(bank_kv, "[bank]", "class_ids", _int_list))
+    if class_ids != train_classes:
+        at, raw = bank_kv["class_ids"]
+        raise PlacedError(f"{at}: [bank] class_ids={raw} do not match [meta]: fold {fold} trains on "
+                          f"{','.join(map(str, train_classes))}")
+    counts = parse_value(bank_kv, "[bank]", "update_counts",
+                         lambda v: np.array([int(c) for c in v.split()], dtype=np.int64))
     if counts.shape != (len(class_ids),) or (counts < 0).any():
         at, raw = bank_kv["update_counts"]
         raise PlacedError(f"{at}: [bank] update_counts needs {len(class_ids)} non-negative entries, "
                           f"one per class id, got {raw!r}")
     # [config]'s momentum is in [0, 1], so this also rejects one out of range
-    if _section_value("bank", bank_kv, "momentum", float) != config.momentum:
+    if parse_value(bank_kv, "[bank]", "momentum", float) != config.momentum:
         at, raw = bank_kv["momentum"]
         raise PlacedError(f"{at}: [bank] momentum={raw} does not match [config] momentum={config.momentum!r}")
-    prototypes = parse_records("\n".join(bank_lines[n_pairs:]), {"prototypes": (len(class_ids), config.dim)})
+    prototypes = parse_records(bank_lines[n_pairs:], {"prototypes": (len(class_ids), config.dim)},
+                               path, first + n_pairs)
     bank = BasePrototypeBank(prototypes=prototypes["prototypes"], update_counts=counts, class_ids=class_ids)
 
     params = ModelParams.for_config(np.random.default_rng(0), config, len(class_ids))
-    records = parse_records("\n".join(sections["params"][1]), {p.name: p.data.shape for p in params.parameters()})
+    first, param_lines = sections["params"]
+    records = parse_records(param_lines, {p.name: p.data.shape for p in params.parameters()}, path, first)
     for p in params.parameters():
         p.data = records[p.name]
-    train_classes = make_split(classes, fold).train_classes
-    if class_ids != train_classes:
-        at, raw = bank_kv["class_ids"]
-        raise PlacedError(f"{at}: [bank] class_ids={raw} do not match [meta]: fold {fold} trains on "
-                          f"{','.join(map(str, train_classes))}")
     return params, bank, config, {key: raw for key, (_, raw) in meta.items()}

@@ -415,10 +415,8 @@ class TestTrainEval:
         capsys.readouterr()
         assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and str(model) in err
-        if record in (2, "momentum"):
-            assert err.startswith(f"pcseg: {model}:{edited[0]}: ")
-        else:
+        assert err.count("\n") == 1 and err.startswith(f"pcseg: {model}:{edited[0]}: ")
+        if record != 2:
             assert record in err
 
     @pytest.mark.parametrize("key, edit", [
@@ -428,6 +426,8 @@ class TestTrainEval:
         ("classes", lambda v: None),
         ("classes", lambda v: "classes="),
         ("classes", lambda v: "classes=1,,3"),
+        ("classes", lambda v: "classes=1"),  # parses, but one class cannot be split
+        ("classes", lambda v: "classes=1,1,1"),
         ("share_background_fc", lambda v: "share_background_fc=1"),
         ("fodl", lambda v: "fodl=1"),  # a misspelled key, added to [meta]
     ])
@@ -510,7 +510,7 @@ class TestTrainEval:
     # artifact's [config] section, in place of any line with the same key.
     BAD_CONFIG_LINES = [
         ("bogus=1", "unknown config key 'bogus'"),
-        ("n_prototypes=99999999999999999999", "cannot parse n_prototypes='99999999999999999999'"),
+        ("n_prototypes=99999999999999999999", "cannot parse config n_prototypes='99999999999999999999'"),
     ]
 
     def test_bad_config_exits_64_but_in_an_artifact_exits_2(self, scene_dir, config_path, tmp_path, capsys):
@@ -692,7 +692,8 @@ class TestTrainEval:
         ("fold", lambda v: "1"),
         ("classes", lambda v: v.rsplit(",", 1)[0]),  # the last class dropped
         ("class_ids", lambda v: ",".join(str(int(c) - 1) for c in v.split(","))),  # the fold's test classes
-    ], ids=["fold", "classes", "class_ids"])
+        ("class_ids", lambda v: f"{v},{v.split(',')[0]}"),  # a class repeated: one id more than update_counts
+    ], ids=["fold", "classes", "class_ids", "class_ids-repeated"])
     def test_meta_split_that_disagrees_with_the_bank_exits_2(self, scene_dir, config_path, tmp_path, capsys,
                                                               key, edit):
         def change(lines):

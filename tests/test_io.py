@@ -54,10 +54,16 @@ class TestCloudFormat:
     @pytest.mark.parametrize("lineno, row, what", [
         (6, "0.1 0.2 0.3 0.5 0.5 0.5", "expected 7 fields, got 6"),
         (6, "0.1 0.2 0.3 0.5 0.5 0.5 1 9", "expected 7 fields, got 8"),
-        (4, "nan 0.2 0.3 0.5 0.5 0.5 1", "position nan 0.2 0.3 is not finite"),
-        (5, "0.1 0.2 0.3 2.0 0.5 0.5 1", "color 2.0 0.5 0.5 is not in [0, 1]"),
-        (7, "0.1 0.2 0.3 0.5 0.5 0.5 1.5", "label 1.5 is not an integer"),
-        (8, "0.1 0.2 0.3 0.5 0.5 0.5 -5", "label -5 is below -1"),
+        # a point's rules are PointCloud's, whose reason comes with the row; each id names the fault
+        pytest.param(4, "nan 0.2 0.3 0.5 0.5 0.5 1", "row 'nan 0.2 0.3 0.5 0.5 0.5 1': positions must be finite",
+                     id="4-nan 0.2 0.3 0.5 0.5 0.5 1-position nan 0.2 0.3 is not finite"),
+        pytest.param(5, "0.1 0.2 0.3 2.0 0.5 0.5 1", "row '0.1 0.2 0.3 2.0 0.5 0.5 1': colors must lie in [0, 1]",
+                     id="5-0.1 0.2 0.3 2.0 0.5 0.5 1-color 2.0 0.5 0.5 is not in [0, 1]"),
+        pytest.param(7, "0.1 0.2 0.3 0.5 0.5 0.5 1.5", "row '0.1 0.2 0.3 0.5 0.5 0.5 1.5': labels must be integers",
+                     id="7-0.1 0.2 0.3 0.5 0.5 0.5 1.5-label 1.5 is not an integer"),
+        pytest.param(8, "0.1 0.2 0.3 0.5 0.5 0.5 -5",
+                     "row '0.1 0.2 0.3 0.5 0.5 0.5 -5': labels must be >= -1 (-1 marks unlabeled), got -5",
+                     id="8-0.1 0.2 0.3 0.5 0.5 0.5 -5-label -5 is below -1"),
         (3, "0.1 0.2 0.3 0.5 0.5 0.5 one", "cannot read '0.1 0.2 0.3 0.5 0.5 0.5 one' as 7 numbers"),
         (22, "0.1 0.2 0.3 0.5 0.5 0.5 1", "more rows than the header's count 20"),
         (1, "PCSEG v1 0", "not a 'PCSEG v1 <count>' header with a count >= 1: 'PCSEG v1 0'"),
@@ -89,6 +95,11 @@ class TestCloudFormat:
         with pytest.raises(ValueError) as exc:
             pio.read_cloud(path)
         assert str(exc.value) == f"{path}:5: byte 0xff is not UTF-8 (invalid start byte)"
+        lines[2] = b"0.1 0.2 0.3 0.5 0.5 0.5"  # the file is decoded whole before any row is checked
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ValueError) as exc:
+            pio.read_cloud(path)
+        assert str(exc.value) == f"{path}:5: byte 0xff is not UTF-8 (invalid start byte)"
 
     def test_line_count_includes_comments_and_blanks(self, tmp_path):
         lines = pio.format_cloud(synth_scene(4, [(1, 10), (2, 10)])).splitlines()
@@ -96,7 +107,7 @@ class TestCloudFormat:
         lines[9] = lines[9].rsplit(" ", 1)[0] + " 2.5"
         path = tmp_path / "bad.pcseg"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=r":10: label 2.5 is not an integer$"):
+        with pytest.raises(ValueError, match=r":10: row '[^']* 2\.5': labels must be integers$"):
             pio.read_cloud(path)
 
     def test_good_file_never_searched(self, tmp_path, monkeypatch):
@@ -123,7 +134,7 @@ class TestSerialization:
             ("c", np.array(3.5)),
         ]
         text = pio.format_records(arrays)
-        back = pio.parse_records(text, {name: np.shape(arr) for name, arr in arrays})
+        back = pio.parse_records(text.splitlines(), {name: np.shape(arr) for name, arr in arrays}, "m.txt")
         assert set(back) == {"a", "b.w1", "c"}
         for name, arr in arrays:
             assert back[name].shape == np.asarray(arr).shape
@@ -132,24 +143,24 @@ class TestSerialization:
     def test_seventeen_digits_restore_bits(self):
         rng = np.random.default_rng(24)
         values = rng.standard_normal(1000) * 10.0 ** rng.integers(-30, 30, size=1000)
-        back = pio.parse_records(pio.format_records([("x", values)]), {"x": (1000,)})["x"]
+        back = pio.parse_records(pio.format_records([("x", values)]).splitlines(), {"x": (1000,)}, "m.txt")["x"]
         assert (back == values).all()
 
     def test_repeated_record_rejected(self):
         text = pio.format_records([("a", np.zeros(2)), ("a", np.zeros(2))])
-        with pytest.raises(ValueError, match=r"^record a appears twice$"):
-            pio.parse_records(text, {"a": (2,)})
+        with pytest.raises(PlacedError, match=r"^m.txt:13: record a appears twice$"):
+            pio.parse_records(text.splitlines(), {"a": (2,)}, "m.txt", first_line=10)
 
 
 class TestRunConfig:
     def test_text_round_trip(self):
         config = RunConfig(seed=9, dim=16, lr=0.0005, momentum=0.99)
-        back = RunConfig.from_text(config.to_text())
+        back = RunConfig.from_lines(config.to_text().splitlines(), "t.cfg")
         assert back == config
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
-            RunConfig.from_text("seed=1\nwarp_factor=9\n")
+            RunConfig.from_lines(["seed=1", "warp_factor=9"], "t.cfg")
 
     def test_from_file_names_path_and_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -190,7 +201,7 @@ class TestRunConfig:
 
     def test_range_validation(self):
         with pytest.raises(ValueError, match="grid_size"):
-            RunConfig.from_text("grid_size=-0.5\n")
+            RunConfig.from_lines(["grid_size=-0.5"], "t.cfg")
         with pytest.raises(ValueError, match="momentum"):
             RunConfig(momentum=1.5)
         with pytest.raises(ValueError, match="heads"):
@@ -204,8 +215,8 @@ class TestRunConfig:
     @pytest.mark.parametrize("key", ["lr", "grid_size", "block_size", "weight_decay"])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_non_finite_floats_rejected(self, tmp_path, key, value):
-        with pytest.raises(ValueError, match=rf"^config field {key} must be .*, got {value}$"):
-            RunConfig.from_text(f"{key}={value}\n")
+        with pytest.raises(ValueError, match=rf"^t.cfg: config field {key} must be .*, got {value}$"):
+            RunConfig.from_lines([f"{key}={value}"], "t.cfg")
         path = tmp_path / "bad.cfg"
         path.write_text(f"seed=1\n{key}={value}\n")
         with pytest.raises(ValueError) as exc:
@@ -213,11 +224,11 @@ class TestRunConfig:
         assert str(exc.value).startswith(f"{path}: config field {key} must be ")
 
     def test_duplicate_key_rejected(self):
-        with pytest.raises(ValueError, match=r"^line 2: duplicate config key 'seed'$"):
-            RunConfig.from_text("seed=1\nseed=2\n")
+        with pytest.raises(ValueError, match=r"^t.cfg:2: duplicate config key 'seed'$"):
+            RunConfig.from_lines(["seed=1", "seed=2"], "t.cfg")
 
     def test_comments_and_blanks_ignored(self):
-        config = RunConfig.from_text("# comment\n\nseed=4\n")
+        config = RunConfig.from_lines(["# comment", "", "seed=4"], "t.cfg")
         assert config.seed == 4
 
 
@@ -234,10 +245,10 @@ class TestKeyValueFormat:
     @given(st.lists(st.tuples(st.from_regex(r"[a-z_]+", fullmatch=True), _VALUES), unique_by=lambda kv: kv[0]))
     def test_round_trip(self, pairs):
         text = format_pairs(pairs)
-        back = list(parse_pairs(text.splitlines(), "test", {key for key, _ in pairs}, "f.txt", 5))
-        assert [key for _, key, _ in back] == [key for key, _ in pairs]
-        assert [at for at, _, _ in back] == [f"f.txt:{5 + i}" for i in range(len(pairs))]
-        for (key, value), (_, _, raw) in zip(pairs, back):
+        back = parse_pairs(text.splitlines(), "test", {key for key, _ in pairs}, "f.txt", 5)
+        assert list(back) == [key for key, _ in pairs]
+        assert [at for at, _ in back.values()] == [f"f.txt:{5 + i}" for i in range(len(pairs))]
+        for (key, value), (_, raw) in zip(pairs, back.values()):
             if isinstance(value, float):
                 assert struct.pack("<d", float(raw)) == struct.pack("<d", value)
             else:
@@ -250,7 +261,7 @@ class TestKeyValueFormat:
     ], ids=["no-equals", "duplicate", "unknown"])
     def test_bad_line_names_its_place(self, text, message):
         with pytest.raises(ValueError) as exc:
-            list(parse_pairs(text.splitlines(), "test", {"a", "b"}, "f.txt", 2))
+            parse_pairs(text.splitlines(), "test", {"a", "b"}, "f.txt", 2)
         assert str(exc.value) == message
 
 
@@ -284,7 +295,7 @@ def test_one_drawn_config_value_parses_to_int64_or_names_its_place(field, value)
     index = next(i for i, line in enumerate(lines) if line.startswith(f"{field}="))
     lines[index] = f"{field}={value}"
     try:
-        config = RunConfig.from_text("\n".join(lines) + "\n", source="fuzz.cfg")
+        config = RunConfig.from_lines(lines, "fuzz.cfg")
     except PlacedError as exc:
         message = str(exc)
         assert message.startswith("fuzz.cfg:") and "\n" not in message, message
@@ -342,6 +353,39 @@ def test_one_drawn_cloud_field_loads_or_names_its_line(tmp_path_factory, column,
     assert len(cloud) == len(lines) - 1
     assert np.isfinite(cloud.positions).all() and ((cloud.colors >= 0) & (cloud.colors <= 1)).all()
     assert (cloud.labels >= -1).all()
+
+
+# a row that breaks one rule, and the message that names it
+_BAD_ROWS = [
+    ("0.1 0.2 0.3 0.5 0.5 0.5", "expected 7 fields, got 6"),
+    ("0.1 0.2 0.3 0.5 0.5 0.5 one", "cannot read '0.1 0.2 0.3 0.5 0.5 0.5 one' as 7 numbers"),
+    ("nan 0.2 0.3 0.5 0.5 0.5 1", "row 'nan 0.2 0.3 0.5 0.5 0.5 1': positions must be finite"),
+    ("0.1 0.2 0.3 0.5 0.5 2 1", "row '0.1 0.2 0.3 0.5 0.5 2 1': colors must lie in [0, 1]"),
+    ("0.1 0.2 0.3 0.5 0.5 0.5 1.5", "row '0.1 0.2 0.3 0.5 0.5 0.5 1.5': labels must be integers"),
+]
+
+
+@settings(max_examples=50)
+@given(data=st.data())
+def test_bad_cloud_row_named_at_the_line_an_editor_shows(tmp_path_factory, data):
+    # every line ends in \n, \r\n or \r, as an editor counts them, with blank
+    # and comment lines among the rows and one row broken
+    lines = list(_CLOUD_LINES)
+    row, what = data.draw(st.sampled_from(_BAD_ROWS), label="bad row")
+    lines[data.draw(st.integers(1, len(lines) - 1), label="row index")] = row
+    for _ in range(data.draw(st.integers(0, 6), label="inserted")):
+        filler = data.draw(st.sampled_from(["", "  ", "\t", "# a note", " # 1 2 3"]), label="filler")
+        lines.insert(data.draw(st.integers(1, len(lines)), label="at"), filler)
+    ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)),
+                     label="ends")
+    for i in range(1, len(lines)):
+        if ends[i - 1] == "\r" and not lines[i]:
+            ends[i - 1] = "\n"  # a CR before an empty line's LF would read as one CRLF
+    path = tmp_path_factory.mktemp("ends") / "cloud.pcseg"
+    path.write_bytes("".join(line + end for line, end in zip(lines, ends)).encode())
+    with pytest.raises(ValueError) as exc:
+        pio.read_cloud(path)
+    assert str(exc.value) == f"{path}:{lines.index(row) + 1}: {what}"
 
 
 def _untrained_artifact_lines() -> list[str]:
@@ -437,7 +481,7 @@ class TestModelArtifact:
         idx = lines.index("decoder.b2")
         lines[idx + 2] = "nan"
         path = self._load_broken(tmp_path, lines)
-        with pytest.raises(ValueError, match=rf"{path}: record decoder\.b2 holds a non-finite value"):
+        with pytest.raises(ValueError, match=rf"^{path}:{idx + 3}: record decoder\.b2 holds a non-finite value$"):
             pio.load_model(path)
 
     def test_non_finite_prototype_rejected(self, tmp_path):
@@ -445,7 +489,7 @@ class TestModelArtifact:
         idx = lines.index("prototypes")
         lines[idx + 2] = lines[idx + 2].replace("1", "inf", 1)
         path = self._load_broken(tmp_path, lines)
-        with pytest.raises(ValueError, match=rf"{path}: record prototypes holds a non-finite value"):
+        with pytest.raises(ValueError, match=rf"^{path}:{idx + 3}: record prototypes holds a non-finite value$"):
             pio.load_model(path)
 
     def test_value_count_checked_against_shape(self, tmp_path):
@@ -453,16 +497,18 @@ class TestModelArtifact:
         idx = lines.index("stub.b1")
         lines[idx + 2] = lines[idx + 2].rsplit(" ", 1)[0]  # one value short
         path = self._load_broken(tmp_path, lines)
-        with pytest.raises(ValueError, match=rf"{path}: record stub\.b1: 7 values for shape \(8,\)"):
+        with pytest.raises(ValueError, match=rf"^{path}:{idx + 3}: record stub\.b1: 7 values for shape \(8,\)$"):
             pio.load_model(path)
 
     def test_prototype_shape_checked_against_class_ids(self, tmp_path):
         lines = self._artifact_lines()
+        lines[lines.index("classes=1,2,3,4")] = "classes=1,2,3,4,5,6"  # fold 0 trains on 2,4,6
         idx = lines.index("class_ids=2,4")
         lines[idx] = "class_ids=2,4,6"
         lines[idx + 2] = "update_counts=1 0 0"
         path = self._load_broken(tmp_path, lines)
-        with pytest.raises(ValueError, match=rf"{path}: record prototypes has shape \(2, 8\), expected \(3, 8\)"):
+        header = lines.index("prototypes") + 2
+        with pytest.raises(ValueError, match=rf"^{path}:{header}: record prototypes has shape \(2, 8\), expected \(3, 8\)$"):
             pio.load_model(path)
 
     def test_shared_background_fc_must_be_zero(self, tmp_path):
@@ -501,7 +547,8 @@ class TestModelArtifact:
         idx = lines.index("stub.w1")
         del lines[idx + 1]
         path = self._load_broken(tmp_path, lines)
-        with pytest.raises(ValueError, match=rf"{path}: record stub\.w1: malformed header or values"):
+        message = rf"^{path}:{idx + 2}: record stub\.w1: malformed header \(expected 'rank d0 d1 \.\.\.'\)$"
+        with pytest.raises(ValueError, match=message):
             pio.load_model(path)
 
     _LINES = _untrained_artifact_lines()
