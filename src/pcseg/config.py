@@ -47,14 +47,16 @@ def format_pairs(pairs) -> str:
                    for key, value in pairs)
 
 
-def parse_pairs(lines, kind: str, known, source, first_line: int = 1) -> dict[str, tuple[str, str]]:
+def parse_pairs(lines, kind: str, known, source, first_line: int = 1,
+                required=()) -> dict[str, tuple[str, str]]:
     """Key -> (place, raw value) for each `key=value` line, in file order.
 
     Blank lines and `#` comments are skipped; keys and values are stripped.
     `place` is `source:line`, counting `lines[0]` as file line
     `first_line`. A line without `=`, a key not in `known` or a repeated
     key raises PlacedError, with `kind` (`config`, `[meta]`, ...) naming
-    the key set.
+    the key set; so does a key of `required` that no line sets, at line
+    `first_line - 1`, the `[section]` header the lines follow.
     """
     pairs: dict[str, tuple[str, str]] = {}
     for lineno, line in enumerate(lines, start=first_line):
@@ -71,15 +73,16 @@ def parse_pairs(lines, kind: str, known, source, first_line: int = 1) -> dict[st
         if key in pairs:
             raise PlacedError(f"{at}: duplicate {kind} key {key!r}")
         pairs[key] = (at, raw.strip())
+    for key in required:
+        if key not in pairs:
+            raise PlacedError(f"{source}:{first_line - 1}: {kind} has no {key}= line")
     return pairs
 
 
 def parse_value(pairs: dict[str, tuple[str, str]], kind: str, key: str, parse):
-    """`parse` of `key`'s raw value in `pairs` (from `parse_pairs`). A
-    value that `parse` rejects raises PlacedError at its line; a missing
-    key raises ValueError."""
-    if key not in pairs:
-        raise ValueError(f"{kind} has no {key}= line")
+    """`parse` of `key`'s raw value in `pairs` (from `parse_pairs`, which
+    holds the key). A value that `parse` rejects raises PlacedError at its
+    line."""
     at, raw = pairs[key]
     try:
         return parse(raw)
@@ -150,7 +153,9 @@ class RunConfig:
         ]
         for name, ok, requirement in checks:
             if not ok:
-                raise ValueError(f"config field {name} must be {requirement}, got {getattr(self, name)}")
+                error = ValueError(f"config field {name} must be {requirement}, got {getattr(self, name)}")
+                error.field = name  # for `from_lines`, which names the field's line
+                raise error
 
     def to_text(self) -> str:
         return format_pairs(
@@ -161,14 +166,16 @@ class RunConfig:
     @classmethod
     def from_lines(cls, lines: list[str], source, first_line: int = 1) -> "RunConfig":
         """Parse `key=value` lines (see `parse_pairs`), `lines[0]` being line
-        `first_line` of the file `source`; a range error names `source`."""
+        `first_line` of the file `source`; a range error names the field's
+        line (`heads=`'s, for heads that do not divide dim)."""
         types = {f.name: f.type for f in fields(cls)}
         pairs = parse_pairs(lines, "config", types, source, first_line)
         kwargs = {key: parse_value(pairs, "config", key, float if types[key] == "float" else _int64) for key in pairs}
         try:
             return cls(**kwargs)
         except ValueError as exc:
-            raise PlacedError(f"{source}: {exc}") from None
+            at, _ = pairs[exc.field]  # a default passes every check, so the failing field was set here
+            raise PlacedError(f"{at}: {exc}") from None
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":

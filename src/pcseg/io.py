@@ -7,6 +7,7 @@ printed with 17 significant digits, which round-trips float64 exactly.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import tempfile
@@ -71,75 +72,84 @@ def read_cloud(path) -> PointCloud:
     `x y z r g b label`, with finite positions, colors in [0, 1] and
     integer labels of at least -1 (unlabeled).
 
-    A file that breaks any of this raises one ValueError of the form
-    `<path>:<line>: <what>` naming the first bad line (the header is line
-    1); a byte that is not UTF-8 is named before any other fault. A good
-    file is parsed in one `np.loadtxt` call; the line is only searched for
-    once that call or a check on its result has failed.
+    The file is read once, by `read_lines`, so a byte that is not UTF-8
+    is named before any other fault. A file that breaks any other rule
+    raises one ValueError of the form `<path>:<line>: <what>` naming the
+    first bad line (the header is line 1). The rows are parsed in one
+    `np.loadtxt` call; they are only searched for the bad line once that
+    call or a check on its result has failed.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            n = _header_count(fh.readline())
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # loadtxt warns on an empty body
-                data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
-            if data.shape != (n, 7):
-                raise ValueError(f"expected {n} rows of 7 fields, got {data.shape}")
-            return PointCloud(data[:, 0:3], data[:, 3:6], data[:, 6])
-        except ValueError as exc:  # UnicodeDecodeError included
-            raise ValueError(_first_bad_line(path) or f"{path}: {exc}") from None
+    lines = read_lines(path)
+    if not lines:
+        raise ValueError(f"{path}:1: the file is empty")
+    try:
+        n = _header_count(lines[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on an empty body
+            data = np.loadtxt(lines[1:], dtype=np.float64, ndmin=2)
+        if data.shape != (n, 7):
+            raise ValueError(f"expected {n} rows of 7 fields, got {data.shape}")
+        return PointCloud(data[:, 0:3], data[:, 3:6], data[:, 6])
+    except ValueError as exc:
+        raise ValueError(_first_bad_line(path, lines) or f"{path}: {exc}") from None
 
 
-def _header_count(line: str) -> int:
-    header = line.rstrip("\r\n")
+def _header_count(header: str) -> int:
     magic, _, count = header.rpartition(" ")
     if magic != CLOUD_MAGIC or not (count.isascii() and count.isdigit()) or int(count) < 1:
         raise ValueError(f"not a '{CLOUD_MAGIC} <count>' header with a count >= 1: {header!r}")
     return int(count)
 
 
-def _first_bad_line(path) -> str | None:
-    """`<path>:<line>: <what>` for the first line `read_cloud` rejects.
-
-    The file is read as every text file is, by `read_lines`: a byte that
-    is not UTF-8 raises its PlacedError first, wherever it sits, and as in
-    `np.loadtxt` a lone CR also ends a line. `#` starts a comment and
+def _first_bad_line(path, lines: list[str]) -> str | None:
+    """`<path>:<line>: <what>` for the first of the file's `lines` (from
+    `read_lines`) that `read_cloud` rejects. `#` starts a comment and
     blank lines are skipped.
+
+    Each row's format (7 fields, numbers that `np.loadtxt` reads) is
+    checked in turn, up to the first row that breaks it. A point's rules
+    are `PointCloud`'s: one is built from the rows before that row, and
+    only if it fails are they bisected for the first bad one.
     """
-    lines = read_lines(path)
-    if not lines:
-        return f"{path}:1: the file is empty"
     try:
         n = _header_count(lines[0])
     except ValueError as exc:
         return f"{path}:1: {exc}"
-    rows = 0
+    rows, values, fault = [], [], None  # each row the format takes: (file line, text), its numbers
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split("#", 1)[0].split()
         if not fields:
             continue
-        rows += 1
-        what = _bad_row(fields) if rows <= n else f"more rows than the header's count {n}"
-        if what:
-            return f"{path}:{lineno}: {what}"
-    if rows < n:
-        return f"{path}:{len(lines) + 1}: the file ends after {rows} of {n} rows"
-    return None
+        if len(rows) == n:
+            fault = f"more rows than the header's count {n}"
+        elif len(fields) != 7:
+            fault = f"expected 7 fields, got {len(fields)}"
+        else:
+            try:  # the fast path's parser: `float` would also take `1_0` and non-ASCII digits
+                values.append(np.loadtxt(fields, dtype=np.float64))
+            except ValueError:
+                fault = f"cannot read {' '.join(fields)!r} as 7 numbers"
+        if fault:
+            fault = f"{path}:{lineno}: {fault}"
+            break
+        rows.append((lineno, " ".join(fields)))
+    if fault is None and len(rows) < n:
+        fault = f"{path}:{len(lines) + 1}: the file ends after {len(rows)} of {n} rows"
+    data = np.array(values)
+    if not values or _point_fault(data) is None:
+        return fault
+    # the first i for which `PointCloud` rejects rows 0..i: row i is the one at fault
+    i = bisect.bisect_left(range(len(rows)), True, key=lambda k: _point_fault(data[:k + 1]) is not None)
+    lineno, text = rows[i]
+    return f"{path}:{lineno}: row {text!r}: {_point_fault(data[i:i + 1])}"
 
 
-def _bad_row(fields: list[str]) -> str | None:
-    """What is wrong with one row's fields: the format's own rules here,
-    a point's rules in `PointCloud`."""
-    if len(fields) != 7:
-        return f"expected 7 fields, got {len(fields)}"
-    try:  # the fast path's parser: `float` would also take `1_0` and non-ASCII digits
-        row = np.loadtxt(fields, dtype=np.float64)[None]
-    except ValueError:
-        return f"cannot read {' '.join(fields)!r} as 7 numbers"
+def _point_fault(data: np.ndarray) -> str | None:
+    """`PointCloud`'s reason to reject the points of these (k, 7) rows, or None."""
     try:
-        PointCloud(row[:, 0:3], row[:, 3:6], row[:, 6])
+        PointCloud(data[:, 0:3], data[:, 3:6], data[:, 6])
     except ValueError as exc:
-        return f"row {' '.join(fields)!r}: {exc}"
+        return str(exc)
     return None
 
 
@@ -265,8 +275,8 @@ def load_model(path):
     comma-separated list of at least 2 ints, and no other key appears;
     no section repeats. The bank's class ids must be the training classes
     that `fold` splits from `classes`. A failure raises ValueError naming
-    the path, and the file line wherever there is one; only a missing
-    section, key or record has none.
+    the path, and the file line wherever there is one (a missing key's is
+    its section's header); only a missing section or record has none.
     """
     lines = read_lines(path)
     try:
@@ -291,7 +301,8 @@ def _parse_model(lines: list[str], path):
             raise ValueError(f"missing [{needed}] section")
 
     first, meta_lines = sections["meta"]
-    meta = parse_pairs(meta_lines, "[meta]", ("fold", "classes", "share_background_fc"), path, first)
+    meta = parse_pairs(meta_lines, "[meta]", ("fold", "classes", "share_background_fc"), path, first,
+                       required=("fold", "classes"))
     at, shared_fc = meta.pop("share_background_fc", (None, "0"))
     if shared_fc != "0":
         raise PlacedError(f"{at}: [meta] share_background_fc must be 0 (no shared background layer), got {shared_fc!r}")
@@ -311,7 +322,8 @@ def _parse_model(lines: list[str], path):
 
     first, bank_lines = sections["bank"]  # key=value lines, then the one record, prototypes
     n_pairs = bank_lines.index("prototypes") if "prototypes" in bank_lines else len(bank_lines)
-    bank_kv = parse_pairs(bank_lines[:n_pairs], "[bank]", ("class_ids", "momentum", "update_counts"), path, first)
+    bank_keys = ("class_ids", "momentum", "update_counts")
+    bank_kv = parse_pairs(bank_lines[:n_pairs], "[bank]", bank_keys, path, first, required=bank_keys)
     class_ids = tuple(parse_value(bank_kv, "[bank]", "class_ids", _int_list))
     if class_ids != train_classes:
         at, raw = bank_kv["class_ids"]

@@ -448,10 +448,12 @@ class TestTrainEval:
         assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(model) in err and "[meta]" in err and key in err
-        # a bad line that is there is named; the share_background_fc message names only the path
-        if edit(None) is not None and key != "share_background_fc":
-            lineno = model.read_text().splitlines().index(edit(None)) + 1
-            assert err.startswith(f"pcseg: {model}:{lineno}: ")
+        # a bad line that is there is named; a deleted key, at the [meta] header
+        lines = model.read_text().splitlines()
+        if edit(None) is None:
+            assert err == f"pcseg: {model}:{lines.index('[meta]') + 1}: [meta] has no {key}= line\n"
+        else:
+            assert err.startswith(f"pcseg: {model}:{lines.index(edit(None)) + 1}: ")
 
     @staticmethod
     def _insert_after(prefix, line):
@@ -544,7 +546,8 @@ class TestTrainEval:
         out = tmp_path / "m"
         assert main(["train", "--pool", str(scene_dir), "--config", str(bad), "--out", str(out)]) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith(f"pcseg: error: {bad}: config field {key} must be ")
+        assert err.count("\n") == 1
+        assert err.startswith(f"pcseg: error: {bad}:{len(kept) + 1}: config field {key} must be ")
         assert not out.exists()
 
         def edit(lines):
@@ -553,10 +556,11 @@ class TestTrainEval:
             lines[idx] = line
 
         model = self._edited_model(scene_dir, config_path, tmp_path, edit)
+        lineno = model.read_text().splitlines().index(line) + 1
         capsys.readouterr()
         assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith(f"pcseg: {model}: config field {key} must be ")
+        assert err.count("\n") == 1 and err.startswith(f"pcseg: {model}:{lineno}: config field {key} must be ")
 
     def test_cell_index_outside_int64_exits_2_naming_the_scene(self, scene_dir, tmp_path, capsys):
         scene = sorted(scene_dir.glob("*.pcseg"))[0]

@@ -1,5 +1,6 @@
 """File formats: cloud round-trips, configs, model artifacts."""
 
+import builtins
 import dataclasses
 import math
 import re
@@ -117,6 +118,58 @@ class TestCloudFormat:
         monkeypatch.setattr(pio, "_first_bad_line", lambda *args: pytest.fail("searched a good file"))
         np.testing.assert_array_equal(pio.read_cloud(path).labels, scene.labels)
 
+    @pytest.mark.parametrize("row", [
+        None,
+        b"0.1 0.2 0.3 0.5 0.5 0.5",
+        b"0.1 0.2 0.3 0.5 0.5 0.5 -5",
+        b"0.1 0.2 0.3 0.5 0.5 0.5 \xff",
+    ], ids=["good", "format-fault", "point-fault", "not-utf8"])
+    def test_file_read_once(self, tmp_path, monkeypatch, row):
+        lines = pio.format_cloud(synth_scene(4, [(1, 10), (2, 10)])).encode().splitlines()
+        if row:
+            lines[4] = row
+        path = tmp_path / "scene.pcseg"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        reads, opens = [], []
+        read_lines, builtin_open = pio.read_lines, builtins.open
+
+        def spy_read_lines(*args):
+            reads.append(args)
+            return read_lines(*args)
+
+        def spy_open(file, *args, **kwargs):
+            if file in (path, str(path)):
+                opens.append(file)
+            return builtin_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(pio, "read_lines", spy_read_lines)
+        monkeypatch.setattr(builtins, "open", spy_open)
+        if row:
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:5: "):
+                pio.read_cloud(path)
+        else:
+            assert len(pio.read_cloud(path)) == 20
+        assert (len(reads), len(opens)) == (1, 1)
+
+    def test_point_fault_search_builds_few_clouds(self, tmp_path, monkeypatch):
+        rows = 18_000
+        scene = synth_scene(3, [(1, 6000), (2, 6000), (3, 6000)])
+        lines = pio.format_cloud(scene.take(np.arange(rows) % len(scene))).splitlines()
+        lines[-1] = lines[-1].rsplit(" ", 1)[0] + " 1.5"
+        path = tmp_path / "wide.pcseg"
+        path.write_text("\n".join(lines) + "\n")
+        built = []
+        point_cloud = pio.PointCloud
+
+        def spy_point_cloud(*args):
+            built.append(args)
+            return point_cloud(*args)
+
+        monkeypatch.setattr(pio, "PointCloud", spy_point_cloud)
+        with pytest.raises(ValueError, match=rf":{rows + 1}: row '[^']*': labels must be integers$"):
+            pio.read_cloud(path)
+        assert len(built) <= 2 * math.ceil(math.log2(rows)) + 2
+
     def test_write_is_byte_stable(self, tmp_path):
         scene = synth_scene(5, [(1, 30), (2, 30)])
         a, b = tmp_path / "a.pcseg", tmp_path / "b.pcseg"
@@ -171,7 +224,11 @@ class TestRunConfig:
         path.write_text("seed=1\ngrid_size=-0.5\n")
         with pytest.raises(ValueError) as exc:
             RunConfig.from_file(path)
-        assert str(exc.value) == f"{path}: config field grid_size must be > 0, got -0.5"
+        assert str(exc.value) == f"{path}:2: config field grid_size must be > 0, got -0.5"
+        path.write_text("heads=4\ndim=10\n")  # the divisor rule names the heads= line
+        with pytest.raises(ValueError) as exc:
+            RunConfig.from_file(path)
+        assert str(exc.value) == f"{path}:1: config field heads must be a divisor of dim, got 4"
         path.write_bytes(b"seed=1\n\xff\n")
         with pytest.raises(ValueError) as exc:
             RunConfig.from_file(path)
@@ -215,13 +272,13 @@ class TestRunConfig:
     @pytest.mark.parametrize("key", ["lr", "grid_size", "block_size", "weight_decay"])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_non_finite_floats_rejected(self, tmp_path, key, value):
-        with pytest.raises(ValueError, match=rf"^t.cfg: config field {key} must be .*, got {value}$"):
+        with pytest.raises(ValueError, match=rf"^t.cfg:1: config field {key} must be .*, got {value}$"):
             RunConfig.from_lines([f"{key}={value}"], "t.cfg")
         path = tmp_path / "bad.cfg"
         path.write_text(f"seed=1\n{key}={value}\n")
         with pytest.raises(ValueError) as exc:
             RunConfig.from_file(path)
-        assert str(exc.value).startswith(f"{path}: config field {key} must be ")
+        assert str(exc.value).startswith(f"{path}:2: config field {key} must be ")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ValueError, match=r"^t.cfg:2: duplicate config key 'seed'$"):
@@ -355,10 +412,12 @@ def test_one_drawn_cloud_field_loads_or_names_its_line(tmp_path_factory, column,
     assert (cloud.labels >= -1).all()
 
 
-# a row that breaks one rule, and the message that names it
-_BAD_ROWS = [
+# a row that breaks one of the format's rules, or one of a point's, and the message that names it
+_FORMAT_FAULTS = [
     ("0.1 0.2 0.3 0.5 0.5 0.5", "expected 7 fields, got 6"),
     ("0.1 0.2 0.3 0.5 0.5 0.5 one", "cannot read '0.1 0.2 0.3 0.5 0.5 0.5 one' as 7 numbers"),
+]
+_POINT_FAULTS = [
     ("nan 0.2 0.3 0.5 0.5 0.5 1", "row 'nan 0.2 0.3 0.5 0.5 0.5 1': positions must be finite"),
     ("0.1 0.2 0.3 0.5 0.5 2 1", "row '0.1 0.2 0.3 0.5 0.5 2 1': colors must lie in [0, 1]"),
     ("0.1 0.2 0.3 0.5 0.5 0.5 1.5", "row '0.1 0.2 0.3 0.5 0.5 0.5 1.5': labels must be integers"),
@@ -369,10 +428,14 @@ _BAD_ROWS = [
 @given(data=st.data())
 def test_bad_cloud_row_named_at_the_line_an_editor_shows(tmp_path_factory, data):
     # every line ends in \n, \r\n or \r, as an editor counts them, with blank
-    # and comment lines among the rows and one row broken
+    # and comment lines among the rows, one row that breaks the format and one
+    # that breaks a point's rules; the earlier of the two is named
     lines = list(_CLOUD_LINES)
-    row, what = data.draw(st.sampled_from(_BAD_ROWS), label="bad row")
-    lines[data.draw(st.integers(1, len(lines) - 1), label="row index")] = row
+    faults = [data.draw(st.sampled_from(_FORMAT_FAULTS), label="format fault"),
+              data.draw(st.sampled_from(_POINT_FAULTS), label="point fault")]
+    at = data.draw(st.lists(st.integers(1, len(lines) - 1), min_size=2, max_size=2, unique=True), label="rows")
+    for (row, _), index in zip(faults, at):
+        lines[index] = row
     for _ in range(data.draw(st.integers(0, 6), label="inserted")):
         filler = data.draw(st.sampled_from(["", "  ", "\t", "# a note", " # 1 2 3"]), label="filler")
         lines.insert(data.draw(st.integers(1, len(lines)), label="at"), filler)
@@ -385,6 +448,7 @@ def test_bad_cloud_row_named_at_the_line_an_editor_shows(tmp_path_factory, data)
     path.write_bytes("".join(line + end for line, end in zip(lines, ends)).encode())
     with pytest.raises(ValueError) as exc:
         pio.read_cloud(path)
+    row, what = min(faults, key=lambda fault: lines.index(fault[0]))
     assert str(exc.value) == f"{path}:{lines.index(row) + 1}: {what}"
 
 
@@ -541,6 +605,17 @@ class TestModelArtifact:
         message = rf"^{path}:{idx + 1}: \[bank\] momentum=1.5 does not match \[config\] momentum=0.995$"
         with pytest.raises(ValueError, match=message):
             pio.load_model(path)
+
+    # a missing [meta] key is checked through the CLI in test_bad_meta_exits_2_with_one_line
+    @pytest.mark.parametrize("key", ["class_ids", "momentum", "update_counts"])
+    def test_missing_bank_key_named_at_the_bank_header(self, tmp_path, key):
+        lines = self._artifact_lines()
+        header = lines.index("[bank]")
+        del lines[next(i for i in range(header, len(lines)) if lines[i].startswith(f"{key}="))]
+        path = self._load_broken(tmp_path, lines)
+        with pytest.raises(ValueError) as exc:
+            pio.load_model(path)
+        assert str(exc.value) == f"{path}:{header + 1}: [bank] has no {key}= line"
 
     def test_dropped_header_line_rejected(self, tmp_path):
         lines = self._artifact_lines()
