@@ -93,6 +93,23 @@ def _check_out_dir(path) -> None:
         raise OSError(exc.errno, exc.strerror, path) from None
 
 
+def _check_out_is_no_input(args) -> None:
+    """Raise UsageError, before any work, if --out names a file the
+    command reads: writing it would destroy that input."""
+    named = vars(args)
+    inputs = {
+        "--config": [named["config"]] if "config" in named else [],
+        "--pool": _pool_paths(named.get("pool", [])),
+        "--model": named.get("model", []),
+        "--cloud": named.get("cloud", []),
+    }
+    out = os.path.realpath(args.out)
+    for flag, paths in inputs.items():
+        for path in paths:
+            if os.path.realpath(path) == out:
+                raise UsageError(f"--out {args.out} is the {flag} file {path}; writing it would destroy that input")
+
+
 def load_pool(pool_args, config: RunConfig):
     """Read scene files and preprocess: voxel subsample, then block split.
 
@@ -262,6 +279,7 @@ def main(argv=None) -> int:
     try:
         if args.command != "synth" and args.out:  # synth's --out is a directory it makes
             _check_out_dir(args.out)
+            _check_out_is_no_input(args)
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"pcseg: error: {exc}\n")

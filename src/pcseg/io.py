@@ -7,7 +7,6 @@ printed with 17 significant digits, which round-trips float64 exactly.
 
 from __future__ import annotations
 
-import bisect
 import math
 import os
 import tempfile
@@ -73,84 +72,69 @@ def read_cloud(path) -> PointCloud:
     integer labels of at least -1 (unlabeled).
 
     The file is read once, by `read_lines`, so a byte that is not UTF-8
-    is named before any other fault. A file that breaks any other rule
-    raises one ValueError of the form `<path>:<line>: <what>` naming the
-    first bad line (the header is line 1). The rows are parsed in one
-    `np.loadtxt` call; they are only searched for the bad line once that
-    call or a check on its result has failed.
+    is named before any other fault; any other fault raises one
+    ValueError `<path>:<line>: <what>` naming the first bad line (the
+    header is line 1). One `_parse_rows` call parses the rows; only if it
+    fails, or finds other than n, do more calls halve them to the bad line.
     """
     lines = read_lines(path)
     if not lines:
         raise ValueError(f"{path}:1: the file is empty")
-    try:
-        n = _header_count(lines[0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # loadtxt warns on an empty body
-            data = np.loadtxt(lines[1:], dtype=np.float64, ndmin=2)
-        if data.shape != (n, 7):
-            raise ValueError(f"expected {n} rows of 7 fields, got {data.shape}")
-        return PointCloud(data[:, 0:3], data[:, 3:6], data[:, 6])
-    except ValueError as exc:
-        raise ValueError(_first_bad_line(path, lines) or f"{path}: {exc}") from None
-
-
-def _header_count(header: str) -> int:
-    magic, _, count = header.rpartition(" ")
+    magic, _, count = lines[0].rpartition(" ")
     if magic != CLOUD_MAGIC or not (count.isascii() and count.isdigit()) or int(count) < 1:
-        raise ValueError(f"not a '{CLOUD_MAGIC} <count>' header with a count >= 1: {header!r}")
-    return int(count)
+        raise ValueError(f"{path}:1: not a '{CLOUD_MAGIC} <count>' header with a count >= 1: {lines[0]!r}")
+    n, rows = int(count), lines[1:]
 
+    def parse(part: list[str]) -> tuple[PointCloud | None, int]:  # its cloud and rows; (None, n + 1) if one is bad
+        try:
+            cloud = _parse_rows(part)
+        except ValueError:
+            return None, n + 1
+        return cloud, 0 if cloud is None else len(cloud)
 
-def _first_bad_line(path, lines: list[str]) -> str | None:
-    """`<path>:<line>: <what>` for the first of the file's `lines` (from
-    `read_lines`) that `read_cloud` rejects. `#` starts a comment and
-    blank lines are skipped.
-
-    Each row's format (7 fields, numbers that `np.loadtxt` reads) is
-    checked in turn, up to the first row that breaks it. A point's rules
-    are `PointCloud`'s: one is built from the rows before that row, and
-    only if it fails are they bisected for the first bad one.
-    """
+    cloud, k = parse(rows)
+    if k == n:
+        return cloud
+    if k < n:
+        raise ValueError(f"{path}:{len(lines) + 1}: the file ends after {k} of {n} rows")
+    # halve rows[lo:hi], which holds the first bad row or the row past n; rows[:lo] hold k rows
+    lo, hi, k = 0, len(rows), 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        got = parse(rows[lo:mid])[1]
+        lo, hi, k = (lo, mid, k) if k + got > n else (mid, hi, k + got)
+    if k == n:
+        raise ValueError(f"{path}:{lo + 2}: more rows than the header's count {n}")
+    text = " ".join(fields := rows[lo].split("#", 1)[0].split())
     try:
-        n = _header_count(lines[0])
+        _parse_rows(rows[lo:hi])
+    except _FormatFault:
+        what = f"expected 7 fields, got {len(fields)}" if len(fields) != 7 else f"cannot read {text!r} as 7 numbers"
     except ValueError as exc:
-        return f"{path}:1: {exc}"
-    rows, values, fault = [], [], None  # each row the format takes: (file line, text), its numbers
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split("#", 1)[0].split()
-        if not fields:
-            continue
-        if len(rows) == n:
-            fault = f"more rows than the header's count {n}"
-        elif len(fields) != 7:
-            fault = f"expected 7 fields, got {len(fields)}"
-        else:
-            try:  # the fast path's parser: `float` would also take `1_0` and non-ASCII digits
-                values.append(np.loadtxt(fields, dtype=np.float64))
-            except ValueError:
-                fault = f"cannot read {' '.join(fields)!r} as 7 numbers"
-        if fault:
-            fault = f"{path}:{lineno}: {fault}"
-            break
-        rows.append((lineno, " ".join(fields)))
-    if fault is None and len(rows) < n:
-        fault = f"{path}:{len(lines) + 1}: the file ends after {len(rows)} of {n} rows"
-    data = np.array(values)
-    if not values or _point_fault(data) is None:
-        return fault
-    # the first i for which `PointCloud` rejects rows 0..i: row i is the one at fault
-    i = bisect.bisect_left(range(len(rows)), True, key=lambda k: _point_fault(data[:k + 1]) is not None)
-    lineno, text = rows[i]
-    return f"{path}:{lineno}: row {text!r}: {_point_fault(data[i:i + 1])}"
+        what = f"row {text!r}: {exc}"
+    raise ValueError(f"{path}:{lo + 2}: {what}")
 
 
-def _point_fault(data: np.ndarray) -> str | None:
-    """`PointCloud`'s reason to reject the points of these (k, 7) rows, or None."""
-    try:
-        PointCloud(data[:, 0:3], data[:, 3:6], data[:, 6])
-    except ValueError as exc:
-        return str(exc)
-    return None
+class _FormatFault(ValueError):
+    """A cloud file row that is not 7 numbers."""
+
+
+def _parse_rows(lines: list[str]) -> PointCloud | None:
+    """The cloud of the rows on these cloud file lines, None if they hold
+    none: one `np.loadtxt` call (`float` would also take `1_0` and
+    non-ASCII digits), 7 numbers a row, then `PointCloud`'s rules. Each
+    rule holds row by row, so lines pass together only if each passes alone."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # loadtxt warns on lines that hold no row
+        try:
+            data = np.loadtxt(lines, dtype=np.float64, ndmin=2)
+        except ValueError:
+            raise _FormatFault from None
+    if not len(data):
+        return None
+    if data.shape[1] != 7:
+        raise _FormatFault
+    return PointCloud(data[:, 0:3], data[:, 3:6], data[:, 6])
 
 
 # ---------------------------------------------------------------------------

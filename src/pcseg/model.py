@@ -335,7 +335,8 @@ def episode_stream(pool, split: ClassSplit, phase: str, config, seed: int, n: in
     stream: `train` is what `meta_train` draws at the config's seed, `test`
     what `evaluate` scores at its `seed`. This is the one reader of a phase.
     A pool that cannot build episode i raises PoolExhaustedError naming i
-    and its seed."""
+    and its seed; a support whose every point is foreground, which leaves
+    the background way empty, raises EmptyMaskError naming them."""
     if phase == "train":
         classes, stream = split.train_classes, "episodes"
     elif phase == "test":
@@ -350,6 +351,8 @@ def episode_stream(pool, split: ClassSplit, phase: str, config, seed: int, n: in
             )
         except PoolExhaustedError as exc:
             raise PoolExhaustedError(f"episode {i} (seed {episode_seed}): {exc}") from None
+        if all(mask.all() for way in episode.support for _, mask in way):
+            raise EmptyMaskError(f"episode {i} (seed {episode_seed}): the support holds no background point")
         yield episode
 
 

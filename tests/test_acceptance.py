@@ -5,6 +5,7 @@ to see them inline). The end-to-end learning criterion trains the full
 toy configuration and is the long pole (~2-3 minutes).
 """
 
+import math
 import time
 from contextlib import contextmanager
 
@@ -31,7 +32,7 @@ from pcseg.model import (
     forward,
     meta_train,
 )
-from pcseg.sampling import biased_sample, leakage_audit, uniform_sample
+from pcseg.sampling import biased_sample, cap_indices, leakage_audit, uniform_sample
 from pcseg.synth import make_pool
 from pcseg.tensor import Tensor
 
@@ -93,6 +94,25 @@ def test_leakage_law():
         assert abs(biased.expected_biased_fraction - 0.36) < 1e-3
         assert abs(uniform.mean_output_fg_fraction - 0.20) < 0.01, uniform
         assert biased.density_ratio >= 1.7
+
+
+def test_sparse_point_law():
+    """A cap of m out of n points keeps X ~ Hypergeometric(n, c, m) of a
+    class's c points: over capped draws, the rate of X >= t (the class is
+    eligible at `min_fg_points=t`) matches the exact tail. The classes are
+    label blocks of one cloud, so one draw counts X for every c."""
+    with criterion("sparse-point-law", 15.0):
+        n, draws, sizes = 20_480, 40_000, (3, 10, 30, 100, 200, 300)
+        block = np.repeat(np.arange(len(sizes) + 1), [*sizes, n - sum(sizes)])  # the last block is the rest
+        for m in (2_048, 8_192):  # at m = n the cap keeps every point
+            kept = np.array([np.bincount(block[cap_indices(n, m, seed)], minlength=len(sizes) + 1)
+                             for seed in range(draws)])
+            for j, c in enumerate(sizes):
+                for t in (1, 5, 20):
+                    below = sum(math.comb(c, x) * math.comb(n - c, m - x) for x in range(t))
+                    exact = 1 - below / math.comb(n, m)
+                    rate = (kept[:, j] >= t).mean()
+                    assert abs(rate - exact) < 0.01, (m, c, t, rate, exact)
 
 
 def _duplicate_point_iou(cloud, m, fg_class, sample, trials):

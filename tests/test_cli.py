@@ -375,6 +375,19 @@ class TestTrainEval:
         assert err.count("\n") == 1 and err.startswith("pcseg: episode 6 (seed "), err
         assert err.endswith("): class 6: need 3 support clouds with >= 30 foreground points, pool offers 2\n")
 
+    def test_a_support_without_background_names_the_episode(self, scene_dir, tmp_path, capsys):
+        # capped to one point, each support cloud is all foreground, so the background way is empty
+        config = tmp_path / "one.cfg"
+        config.write_text(TINY_CONFIG.replace("max_points=192", "max_points=1").replace("min_fg_points=30",
+                                                                                       "min_fg_points=1"))
+        model = tmp_path / "model.txt"
+        capsys.readouterr()
+        code = main(["train", "--pool", str(scene_dir), "--config", str(config), "--out", str(model)])
+        err = capsys.readouterr().err
+        assert code == EXIT_IO and not model.exists()
+        assert err.count("\n") == 1 and err.startswith("pcseg: episode 0 (seed "), err
+        assert err.endswith("): the support holds no background point\n")
+
     def _edited_model(self, scene_dir, config_path, tmp_path, edit):
         model = tmp_path / "model.txt"
         assert main(["train", "--pool", str(scene_dir), "--config", str(config_path),
@@ -756,6 +769,40 @@ def test_out_in_a_missing_directory_exits_2_before_any_work(scene_dir, config_pa
     capsys.readouterr()
     assert main(argv + ["--out", str(out)]) == EXIT_IO
     assert capsys.readouterr().err == f"pcseg: [Errno {code}] {os.strerror(code)}: '{out}'\n"
+
+
+@pytest.mark.parametrize("command, flag, out", [
+    ("audit", "--cloud", "pool/scene_000.pcseg"),
+    ("train", "--config", "tiny.cfg"),
+    ("train", "--pool", "pool/scene_000.pcseg"),
+    ("train", "--pool", "pool/../pool/scene_001.pcseg"),  # a file of the --pool directory, by another name
+    ("eval", "--pool", "pool/scene_001.pcseg"),
+    ("eval", "--model", "model.txt"),
+])
+def test_out_that_is_an_input_exits_64_before_any_work(scene_dir, config_path, tmp_path, capsys, monkeypatch,
+                                                        command, flag, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pool").mkdir()
+    for scene in sorted(scene_dir.glob("*.pcseg")):
+        (tmp_path / "pool" / scene.name).write_bytes(scene.read_bytes())
+    Path("tiny.cfg").write_bytes(config_path.read_bytes())
+    if command == "eval":
+        assert main(["train", "--pool", "pool", "--config", "tiny.cfg", "--out", "model.txt"]) == EXIT_OK
+    for owner, name in ((M, "meta_train"), (M, "evaluate"), (cli, "leakage_audit")):
+        monkeypatch.setattr(owner, name, lambda *args, _name=name: pytest.fail(f"{_name} ran before --out was checked"))
+    # the scene pool is a directory, except where --pool itself names the scene --out names
+    pool = out if flag == "--pool" and ".." not in out else "pool"
+    argv = {
+        "audit": ["audit", "--cloud", "pool/scene_000.pcseg", "--fg-class", "1"],
+        "train": ["train", "--pool", pool, "--config", "tiny.cfg"],
+        "eval": ["eval", "--pool", pool, "--model", "model.txt", "--episodes", "2"],
+    }[command]
+    before = Path(out).read_bytes()
+    capsys.readouterr()
+    assert main(argv + ["--out", out]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"pcseg: error: --out {out} is the {flag} file "), err
+    assert Path(out).read_bytes() == before
 
 
 def _train_into(scene_dir, config_path, capsys, monkeypatch, out) -> str:

@@ -2,7 +2,7 @@
 
 The demos import public names from the library, so a removed or renamed
 name shows up here. Each runs in its own interpreter with BLAS pinned to
-one thread; the four take about 22 s together on a 2-core host, most of
+one thread; the four take about 15 s together on a 2-core host, most of
 it in the training demo.
 """
 

@@ -115,8 +115,16 @@ class TestCloudFormat:
         scene = synth_scene(5, [(1, 30), (2, 30)])
         path = tmp_path / "scene.pcseg"
         pio.write_cloud(path, scene)
-        monkeypatch.setattr(pio, "_first_bad_line", lambda *args: pytest.fail("searched a good file"))
+        calls = []
+        parse_rows = pio._parse_rows
+
+        def spy_parse_rows(lines):
+            calls.append(len(lines))
+            return parse_rows(lines)
+
+        monkeypatch.setattr(pio, "_parse_rows", spy_parse_rows)
         np.testing.assert_array_equal(pio.read_cloud(path).labels, scene.labels)
+        assert calls == [len(scene)]
 
     @pytest.mark.parametrize("row", [
         None,
@@ -169,6 +177,25 @@ class TestCloudFormat:
         with pytest.raises(ValueError, match=rf":{rows + 1}: row '[^']*': labels must be integers$"):
             pio.read_cloud(path)
         assert len(built) <= 2 * math.ceil(math.log2(rows)) + 2
+
+    def test_format_fault_search_parses_few_times(self, tmp_path, monkeypatch):
+        rows = 18_000
+        scene = synth_scene(3, [(1, 6000), (2, 6000), (3, 6000)])
+        lines = pio.format_cloud(scene.take(np.arange(rows) % len(scene))).splitlines()
+        lines[-1] = lines[-1].rsplit(" ", 1)[0]
+        path = tmp_path / "wide.pcseg"
+        path.write_text("\n".join(lines) + "\n")
+        calls = []
+        loadtxt = pio.np.loadtxt
+
+        def spy_loadtxt(*args, **kwargs):
+            calls.append(args)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(pio.np, "loadtxt", spy_loadtxt)
+        with pytest.raises(ValueError, match=rf":{rows + 1}: expected 7 fields, got 6$"):
+            pio.read_cloud(path)
+        assert len(calls) <= 2 * math.ceil(math.log2(rows)) + 4
 
     def test_write_is_byte_stable(self, tmp_path):
         scene = synth_scene(5, [(1, 30), (2, 30)])
