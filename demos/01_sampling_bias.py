@@ -3,7 +3,9 @@
 The biased sampler draws a proportional foreground quota and then fills
 the rest from the whole cloud, so foreground points can be picked twice.
 For input foreground fraction f that inflates the expected output
-fraction to f(2-f); the uniform sampler stays at f.
+fraction to f(2-f). The audit's corrected row, sampler "uniform", is the
+point cap episodes are built with (`cap_points`): a uniform draw that
+takes no point twice, so it stays at f.
 """
 
 import numpy as np
@@ -26,10 +28,10 @@ for f in (0.1, 0.2, 0.4):
     print(f"  closed form f(2-f)          = {f * (2 - f):.4f}")
     print(f"  biased sampler (measured)   = {biased.mean_output_fg_fraction:.4f}"
           f"   density ratio x{biased.density_ratio:.2f}")
-    print(f"  uniform sampler (measured)  = {uniform.mean_output_fg_fraction:.4f}"
+    print(f"  point cap (measured)        = {uniform.mean_output_fg_fraction:.4f}"
           f"   density ratio x{uniform.density_ratio:.2f}")
     print()
 
 print("The biased sampler hands a segmentation model a density shortcut:")
 print("foreground regions are visibly denser, so 'find the dense spot'")
-print("substitutes for actual semantic matching. Uniform sampling removes it.")
+print("substitutes for actual semantic matching. The point cap removes it.")

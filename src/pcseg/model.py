@@ -267,10 +267,10 @@ def apply_refine_layer(corr: Tensor, guide: Tensor, lp: RefineLayerParams) -> Te
     classes (per query point), and another MLP. Output layout is again
     N_Q x N_C x D.
     """
-    t = T.swap_axes(corr, 0, 1)  # (N_C, N_Q, D): attend across points
+    t = T.transpose_first_two(corr)  # (N_C, N_Q, D): attend across points
     t = T.add(t, multi_head_linear_attention(T.layer_norm(t, lp.ln_point_attn.gain, lp.ln_point_attn.bias), lp.point_attn))
     t = T.add(t, T.mlp_forward(T.layer_norm(t, lp.ln_point_mlp.gain, lp.ln_point_mlp.bias), lp.point_mlp))
-    c = T.swap_axes(t, 0, 1)  # (N_Q, N_C, D): attend across classes
+    c = T.transpose_first_two(t)  # (N_Q, N_C, D): attend across classes
     c = calibrate_background(c, guide, lp.bg_fc_w, lp.bg_fc_b)
     c = T.add(c, multi_head_linear_attention(T.layer_norm(c, lp.ln_class_attn.gain, lp.ln_class_attn.bias), lp.class_attn))
     c = T.add(c, T.mlp_forward(T.layer_norm(c, lp.ln_class_mlp.gain, lp.ln_class_mlp.bias), lp.class_mlp))
@@ -381,11 +381,16 @@ def _update_bank_from_episode(bank: BasePrototypeBank, episode: Episode, feature
             bank.apply_update(class_id, np.mean(pooled, axis=0), momentum)
 
 
+def train_exclusions(episode: Episode):
+    """The class ids whose bank rows guidance leaves out in training: the targets."""
+    return episode.target_classes
+
+
 def meta_train(pool, split: ClassSplit, config) -> TrainResult:
     """Episodic training on the train half of the split.
 
-    Per episode: forward with guidance leaving out the bank rows of the
-    episode's targets, the base head on the query features, backprop the
+    Per episode: forward with guidance leaving out the bank rows of
+    `train_exclusions`, the base head on the query features, backprop the
     summed cross-entropy, one AdamW step, then a bank update from the
     support and query features. Raises NonFiniteLossError with the episode index
     if the loss or a gradient degenerates; a bad gradient leaves the
@@ -398,7 +403,7 @@ def meta_train(pool, split: ClassSplit, config) -> TrainResult:
     losses: list[float] = []
     episodes = episode_stream(pool, split, "train", config, config.seed, config.episodes)
     for i, episode in enumerate(episodes):
-        seg_logits, features = forward(episode, params, bank, episode.target_classes)
+        seg_logits, features = forward(episode, params, bank, train_exclusions(episode))
         base_logits = T.mlp_forward(features[-1], params.base_head)
         step_loss = loss(seg_logits, base_logits, episode.query_gt, base_targets(episode.query.labels, bank.class_ids))
         value = float(step_loss.data)

@@ -1,11 +1,12 @@
 """Point samplers and the foreground-density audit.
 
-`biased_sample` reproduces a double-sampling scheme that draws a
+Two samplers. `biased_sample` is the double sampler: it draws a
 proportional quota from the foreground set and then the remainder from
 the whole cloud, so foreground points can be drawn twice and end up
-denser in the output. `uniform_sample` is the corrected, unbiased
-sampler. `leakage_audit` measures the disparity by Monte Carlo and,
-for the biased sampler, against the closed-form expectation f(2-f).
+denser in the output. `cap_points`, the point cap episodes are built
+with, is the corrected sampler: it never draws a point twice.
+`leakage_audit` measures the disparity by Monte Carlo and, for the
+biased sampler, against the closed-form expectation f(2-f).
 """
 
 from __future__ import annotations
@@ -32,14 +33,6 @@ class DensityReport:
     def to_text(self) -> str:
         """Flat key=value block, one line per field."""
         return format_pairs(asdict(self).items())
-
-
-def uniform_sample(cloud: PointCloud, m: int, rng_seed: int) -> PointCloud:
-    """Draw m points uniformly: without replacement when n >= m, with when n < m."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    n = len(cloud)
-    return cloud.take(np.random.default_rng(rng_seed).choice(n, size=m, replace=n < m))
 
 
 def biased_fg_count(n: int, m: int, n_fg_points: int) -> int:
@@ -90,20 +83,13 @@ def cap_points(cloud: PointCloud, max_points: int, rng_seed: int) -> PointCloud:
     return cloud if idx is None else cloud.take(idx)
 
 
-def leakage_audit(
-    cloud: PointCloud,
-    fg_class: int,
-    m: int,
-    sampler: str,
-    trials: int,
-    rng_seed: int,
-) -> DensityReport:
+def leakage_audit(cloud: PointCloud, fg_class: int, m: int, sampler: str, trials: int, rng_seed: int) -> DensityReport:
     """Run a sampler `trials` times and report mean output foreground fraction.
 
-    Trial t uses seed rng_seed + t, so audits are reproducible and trials
-    could run in parallel. The expected fraction is computed from the
-    biased sampler's quota rule (equal to the input fraction for the
-    uniform sampler); for n >= m it reduces to f(2-f).
+    Trial t uses seed rng_seed + t, so audits are reproducible. The
+    `"uniform"` row is `cap_points`, the cap episodes are built with. The
+    expected fraction follows the biased sampler's quota rule (the input
+    fraction for the cap); for n >= m it reduces to f(2-f).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -117,13 +103,14 @@ def leakage_audit(
         n_fg = biased_fg_count(n, m, n_fg_points)
         expected = (n_fg + (m - n_fg) * f_in) / m
     elif sampler == "uniform":
-        draw = partial(uniform_sample, cloud, m)
+        draw = partial(cap_points, cloud, m)
         expected = f_in
     else:
         raise ValueError(f"sampler must be one of ['biased', 'uniform'], got {sampler!r}")
 
     fractions = np.array([(draw(rng_seed + t).labels == fg_class).mean() for t in range(trials)])
-    mean_out = float(fractions.mean())
+    # A cloud of at most m points passes the cap whole: f_in, not a mean of copies.
+    mean_out = f_in if sampler == "uniform" and n <= m else float(fractions.mean())
     ratio = mean_out / f_in if f_in > 0 else 0.0
     return DensityReport(
         input_fg_fraction=f_in,

@@ -275,6 +275,11 @@ def swap_axes(t: Tensor, a: int, b: int) -> Tensor:
     return Tensor(t.data.swapaxes(a, b), (t,), lambda g: (g.swapaxes(a, b),))
 
 
+def transpose_first_two(t: Tensor) -> Tensor:
+    """`swap_axes(t, 0, 1)` as a C-ordered copy, so the ops after it read whole rows."""
+    return Tensor(np.ascontiguousarray(t.data.swapaxes(0, 1)), (t,), lambda g: (g.swapaxes(0, 1),))
+
+
 def sum_axis(t: Tensor, axis: int) -> Tensor:
     """Sum along `axis`, which stays as an axis of length 1."""
     return Tensor(t.data.sum(axis=axis, keepdims=True), (t,), lambda g: (np.broadcast_to(g, t.data.shape).copy(),))

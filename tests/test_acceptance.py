@@ -32,7 +32,7 @@ from pcseg.model import (
     forward,
     meta_train,
 )
-from pcseg.sampling import biased_sample, cap_indices, leakage_audit, uniform_sample
+from pcseg.sampling import biased_sample, cap_indices, cap_points, leakage_audit
 from pcseg.synth import make_pool
 from pcseg.tensor import Tensor
 
@@ -131,7 +131,7 @@ def _duplicate_point_iou(cloud, m, fg_class, sample, trials):
 def test_leakage_exploit():
     """The double sampler's duplicates alone find foreground: the segmenter
     scores 2(m/n)(1-f)/(2-f) under `biased_sample` and 0 under
-    `uniform_sample`, which draws no point twice."""
+    `cap_points`, which draws no point twice."""
     with criterion("leakage-exploit", 30.0):
         rng = np.random.default_rng(5)
         n = 5_000
@@ -143,7 +143,7 @@ def test_leakage_exploit():
                 _, biased = _duplicate_point_iou(cloud, m, 1, lambda c, m, s: biased_sample(c, m, 1, s), 200)
                 expected = 2 * (m / n) * (1 - f) / (2 - f)
                 assert abs(biased - expected) < 0.01, (f, m, biased, expected)
-                tp, uniform = _duplicate_point_iou(cloud, m, 1, uniform_sample, 200)
+                tp, uniform = _duplicate_point_iou(cloud, m, 1, cap_points, 200)
                 assert tp == 0 and uniform == 0.0, (f, m, tp, uniform)
 
 

@@ -9,7 +9,7 @@ import pytest
 import pcseg.tensor as T
 from gradient_oracles import check_end_to_end, finite_difference_check
 from pcseg.config import RunConfig
-from pcseg.episodes import Episode, generate_episode
+from pcseg.episodes import Episode, generate_episode, make_split
 from pcseg.geometry import EmptyMaskError, PointCloud
 from pcseg.model import (
     BasePrototypeBank,
@@ -21,12 +21,15 @@ from pcseg.model import (
     base_targets,
     calibrate_background,
     compute_correlations,
+    episode_stream,
     extract_prototypes,
     forward,
     loss,
     meta_train,
+    train_exclusions,
 )
-from pcseg.synth import synth_scene
+from pcseg.seeding import derive_seed
+from pcseg.synth import make_pool, synth_scene
 from pcseg.tensor import Parameter, Tensor
 
 
@@ -424,6 +427,24 @@ class TestForwardAndLoss:
         seg_p, _ = forward(permuted_ep, params, bank, ())
         np.testing.assert_allclose(seg_p.data, seg.data[perm], atol=1e-9)
 
+    def test_refine_blocks_read_c_ordered_data(self, pool8, split8, fast_config, monkeypatch):
+        # Each block after a transpose of the first two axes reads a C-ordered
+        # copy; a strided view made the attention and the MLPs slower.
+        calls = []
+        real_layer_norm = T.layer_norm
+
+        def contiguous_only(t, gain, bias):
+            assert t.data.flags.c_contiguous, t.data.strides
+            calls.append(t.shape)
+            return real_layer_norm(t, gain, bias)
+
+        monkeypatch.setattr(T, "layer_norm", contiguous_only)
+        params = tiny_params(np.random.default_rng(28), dim=16, layers=2, n_base=len(split8.train_classes))
+        bank = BasePrototypeBank.zeros(split8.train_classes, 16)
+        ep = episode_for(pool8, split8, fast_config, seed=53, n_way=2)
+        forward(ep, params, bank, ep.target_classes)
+        assert len(calls) == 8  # four blocks per layer
+
     def test_loss_confident_correct_is_small(self):
         gt = np.array([0, 1, 1, 0])
         base_gt = np.array([0, 2, 1, 0])
@@ -464,8 +485,6 @@ class TestEndToEndGradient:
 
 class TestMetaTrain:
     def test_zero_episodes_leaves_init(self, pool8, split8, fast_config):
-        from pcseg.seeding import derive_seed
-
         result = meta_train(pool8, split8, fast_config)
         fresh = ModelParams.create(
             np.random.default_rng(derive_seed(fast_config.seed, "init")),
@@ -489,6 +508,27 @@ class TestMetaTrain:
         drawn = spy_episodes(monkeypatch)
         meta_train(pool8, split8, config)
         assert [episode_key(ep) for ep in drawn] == want
+
+    def test_guidance_leaves_out_train_exclusions(self, pool8, split8, fast_config, monkeypatch):
+        from pcseg import model as M
+
+        config = RunConfig(**{**fast_config.__dict__, "episodes": 3})
+        ruled, passed = [], []
+        real_forward = M.forward
+
+        def rule(episode):
+            ruled.append(train_exclusions(episode))
+            return ruled[-1]
+
+        def spy(episode, params, bank, excluded):
+            assert excluded == episode.target_classes
+            passed.append(excluded)
+            return real_forward(episode, params, bank, excluded)
+
+        monkeypatch.setattr(M, "train_exclusions", rule)
+        monkeypatch.setattr(M, "forward", spy)
+        meta_train(pool8, split8, config)
+        assert len(passed) == 3 and all(a is b for a, b in zip(passed, ruled))
 
     def test_loss_trends_down_over_200_episodes(self, pool8, split8, fast_config):
         config = RunConfig(**{**fast_config.__dict__, "episodes": 200})
@@ -684,3 +724,51 @@ class TestEvaluate:
         assert again.losses == clean.losses
         for a, b in zip(again.params.parameters(), clean.params.parameters()):
             assert a.data.tobytes() == b.data.tobytes()
+
+
+def _auc(score, positive):
+    """Probability that a positive outscores a negative, ties counting half."""
+    negatives = np.sort(score[~positive])
+    below = np.searchsorted(negatives, score[positive], "left")
+    ties = np.searchsorted(negatives, score[positive], "right") - below
+    return (below.sum() + 0.5 * ties.sum()) / (below.size * negatives.size)
+
+
+def test_guidance_parity_report():
+    """How well low guidance alone marks a query's foreground: the mean
+    per-episode AUC of -guidance over 100 episodes, on the train stream
+    with `train_exclusions` and on the test stream (seed 999, the one the
+    ROADMAP's evaluations use) with none, as `evaluate` runs it. Nothing
+    is trained: the stub is at its init and each bank row is its class's
+    mean stub feature over the acceptance pool. A train AUC above the test
+    one is a cue that solves training and does not transfer. The table is
+    printed (run with -s); nothing is gated yet."""
+    from test_acceptance import TOY_CONFIG
+
+    pool = make_pool(42, 24, range(1, 9), blobs_per_scene=3, points_per_blob=400)
+    rows = []
+    with T.no_grad():
+        for seed in (3, 4, 5):
+            config = RunConfig(**{**TOY_CONFIG.__dict__, "seed": seed})
+            for fold in (0, 1):
+                split = make_split(range(1, 9), fold)
+                params = ModelParams.for_config(np.random.default_rng(derive_seed(seed, "init")), config,
+                                                len(split.train_classes))
+                features = [backbone_stub(cloud, params.stub).data for cloud in pool]
+                bank = BasePrototypeBank.zeros(split.train_classes, config.dim)
+                for cid in split.train_classes:
+                    pooled = np.concatenate([f[cloud.labels == cid] for f, cloud in zip(features, pool)])
+                    bank.apply_update(cid, pooled.mean(axis=0), 0.0)
+                aucs = []
+                for phase, stream_seed, excluded in (("train", seed, train_exclusions), ("test", 999, lambda ep: ())):
+                    episodes = episode_stream(pool, split, phase, config, stream_seed, 100)
+                    aucs.append(np.mean([
+                        _auc(-base_guidance(backbone_stub(ep.query, params.stub), bank, excluded(ep)).data,
+                             ep.query_gt > 0)
+                        for ep in episodes
+                    ]))
+                rows.append((seed, fold, *aucs))
+    print("\nguidance parity, mean AUC of -guidance for the query foreground\n| seed | fold | train | test |")
+    for seed, fold, train, test in rows:
+        print(f"| {seed} | {fold} | {train:.3f} | {test:.3f} |")
+    assert all(0.0 <= auc <= 1.0 for row in rows for auc in row[2:])

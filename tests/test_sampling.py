@@ -9,7 +9,6 @@ from pcseg.sampling import (
     biased_sample,
     cap_points,
     leakage_audit,
-    uniform_sample,
 )
 
 
@@ -75,38 +74,6 @@ class TestBiasedSample:
             biased_sample(cloud, 0, 1, 0)
 
 
-class TestUniformSample:
-    def test_full_draw_is_permutation(self):
-        cloud = labeled_cloud(20, 5)
-        out = uniform_sample(cloud, 20, 7)
-        np.testing.assert_array_equal(
-            np.sort(out.positions, axis=0), np.sort(cloud.positions, axis=0)
-        )
-
-    def test_single_point(self):
-        cloud = labeled_cloud(10, 3)
-        out = uniform_sample(cloud, 1, 2)
-        assert len(out) == 1
-
-    def test_with_replacement_when_small(self):
-        cloud = labeled_cloud(3, 1)
-        assert len(uniform_sample(cloud, 10, 0)) == 10
-
-    def test_unbiased_expectation(self):
-        # f = 0.2, m = 2048 of n = 10000: trial means concentrate near f
-        cloud = labeled_cloud(10_000, 2_000)
-        fractions = [
-            (uniform_sample(cloud, 2048, 100 + t).labels == 1).mean() for t in range(200)
-        ]
-        assert abs(np.mean(fractions) - 0.2) < 0.01
-
-    def test_deterministic(self):
-        cloud = labeled_cloud(50, 10)
-        a = uniform_sample(cloud, 30, 9)
-        b = uniform_sample(cloud, 30, 9)
-        np.testing.assert_array_equal(a.positions, b.positions)
-
-
 class TestCapPoints:
     def test_identity_when_small(self):
         cloud = labeled_cloud(100, 10)
@@ -161,6 +128,28 @@ class TestLeakageAudit:
         rep = leakage_audit(cloud, 1, 1024, "uniform", 1000, 11)
         se = np.sqrt(0.3 * 0.7 / 1024 / 1000)
         assert abs(rep.mean_output_fg_fraction - 0.3) < 3 * se + 1e-9
+
+    def test_uniform_row_is_the_cap_when_it_draws(self):
+        # n > m: trial t is one default_rng(seed + t).choice(n, m) without
+        # replacement, so the report is the mean of those draws' fractions
+        cloud = labeled_cloud(300, 70)
+        rep = leakage_audit(cloud, 1, 64, "uniform", 7, 40)
+        fractions = [
+            (cloud.labels[np.random.default_rng(40 + t).choice(300, size=64, replace=False)] == 1).mean()
+            for t in range(7)
+        ]
+        mean = float(np.array(fractions).mean())
+        assert rep.mean_output_fg_fraction == mean
+        assert rep.density_ratio == mean / (70 / 300)
+        assert rep.expected_biased_fraction == 70 / 300
+
+    @pytest.mark.parametrize("n", [100, 2048])
+    def test_uniform_row_keeps_a_cloud_that_fits(self, n):
+        # n <= m: the cap keeps every point, so the row reads the input exactly
+        cloud = labeled_cloud(n, n // 5 + 1)
+        rep = leakage_audit(cloud, 1, 2048, "uniform", 5, 0)
+        assert rep.mean_output_fg_fraction == rep.input_fg_fraction == (n // 5 + 1) / n
+        assert rep.density_ratio == 1.0
 
     def test_biased_dominates_uniform(self):
         for fg in (500, 2_500, 4_500):

@@ -64,6 +64,14 @@ class TestForwardOracles:
                 for k in range(8):
                     assert out[j, i, k] == x[i, j, k]
 
+    def test_transpose_first_two_is_a_c_ordered_swap(self):
+        x = Tensor(np.random.default_rng(6).standard_normal((2, 5, 8)))
+        out = T.transpose_first_two(x)
+        assert out.data.flags.c_contiguous
+        assert out.data.tobytes() == np.ascontiguousarray(T.swap_axes(x, 0, 1).data).tobytes()
+        g = np.random.default_rng(7).standard_normal((5, 2, 8))
+        np.testing.assert_array_equal(out._backward(g)[0], g.swapaxes(0, 1))
+
     def test_elu_plus_one_values(self):
         x = Tensor(np.array([0.0, 2.5, -20.0]))
         out = T.elu_plus_one(x).data
