@@ -80,10 +80,12 @@ def _pool_paths(pool_args) -> list[str]:
 
 def _check_out_dir(path) -> None:
     """Raise, before any work, the OSError that writing the output file
-    `path` would raise when its directory is missing, not a directory or
-    cannot take a new file: a probe file is made there and removed."""
+    `path` would raise when it is a directory, or its directory is missing,
+    not a directory or cannot take a new file: a probe file is made there and removed."""
     directory = os.path.dirname(path) or "."
     try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         if not stat.S_ISDIR(os.stat(directory).st_mode):
             raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
         fd, probe = tempfile.mkstemp(dir=directory)

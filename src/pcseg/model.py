@@ -108,7 +108,6 @@ class ModelParams(ParameterGroup):
     """All trainable parameters. Their shapes do not depend on n_way; that
     says nothing of how a model trained at one way scores at another."""
 
-    n_prototypes: int
     stub: MLPParams
     proj: MLPParams
     layers: list[RefineLayerParams]
@@ -118,7 +117,6 @@ class ModelParams(ParameterGroup):
     @classmethod
     def create(cls, rng, dim: int, n_prototypes: int, n_layers: int, heads: int, n_base: int) -> "ModelParams":
         return cls(
-            n_prototypes=n_prototypes,
             stub=MLPParams.create(rng, "stub", 6, dim, dim),
             proj=MLPParams.create(rng, "proj", n_prototypes, dim, dim),
             layers=[RefineLayerParams.create(rng, f"layers.{i}", dim, heads) for i in range(n_layers)],
@@ -217,13 +215,11 @@ def compute_correlations(query_features: Tensor, protos: list[Tensor], proj: MLP
     """Cosine correlations of every query point to every class's prototypes
     (foreground ways first, background last), stacked per class and
     projected to D channels: N_Q x N_C x D."""
-    n_q = query_features.shape[0]
-    slices = []
-    for mat in protos:
-        sims = T.cosine_rows(query_features, mat)
-        slices.append(T.reshape(sims, (n_q, 1, mat.shape[0])))
-    stacked = T.concat(slices, axis=1)
-    return T.mlp_forward(stacked, proj)
+    width = proj.w1.shape[0]
+    if any(mat.shape[0] != width for mat in protos):
+        raise ValueError(f"every class needs {width} prototypes, got {[mat.shape[0] for mat in protos]}")
+    sims = T.concat([T.cosine_rows(query_features, mat) for mat in protos], axis=1)
+    return T.mlp_forward(T.reshape(sims, (query_features.shape[0], len(protos), width)), proj)
 
 
 def base_guidance(query_features: Tensor, bank: BasePrototypeBank, excluded) -> Tensor:
@@ -291,7 +287,7 @@ def forward(episode: Episode, params: ModelParams, bank: BasePrototypeBank, excl
     # The background is one more way: every support cloud with its mask
     # inverted, all sharing one prototype budget.
     background = [(cloud, ~mask) for way in episode.support for cloud, mask in way]
-    protos = [extract_prototypes(feats, shots, params.n_prototypes)
+    protos = [extract_prototypes(feats, shots, params.proj.w1.shape[0])
               for feats, shots in zip(support_feats + [all_feats], episode.support + [background])]
 
     query_features = backbone_stub(episode.query, params.stub)

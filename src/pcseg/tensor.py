@@ -145,7 +145,7 @@ class ParameterGroup:
 
     `parameters()` walks the fields in declaration order: a Parameter is
     taken as is, a group or a list of groups contributes its own
-    parameters, and any other field (a size, a head count) is skipped.
+    parameters, and any other field (a head count) is skipped.
     """
 
     def parameters(self) -> list[Parameter]:

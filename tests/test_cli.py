@@ -750,7 +750,7 @@ def test_output_files_follow_the_umask(scene_dir, config_path, tmp_path):
         path.name: oct(0o640) for path in written}
 
 
-@pytest.mark.parametrize("parent, code", [("nodir", errno.ENOENT), ("afile", errno.ENOTDIR)])
+@pytest.mark.parametrize("parent, code", [("nodir", errno.ENOENT), ("afile", errno.ENOTDIR), ("adir", errno.EISDIR)])
 @pytest.mark.parametrize("command", ["train", "eval", "audit"])
 def test_out_in_a_missing_directory_exits_2_before_any_work(scene_dir, config_path, tmp_path, capsys, monkeypatch,
                                                             command, parent, code):
@@ -758,6 +758,7 @@ def test_out_in_a_missing_directory_exits_2_before_any_work(scene_dir, config_pa
     if command == "eval":
         assert main(["train", "--pool", str(scene_dir), "--config", str(config_path), "--out", str(model)]) == EXIT_OK
     (tmp_path / "afile").write_text("")
+    (tmp_path / "adir" / "out.txt").mkdir(parents=True)  # --out names this directory
     for owner, name in ((M, "meta_train"), (M, "evaluate"), (cli, "leakage_audit")):
         monkeypatch.setattr(owner, name, lambda *args, _name=name: pytest.fail(f"{_name} ran before --out was checked"))
     out = tmp_path / parent / "out.txt"

@@ -1,5 +1,8 @@
 """Class splits, episode construction, and IoU counts."""
 
+import math
+import time
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,9 @@ from pcseg.episodes import (
     iou_from_counts,
     make_split,
 )
-from pcseg.synth import make_pool
+from pcseg.geometry import PointCloud, grid_subsample, split_blocks
+from pcseg.sampling import cap_indices
+from pcseg.synth import make_pool, synth_scene
 
 POOL = make_pool(77, 20, range(1, 9), blobs_per_scene=3, points_per_blob=300)
 SPLIT = make_split(range(1, 9), 0)
@@ -127,6 +132,62 @@ class TestGenerateEpisode:
     def test_impossible_min_fg_raises(self):
         with pytest.raises(PoolExhaustedError):
             generate_episode(POOL, SPLIT.train_classes, 1, 1, 10_000, CAP, 0)
+
+
+def tiled_room(seed: int) -> PointCloud:
+    """2 x 2 one-metre cells of 3 blobs x 1,500 points each, classes 1-8,
+    every cell clipped into its square so each 1 m block holds one cell."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for i in range(2):
+        for j in range(2):
+            chosen = rng.choice(range(1, 9), size=3, replace=False)
+            cell = synth_scene(int(rng.integers(0, 2**63 - 1)), [(int(c), 1500) for c in chosen])
+            xy = np.clip(cell.positions[:, :2], 0.0, 0.999) + (i, j)
+            parts.append((np.column_stack([xy, cell.positions[:, 2]]), cell.colors, cell.labels))
+    return PointCloud(*(np.concatenate(arrays) for arrays in zip(*parts)))
+
+
+def hypergeometric_tail(n: int, c: int, m: int, t: int) -> float:
+    """P(X >= t) for X ~ Hypergeometric(n, c, m): the class points a uniform
+    cap of m out of n keeps of a class of c. Log-space terms, since exact
+    binomials at n of a few thousand take seconds."""
+    if m >= n:
+        return float(c >= t)
+
+    def log_comb(a, b):
+        return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
+
+    top = log_comb(n, m)
+    return sum(math.exp(log_comb(c, x) + log_comb(n - c, m - x) - top)
+               for x in range(max(t, m - (n - c)), min(c, m) + 1))
+
+
+def test_eligibility_under_the_cap_matches_the_sparse_point_law():
+    """On room scenes split into blocks, the share of (block, class) pairs a
+    capped block leaves eligible at `min_fg_points` is what the
+    hypergeometric law predicts from the class sizes. The table is printed
+    (run with -s)."""
+    start = time.time()
+    blocks = [b for seed in range(3) for b in split_blocks(grid_subsample(tiled_room(seed), 0.01), 1.0)]
+    min_fg, draws = 100, 20
+    rows = []
+    for cap in (128, 256, 512, 1024, 2048):
+        measured, predicted = [], []
+        for b, block in enumerate(blocks):
+            kept = [block.labels if idx is None else block.labels[idx]
+                    for idx in (cap_indices(len(block), cap, 1000 * b + t) for t in range(draws))]
+            for class_id in np.unique(block.labels):
+                measured.append(np.mean([np.count_nonzero(k == class_id) >= min_fg for k in kept]))
+                c = int(np.count_nonzero(block.labels == class_id))
+                predicted.append(hypergeometric_tail(len(block), c, cap, min_fg))
+        rows.append((cap, len(measured), float(np.mean(measured)), float(np.mean(predicted))))
+    print(f"\neligible (block, class) pairs at min_fg_points={min_fg}, {len(blocks)} blocks "
+          f"of {min(map(len, blocks))}-{max(map(len, blocks))} points ({time.time() - start:.2f} s)")
+    for cap, pairs, got, want in rows:
+        print(f"  cap {cap:5d}: {pairs} pairs, measured {got:.3f}, predicted {want:.3f}")
+    for cap, _, got, want in rows:
+        assert abs(got - want) < 0.05, (cap, got, want)
 
 
 def miou(pred, gt, n_way: int):

@@ -158,6 +158,15 @@ class TestComputeCorrelations:
         proj = ModelParams.create(rng, 8, 2, 1, 1, 2).proj
         assert compute_correlations(fq, protos, proj).shape == (4, 2, 8)
 
+    def test_unequal_prototype_counts_raise(self):
+        # 2 + 1 + 3 rows fill (N_Q, 3, 2) exactly, so only the count check can catch this.
+        rng = np.random.default_rng(8)
+        fq = Tensor(rng.standard_normal((5, 8)))
+        protos = [Tensor(rng.standard_normal((rows, 8))) for rows in (2, 1, 3)]
+        proj = ModelParams.create(rng, 8, 2, 1, 1, 2).proj
+        with pytest.raises(ValueError):
+            compute_correlations(fq, protos, proj)
+
     def test_prototype_match_gives_unit_cosine(self):
         rng = np.random.default_rng(9)
         fg = Tensor(rng.standard_normal((3, 6)))
