@@ -138,19 +138,24 @@ def generate_episode(
     query_index = int(rng.choice(query_avail))
     query = cap_points(pool[query_index], m_cap, cap_seeds[query_index])
 
-    query_gt = np.zeros(len(query), dtype=np.int64)
-    for n, class_id in enumerate(targets, start=1):
-        query_gt[query.labels == class_id] = n
-
     return Episode(
         support=support,
         query=query,
-        query_gt=query_gt,
+        query_gt=class_targets(query.labels, targets),
         target_classes=targets,
         support_indices=support_indices,
         query_index=query_index,
         seed=rng_seed,
     )
+
+
+def class_targets(labels, class_ids) -> np.ndarray:
+    """Map raw labels to targets: n for the n-th of `class_ids` (from 1), else 0."""
+    labels = np.asarray(labels, dtype=np.int64)
+    out = np.zeros_like(labels)
+    for n, class_id in enumerate(class_ids, start=1):
+        out[labels == class_id] = n
+    return out
 
 
 def confusion_counts(pred, gt, class_of_way) -> dict[int, tuple[int, int, int]]:

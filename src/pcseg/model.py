@@ -26,7 +26,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import AttentionParams, multi_head_linear_attention
-from .episodes import Episode, ClassSplit, PoolExhaustedError, confusion_counts, generate_episode, iou_from_counts
+from .episodes import Episode, ClassSplit, PoolExhaustedError, class_targets, confusion_counts, generate_episode, iou_from_counts
 from .geometry import EmptyMaskError, PointCloud, cluster_to_seeds, farthest_point_sample
 from .seeding import derive_seed
 from .tensor import Parameter, ParameterGroup, Tensor
@@ -310,14 +310,18 @@ def loss(seg_logits: Tensor, base_logits: Tensor, query_gt, base_gt) -> Tensor:
     return T.add(T.cross_entropy(base_logits, base_gt), T.cross_entropy(seg_logits, query_gt))
 
 
-def base_targets(labels, class_ids) -> np.ndarray:
-    """Map raw labels to training-class targets: row index + 1, or 0 for
-    anything that is not a training class."""
-    labels = np.asarray(labels, dtype=np.int64)
-    out = np.zeros_like(labels)
-    for row, cid in enumerate(class_ids):
-        out[labels == cid] = row + 1
-    return out
+def train_exclusions(episode: Episode):
+    """The class ids whose bank rows guidance leaves out in training: the targets."""
+    return episode.target_classes
+
+
+def episode_loss(episode: Episode, params: ModelParams, bank: BasePrototypeBank):
+    """The loss `meta_train` minimizes on one episode, and `forward`'s features:
+    guidance leaves out the bank rows of `train_exclusions`, and the base head
+    on the query features predicts each point's `class_targets` over the bank."""
+    seg_logits, features = forward(episode, params, bank, train_exclusions(episode))
+    base_logits = T.mlp_forward(features[-1], params.base_head)
+    return loss(seg_logits, base_logits, episode.query_gt, class_targets(episode.query.labels, bank.class_ids)), features
 
 
 # ---------------------------------------------------------------------------
@@ -377,20 +381,13 @@ def _update_bank_from_episode(bank: BasePrototypeBank, episode: Episode, feature
             bank.apply_update(class_id, np.mean(pooled, axis=0), momentum)
 
 
-def train_exclusions(episode: Episode):
-    """The class ids whose bank rows guidance leaves out in training: the targets."""
-    return episode.target_classes
-
-
 def meta_train(pool, split: ClassSplit, config) -> TrainResult:
     """Episodic training on the train half of the split.
 
-    Per episode: forward with guidance leaving out the bank rows of
-    `train_exclusions`, the base head on the query features, backprop the
-    summed cross-entropy, one AdamW step, then a bank update from the
-    support and query features. Raises NonFiniteLossError with the episode index
-    if the loss or a gradient degenerates; a bad gradient leaves the
-    parameters untouched.
+    Per episode: backprop `episode_loss`, one AdamW step, then a bank
+    update from the support and query features. Raises NonFiniteLossError
+    with the episode index if the loss or a gradient degenerates; a bad
+    gradient leaves the parameters untouched.
     """
     rng = np.random.default_rng(derive_seed(config.seed, "init"))
     params = ModelParams.for_config(rng, config, len(split.train_classes))
@@ -399,9 +396,7 @@ def meta_train(pool, split: ClassSplit, config) -> TrainResult:
     losses: list[float] = []
     episodes = episode_stream(pool, split, "train", config, config.seed, config.episodes)
     for i, episode in enumerate(episodes):
-        seg_logits, features = forward(episode, params, bank, train_exclusions(episode))
-        base_logits = T.mlp_forward(features[-1], params.base_head)
-        step_loss = loss(seg_logits, base_logits, episode.query_gt, base_targets(episode.query.labels, bank.class_ids))
+        step_loss, features = episode_loss(episode, params, bank)
         value = float(step_loss.data)
         if not math.isfinite(value):
             raise NonFiniteLossError(f"episode {i}: loss is {value}")

@@ -3,8 +3,8 @@ the tests run.
 
 `finite_difference_check` compares an op's analytic gradients with
 central differences. Each `OP_CHECKS` entry builds random inputs for one
-op; `check_end_to_end` differentiates the episode loss against a sampled
-subset of every model parameter.
+op; `check_end_to_end` differentiates `model.episode_loss`, the loss
+training minimizes, against a sampled subset of every model parameter.
 """
 
 import numpy as np
@@ -170,12 +170,9 @@ def _end_to_end_setup(seed: int):
     bank = M.BasePrototypeBank.zeros(split.train_classes, config.dim)
     for cid in split.train_classes:  # live guidance so its gradient path is exercised
         bank.apply_update(cid, rng.standard_normal(config.dim), config.momentum)
-    base_gt = M.base_targets(episode.query.labels, bank.class_ids)
 
     def op(*_params):
-        seg_logits, features = M.forward(episode, params, bank, episode.target_classes)
-        base_logits = T.mlp_forward(features[-1], params.base_head)
-        return M.loss(seg_logits, base_logits, episode.query_gt, base_gt)
+        return M.episode_loss(episode, params, bank)[0]
 
     return op, params.parameters()
 

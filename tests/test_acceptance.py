@@ -28,15 +28,18 @@ from pcseg.model import (
     base_guidance,
     calibrate_background,
     compute_correlations,
+    episode_stream,
     evaluate,
     forward,
     meta_train,
+    train_exclusions,
 )
 from pcseg.sampling import biased_sample, cap_indices, cap_points, leakage_audit
 from pcseg.synth import make_pool
 from pcseg.tensor import Tensor
 
 from test_geometry import fps_oracle, nearest_seed_oracle, random_cloud, voxel_dedup_oracle
+from test_model import _auc
 
 
 @contextmanager
@@ -313,6 +316,27 @@ def test_end_to_end_learning(learning_run):
             f"(pooled {with_bank.mean_iou:.4f}), zeroed bank {zeroed.episode_miou_mean:.4f}, "
             f"train {train_seconds:.0f}s"
         )
+
+
+def test_trained_guidance_parity_report(learning_run):
+    """`test_model.py::test_guidance_parity_report` on the trained model:
+    the mean per-episode AUC of -guidance for the query foreground over 100
+    episodes, with the trained stub and bank, on the train stream with
+    `train_exclusions` and on the test stream (seed 999) with none. Printed
+    (run with -s); only the range of each AUC is gated."""
+    pool, split, result, _ = learning_run
+    streams = (("train", TOY_CONFIG.seed, train_exclusions), ("test", 999, lambda ep: ()))
+    aucs = []
+    with T.no_grad():
+        for phase, seed, excluded in streams:
+            episodes = episode_stream(pool, split, phase, TOY_CONFIG, seed, 100)
+            aucs.append(np.mean([
+                _auc(-base_guidance(backbone_stub(ep.query, result.params.stub), result.bank, excluded(ep)).data,
+                     ep.query_gt > 0)
+                for ep in episodes
+            ]))
+    print(f"\n  trained guidance parity, mean AUC of -guidance: train {aucs[0]:.3f}, test {aucs[1]:.3f}")
+    assert all(0.0 <= auc <= 1.0 for auc in aucs)
 
 
 def test_cli_determinism(tmp_path):

@@ -427,12 +427,6 @@ def test_meta_train_matches_reference_kernels(monkeypatch):
     assert same_bytes(fast.bank.update_counts, slow.bank.update_counts)
 
 
-def _episode_loss(params, bank, episode):
-    seg_logits, features = M.forward(episode, params, bank, episode.target_classes)
-    base_logits = T.mlp_forward(features[-1], params.base_head)
-    return M.loss(seg_logits, base_logits, episode.query_gt, M.base_targets(episode.query.labels, bank.class_ids))
-
-
 def _leaves(root):
     seen, stack, out = set(), [root], []
     while stack:
@@ -455,13 +449,13 @@ def test_leaf_gradients_match_a_graph_that_is_kept():
     episode = generate_episode(pool, split.train_classes, 2, 1, 40, 256, 5)
     for p in trained.params.parameters():
         p.grad = None
-    kept = _episode_loss(trained.params, trained.bank, episode)
+    kept = M.episode_loss(episode, trained.params, trained.bank)[0]
     kept_leaves = _leaves(kept)
     ref_backward(kept)
     kept_grads = [None if leaf.grad is None else leaf.grad.copy() for leaf in kept_leaves]
     for p in trained.params.parameters():
         p.grad = None
-    freed = _episode_loss(trained.params, trained.bank, episode)
+    freed = M.episode_loss(episode, trained.params, trained.bank)[0]
     freed_leaves = _leaves(freed)
     freed.backward()
     assert len(freed_leaves) == len(kept_leaves) > len(trained.params.parameters())
@@ -526,7 +520,7 @@ def test_train_episode_with_row_blocks_matches_reference(monkeypatch):
     def run():
         for p in trained.params.parameters():
             p.grad = None
-        root = _episode_loss(trained.params, trained.bank, episode)
+        root = M.episode_loss(episode, trained.params, trained.bank)[0]
         leaves = _leaves(root)
         root.backward()
         grads = sorted(leaf.grad.tobytes() for leaf in leaves if leaf.grad is not None)

@@ -11,6 +11,7 @@ from pcseg.config import RunConfig
 from pcseg.episodes import (
     ClassSplit,
     PoolExhaustedError,
+    class_targets,
     confusion_counts,
     generate_episode,
     iou_from_counts,
@@ -123,6 +124,12 @@ class TestGenerateEpisode:
             np.testing.assert_array_equal(ep.query_gt == n, ep.query.labels == class_id)
         other = ~np.isin(ep.query.labels, ep.target_classes)
         assert (ep.query_gt[other] == 0).all()
+
+    def test_class_targets_mapping(self):
+        labels = np.array([5, 2, 9, 2, -1])
+        out = class_targets(labels, (2, 5))
+        np.testing.assert_array_equal(out, [2, 1, 0, 1, 0])
+        assert out.dtype == np.int64
 
     def test_pool_exhausted_names_class(self):
         tiny = POOL[:2]

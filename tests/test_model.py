@@ -18,7 +18,6 @@ from pcseg.model import (
     apply_refine_layer,
     backbone_stub,
     base_guidance,
-    base_targets,
     calibrate_background,
     compute_correlations,
     episode_stream,
@@ -398,7 +397,8 @@ class TestForwardAndLoss:
             assert base.shape == (len(ep.query), len(split8.train_classes) + 1)
 
     def test_features_are_support_way_by_way_then_query(self, pool8, split8, fast_config):
-        # `_update_bank_from_episode` pairs these features with the clouds in this order.
+        # `episode_loss` hands these features on, and `_update_bank_from_episode`
+        # pairs them with the clouds in this order.
         params = tiny_params(np.random.default_rng(27), dim=16, n_base=len(split8.train_classes))
         bank = BasePrototypeBank.zeros(split8.train_classes, 16)
         ep = episode_for(pool8, split8, fast_config, seed=52, n_way=2, k_shot=2)
@@ -481,15 +481,24 @@ class TestForwardAndLoss:
         b = float(T.cross_entropy(Tensor(seg), gt).data)
         np.testing.assert_allclose(total, a + b, rtol=1e-12)
 
-    def test_base_targets_mapping(self):
-        labels = np.array([5, 2, 9, 2, -1])
-        out = base_targets(labels, (2, 5))
-        np.testing.assert_array_equal(out, [2, 1, 0, 1, 0])
-
 
 class TestEndToEndGradient:
     def test_loss_gradient_matches_finite_differences(self):
         assert check_end_to_end(seed=99, trials=2, coords_per_param=2) < 1e-4
+
+    def test_checks_the_loss_training_minimizes(self, monkeypatch):
+        from pcseg import model as M
+
+        calls = []
+        real_episode_loss = M.episode_loss
+
+        def spy(*args):
+            calls.append(args)
+            return real_episode_loss(*args)
+
+        monkeypatch.setattr(M, "episode_loss", spy)
+        check_end_to_end(seed=99, trials=1, coords_per_param=1)
+        assert calls
 
 
 class TestMetaTrain:
@@ -538,6 +547,28 @@ class TestMetaTrain:
         monkeypatch.setattr(M, "forward", spy)
         meta_train(pool8, split8, config)
         assert len(passed) == 3 and all(a is b for a, b in zip(passed, ruled))
+
+    def test_losses_are_the_episode_loss_values(self, pool8, split8, fast_config, monkeypatch):
+        from pcseg import model as M
+
+        config = RunConfig(**{**fast_config.__dict__, "episodes": 3})
+        values, loss_calls = [], []
+        real_episode_loss, real_loss = M.episode_loss, M.loss
+
+        def spy_episode_loss(*args):
+            out = real_episode_loss(*args)
+            values.append(float(out[0].data))
+            return out
+
+        def spy_loss(*args):
+            loss_calls.append(args)
+            return real_loss(*args)
+
+        monkeypatch.setattr(M, "episode_loss", spy_episode_loss)
+        monkeypatch.setattr(M, "loss", spy_loss)
+        result = meta_train(pool8, split8, config)
+        assert len(values) == 3 and result.losses == values
+        assert len(loss_calls) == 3
 
     def test_loss_trends_down_over_200_episodes(self, pool8, split8, fast_config):
         config = RunConfig(**{**fast_config.__dict__, "episodes": 200})
