@@ -139,16 +139,18 @@ def farthest_point_sample(coords, mask, count: int) -> np.ndarray:
     masked = np.flatnonzero(mask)
     if masked.size == 0:
         raise EmptyMaskError("farthest_point_sample needs at least one masked point")
-    pts = coords[masked]
+    # Coordinate-major (3, M): a squared distance is (dx^2 + dy^2) + dz^2,
+    # the order of numpy's row sum over (M, 3), summed over whole rows.
+    pts = np.ascontiguousarray(coords[masked].T)
     k = min(count, masked.size)
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = 0
     # Squared distances preserve the greedy order and avoid sqrt noise.
-    d2 = ((pts - pts[0]) ** 2).sum(axis=1)
+    d2 = ((pts - pts[:, :1]) ** 2).sum(axis=0)
     for i in range(1, k):
         nxt = int(np.argmax(d2))  # argmax takes the first max: lowest index on ties
         chosen[i] = nxt
-        d2 = np.minimum(d2, ((pts - pts[nxt]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, ((pts - pts[:, nxt:nxt + 1]) ** 2).sum(axis=0))
     return masked[chosen]
 
 
@@ -167,8 +169,10 @@ def cluster_to_seeds(coords, mask, seeds) -> list[np.ndarray]:
     if not mask[seeds].all():
         raise ValueError("every seed index must be masked")
     masked = np.flatnonzero(mask)
-    diff = coords[masked][:, None, :] - coords[seeds][None, :, :]
-    d2 = (diff ** 2).sum(axis=2)
+    # Coordinate-major, as in farthest_point_sample: (3, M, S) differences.
+    pts = np.ascontiguousarray(coords[masked].T)
+    diff = pts[:, :, None] - coords[seeds].T[:, None, :]
+    d2 = (diff ** 2).sum(axis=0)
     assign = np.argmin(d2, axis=1)
     # Pin each seed to its own group even if another seed shares its coordinates.
     pos_in_masked = np.searchsorted(masked, seeds)

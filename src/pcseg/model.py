@@ -328,6 +328,18 @@ def episode_loss(episode: Episode, params: ModelParams, bank: BasePrototypeBank)
 # training and evaluation
 # ---------------------------------------------------------------------------
 
+def _raise_malloc_thresholds() -> None:
+    """Free one 32 MB block, so that glibc keeps what an episode frees.
+
+    Per mallopt(3), freeing an mmapped block raises glibc's dynamic mmap
+    threshold to its size (here 32 MB) and its trim threshold to twice
+    that, so the next episode reuses the arrays this one freed, where
+    glibc would return them to the kernel and fault them in again. No
+    value moves.
+    """
+    np.empty(4_000_000)
+
+
 def episode_stream(pool, split: ClassSplit, phase: str, config, seed: int, n: int):
     """Episodes 0..n-1 of the phase's seeded stream at the config's way,
     shot, foreground floor and point cap; episode i is built from
@@ -389,6 +401,7 @@ def meta_train(pool, split: ClassSplit, config) -> TrainResult:
     with the episode index if the loss or a gradient degenerates; a bad
     gradient leaves the parameters untouched.
     """
+    _raise_malloc_thresholds()
     rng = np.random.default_rng(derive_seed(config.seed, "init"))
     params = ModelParams.for_config(rng, config, len(split.train_classes))
     bank = BasePrototypeBank.zeros(split.train_classes, config.dim)
@@ -465,6 +478,7 @@ def evaluate(
     segmentation logit. The forward pass runs under `no_grad`, so it
     builds no autograd graph.
     """
+    _raise_malloc_thresholds()
 
     def predictions():
         for i, episode in enumerate(episode_stream(pool, split, "test", config, seed, n_episodes)):

@@ -7,13 +7,16 @@ topological order. The op set is small and fixed -- exactly what the
 correlation model needs -- and the tests check every differentiable op
 against central finite differences (`tests/gradient_oracles.py`).
 
-The graph lives only as long as a gradient needs it. Inside `no_grad()`
-no op records its parents or its closure, so a forward-only pass (as in
-`model.evaluate`) builds no graph and each intermediate is freed as soon
-as nothing refers to it. `backward()` frees the graph as it goes: once a
-node's closure has run, the node drops the closure, its parents and its
-gradient. Leaves keep `.grad` for the optimizer. A second `backward()`
-through a freed graph raises ValueError. Neither change alters a value.
+The graph holds no value. A result's graph node (`_Node`) keeps its
+parents' nodes, its closure and its gradient, and each closure keeps
+only the arrays and shapes its backward reads, so an intermediate that
+no closure reads is freed with its last Tensor, as in the forward pass
+of `model.apply_refine_layer`. Inside `no_grad()` no op records a node,
+so a forward-only pass (as in `model.evaluate`) builds no graph.
+`backward()` frees the graph as it goes: once a node's closure has run,
+the node drops the closure, its parents and its gradient. Leaves keep
+`.grad` for the optimizer. A second `backward()` through a freed graph
+raises ValueError. None of this alters a value.
 
 Non-differentiable arguments (masks, index arrays, group lists) are
 plain numpy arrays, never Tensors.
@@ -57,24 +60,43 @@ def no_grad():
         _grad_enabled = previous
 
 
-class Tensor:
-    """A float64 array plus the backward closure that produced it.
+class _Node:
+    """The graph record of an op's result: no array of its own.
 
-    A leaf has no closure and `_parents == ()`. A node whose graph
-    `backward()` has freed has no closure and `_parents is None`.
+    `_parents` holds each parent's node, or the parent itself when it is
+    a leaf, so gradients reach a leaf's `.grad`; it is None once
+    `backward()` has freed the node.
     """
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("_parents", "_backward", "grad")
+
+    def __init__(self, parents, backward):
+        self._parents = tuple(p if p._node is None else p._node for p in parents)
+        self._backward = backward
+        self.grad = None
+
+
+class Tensor:
+    """A float64 array plus the graph node of the op that produced it.
+
+    A leaf has no node: no closure and `_parents == ()`. A tensor whose
+    graph `backward()` has freed has no closure and `_parents is None`.
+    """
+
+    __slots__ = ("data", "grad", "_node")
 
     def __init__(self, data, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        if _grad_enabled:
-            self._parents = _parents
-            self._backward = _backward
-        else:
-            self._parents = ()
-            self._backward = None
+        self._node = _Node(_parents, _backward) if _grad_enabled and _backward is not None else None
+
+    @property
+    def _parents(self):
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node._backward
 
     @property
     def shape(self):
@@ -98,9 +120,12 @@ class Tensor:
             if self.data.size != 1:
                 raise ValueError("backward() without an explicit grad needs a scalar")
             grad = np.ones_like(self.data)
-        topo: list[Tensor] = []
+        # Nodes and leaf Tensors alike have `_parents`, `_backward` and `grad`;
+        # a leaf is its own node.
+        root = self if self._node is None else self._node
+        topo: list[_Node | Tensor] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node | Tensor, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -115,7 +140,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
-        self.grad = grad if self.grad is None else self.grad + grad
+        root.grad = grad if root.grad is None else root.grad + grad
         while topo:  # reverse topological order; popping drops the list's reference
             node = topo.pop()
             closure, g = node._backward, node.grad
@@ -179,22 +204,20 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # elementwise and structural ops
 # ---------------------------------------------------------------------------
 
+# A closure captures the arrays and shapes its backward reads, never a
+# Tensor, so it keeps no other array alive.
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return Tensor(
-        a.data + b.data,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)),
-    )
+    sa, sb = a.data.shape, b.data.shape
+    return Tensor(a.data + b.data, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
+    ad, bd = a.data, b.data
     return Tensor(
-        a.data / b.data,
+        ad / bd,
         (a, b),
-        lambda g: (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
-        ),
+        lambda g: (_unbroadcast(g / bd, ad.shape), _unbroadcast(-g * ad / (bd * bd), bd.shape)),
     )
 
 
@@ -203,10 +226,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     identical leading axes."""
     if a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
+    ad, bd = a.data, b.data
     return Tensor(
-        _forward_product(a.data, b.data),
+        _forward_product(ad, bd),
         (a, b),
-        lambda g: (np.matmul(g, b.data.swapaxes(-1, -2)), np.matmul(a.data.swapaxes(-1, -2), g)),
+        lambda g: (np.matmul(g, bd.swapaxes(-1, -2)), np.matmul(ad.swapaxes(-1, -2), g)),
     )
 
 
@@ -250,11 +274,12 @@ def einsum(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
     """
     lhs, out_sub = subscripts.split("->")
     a_sub, b_sub = lhs.split(",")
-    data = np.einsum(subscripts, a.data, b.data)
+    ad, bd = a.data, b.data
+    data = np.einsum(subscripts, ad, bd)
 
     def backward(g):
-        ga = np.einsum(f"{out_sub},{b_sub}->{a_sub}", g, b.data)
-        gb = np.einsum(f"{a_sub},{out_sub}->{b_sub}", a.data, g)
+        ga = np.einsum(f"{out_sub},{b_sub}->{a_sub}", g, bd)
+        gb = np.einsum(f"{a_sub},{out_sub}->{b_sub}", ad, g)
         return ga, gb
 
     return Tensor(data, (a, b), backward)
@@ -282,7 +307,8 @@ def transpose_first_two(t: Tensor) -> Tensor:
 
 def sum_axis(t: Tensor, axis: int) -> Tensor:
     """Sum along `axis`, which stays as an axis of length 1."""
-    return Tensor(t.data.sum(axis=axis, keepdims=True), (t,), lambda g: (np.broadcast_to(g, t.data.shape).copy(),))
+    shape = t.data.shape
+    return Tensor(t.data.sum(axis=axis, keepdims=True), (t,), lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
 def reshape(t: Tensor, shape) -> Tensor:
@@ -292,12 +318,13 @@ def reshape(t: Tensor, shape) -> Tensor:
 
 def narrow(t: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Slice `length` entries starting at `start` along `axis`."""
+    shape = t.data.shape
     idx = [slice(None)] * t.ndim
     idx[axis] = slice(start, start + length)
     idx = tuple(idx)
 
     def backward(g):
-        z = np.zeros_like(t.data)
+        z = np.zeros(shape)
         z[idx] = g
         return (z,)
 
@@ -306,10 +333,11 @@ def narrow(t: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 def take_rows(t: Tensor, indices) -> Tensor:
     """Gather rows (duplicates allowed); the backward scatter-adds."""
+    shape = t.data.shape
     idx = np.asarray(indices, dtype=np.int64)
 
     def backward(g):
-        z = np.zeros_like(t.data)
+        z = np.zeros(shape)
         np.add.at(z, idx, g)
         return (z,)
 
@@ -321,13 +349,12 @@ def take_rows(t: Tensor, indices) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def elu(t: Tensor) -> Tensor:
-    # Branch-free: expm1 sees min(x, 0), so it cannot overflow, and at most
-    # one of the two terms is nonzero. Their sum can lose the sign of a zero
-    # (-0.0 + 0.0 is +0.0); elu keeps the sign of x, so copysign restores it.
+    # Branch-free: expm1 sees min(x, 0), so it cannot overflow. It exceeds x
+    # for x < 0 and is a zero for x >= 0, so the max picks the branch; at
+    # x = +-0.0 both sides are zeros and the max keeps the sign of x.
     data = np.minimum(t.data, 0.0)
     np.expm1(data, out=data)
-    data += np.maximum(t.data, 0.0)
-    np.copysign(data, t.data, out=data)
+    np.maximum(data, t.data, out=data)
 
     def backward(g):
         # exp(x) = elu(x) + 1 on the negative branch, and 1 elsewhere.
@@ -372,12 +399,13 @@ def layer_norm(t: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     inv = np.sqrt(var, out=var)
     np.divide(1.0, inv, out=inv)
     y *= inv
-    out = y * gain.data
+    gd = gain.data
+    out = y * gd
     out += bias.data
     lead = tuple(range(t.ndim - 1))
 
     def backward(g):
-        h = g * gain.data
+        h = g * gd
         hy = h * y
         h_mean = np.add.reduce(h, axis=-1, keepdims=True)
         h_mean /= d
@@ -405,13 +433,13 @@ def affine(t: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if t.shape[-1] != k or b.shape != (n,):
         raise ValueError(f"affine shape mismatch: {t.shape} @ {w.shape} + {b.shape}")
     shape = t.shape
-    x = t.data.reshape(-1, k)
-    out = _forward_product(x, w.data)
+    x, wd = t.data.reshape(-1, k), w.data
+    out = _forward_product(x, wd)
     out += b.data
 
     def backward(g):
         g = g.reshape(-1, n)
-        return np.matmul(g, w.data.T).reshape(shape), np.matmul(x.T, g), g.sum(axis=0)
+        return np.matmul(g, wd.T).reshape(shape), np.matmul(x.T, g), g.sum(axis=0)
 
     return Tensor(out.reshape(shape[:-1] + (n,)), (t, w, b), backward)
 
@@ -436,20 +464,21 @@ def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
     """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError(f"cosine_rows needs (N,D) and (M,D), got {a.shape} and {b.shape}")
+    ad, bd = a.data, b.data
     # What np.linalg.norm(x, axis=1) computes, without its dispatch.
-    na = np.sqrt(np.add.reduce(a.data * a.data, axis=1))
-    nb = np.sqrt(np.add.reduce(b.data * b.data, axis=1))
+    na = np.sqrt(np.add.reduce(ad * ad, axis=1))
+    nb = np.sqrt(np.add.reduce(bd * bd, axis=1))
     ca = np.maximum(na, _COS_EPS)
     cb = np.maximum(nb, _COS_EPS)
-    out = (a.data @ b.data.T) / ca[:, None] / cb[None, :]
+    out = (ad @ bd.T) / ca[:, None] / cb[None, :]
 
     def backward(g):
         gs = g / ca[:, None] / cb[None, :]
         # The norm term is active only above the floor, where ca == ||a_i||.
         wa = np.where(na > _COS_EPS, (g * out).sum(axis=1) / (ca * ca), 0.0)
         wb = np.where(nb > _COS_EPS, (g * out).sum(axis=0) / (cb * cb), 0.0)
-        ga = gs @ b.data - wa[:, None] * a.data
-        gb = gs.T @ a.data - wb[:, None] * b.data
+        ga = gs @ bd - wa[:, None] * ad
+        gb = gs.T @ ad - wb[:, None] * bd
         return ga, gb
 
     return Tensor(out, (a, b), backward)
@@ -459,11 +488,12 @@ def max_pool_rows(t: Tensor) -> Tensor:
     """Row-wise max of an N x M matrix, returned as a length-N vector."""
     if t.ndim != 2:
         raise ValueError(f"max_pool_rows needs a 2-D tensor, got shape {t.shape}")
+    shape = t.data.shape
     arg = t.data.argmax(axis=1)
-    rows = np.arange(t.shape[0])
+    rows = np.arange(shape[0])
 
     def backward(g):
-        z = np.zeros_like(t.data)
+        z = np.zeros(shape)
         z[rows, arg] = g
         return (z,)
 
@@ -477,10 +507,11 @@ def group_mean_rows(t: Tensor, groups) -> Tensor:
     groups = [np.asarray(g, dtype=np.int64) for g in groups]
     if any(g.size == 0 for g in groups):
         raise ValueError("groups must be nonempty")
+    shape = t.data.shape
     data = np.stack([t.data[g].mean(axis=0) for g in groups])
 
     def backward(g):
-        z = np.zeros_like(t.data)
+        z = np.zeros(shape)
         for i, members in enumerate(groups):
             z[members] += g[i] / members.size
         return (z,)

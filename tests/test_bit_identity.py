@@ -5,8 +5,10 @@ and elu+1 by boolean indexing, layer norm with fresh temporaries and
 `.mean`, AdamW looping over parameters, episode generation that caps
 every pool entry, a backward pass that keeps the whole graph alive, voxel
 subsampling through `np.unique(axis=0)` and block splitting by one scan of
-every point per block, a plain `np.matmul` forward, `affine` as four
-nodes and a cloud formatter over numpy scalars. The fast versions do the
+every point per block, farthest point sampling and nearest-seed
+clustering on row-major (M, 3) coordinates, a plain `np.matmul` forward,
+`affine` as four nodes and a cloud formatter over numpy scalars. The fast
+versions do the
 same per-element arithmetic on the same random streams, so every
 comparison here is on bytes.
 """
@@ -23,7 +25,7 @@ from pcseg import model as M
 from pcseg import tensor as T
 from pcseg.config import RunConfig
 from pcseg.episodes import Episode, PoolExhaustedError, generate_episode, make_split
-from pcseg.geometry import PointCloud, grid_subsample, split_blocks
+from pcseg.geometry import PointCloud, cluster_to_seeds, farthest_point_sample, grid_subsample, split_blocks
 from pcseg.synth import make_pool
 from pcseg.tensor import Parameter, Tensor
 
@@ -246,6 +248,37 @@ def ref_split_blocks(cloud, block_size):
     return blocks
 
 
+def ref_farthest_point_sample(coords, mask, count):
+    coords = np.asarray(coords, dtype=np.float64)
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    mask = np.asarray(mask, dtype=bool)
+    masked = np.flatnonzero(mask)
+    pts = coords[masked]
+    k = min(count, masked.size)
+    chosen = np.empty(k, dtype=np.int64)
+    chosen[0] = 0
+    d2 = ((pts - pts[0]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        nxt = int(np.argmax(d2))
+        chosen[i] = nxt
+        d2 = np.minimum(d2, ((pts - pts[nxt]) ** 2).sum(axis=1))
+    return masked[chosen]
+
+
+def ref_cluster_to_seeds(coords, mask, seeds):
+    coords = np.asarray(coords, dtype=np.float64)
+    seeds = np.asarray(seeds, dtype=np.int64)
+    mask = np.asarray(mask, dtype=bool)
+    masked = np.flatnonzero(mask)
+    diff = coords[masked][:, None, :] - coords[seeds][None, :, :]
+    d2 = (diff ** 2).sum(axis=2)
+    assign = np.argmin(d2, axis=1)
+    pos_in_masked = np.searchsorted(masked, seeds)
+    assign[pos_in_masked] = np.arange(seeds.size)
+    return [masked[assign == s] for s in range(seeds.size)]
+
+
 def same_bytes(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
@@ -400,6 +433,37 @@ class TestAdamW:
         p = Parameter(np.zeros(2), "p")
         with pytest.raises(ValueError, match="distinct"):
             T.AdamW([p, p], lr=0.1)
+
+
+def _seed_clouds():
+    """(name, coords, mask) cases: random clouds of up to 4,096 points, one-point
+    masks, duplicated points, and coordinates on a 0.1 m grid (many ties)."""
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 7, 300, 2_048, 4_096):
+        coords = rng.normal(0.0, 2.0, (n, 3))
+        some = rng.random(n) < 0.6
+        some[0] = True
+        yield f"random_{n}", coords, some
+        one = np.zeros(n, dtype=bool)
+        one[rng.integers(n)] = True
+        yield f"one_point_{n}", coords, one
+        yield f"rounded_{n}", np.round(coords, 1), np.ones(n, dtype=bool)
+    base = rng.uniform(0.0, 1.0, (40, 3))
+    yield "duplicated", base[rng.integers(0, 40, 1_500)], rng.random(1_500) < 0.8
+    yield "all_one_point", np.tile(base[:1], (64, 1)), np.ones(64, dtype=bool)
+    yield "coarse_grid", np.round(rng.uniform(0.0, 0.5, (3_000, 3)), 1), rng.random(3_000) < 0.5
+
+
+@pytest.mark.parametrize("count", [1, 3, 5, 16])
+def test_seed_selection_and_clustering_match_row_major(count):
+    for name, coords, mask in _seed_clouds():
+        # The premise: numpy sums a row of three as the axis-0 sum of the transpose does.
+        sq = (coords - coords[:1]) ** 2
+        assert same_bytes(sq.sum(axis=1), np.ascontiguousarray(sq.T).sum(axis=0)), name
+        seeds = farthest_point_sample(coords, mask, count)
+        assert same_bytes(seeds, ref_farthest_point_sample(coords, mask, count)), name
+        groups, ref = cluster_to_seeds(coords, mask, seeds), ref_cluster_to_seeds(coords, mask, seeds)
+        assert len(groups) == len(ref) and all(same_bytes(a, b) for a, b in zip(groups, ref)), name
 
 
 # ---------------------------------------------------------------------------

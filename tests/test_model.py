@@ -1,7 +1,11 @@
 """Model pieces: prototypes, correlations, guidance, calibration,
 refinement layers, forward/loss, the bank, and the training loop."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -634,7 +638,7 @@ class TestMetaTrain:
                     gt, g_gain, g_bias = backward(g)
                     return gt, np.full_like(g_gain, np.nan), g_bias
 
-                out._backward = nan_gain
+                out._node._backward = nan_gain
             return out
 
         opts = []
@@ -721,6 +725,37 @@ class TestEvaluate:
             for t in [seg, *features]:
                 assert t._backward is None and t._parents == ()
         assert made["nodes"] > 100 and made["closures"] == 0
+
+    def test_a_fresh_process_reuses_the_arrays_episodes_free(self):
+        # Without raised malloc thresholds glibc hands each episode's freed
+        # arrays back to the kernel, and a fresh process faults about 11,400
+        # pages per episode back in.
+        script = """
+import resource
+import numpy as np
+from pcseg import model as M
+from pcseg.config import RunConfig
+from pcseg.episodes import make_split
+from pcseg.synth import make_pool
+
+pool = make_pool(5, 12, range(1, 9), blobs_per_scene=3, points_per_blob=800)
+split = make_split(range(1, 9), 0)
+config = RunConfig(seed=3, dim=32, n_prototypes=10, hca_layers=2, heads=1, max_points=2048,
+                   min_fg_points=100, n_way=2)
+params = M.ModelParams.for_config(np.random.default_rng(0), config, len(split.train_classes))
+bank = M.BasePrototypeBank.zeros(split.train_classes, config.dim)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+result = M.evaluate(pool, split, params, bank, config, 8, 11)
+print(result.n_episodes, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        episodes, faults = map(int, proc.stdout.split())
+        assert episodes == 8
+        assert faults / episodes < 2_000, faults / episodes
 
     def test_base_head_runs_only_in_training(self, pool8, split8, fast_config, monkeypatch):
         from pcseg import model as M

@@ -1,13 +1,20 @@
 """Tensor kernel: forward values against hand oracles, gradients against
 finite differences, and optimizer arithmetic."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
+import pcseg.model as M
 import pcseg.tensor as T
 from attention_oracles import mul
 from gradient_oracles import OP_CHECKS, check_op, finite_difference_check
+from pcseg.episodes import make_split
+from pcseg.synth import make_pool
 from pcseg.tensor import AdamW, Parameter, Tensor
+from test_acceptance import TOY_CONFIG
 
 
 class TestForwardOracles:
@@ -331,3 +338,50 @@ class TestGraphLifetime:
         w.backward()
         w.backward()
         np.testing.assert_array_equal(w.grad, np.array([2.0]))
+
+    @pytest.mark.parametrize("op", ["add", "transpose_first_two", "concat"])
+    def test_a_result_no_closure_reads_is_freed_with_its_tensor(self, op):
+        rng = np.random.default_rng(9)
+        x = Parameter(rng.standard_normal((2, 3, 4)), "x")
+        w = Parameter(rng.standard_normal((2, 3, 4)), "w")
+        produce = {
+            "add": lambda: T.add(x, w),
+            "transpose_first_two": lambda: T.transpose_first_two(x),
+            "concat": lambda: T.concat([x, w], axis=1),
+        }[op]
+
+        def total(t):  # elu keeps its own output, sum_axis and reshape keep shapes
+            return T.sum_axis(T.reshape(T.elu(t), (-1,)), 0)
+
+        def grads():
+            got = [None if p.grad is None else p.grad.copy() for p in (x, w)]
+            x.grad = w.grad = None
+            return got
+
+        kept = produce()
+        total(kept).backward()
+        want = grads()
+        mid = produce()
+        alive = weakref.ref(mid.data)
+        out = total(mid)
+        del mid
+        assert alive() is None
+        out.backward()
+        for a, b in zip(grads(), want):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+    def test_an_episode_keeps_little_beyond_what_backward_reads(self):
+        # At TOY_CONFIG a graph that keeps every op's output holds 22-23 MB.
+        pool = make_pool(42, 24, range(1, 9), blobs_per_scene=3, points_per_blob=400)
+        split = make_split(range(1, 9), 0)
+        params = M.ModelParams.for_config(np.random.default_rng(0), TOY_CONFIG, len(split.train_classes))
+        bank = M.BasePrototypeBank.zeros(split.train_classes, TOY_CONFIG.dim)
+        episode = next(M.episode_stream(pool, split, "train", TOY_CONFIG, TOY_CONFIG.seed, 1))
+        tracemalloc.start()  # numpy reports its array buffers to tracemalloc
+        try:
+            kept = M.episode_loss(episode, params, bank)
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept[0]._backward is not None
+        assert live <= 15e6, live
