@@ -140,7 +140,18 @@ def _pool_classes(clouds) -> list[int]:
 # commands
 # ---------------------------------------------------------------------------
 
+def _scene_file(i: int) -> str:
+    return f"scene_{i:03d}.pcseg"
+
+
 def cmd_synth(args) -> int:
+    # A .pcseg file in --out that this run would not overwrite would join
+    # every pool read from there.
+    for name in sorted(os.listdir(args.out)) if os.path.isdir(args.out) else ():
+        index = name.removeprefix("scene_").removesuffix(".pcseg")
+        ours = index.isascii() and index.isdigit() and int(index) < args.scenes and _scene_file(int(index)) == name
+        if name.endswith(".pcseg") and not ours:
+            raise UsageError(f"--out {args.out} holds {name}, which this run would not overwrite")
     pool = make_pool(
         derive_seed(args.seed, "synth"),
         args.scenes,
@@ -150,7 +161,7 @@ def cmd_synth(args) -> int:
     )
     os.makedirs(args.out, exist_ok=True)
     for i, cloud in enumerate(pool):
-        pio.write_cloud(os.path.join(args.out, f"scene_{i:03d}.pcseg"), cloud)
+        pio.write_cloud(os.path.join(args.out, _scene_file(i)), cloud)
     print(f"wrote {len(pool)} scenes to {args.out}")
     return EXIT_OK
 

@@ -28,18 +28,16 @@ from pcseg.model import (
     base_guidance,
     calibrate_background,
     compute_correlations,
-    episode_stream,
     evaluate,
     forward,
     meta_train,
-    train_exclusions,
 )
 from pcseg.sampling import biased_sample, cap_indices, cap_points, leakage_audit
 from pcseg.synth import make_pool
 from pcseg.tensor import Tensor
 
 from test_geometry import fps_oracle, nearest_seed_oracle, random_cloud, voxel_dedup_oracle
-from test_model import _auc
+from test_model import guidance_auc
 
 
 @contextmanager
@@ -75,12 +73,11 @@ TOY_CONFIG = RunConfig(
 
 
 @pytest.fixture(scope="module")
-def learning_run():
-    pool = make_pool(42, 24, range(1, 9), blobs_per_scene=3, points_per_blob=400)
+def learning_run(acceptance_pool):
     split = make_split(range(1, 9), 0)
     start = time.time()
-    result = meta_train(pool, split, TOY_CONFIG)
-    return pool, split, result, time.time() - start
+    result = meta_train(acceptance_pool, split, TOY_CONFIG)
+    return acceptance_pool, split, result, time.time() - start
 
 
 def test_leakage_law():
@@ -320,21 +317,10 @@ def test_end_to_end_learning(learning_run):
 
 def test_trained_guidance_parity_report(learning_run):
     """`test_model.py::test_guidance_parity_report` on the trained model:
-    the mean per-episode AUC of -guidance for the query foreground over 100
-    episodes, with the trained stub and bank, on the train stream with
-    `train_exclusions` and on the test stream (seed 999) with none. Printed
-    (run with -s); only the range of each AUC is gated."""
+    `guidance_auc` with the trained stub and bank. Printed (run with -s);
+    only the range of each AUC is gated."""
     pool, split, result, _ = learning_run
-    streams = (("train", TOY_CONFIG.seed, train_exclusions), ("test", 999, lambda ep: ()))
-    aucs = []
-    with T.no_grad():
-        for phase, seed, excluded in streams:
-            episodes = episode_stream(pool, split, phase, TOY_CONFIG, seed, 100)
-            aucs.append(np.mean([
-                _auc(-base_guidance(backbone_stub(ep.query, result.params.stub), result.bank, excluded(ep)).data,
-                     ep.query_gt > 0)
-                for ep in episodes
-            ]))
+    aucs = guidance_auc(pool, split, TOY_CONFIG, result.params, result.bank)
     print(f"\n  trained guidance parity, mean AUC of -guidance: train {aucs[0]:.3f}, test {aucs[1]:.3f}")
     assert all(0.0 <= auc <= 1.0 for auc in aucs)
 

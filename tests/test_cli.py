@@ -49,15 +49,23 @@ def config_path(tmp_path_factory):
     return path
 
 
-def run_twice(tmp_path, argv_of):
-    """Run a command into two sibling files; return both byte strings."""
-    outputs = []
-    for name in ("one", "two"):
-        out = tmp_path / name
-        code = main(argv_of(str(out)))
-        assert code == EXIT_OK
-        outputs.append(out.read_bytes())
-    return outputs
+def _train_tiny(scene_dir, config_path, tmp_path_factory, fold):
+    model = tmp_path_factory.mktemp("model") / f"fold{fold}.model"
+    assert main(["train", "--pool", str(scene_dir), "--config", str(config_path), "--fold", str(fold),
+                 "--out", str(model)]) == EXIT_OK
+    return model
+
+
+@pytest.fixture(scope="module")
+def tiny_model(scene_dir, config_path, tmp_path_factory):
+    """The TINY_CONFIG fold-0 artifact on `scene_dir`, trained once: a test
+    that reads a model uses it, or a copy it edits."""
+    return _train_tiny(scene_dir, config_path, tmp_path_factory, 0)
+
+
+@pytest.fixture(scope="module")
+def tiny_model_fold1(scene_dir, config_path, tmp_path_factory):
+    return _train_tiny(scene_dir, config_path, tmp_path_factory, 1)
 
 
 # Every subcommand's options. A new knob is a deliberate edit of this table.
@@ -152,12 +160,16 @@ class TestSynth:
         files = sorted(scene_dir.glob("*.pcseg"))
         assert len(files) == 12
 
-    def test_byte_deterministic(self, tmp_path):
-        for sub in ("a", "b"):
-            assert main(["synth", "--out", str(tmp_path / sub), "--seed", "7",
-                         "--scenes", "2", "--classes", "4", "--points", "80"]) == EXIT_OK
-        for name in ("scene_000.pcseg", "scene_001.pcseg"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    def test_a_scene_file_it_would_not_overwrite_exits_64(self, tmp_path, capsys):
+        argv = ["synth", "--out", str(tmp_path), "--classes", "4", "--points", "20"]
+        assert main(argv + ["--scenes", "5", "--seed", "1"]) == EXIT_OK
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert main(argv + ["--scenes", "3", "--seed", "2"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"pcseg: error: --out {tmp_path} holds scene_003.pcseg, which this run would not overwrite\n"
+        assert main(argv + ["--scenes", "5", "--seed", "1"]) == EXIT_OK  # its own output, rewritten
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("argv, flag", [
         (["--blobs", "3", "--classes", "2"], "--blobs"),
@@ -264,15 +276,6 @@ class TestAudit:
         assert capsys.readouterr().err == f"pcseg: {scene}: no point has class 77\n"
         assert not out.exists()
 
-    def test_byte_deterministic(self, scene_dir, tmp_path):
-        scene = str(sorted(scene_dir.glob("*.pcseg"))[0])
-        one, two = run_twice(
-            tmp_path,
-            lambda out: ["audit", "--cloud", scene, "--fg-class", "2", "--m", "64",
-                         "--trials", "10", "--seed", "5", "--out", out],
-        )
-        assert one == two
-
 
 class TestTrainEval:
     def test_train_writes_artifact(self, scene_dir, config_path, tmp_path):
@@ -281,14 +284,6 @@ class TestTrainEval:
                      "--out", str(out)])
         assert code == EXIT_OK
         assert out.read_text().startswith("PCSEG-MODEL v1")
-
-    def test_train_byte_deterministic(self, scene_dir, config_path, tmp_path):
-        one, two = run_twice(
-            tmp_path,
-            lambda out: ["train", "--pool", str(scene_dir), "--config", str(config_path),
-                         "--out", out],
-        )
-        assert one == two
 
     def test_zero_episode_artifact_equals_initialization(self, scene_dir, tmp_path):
         cfg = tmp_path / "zero.cfg"
@@ -303,28 +298,14 @@ class TestTrainEval:
         counts = [l for l in text.splitlines() if l.startswith("update_counts=")][0]
         assert set(counts.split("=")[1].split()) == {"0"}
 
-    def test_eval_metrics_layout(self, scene_dir, config_path, tmp_path):
-        model = tmp_path / "model.txt"
-        assert main(["train", "--pool", str(scene_dir), "--config", str(config_path),
-                     "--fold", "0", "--out", str(model)]) == EXIT_OK
+    def test_eval_metrics_layout(self, scene_dir, tiny_model, tmp_path):
         metrics = tmp_path / "metrics.txt"
-        code = main(["eval", "--pool", str(scene_dir), "--model", str(model),
+        code = main(["eval", "--pool", str(scene_dir), "--model", str(tiny_model),
                      "--episodes", "4", "--seed", "8", "--out", str(metrics)])
         assert code == EXIT_OK
         text = metrics.read_text()
         assert "fold0_mean_iou=" in text and "mean_iou=" in text
         assert "fold0_episode_miou_mean=" in text
-
-    def test_eval_byte_deterministic(self, scene_dir, config_path, tmp_path):
-        model = tmp_path / "model.txt"
-        assert main(["train", "--pool", str(scene_dir), "--config", str(config_path),
-                     "--out", str(model)]) == EXIT_OK
-        one, two = run_twice(
-            tmp_path,
-            lambda out: ["eval", "--pool", str(scene_dir), "--model", str(model),
-                         "--episodes", "4", "--seed", "8", "--out", out],
-        )
-        assert one == two
 
     # a training run's settings come from its --config file alone
     @pytest.mark.parametrize("extra, message", [
@@ -388,11 +369,10 @@ class TestTrainEval:
         assert err.count("\n") == 1 and err.startswith("pcseg: episode 0 (seed "), err
         assert err.endswith("): the support holds no background point\n")
 
-    def _edited_model(self, scene_dir, config_path, tmp_path, edit):
+    def _edited_model(self, tiny_model, tmp_path, edit):
+        """A copy of `tiny_model` with `edit` applied to its lines."""
         model = tmp_path / "model.txt"
-        assert main(["train", "--pool", str(scene_dir), "--config", str(config_path),
-                     "--out", str(model)]) == EXIT_OK
-        lines = model.read_text().splitlines()
+        lines = tiny_model.read_text().splitlines()
         edit(lines)
         model.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
         return model
@@ -410,7 +390,7 @@ class TestTrainEval:
         # in range, but not the [config] momentum (0.995) that save_model writes alongside it
         pytest.param("momentum", lambda v: "momentum=0.25", id="bank-momentum-disagrees-with-config"),
     ])
-    def test_corrupt_artifact_exits_2_with_one_line(self, scene_dir, config_path, tmp_path, capsys,
+    def test_corrupt_artifact_exits_2_with_one_line(self, scene_dir, tiny_model, tmp_path, capsys,
                                                      record, edit):
         edited = []
 
@@ -424,7 +404,7 @@ class TestTrainEval:
             lines[idx] = edit(lines[idx])
             edited.append(idx + 1)
 
-        model = self._edited_model(scene_dir, config_path, tmp_path, corrupt)
+        model = self._edited_model(tiny_model, tmp_path, corrupt)
         capsys.readouterr()
         assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
         err = capsys.readouterr().err
@@ -444,7 +424,7 @@ class TestTrainEval:
         ("share_background_fc", lambda v: "share_background_fc=1"),
         ("fodl", lambda v: "fodl=1"),  # a misspelled key, added to [meta]
     ])
-    def test_bad_meta_exits_2_with_one_line(self, scene_dir, config_path, tmp_path, capsys, key, edit):
+    def test_bad_meta_exits_2_with_one_line(self, scene_dir, tiny_model, tmp_path, capsys, key, edit):
         def corrupt(lines):
             idx = next((i for i, l in enumerate(lines) if l.startswith(f"{key}=")), None)
             if idx is None:
@@ -456,7 +436,7 @@ class TestTrainEval:
             else:
                 lines[idx] = new
 
-        model = self._edited_model(scene_dir, config_path, tmp_path, corrupt)
+        model = self._edited_model(tiny_model, tmp_path, corrupt)
         capsys.readouterr()
         assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
         err = capsys.readouterr().err
@@ -500,9 +480,9 @@ class TestTrainEval:
          "expected a [section] header, got 'garbage line'"),
     ], ids=["meta-repeated-key", "meta-no-equals", "bank-repeated-key", "bank-unknown-key",
             "second-config", "second-params", "stray-line-before-sections"])
-    def test_repeated_key_or_section_exits_2_naming_the_line(self, scene_dir, config_path, tmp_path, capsys,
+    def test_repeated_key_or_section_exits_2_naming_the_line(self, scene_dir, tiny_model, tmp_path, capsys,
                                                              edit, bad_line, message):
-        model = self._edited_model(scene_dir, config_path, tmp_path, edit)
+        model = self._edited_model(tiny_model, tmp_path, edit)
         lines = model.read_text().splitlines()
         lineno = len(lines) - lines[::-1].index(bad_line)  # the last line that reads `bad_line`
         capsys.readouterr()
@@ -514,9 +494,9 @@ class TestTrainEval:
         (lambda lines: lines.extend(["extra", "1 1", "0"]),  # [bank] is the last section
          "records mismatch (missing [], extra ['extra'])"),
     ], ids=["params-missing", "bank-extra"])
-    def test_missing_or_extra_record_exits_2_naming_it(self, scene_dir, config_path, tmp_path, capsys,
+    def test_missing_or_extra_record_exits_2_naming_it(self, scene_dir, tiny_model, tmp_path, capsys,
                                                        edit, message):
-        model = self._edited_model(scene_dir, config_path, tmp_path, edit)
+        model = self._edited_model(tiny_model, tmp_path, edit)
         capsys.readouterr()
         assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
         assert capsys.readouterr().err == f"pcseg: {model}: {message}\n"
@@ -528,7 +508,8 @@ class TestTrainEval:
         ("n_prototypes=99999999999999999999", "cannot parse config n_prototypes='99999999999999999999'"),
     ]
 
-    def test_bad_config_exits_64_but_in_an_artifact_exits_2(self, scene_dir, config_path, tmp_path, capsys):
+    def test_bad_config_exits_64_but_in_an_artifact_exits_2(self, scene_dir, config_path, tiny_model, tmp_path,
+                                                            capsys):
         for line, message in self.BAD_CONFIG_LINES:
             key = line.split("=")[0] + "="
             bad = tmp_path / "bad.cfg"
@@ -543,15 +524,15 @@ class TestTrainEval:
                 end = lines.index("[params]")
                 lines[start + 1:end] = [l for l in lines[start + 1:end] if not l.startswith(key)] + [line]
 
-            model = self._edited_model(scene_dir, config_path, tmp_path, edit)
+            model = self._edited_model(tiny_model, tmp_path, edit)
             lineno = model.read_text().splitlines().index(line) + 1
             capsys.readouterr()
             assert self._eval(scene_dir, model, tmp_path) == EXIT_IO, line
             assert capsys.readouterr().err == f"pcseg: {model}:{lineno}: {message}\n"
 
     @pytest.mark.parametrize("line", ["lr=inf", "grid_size=inf", "block_size=inf", "weight_decay=nan"])
-    def test_non_finite_config_exits_64_but_in_an_artifact_exits_2(self, scene_dir, config_path, tmp_path,
-                                                                    capsys, line):
+    def test_non_finite_config_exits_64_but_in_an_artifact_exits_2(self, scene_dir, config_path, tiny_model,
+                                                                    tmp_path, capsys, line):
         key = line.split("=")[0]
         bad = tmp_path / "bad.cfg"
         kept = [l for l in config_path.read_text().splitlines() if not l.startswith(f"{key}=")]
@@ -568,7 +549,7 @@ class TestTrainEval:
             idx = next(i for i in range(start, len(lines)) if lines[i].startswith(f"{key}="))
             lines[idx] = line
 
-        model = self._edited_model(scene_dir, config_path, tmp_path, edit)
+        model = self._edited_model(tiny_model, tmp_path, edit)
         lineno = model.read_text().splitlines().index(line) + 1
         capsys.readouterr()
         assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
@@ -603,57 +584,45 @@ class TestTrainEval:
         assert err.count("\n") == 1 and "--episodes" in err
         assert not (tmp_path / "m.txt").exists()
 
-    def test_overflowing_logits_exit_70(self, scene_dir, config_path, tmp_path, capsys):
+    def test_overflowing_logits_exit_70(self, scene_dir, tiny_model, tmp_path, capsys):
         def overflow(lines):
             idx = lines.index("decoder.w2") + 2
             lines[idx] = " ".join("1e308" for _ in lines[idx].split())
 
-        model = self._edited_model(scene_dir, config_path, tmp_path, overflow)
+        model = self._edited_model(tiny_model, tmp_path, overflow)
         capsys.readouterr()
         with np.errstate(all="ignore"):
             code = self._eval(scene_dir, model, tmp_path)
         assert code == EXIT_NUMERIC
         assert "numeric failure: episode 0: segmentation logits are not finite" in capsys.readouterr().err
 
-    def test_n_way_beyond_the_test_classes_exits_2_naming_them(self, scene_dir, config_path, tmp_path, capsys):
+    def test_n_way_beyond_the_test_classes_exits_2_naming_them(self, scene_dir, tiny_model, tmp_path, capsys):
         def widen(lines):
             idx = next(i for i in range(lines.index("[config]"), len(lines)) if lines[i].startswith("n_way="))
             lines[idx] = "n_way=4"
 
-        model = self._edited_model(scene_dir, config_path, tmp_path, widen)
+        model = self._edited_model(tiny_model, tmp_path, widen)
         capsys.readouterr()
         assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
         assert capsys.readouterr().err == "pcseg: n_way 4 exceeds the 3 classes [1, 3, 5]\n"
         assert not (tmp_path / "metrics.txt").exists()
 
-    def test_two_fold_table_layout(self, scene_dir, config_path, tmp_path):
-        m0 = tmp_path / "fold0.model"
-        m1 = tmp_path / "fold1.model"
-        assert main(["train", "--pool", str(scene_dir), "--config", str(config_path),
-                     "--fold", "0", "--out", str(m0)]) == EXIT_OK
-        assert main(["train", "--pool", str(scene_dir), "--config", str(config_path),
-                     "--fold", "1", "--out", str(m1)]) == EXIT_OK
+    def test_two_fold_table_layout(self, scene_dir, tiny_model, tiny_model_fold1, tmp_path):
         metrics = tmp_path / "metrics.txt"
-        assert main(["eval", "--pool", str(scene_dir), "--model", str(m0), "--model", str(m1),
+        assert main(["eval", "--pool", str(scene_dir), "--model", str(tiny_model), "--model", str(tiny_model_fold1),
                      "--episodes", "3", "--seed", "1", "--out", str(metrics)]) == EXIT_OK
         values = dict(line.split("=") for line in metrics.read_text().strip().splitlines())
         assert "fold0_mean_iou" in values and "fold1_mean_iou" in values
         want = (float(values["fold0_mean_iou"]) + float(values["fold1_mean_iou"])) / 2
         np.testing.assert_allclose(float(values["mean_iou"]), want, rtol=1e-12)
 
-    def test_two_fold_eval_reads_the_pool_once(self, config_path, tmp_path, monkeypatch):
-        pool = tmp_path / "pool"
-        assert main(["synth", "--out", str(pool), "--seed", "3", "--scenes", "10",
-                     "--classes", "6", "--blobs", "3", "--points", "150"]) == EXIT_OK
-        models = []
-        for fold in (0, 1):
-            models.append(tmp_path / f"fold{fold}.model")
-            assert main(["train", "--pool", str(pool), "--config", str(config_path),
-                         "--fold", str(fold), "--out", str(models[-1])]) == EXIT_OK
+    def test_two_fold_eval_reads_the_pool_once(self, scene_dir, tiny_model, tiny_model_fold1, tmp_path,
+                                               monkeypatch):
+        models = [tiny_model, tiny_model_fold1]
 
         def eval_metrics(*paths):
             out = tmp_path / "metrics.txt"
-            argv = ["eval", "--pool", str(pool), "--episodes", "3", "--seed", "1", "--out", str(out)]
+            argv = ["eval", "--pool", str(scene_dir), "--episodes", "3", "--seed", "1", "--out", str(out)]
             assert main(argv + [arg for path in paths for arg in ("--model", str(path))]) == EXIT_OK
             return out.read_text().splitlines()
 
@@ -669,13 +638,11 @@ class TestTrainEval:
 
         monkeypatch.setattr(pio, "read_cloud", counting_read)
         assert eval_metrics(*models) == rows0 + rows1 + [f"mean_iou={float(mean):.17g}"]
-        assert len(reads) == 10
+        assert len(reads) == len(list(scene_dir.glob("*.pcseg")))
 
-    def test_two_models_of_one_fold_exit_64_before_evaluating(self, scene_dir, config_path, tmp_path, capsys,
+    def test_two_models_of_one_fold_exit_64_before_evaluating(self, scene_dir, tiny_model, tmp_path, capsys,
                                                                monkeypatch):
-        first, second = tmp_path / "a.model", tmp_path / "b.model"
-        assert main(["train", "--pool", str(scene_dir), "--config", str(config_path),
-                     "--fold", "0", "--out", str(first)]) == EXIT_OK
+        first, second = tiny_model, tmp_path / "b.model"
         second.write_bytes(first.read_bytes())
         monkeypatch.setattr(M, "evaluate", lambda *args: pytest.fail("evaluated before the folds were checked"))
         metrics = tmp_path / "metrics.txt"
@@ -688,17 +655,14 @@ class TestTrainEval:
 
     @pytest.mark.parametrize("second", ["dir", "dir/scene_000.pcseg"])
     @pytest.mark.parametrize("command", ["train", "eval"])
-    def test_a_scene_named_twice_in_pool_exits_64(self, scene_dir, config_path, tmp_path, capsys, command, second):
-        model = tmp_path / "model.txt"
-        if command == "eval":
-            assert main(["train", "--pool", str(scene_dir), "--config", str(config_path),
-                         "--out", str(model)]) == EXIT_OK
+    def test_a_scene_named_twice_in_pool_exits_64(self, scene_dir, config_path, tiny_model, tmp_path, capsys,
+                                                  command, second):
         twice = str(scene_dir / "scene_000.pcseg")
         pool = [str(scene_dir), str(scene_dir) if second == "dir" else twice]
         out = tmp_path / "out"
         argv = {
             "train": ["train", "--config", str(config_path)],
-            "eval": ["eval", "--model", str(model), "--episodes", "2"],
+            "eval": ["eval", "--model", str(tiny_model), "--episodes", "2"],
         }[command]
         capsys.readouterr()
         assert main(argv + ["--pool", *pool, "--out", str(out)]) == EXIT_USAGE
@@ -711,13 +675,13 @@ class TestTrainEval:
         ("class_ids", lambda v: ",".join(str(int(c) - 1) for c in v.split(","))),  # the fold's test classes
         ("class_ids", lambda v: f"{v},{v.split(',')[0]}"),  # a class repeated: one id more than update_counts
     ], ids=["fold", "classes", "class_ids", "class_ids-repeated"])
-    def test_meta_split_that_disagrees_with_the_bank_exits_2(self, scene_dir, config_path, tmp_path, capsys,
+    def test_meta_split_that_disagrees_with_the_bank_exits_2(self, scene_dir, tiny_model, tmp_path, capsys,
                                                               key, edit):
         def change(lines):
             idx = next(i for i, l in enumerate(lines) if l.startswith(f"{key}="))
             lines[idx] = f"{key}={edit(lines[idx].split('=', 1)[1])}"
 
-        model = self._edited_model(scene_dir, config_path, tmp_path, change)
+        model = self._edited_model(tiny_model, tmp_path, change)
         lines = model.read_text().splitlines()
         lineno = next(i for i, l in enumerate(lines) if l.startswith("class_ids=")) + 1
         capsys.readouterr()
@@ -752,11 +716,8 @@ def test_output_files_follow_the_umask(scene_dir, config_path, tmp_path):
 
 @pytest.mark.parametrize("parent, code", [("nodir", errno.ENOENT), ("afile", errno.ENOTDIR), ("adir", errno.EISDIR)])
 @pytest.mark.parametrize("command", ["train", "eval", "audit"])
-def test_out_in_a_missing_directory_exits_2_before_any_work(scene_dir, config_path, tmp_path, capsys, monkeypatch,
-                                                            command, parent, code):
-    model = tmp_path / "model.txt"
-    if command == "eval":
-        assert main(["train", "--pool", str(scene_dir), "--config", str(config_path), "--out", str(model)]) == EXIT_OK
+def test_out_in_a_missing_directory_exits_2_before_any_work(scene_dir, config_path, tiny_model, tmp_path, capsys,
+                                                            monkeypatch, command, parent, code):
     (tmp_path / "afile").write_text("")
     (tmp_path / "adir" / "out.txt").mkdir(parents=True)  # --out names this directory
     for owner, name in ((M, "meta_train"), (M, "evaluate"), (cli, "leakage_audit")):
@@ -764,7 +725,7 @@ def test_out_in_a_missing_directory_exits_2_before_any_work(scene_dir, config_pa
     out = tmp_path / parent / "out.txt"
     argv = {
         "train": ["train", "--pool", str(scene_dir), "--config", str(config_path)],
-        "eval": ["eval", "--pool", str(scene_dir), "--model", str(model), "--episodes", "2"],
+        "eval": ["eval", "--pool", str(scene_dir), "--model", str(tiny_model), "--episodes", "2"],
         "audit": ["audit", "--cloud", str(sorted(scene_dir.glob("*.pcseg"))[0]), "--fg-class", "1"],
     }[command]
     capsys.readouterr()
@@ -780,15 +741,14 @@ def test_out_in_a_missing_directory_exits_2_before_any_work(scene_dir, config_pa
     ("eval", "--pool", "pool/scene_001.pcseg"),
     ("eval", "--model", "model.txt"),
 ])
-def test_out_that_is_an_input_exits_64_before_any_work(scene_dir, config_path, tmp_path, capsys, monkeypatch,
-                                                        command, flag, out):
+def test_out_that_is_an_input_exits_64_before_any_work(scene_dir, config_path, tiny_model, tmp_path, capsys,
+                                                        monkeypatch, command, flag, out):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "pool").mkdir()
     for scene in sorted(scene_dir.glob("*.pcseg")):
         (tmp_path / "pool" / scene.name).write_bytes(scene.read_bytes())
     Path("tiny.cfg").write_bytes(config_path.read_bytes())
-    if command == "eval":
-        assert main(["train", "--pool", "pool", "--config", "tiny.cfg", "--out", "model.txt"]) == EXIT_OK
+    Path("model.txt").write_bytes(tiny_model.read_bytes())
     for owner, name in ((M, "meta_train"), (M, "evaluate"), (cli, "leakage_audit")):
         monkeypatch.setattr(owner, name, lambda *args, _name=name: pytest.fail(f"{_name} ran before --out was checked"))
     # the scene pool is a directory, except where --pool itself names the scene --out names

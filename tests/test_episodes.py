@@ -19,10 +19,8 @@ from pcseg.episodes import (
 )
 from pcseg.geometry import PointCloud, grid_subsample, split_blocks
 from pcseg.sampling import cap_indices
-from pcseg.synth import make_pool, synth_scene
+from pcseg.synth import synth_scene
 
-POOL = make_pool(77, 20, range(1, 9), blobs_per_scene=3, points_per_blob=300)
-SPLIT = make_split(range(1, 9), 0)
 CAP = 512
 MIN_FG = 60
 
@@ -61,26 +59,26 @@ class TestMakeSplit:
 
 
 class TestGenerateEpisode:
-    def test_smallest_legal_episode(self):
-        ep = generate_episode(POOL, SPLIT.train_classes, 1, 1, MIN_FG, CAP, 5)
+    def test_smallest_legal_episode(self, pool8, split8):
+        ep = generate_episode(pool8, split8.train_classes, 1, 1, MIN_FG, CAP, 5)
         assert len(ep.support) == 1 and len(ep.support[0]) == 1
         assert ep.query_index != ep.support_indices[0][0]
 
-    def test_two_way_label_range(self):
-        ep = generate_episode(POOL, SPLIT.test_classes, 2, 1, MIN_FG, CAP, 9)
+    def test_two_way_label_range(self, pool8, split8):
+        ep = generate_episode(pool8, split8.test_classes, 2, 1, MIN_FG, CAP, 9)
         assert set(np.unique(ep.query_gt)) <= {0, 1, 2}
         assert len(ep.target_classes) == 2
         assert len(set(ep.target_classes)) == 2
 
-    def test_deterministic(self):
-        a = generate_episode(POOL, SPLIT.train_classes, 1, 1, MIN_FG, CAP, 123)
-        b = generate_episode(POOL, SPLIT.train_classes, 1, 1, MIN_FG, CAP, 123)
+    def test_deterministic(self, pool8, split8):
+        a = generate_episode(pool8, split8.train_classes, 1, 1, MIN_FG, CAP, 123)
+        b = generate_episode(pool8, split8.train_classes, 1, 1, MIN_FG, CAP, 123)
         assert a.target_classes == b.target_classes
         assert a.support_indices == b.support_indices and a.query_index == b.query_index
         np.testing.assert_array_equal(a.query.positions, b.query.positions)
         np.testing.assert_array_equal(a.query_gt, b.query_gt)
 
-    def test_stream_phase_picks_the_classes(self, monkeypatch):
+    def test_stream_phase_picks_the_classes(self, pool8, split8, monkeypatch):
         config = RunConfig(min_fg_points=MIN_FG, max_points=CAP)
         handed = []
 
@@ -89,37 +87,37 @@ class TestGenerateEpisode:
             return generate_episode(pool, classes, *args)
 
         monkeypatch.setattr(M, "generate_episode", spy)
-        for phase, classes in (("train", SPLIT.train_classes), ("test", SPLIT.test_classes)):
+        for phase, classes in (("train", split8.train_classes), ("test", split8.test_classes)):
             handed.clear()
-            for ep in M.episode_stream(POOL, SPLIT, phase, config, 3, 8):
+            for ep in M.episode_stream(pool8, split8, phase, config, 3, 8):
                 assert set(ep.target_classes) <= set(classes)
             assert handed == [classes] * 8
         with pytest.raises(ValueError, match="phase must be 'train' or 'test', got 'Train'"):
-            next(M.episode_stream(POOL, SPLIT, "Train", config, 3, 8))
+            next(M.episode_stream(pool8, split8, "Train", config, 3, 8))
 
-    def test_support_masks_meet_minimum(self):
+    def test_support_masks_meet_minimum(self, pool8, split8):
         for seed in range(8):
-            ep = generate_episode(POOL, SPLIT.train_classes, 2, 2, MIN_FG, CAP, seed)
+            ep = generate_episode(pool8, split8.train_classes, 2, 2, MIN_FG, CAP, seed)
             for way, class_id in zip(ep.support, ep.target_classes):
                 for cloud, mask in way:
                     assert mask.sum() >= MIN_FG
                     np.testing.assert_array_equal(mask, cloud.labels == class_id)
 
-    def test_clouds_capped(self):
-        ep = generate_episode(POOL, SPLIT.train_classes, 1, 1, 20, 128, 77)
+    def test_clouds_capped(self, pool8, split8):
+        ep = generate_episode(pool8, split8.train_classes, 1, 1, 20, 128, 77)
         assert len(ep.query) <= 128
         for way in ep.support:
             for cloud, _ in way:
                 assert len(cloud) <= 128
 
-    def test_support_and_query_distinct(self):
+    def test_support_and_query_distinct(self, pool8, split8):
         for seed in range(8):
-            ep = generate_episode(POOL, SPLIT.train_classes, 2, 2, MIN_FG, CAP, seed)
+            ep = generate_episode(pool8, split8.train_classes, 2, 2, MIN_FG, CAP, seed)
             used = [i for way in ep.support_indices for i in way] + [ep.query_index]
             assert len(used) == len(set(used))
 
-    def test_query_gt_matches_labels(self):
-        ep = generate_episode(POOL, SPLIT.test_classes, 2, 1, MIN_FG, CAP, 31)
+    def test_query_gt_matches_labels(self, pool8, split8):
+        ep = generate_episode(pool8, split8.test_classes, 2, 1, MIN_FG, CAP, 31)
         for n, class_id in enumerate(ep.target_classes, start=1):
             np.testing.assert_array_equal(ep.query_gt == n, ep.query.labels == class_id)
         other = ~np.isin(ep.query.labels, ep.target_classes)
@@ -131,14 +129,14 @@ class TestGenerateEpisode:
         np.testing.assert_array_equal(out, [2, 1, 0, 1, 0])
         assert out.dtype == np.int64
 
-    def test_pool_exhausted_names_class(self):
-        tiny = POOL[:2]
+    def test_pool_exhausted_names_class(self, pool8, split8):
+        tiny = pool8[:2]
         with pytest.raises(PoolExhaustedError, match="class"):
-            generate_episode(tiny, SPLIT.train_classes, 4, 2, MIN_FG, CAP, 0)
+            generate_episode(tiny, split8.train_classes, 4, 2, MIN_FG, CAP, 0)
 
-    def test_impossible_min_fg_raises(self):
+    def test_impossible_min_fg_raises(self, pool8, split8):
         with pytest.raises(PoolExhaustedError):
-            generate_episode(POOL, SPLIT.train_classes, 1, 1, 10_000, CAP, 0)
+            generate_episode(pool8, split8.train_classes, 1, 1, 10_000, CAP, 0)
 
 
 def tiled_room(seed: int) -> PointCloud:

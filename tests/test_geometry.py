@@ -220,18 +220,6 @@ class TestFarthestPointSample:
         mask = np.array([True, False, True, True])
         assert len(farthest_point_sample(cloud.positions, mask, 5)) == 3
 
-    def test_matches_brute_force_on_random_instances(self):
-        rng = np.random.default_rng(14)
-        for _ in range(50):
-            n = int(rng.integers(4, 65))
-            cloud = random_cloud(rng, n)
-            mask = rng.random(n) < 0.7
-            if not mask.any():
-                mask[int(rng.integers(n))] = True
-            count = int(rng.integers(1, mask.sum() + 1))
-            got = farthest_point_sample(cloud.positions, mask, count)
-            assert list(got) == fps_oracle(cloud.positions, mask, count)
-
     def test_selection_restricted_to_mask(self):
         rng = np.random.default_rng(15)
         cloud = random_cloud(rng, 40)
@@ -300,17 +288,6 @@ class TestClusterToSeeds:
         mask = np.ones(3, dtype=bool)
         groups = cluster_to_seeds(positions, mask, np.array([0, 1]))
         assert 2 in groups[0] and 2 not in groups[1]
-
-    def test_matches_exhaustive_scan(self):
-        rng = np.random.default_rng(19)
-        positions = rng.uniform(-1, 1, size=(50, 3))
-        mask = rng.random(50) < 0.8
-        seed_pool = np.flatnonzero(mask)
-        seeds = rng.choice(seed_pool, size=5, replace=False)
-        groups = cluster_to_seeds(positions, mask, seeds)
-        expected = nearest_seed_oracle(positions, mask, seeds)
-        for got, want in zip(groups, expected):
-            np.testing.assert_array_equal(got, want)
 
     def test_groups_partition_mask(self):
         rng = np.random.default_rng(20)

@@ -488,17 +488,19 @@ def _untrained_artifact_lines() -> list[str]:
 
 
 class TestModelArtifact:
-    def _trained(self, pool, split):
+    @pytest.fixture(scope="class")
+    def trained(self):
+        """(pool, split, result, config) of a 3-episode run, trained once."""
+        pool = make_pool(31, 10, range(1, 7), blobs_per_scene=3, points_per_blob=120)
+        split = make_split(range(1, 7), 0)
         config = RunConfig(
             seed=2, dim=8, n_prototypes=4, hca_layers=1, heads=1,
             max_points=128, min_fg_points=20, episodes=3,
         )
-        return meta_train(pool, split, config), config
+        return pool, split, meta_train(pool, split, config), config
 
-    def test_round_trip_bit_exact_forward(self, tmp_path):
-        pool = make_pool(31, 10, range(1, 7), blobs_per_scene=3, points_per_blob=120)
-        split = make_split(range(1, 7), 0)
-        result, config = self._trained(pool, split)
+    def test_round_trip_bit_exact_forward(self, trained, tmp_path):
+        pool, split, result, config = trained
         path = tmp_path / "model.pcseg-model"
         meta = {"fold": 0, "classes": ",".join(str(c) for c in range(1, 7))}
         pio.save_model(path, result.params, result.bank, config, meta)
@@ -518,10 +520,8 @@ class TestModelArtifact:
         base_b = T.mlp_forward(features_b[-1], params2.base_head)
         assert (base_a.data == base_b.data).all()
 
-    def test_artifact_byte_stable(self, tmp_path):
-        pool = make_pool(31, 10, range(1, 7), blobs_per_scene=3, points_per_blob=120)
-        split = make_split(range(1, 7), 0)
-        result, config = self._trained(pool, split)
+    def test_artifact_byte_stable(self, trained, tmp_path):
+        _, _, result, config = trained
         a, b = tmp_path / "a.model", tmp_path / "b.model"
         meta = {"fold": 1, "classes": "1,2,3,4,5,6"}
         pio.save_model(a, result.params, result.bank, config, meta)

@@ -32,7 +32,7 @@ from pcseg.model import (
     train_exclusions,
 )
 from pcseg.seeding import derive_seed
-from pcseg.synth import make_pool, synth_scene
+from pcseg.synth import synth_scene
 from pcseg.tensor import Parameter, Tensor
 
 
@@ -222,20 +222,6 @@ class TestBasePrototypeBank:
         np.testing.assert_array_equal(bank.prototypes[0], np.full(3, 5.0))
         assert bank.update_counts[0] == 1
 
-    def test_momentum_decay_law(self):
-        # after the assigning first update, u-1 constant-target steps decay
-        # the distance by exactly mu^(u-1)
-        mu = 0.95
-        first = np.array([4.0, -2.0, 1.0])
-        target = np.array([1.0, 1.0, 1.0])
-        bank = BasePrototypeBank.zeros([3], 3)
-        bank.apply_update(3, first, mu)
-        base_dist = np.linalg.norm(first - target)
-        for u in range(2, 25):
-            bank.apply_update(3, target, mu)
-            dist = np.linalg.norm(bank.prototypes[0] - target)
-            assert abs(dist - mu ** (u - 1) * base_dist) < 1e-12
-
     def test_unseen_rows_exactly_zero(self):
         bank = BasePrototypeBank.zeros([1, 2, 3], 4)
         bank.apply_update(2, np.ones(4), 0.9)
@@ -297,23 +283,6 @@ class TestBaseGuidance:
             )
             np.testing.assert_allclose(guide[i], best, atol=1e-12)
 
-    def test_exclusion_equals_row_deletion(self):
-        rng = np.random.default_rng(16)
-        ids = [1, 2, 3, 4]
-        bank = BasePrototypeBank.zeros(ids, 6)
-        for c in ids:
-            bank.apply_update(c, rng.standard_normal(6), 0.9)
-        fq = Tensor(rng.standard_normal((10, 6)))
-        excluded = {2, 4}
-        with_exclusion = base_guidance(fq, bank, excluded).data
-        keep = [i for i, c in enumerate(ids) if c not in excluded]
-        pruned = BasePrototypeBank(
-            bank.prototypes[keep], bank.update_counts[keep],
-            tuple(ids[i] for i in keep),
-        )
-        without = base_guidance(fq, pruned, set()).data
-        np.testing.assert_array_equal(with_exclusion, without)
-
 
 class TestCalibrateBackground:
     def _corr(self, rng, nq=5, nc=3, d=4):
@@ -327,14 +296,6 @@ class TestCalibrateBackground:
             corr, Tensor(np.zeros(5)), Parameter(w, "w"), Parameter(np.zeros(4), "b")
         )
         np.testing.assert_allclose(out.data, corr.data, atol=1e-15)
-
-    def test_foreground_slices_bit_identical(self):
-        rng = np.random.default_rng(18)
-        corr = self._corr(rng)
-        w = Parameter(rng.standard_normal((8, 4)), "w")
-        b = Parameter(rng.standard_normal(4), "b")
-        out = calibrate_background(corr, Tensor(rng.standard_normal(5)), w, b)
-        assert (out.data[:, :2, :] == corr.data[:, :2, :]).all()
 
     def test_matches_affine_oracle(self):
         rng = np.random.default_rng(19)
@@ -350,17 +311,6 @@ class TestCalibrateBackground:
 
 
 class TestRefineLayer:
-    def test_shape_preserved_over_depths(self):
-        rng = np.random.default_rng(20)
-        for n_layers in (1, 2, 3):
-            params = tiny_params(rng, dim=8, layers=n_layers)
-            corr = Tensor(rng.standard_normal((6, 3, 8)))
-            guide = Tensor(rng.standard_normal(6))
-            out = corr
-            for lp in params.layers:
-                out = apply_refine_layer(out, guide, lp)
-            assert out.shape == (6, 3, 8)
-
     def test_single_query_point(self):
         rng = np.random.default_rng(21)
         params = tiny_params(rng, dim=8, layers=1)
@@ -422,24 +372,6 @@ class TestForwardAndLoss:
         assert (a_seg.data == b_seg.data).all()
         assert all((a.data == b.data).all() for a, b in zip(a_features, b_features))
 
-    def test_forward_query_permutation_equivariant(self, pool8, split8, fast_config):
-        rng = np.random.default_rng(25)
-        params = ModelParams.create(rng, 16, 6, 2, 1, n_base=4)
-        bank = BasePrototypeBank.zeros(split8.train_classes, 16)
-        for c in split8.train_classes:
-            bank.apply_update(c, rng.standard_normal(16), 0.995)
-        ep = episode_for(pool8, split8, fast_config, seed=51)
-        seg, _ = forward(ep, params, bank, ())
-        perm = rng.permutation(len(ep.query))
-        permuted_ep = type(ep)(
-            support=ep.support,
-            query=ep.query.take(perm),
-            query_gt=ep.query_gt[perm],
-            target_classes=ep.target_classes,
-        )
-        seg_p, _ = forward(permuted_ep, params, bank, ())
-        np.testing.assert_allclose(seg_p.data, seg.data[perm], atol=1e-9)
-
     def test_refine_blocks_read_c_ordered_data(self, pool8, split8, fast_config, monkeypatch):
         # Each block after a transpose of the first two axes reads a C-ordered
         # copy; a strided view made the attention and the MLPs slower.
@@ -487,9 +419,6 @@ class TestForwardAndLoss:
 
 
 class TestEndToEndGradient:
-    def test_loss_gradient_matches_finite_differences(self):
-        assert check_end_to_end(seed=99, trials=2, coords_per_param=2) < 1e-4
-
     def test_checks_the_loss_training_minimizes(self, monkeypatch):
         from pcseg import model as M
 
@@ -781,7 +710,7 @@ print(result.n_episodes, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - be
 
         config = RunConfig(**{**fast_config.__dict__, "episodes": 3})
         clean = meta_train(pool8, split8, config)
-        params = meta_train(pool8, split8, fast_config).params
+        params = ModelParams.for_config(np.random.default_rng(0), fast_config, len(split8.train_classes))
         if where == "logits":  # evaluate raises after the forward pass
             params.decoder.w2.data = np.full_like(params.decoder.w2.data, 1e308)
         else:  # the forward pass itself raises, inside no_grad
@@ -809,18 +738,27 @@ def _auc(score, positive):
     return (below.sum() + 0.5 * ties.sum()) / (below.size * negatives.size)
 
 
-def test_guidance_parity_report():
-    """How well low guidance alone marks a query's foreground: the mean
-    per-episode AUC of -guidance over 100 episodes, on the train stream
-    with `train_exclusions` and on the test stream (seed 999, the one the
-    ROADMAP's evaluations use) with none, as `evaluate` runs it. Nothing
-    is trained: the stub is at its init and each bank row is its class's
-    mean stub feature over the acceptance pool. A train AUC above the test
-    one is a cue that solves training and does not transfer. The table is
-    printed (run with -s); nothing is gated yet."""
+def guidance_auc(pool, split, config, params, bank):
+    """The mean per-episode AUC of -guidance for the query foreground over
+    100 episodes, with `params.stub` and `bank`: [train stream at
+    `config.seed` with `train_exclusions`, test stream at seed 999 (the
+    one the ROADMAP's evaluations use) with none], as `evaluate` runs it."""
+    streams = (("train", config.seed, train_exclusions), ("test", 999, lambda ep: ()))
+    with T.no_grad():
+        return [np.mean([_auc(-base_guidance(backbone_stub(ep.query, params.stub), bank, excluded(ep)).data,
+                              ep.query_gt > 0)
+                         for ep in episode_stream(pool, split, phase, config, seed, 100)])
+                for phase, seed, excluded in streams]
+
+
+def test_guidance_parity_report(acceptance_pool):
+    """How well low guidance alone marks a query's foreground: `guidance_auc`
+    with nothing trained. The stub is at its init and each bank row is its
+    class's mean stub feature over the acceptance pool. A train AUC above
+    the test one is a cue that solves training and does not transfer. The
+    table is printed (run with -s); nothing is gated yet."""
     from test_acceptance import TOY_CONFIG
 
-    pool = make_pool(42, 24, range(1, 9), blobs_per_scene=3, points_per_blob=400)
     rows = []
     with T.no_grad():
         for seed in (3, 4, 5):
@@ -829,20 +767,12 @@ def test_guidance_parity_report():
                 split = make_split(range(1, 9), fold)
                 params = ModelParams.for_config(np.random.default_rng(derive_seed(seed, "init")), config,
                                                 len(split.train_classes))
-                features = [backbone_stub(cloud, params.stub).data for cloud in pool]
+                features = [backbone_stub(cloud, params.stub).data for cloud in acceptance_pool]
                 bank = BasePrototypeBank.zeros(split.train_classes, config.dim)
                 for cid in split.train_classes:
-                    pooled = np.concatenate([f[cloud.labels == cid] for f, cloud in zip(features, pool)])
+                    pooled = np.concatenate([f[cloud.labels == cid] for f, cloud in zip(features, acceptance_pool)])
                     bank.apply_update(cid, pooled.mean(axis=0), 0.0)
-                aucs = []
-                for phase, stream_seed, excluded in (("train", seed, train_exclusions), ("test", 999, lambda ep: ())):
-                    episodes = episode_stream(pool, split, phase, config, stream_seed, 100)
-                    aucs.append(np.mean([
-                        _auc(-base_guidance(backbone_stub(ep.query, params.stub), bank, excluded(ep)).data,
-                             ep.query_gt > 0)
-                        for ep in episodes
-                    ]))
-                rows.append((seed, fold, *aucs))
+                rows.append((seed, fold, *guidance_auc(acceptance_pool, split, config, params, bank)))
     print("\nguidance parity, mean AUC of -guidance for the query foreground\n| seed | fold | train | test |")
     for seed, fold, train, test in rows:
         print(f"| {seed} | {fold} | {train:.3f} | {test:.3f} |")

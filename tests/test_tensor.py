@@ -12,7 +12,6 @@ import pcseg.tensor as T
 from attention_oracles import mul
 from gradient_oracles import OP_CHECKS, check_op, finite_difference_check
 from pcseg.episodes import make_split
-from pcseg.synth import make_pool
 from pcseg.tensor import AdamW, Parameter, Tensor
 from test_acceptance import TOY_CONFIG
 
@@ -370,13 +369,12 @@ class TestGraphLifetime:
         for a, b in zip(grads(), want):
             assert (a is None and b is None) or a.tobytes() == b.tobytes()
 
-    def test_an_episode_keeps_little_beyond_what_backward_reads(self):
+    def test_an_episode_keeps_little_beyond_what_backward_reads(self, acceptance_pool):
         # At TOY_CONFIG a graph that keeps every op's output holds 22-23 MB.
-        pool = make_pool(42, 24, range(1, 9), blobs_per_scene=3, points_per_blob=400)
         split = make_split(range(1, 9), 0)
         params = M.ModelParams.for_config(np.random.default_rng(0), TOY_CONFIG, len(split.train_classes))
         bank = M.BasePrototypeBank.zeros(split.train_classes, TOY_CONFIG.dim)
-        episode = next(M.episode_stream(pool, split, "train", TOY_CONFIG, TOY_CONFIG.seed, 1))
+        episode = next(M.episode_stream(acceptance_pool, split, "train", TOY_CONFIG, TOY_CONFIG.seed, 1))
         tracemalloc.start()  # numpy reports its array buffers to tracemalloc
         try:
             kept = M.episode_loss(episode, params, bank)
