@@ -194,6 +194,8 @@ def cmd_train(args) -> int:
         raise UsageError(str(exc)) from None
     clouds, _ = load_pool(args.pool, config)
     classes = _pool_classes(clouds)
+    if len(classes) < 2:  # make_split's own message would name no input
+        raise ValueError(f"--pool {' '.join(args.pool)} holds {len(classes)} labeled classes; a split needs at least 2")
     split = make_split(classes, args.fold)
     result = M.meta_train(clouds, split, config)
     meta = {"fold": args.fold, "classes": ",".join(str(c) for c in classes)}

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import settings
 
+from pcseg.cli import EXIT_OK, main
 from pcseg.config import RunConfig
 from pcseg.episodes import make_split
 from pcseg.synth import make_pool
@@ -52,3 +53,58 @@ def fast_config():
         episodes=0,
         lr=1e-3,
     )
+
+
+TINY_CONFIG = """\
+seed=4
+dim=8
+n_prototypes=4
+hca_layers=1
+heads=1
+max_points=192
+min_fg_points=30
+episodes=3
+lr=0.001
+"""
+
+
+@pytest.fixture(scope="session")
+def scene_dir(tmp_path_factory):
+    """A 12-scene, 6-class pool written by `synth`."""
+    out = tmp_path_factory.mktemp("scenes")
+    assert main(["synth", "--out", str(out), "--seed", "1", "--scenes", "12", "--classes", "6", "--blobs", "3",
+                 "--points", "150"]) == EXIT_OK
+    return out
+
+
+@pytest.fixture(scope="session")
+def config_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("config") / "tiny.cfg"
+    path.write_text(TINY_CONFIG)
+    return path
+
+
+def _train_tiny(scene_dir, config_path, tmp_path_factory, fold):
+    model = tmp_path_factory.mktemp("model") / f"fold{fold}.model"
+    assert main(["train", "--pool", str(scene_dir), "--config", str(config_path), "--fold", str(fold),
+                 "--out", str(model)]) == EXIT_OK
+    return model
+
+
+@pytest.fixture(scope="session")
+def tiny_model(scene_dir, config_path, tmp_path_factory):
+    """The TINY_CONFIG fold-0 artifact on `scene_dir`, trained once: a test
+    that reads a model uses it, or a copy it edits."""
+    return _train_tiny(scene_dir, config_path, tmp_path_factory, 0)
+
+
+@pytest.fixture(scope="session")
+def tiny_model_fold1(scene_dir, config_path, tmp_path_factory):
+    return _train_tiny(scene_dir, config_path, tmp_path_factory, 1)
+
+
+@pytest.fixture(scope="session")
+def cli_inputs(scene_dir, config_path, tiny_model):
+    """Placeholder -> path of the shared inputs a CLI case names."""
+    return {"POOL": str(scene_dir), "SCENE": str(sorted(scene_dir.glob("*.pcseg"))[0]), "CONFIG": str(config_path),
+            "MODEL": str(tiny_model)}

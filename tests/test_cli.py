@@ -5,6 +5,7 @@ import contextlib
 import errno
 import io
 import os
+import re
 import shlex
 import stat
 import tempfile
@@ -18,55 +19,8 @@ from pcseg import cli
 from pcseg import io as pio
 from pcseg import model as M
 from pcseg.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
+from conftest import TINY_CONFIG
 from test_golden import COMMANDS as GOLDEN_COMMANDS, MULTI_SHOT_CONFIG
-
-TINY_CONFIG = """\
-seed=4
-dim=8
-n_prototypes=4
-hca_layers=1
-heads=1
-max_points=192
-min_fg_points=30
-episodes=3
-lr=0.001
-"""
-
-
-@pytest.fixture(scope="module")
-def scene_dir(tmp_path_factory):
-    out = tmp_path_factory.mktemp("scenes")
-    code = main(["synth", "--out", str(out), "--seed", "1", "--scenes", "12",
-                 "--classes", "6", "--blobs", "3", "--points", "150"])
-    assert code == EXIT_OK
-    return out
-
-
-@pytest.fixture(scope="module")
-def config_path(tmp_path_factory):
-    path = tmp_path_factory.mktemp("config") / "tiny.cfg"
-    path.write_text(TINY_CONFIG)
-    return path
-
-
-def _train_tiny(scene_dir, config_path, tmp_path_factory, fold):
-    model = tmp_path_factory.mktemp("model") / f"fold{fold}.model"
-    assert main(["train", "--pool", str(scene_dir), "--config", str(config_path), "--fold", str(fold),
-                 "--out", str(model)]) == EXIT_OK
-    return model
-
-
-@pytest.fixture(scope="module")
-def tiny_model(scene_dir, config_path, tmp_path_factory):
-    """The TINY_CONFIG fold-0 artifact on `scene_dir`, trained once: a test
-    that reads a model uses it, or a copy it edits."""
-    return _train_tiny(scene_dir, config_path, tmp_path_factory, 0)
-
-
-@pytest.fixture(scope="module")
-def tiny_model_fold1(scene_dir, config_path, tmp_path_factory):
-    return _train_tiny(scene_dir, config_path, tmp_path_factory, 1)
-
 
 # Every subcommand's options. A new knob is a deliberate edit of this table.
 OPTIONS = {
@@ -102,58 +56,6 @@ def test_readme_documents_every_command():
     assert {line.split()[1] for line in _readme_commands()} == set(OPTIONS)
 
 
-def test_episodes_command_is_gone(scene_dir, tmp_path, capsys):
-    out = tmp_path / "episodes.manifest"
-    with pytest.raises(SystemExit) as exc:
-        main(["episodes", "--pool", str(scene_dir), "--n", "4", "--out", str(out)])
-    assert exc.value.code == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("pcseg: error: argument command: invalid choice: 'episodes'")
-    assert not out.exists()
-
-
-# Every `_int_at_least` flag, with the arguments its subcommand requires.
-SYNTH, AUDIT, EVAL = (["synth", "--out", "OUT"], ["audit", "--cloud", "SCENE", "--fg-class", "1", "--out", "OUT"],
-                      ["eval", "--pool", "POOL", "--model", "MODEL", "--out", "OUT"])
-INT_FLAGS = [
-    (SYNTH, "--scenes"),
-    (SYNTH, "--classes"),
-    (SYNTH, "--blobs"),
-    (SYNTH, "--points"),
-    (SYNTH, "--seed"),
-    (AUDIT, "--m"),
-    (AUDIT, "--trials"),
-    (AUDIT, "--seed"),
-    (EVAL, "--episodes"),
-    (EVAL, "--seed"),
-]
-
-
-def _usage_error(scene_dir, tmp_path, capsys, argv):
-    """Run `argv` (placeholders filled in), require exit 64 and no output
-    file, and return stderr."""
-    out = tmp_path / "out"
-    paths = {"OUT": str(out), "SCENE": str(sorted(scene_dir.glob("*.pcseg"))[0]), "POOL": str(scene_dir),
-             "MODEL": str(tmp_path / "m.txt")}
-    with pytest.raises(SystemExit) as exc:
-        main([paths.get(a, a) for a in argv])
-    assert exc.value.code == EXIT_USAGE
-    assert not out.exists()
-    return capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", [str(2**63), "99999999999999999999"])
-@pytest.mark.parametrize("argv, flag", INT_FLAGS, ids=[f"{a[0]}{f}" for a, f in INT_FLAGS])
-def test_int_flag_beyond_int64_is_usage_error(scene_dir, tmp_path, capsys, argv, flag, value):
-    err = _usage_error(scene_dir, tmp_path, capsys, argv + [flag, value])
-    assert err.endswith(f"error: argument {flag}: invalid int64 value: '{value}'\n")
-
-
-@pytest.mark.parametrize("argv", [SYNTH, AUDIT, EVAL], ids=["synth", "audit", "eval"])
-def test_negative_seed_is_usage_error(scene_dir, tmp_path, capsys, argv):
-    err = _usage_error(scene_dir, tmp_path, capsys, argv + ["--seed", "-1"])
-    assert err == f"pcseg {argv[0]}: error: argument --seed: must be >= 0, got -1\n"
-
 
 class TestSynth:
     def test_writes_scene_files(self, scene_dir):
@@ -171,21 +73,6 @@ class TestSynth:
         assert main(argv + ["--scenes", "5", "--seed", "1"]) == EXIT_OK  # its own output, rewritten
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
-    @pytest.mark.parametrize("argv, flag", [
-        (["--blobs", "3", "--classes", "2"], "--blobs"),
-        (["--blobs", "1"], "--blobs"),
-        (["--scenes", "0"], "--scenes"),
-        (["--points", "0"], "--points"),
-    ])
-    def test_bad_counts_are_usage_errors(self, tmp_path, capsys, argv, flag):
-        out = tmp_path / "scenes"
-        with pytest.raises(SystemExit) as exc:
-            main(["synth", "--out", str(out)] + argv)
-        assert exc.value.code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and flag in err
-        assert not out.exists()
-
 
 class TestAudit:
     def test_report_blocks(self, scene_dir, tmp_path):
@@ -199,82 +86,6 @@ class TestAudit:
         for key in ("input_fg_fraction", "mean_output_fg_fraction",
                     "expected_biased_fraction", "density_ratio", "trials"):
             assert text.count(f"{key}=") == 2
-
-    def test_missing_file_exits_2(self, tmp_path, capsys):
-        code = main(["audit", "--cloud", str(tmp_path / "nope.pcseg"),
-                     "--fg-class", "1", "--out", str(tmp_path / "r.txt")])
-        assert code == EXIT_IO
-        assert "nope.pcseg" in capsys.readouterr().err
-
-    def test_out_in_missing_directory_names_the_path(self, scene_dir, tmp_path, capsys):
-        scene = str(sorted(scene_dir.glob("*.pcseg"))[0])
-        out = tmp_path / "nodir" / "r.txt"
-        code = main(["audit", "--cloud", scene, "--fg-class", "1", "--m", "16",
-                     "--trials", "2", "--out", str(out)])
-        assert code == EXIT_IO
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and str(out) in err and ".tmp-" not in err
-
-    def test_bad_flag_exits_64(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["audit", "--definitely-not-a-flag"])
-        assert exc.value.code == EXIT_USAGE
-
-    @pytest.mark.parametrize("lineno, row", [
-        (6, "0.1 0.2 0.3 0.5 0.5 0.5"),
-        (6, "0.1 0.2 0.3 0.5 0.5 0.5 1 9"),
-        (4, "nan 0.2 0.3 0.5 0.5 0.5 1"),
-        (5, "0.1 0.2 0.3 2.0 0.5 0.5 1"),
-        (None, "0.1 0.2 0.3 0.5 0.5 0.5 1"),  # one row beyond the header's count
-        (7, "0.1 0.2 0.3 0.5 0.5 0.5 1.5"),
-        (8, "0.1 0.2 0.3 0.5 0.5 0.5 -5"),
-        (3, "1_0 0 0 0.5 0.5 0.5 1"),  # Python's float reads these two; np.loadtxt does not
-        (3, "\uff11 0 0 0.5 0.5 0.5 1"),  # a full-width digit one
-        (1, "PCSEG v1 \u0665"),  # `str.isdigit` takes these two; the header count is ASCII digits
-        (1, "PCSEG v1 \u00b2"),
-    ])
-    def test_bad_cloud_exits_2_naming_path_and_line(self, scene_dir, tmp_path, capsys, lineno, row):
-        lines = (sorted(scene_dir.glob("*.pcseg"))[0]).read_text().splitlines()
-        if lineno is None:
-            lineno = len(lines) + 1
-            lines.append(row)
-        else:
-            lines[lineno - 1] = row
-        bad = tmp_path / "bad.pcseg"
-        bad.write_text("\n".join(lines) + "\n")
-        code = main(["audit", "--cloud", str(bad), "--fg-class", "1", "--m", "16", "--trials", "2"])
-        assert code == EXIT_IO
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith(f"pcseg: {bad}:{lineno}: ")
-        if lineno == 1:
-            assert "not a 'PCSEG v1 <count>' header" in err
-
-    @pytest.mark.parametrize("flag", ["--m", "--trials"])
-    def test_zero_count_is_usage_error(self, scene_dir, capsys, flag):
-        scene = str(sorted(scene_dir.glob("*.pcseg"))[0])
-        with pytest.raises(SystemExit) as exc:
-            main(["audit", "--cloud", scene, "--fg-class", "1", flag, "0"])
-        assert exc.value.code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and flag in err
-
-    @pytest.mark.parametrize("value", ["-1", "9223372036854775808"])
-    def test_bad_fg_class_is_usage_error(self, scene_dir, capsys, value):
-        scene = str(sorted(scene_dir.glob("*.pcseg"))[0])
-        with pytest.raises(SystemExit) as exc:
-            main(["audit", "--cloud", scene, "--fg-class", value])
-        assert exc.value.code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "--fg-class" in err
-
-    def test_absent_fg_class_exits_2(self, scene_dir, tmp_path, capsys):
-        scene = str(sorted(scene_dir.glob("*.pcseg"))[0])
-        out = tmp_path / "r.txt"
-        code = main(["audit", "--cloud", scene, "--fg-class", "77", "--m", "16", "--trials", "2",
-                     "--out", str(out)])
-        assert code == EXIT_IO
-        assert capsys.readouterr().err == f"pcseg: {scene}: no point has class 77\n"
-        assert not out.exists()
 
 
 class TestTrainEval:
@@ -307,30 +118,6 @@ class TestTrainEval:
         assert "fold0_mean_iou=" in text and "mean_iou=" in text
         assert "fold0_episode_miou_mean=" in text
 
-    # a training run's settings come from its --config file alone
-    @pytest.mark.parametrize("extra, message", [
-        ([], "the following arguments are required: --config"),
-        (["--config", "CONFIG", "--seed", "3"], "unrecognized arguments: --seed 3"),
-    ], ids=["no-config", "seed-flag"])
-    def test_train_without_config_or_with_seed_exits_64(self, scene_dir, config_path, tmp_path, capsys,
-                                                         extra, message):
-        out = tmp_path / "model.txt"
-        with pytest.raises(SystemExit) as exc:
-            main(["train", "--pool", str(scene_dir), "--out", str(out)]
-                 + [str(config_path) if a == "CONFIG" else a for a in extra])
-        assert exc.value.code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.endswith(f": error: {message}\n")
-        assert not out.exists()
-
-    def test_eval_without_model_exits_64(self, scene_dir, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["eval", "--pool", str(scene_dir), "--out", str(tmp_path / "m.txt")])
-        assert exc.value.code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "--model" in err
-        assert not (tmp_path / "m.txt").exists()
-
     def test_non_finite_loss_exits_70(self, scene_dir, config_path, tmp_path, monkeypatch, capsys):
         import pcseg.cli as cli
         from pcseg.model import NonFiniteLossError
@@ -355,257 +142,6 @@ class TestTrainEval:
         assert code == EXIT_IO and not Path("model.txt").exists()
         assert err.count("\n") == 1 and err.startswith("pcseg: episode 6 (seed "), err
         assert err.endswith("): class 6: need 3 support clouds with >= 30 foreground points, pool offers 2\n")
-
-    def test_a_support_without_background_names_the_episode(self, scene_dir, tmp_path, capsys):
-        # capped to one point, each support cloud is all foreground, so the background way is empty
-        config = tmp_path / "one.cfg"
-        config.write_text(TINY_CONFIG.replace("max_points=192", "max_points=1").replace("min_fg_points=30",
-                                                                                       "min_fg_points=1"))
-        model = tmp_path / "model.txt"
-        capsys.readouterr()
-        code = main(["train", "--pool", str(scene_dir), "--config", str(config), "--out", str(model)])
-        err = capsys.readouterr().err
-        assert code == EXIT_IO and not model.exists()
-        assert err.count("\n") == 1 and err.startswith("pcseg: episode 0 (seed "), err
-        assert err.endswith("): the support holds no background point\n")
-
-    def _edited_model(self, tiny_model, tmp_path, edit):
-        """A copy of `tiny_model` with `edit` applied to its lines."""
-        model = tmp_path / "model.txt"
-        lines = tiny_model.read_text().splitlines()
-        edit(lines)
-        model.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
-        return model
-
-    def _eval(self, scene_dir, model, tmp_path):
-        return main(["eval", "--pool", str(scene_dir), "--model", str(model),
-                     "--episodes", "3", "--seed", "1", "--out", str(tmp_path / "metrics.txt")])
-
-    @pytest.mark.parametrize("record, edit", [
-        ("update_counts", lambda v: v.rsplit(" ", 1)[0]),  # one entry dropped
-        ("decoder.b2", lambda v: "nan"),
-        pytest.param("update_counts", lambda v: f"{v} {2**63}", id="update_counts-beyond-int64"),
-        # byte 0xff (written through surrogateescape) opening line 2, which the message names
-        pytest.param(2, lambda v: "\udcff" + v, id="line-2-not-utf-8"),
-        # in range, but not the [config] momentum (0.995) that save_model writes alongside it
-        pytest.param("momentum", lambda v: "momentum=0.25", id="bank-momentum-disagrees-with-config"),
-    ])
-    def test_corrupt_artifact_exits_2_with_one_line(self, scene_dir, tiny_model, tmp_path, capsys,
-                                                     record, edit):
-        edited = []
-
-        def corrupt(lines):
-            if record == 2:
-                idx = 1
-            elif record in ("update_counts", "momentum"):  # a [bank] key=value line
-                idx = next(i for i in range(lines.index("[bank]"), len(lines)) if lines[i].startswith(f"{record}="))
-            else:
-                idx = lines.index(record) + 2
-            lines[idx] = edit(lines[idx])
-            edited.append(idx + 1)
-
-        model = self._edited_model(tiny_model, tmp_path, corrupt)
-        capsys.readouterr()
-        assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith(f"pcseg: {model}:{edited[0]}: ")
-        if record != 2:
-            assert record in err
-
-    @pytest.mark.parametrize("key, edit", [
-        ("fold", lambda v: None),
-        ("fold", lambda v: "fold=2"),
-        ("fold", lambda v: "fold=one"),
-        ("classes", lambda v: None),
-        ("classes", lambda v: "classes="),
-        ("classes", lambda v: "classes=1,,3"),
-        ("classes", lambda v: "classes=1"),  # parses, but one class cannot be split
-        ("classes", lambda v: "classes=1,1,1"),
-        ("share_background_fc", lambda v: "share_background_fc=1"),
-        ("fodl", lambda v: "fodl=1"),  # a misspelled key, added to [meta]
-    ])
-    def test_bad_meta_exits_2_with_one_line(self, scene_dir, tiny_model, tmp_path, capsys, key, edit):
-        def corrupt(lines):
-            idx = next((i for i, l in enumerate(lines) if l.startswith(f"{key}=")), None)
-            if idx is None:
-                lines.insert(lines.index("[meta]") + 1, edit(None))
-                return
-            new = edit(lines[idx])
-            if new is None:
-                del lines[idx]
-            else:
-                lines[idx] = new
-
-        model = self._edited_model(tiny_model, tmp_path, corrupt)
-        capsys.readouterr()
-        assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and str(model) in err and "[meta]" in err and key in err
-        # a bad line that is there is named; a deleted key, at the [meta] header
-        lines = model.read_text().splitlines()
-        if edit(None) is None:
-            assert err == f"pcseg: {model}:{lines.index('[meta]') + 1}: [meta] has no {key}= line\n"
-        else:
-            assert err.startswith(f"pcseg: {model}:{lines.index(edit(None)) + 1}: ")
-
-    @staticmethod
-    def _insert_after(prefix, line):
-        def edit(lines):
-            lines.insert(next(i for i, l in enumerate(lines) if l.startswith(prefix)) + 1, line)
-        return edit
-
-    @staticmethod
-    def _drop_record(name):
-        def edit(lines):
-            del lines[lines.index(name):lines.index(name) + 3]  # name, header, values
-        return edit
-
-    @staticmethod
-    def _append_copy(section, seed=None):
-        def edit(lines):
-            start = lines.index(f"[{section}]")
-            end = next(i for i in range(start + 1, len(lines)) if lines[i].startswith("["))
-            lines.extend(f"seed={seed}" if seed is not None and l.startswith("seed=") else l
-                         for l in lines[start:end])
-        return edit
-
-    @pytest.mark.parametrize("edit, bad_line, message", [
-        (_insert_after("fold=", "fold=1"), "fold=1", "duplicate [meta] key 'fold'"),
-        (_insert_after("[meta]", "fold"), "fold", "expected [meta] key=value, got 'fold'"),
-        (_insert_after("update_counts=", "momentum=0.5"), "momentum=0.5", "duplicate [bank] key 'momentum'"),
-        (_insert_after("update_counts=", "bogus=1"), "bogus=1", "unknown [bank] key 'bogus'"),
-        (_append_copy("config", seed=999), "[config]", "repeated section [config]"),
-        (_append_copy("params"), "[params]", "repeated section [params]"),
-        (_insert_after("PCSEG-MODEL v1", "garbage line"), "garbage line",
-         "expected a [section] header, got 'garbage line'"),
-    ], ids=["meta-repeated-key", "meta-no-equals", "bank-repeated-key", "bank-unknown-key",
-            "second-config", "second-params", "stray-line-before-sections"])
-    def test_repeated_key_or_section_exits_2_naming_the_line(self, scene_dir, tiny_model, tmp_path, capsys,
-                                                             edit, bad_line, message):
-        model = self._edited_model(tiny_model, tmp_path, edit)
-        lines = model.read_text().splitlines()
-        lineno = len(lines) - lines[::-1].index(bad_line)  # the last line that reads `bad_line`
-        capsys.readouterr()
-        assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
-        assert capsys.readouterr().err == f"pcseg: {model}:{lineno}: {message}\n"
-
-    @pytest.mark.parametrize("edit, message", [
-        (_drop_record("stub.w1"), "records mismatch (missing ['stub.w1'], extra [])"),
-        (lambda lines: lines.extend(["extra", "1 1", "0"]),  # [bank] is the last section
-         "records mismatch (missing [], extra ['extra'])"),
-    ], ids=["params-missing", "bank-extra"])
-    def test_missing_or_extra_record_exits_2_naming_it(self, scene_dir, tiny_model, tmp_path, capsys,
-                                                       edit, message):
-        model = self._edited_model(tiny_model, tmp_path, edit)
-        capsys.readouterr()
-        assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
-        assert capsys.readouterr().err == f"pcseg: {model}: {message}\n"
-
-    # (line, message): each line is appended to a config file, or put in an
-    # artifact's [config] section, in place of any line with the same key.
-    BAD_CONFIG_LINES = [
-        ("bogus=1", "unknown config key 'bogus'"),
-        ("n_prototypes=99999999999999999999", "cannot parse config n_prototypes='99999999999999999999'"),
-    ]
-
-    def test_bad_config_exits_64_but_in_an_artifact_exits_2(self, scene_dir, config_path, tiny_model, tmp_path,
-                                                            capsys):
-        for line, message in self.BAD_CONFIG_LINES:
-            key = line.split("=")[0] + "="
-            bad = tmp_path / "bad.cfg"
-            kept = [l for l in config_path.read_text().splitlines() if not l.startswith(key)]
-            bad.write_text("\n".join(kept + [line]) + "\n")
-            code = main(["train", "--pool", str(scene_dir), "--config", str(bad), "--out", str(tmp_path / "m")])
-            assert code == EXIT_USAGE, line
-            assert capsys.readouterr().err == f"pcseg: error: {bad}:{len(kept) + 1}: {message}\n"
-
-            def edit(lines):
-                start = lines.index("[config]")
-                end = lines.index("[params]")
-                lines[start + 1:end] = [l for l in lines[start + 1:end] if not l.startswith(key)] + [line]
-
-            model = self._edited_model(tiny_model, tmp_path, edit)
-            lineno = model.read_text().splitlines().index(line) + 1
-            capsys.readouterr()
-            assert self._eval(scene_dir, model, tmp_path) == EXIT_IO, line
-            assert capsys.readouterr().err == f"pcseg: {model}:{lineno}: {message}\n"
-
-    @pytest.mark.parametrize("line", ["lr=inf", "grid_size=inf", "block_size=inf", "weight_decay=nan"])
-    def test_non_finite_config_exits_64_but_in_an_artifact_exits_2(self, scene_dir, config_path, tiny_model,
-                                                                    tmp_path, capsys, line):
-        key = line.split("=")[0]
-        bad = tmp_path / "bad.cfg"
-        kept = [l for l in config_path.read_text().splitlines() if not l.startswith(f"{key}=")]
-        bad.write_text("\n".join(kept + [line]) + "\n")
-        out = tmp_path / "m"
-        assert main(["train", "--pool", str(scene_dir), "--config", str(bad), "--out", str(out)]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith(f"pcseg: error: {bad}:{len(kept) + 1}: config field {key} must be ")
-        assert not out.exists()
-
-        def edit(lines):
-            start = lines.index("[config]")
-            idx = next(i for i in range(start, len(lines)) if lines[i].startswith(f"{key}="))
-            lines[idx] = line
-
-        model = self._edited_model(tiny_model, tmp_path, edit)
-        lineno = model.read_text().splitlines().index(line) + 1
-        capsys.readouterr()
-        assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith(f"pcseg: {model}:{lineno}: config field {key} must be ")
-
-    def test_cell_index_outside_int64_exits_2_naming_the_scene(self, scene_dir, tmp_path, capsys):
-        scene = sorted(scene_dir.glob("*.pcseg"))[0]
-        cfg = tmp_path / "tiny.cfg"
-        cfg.write_text(TINY_CONFIG + "grid_size=1e-300\n")
-        code = main(["train", "--pool", str(scene), "--config", str(cfg), "--out", str(tmp_path / "m.txt")])
-        assert code == EXIT_IO
-        assert capsys.readouterr().err == f"pcseg: {scene}: grid_size=1e-300 puts a cell index outside int64\n"
-
-    def test_impossible_allocation_exits_2(self, scene_dir, tmp_path, capsys):
-        cfg = tmp_path / "huge.cfg"
-        # A (10**15, 8) projection exceeds any 48-bit address space, so no host can overcommit it.
-        cfg.write_text(TINY_CONFIG.replace("n_prototypes=4", f"n_prototypes={10**15}"))
-        code = main(["train", "--pool", str(scene_dir), "--config", str(cfg), "--out", str(tmp_path / "m.txt")])
-        assert code == EXIT_IO
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("pcseg: ") and "allocate" in err
-        assert not (tmp_path / "m.txt").exists()
-
-    @pytest.mark.parametrize("count", ["0", "-1"])
-    def test_eval_episode_count_below_one_is_usage_error(self, scene_dir, tmp_path, capsys, count):
-        with pytest.raises(SystemExit) as exc:
-            main(["eval", "--pool", str(scene_dir), "--model", "m.txt", "--episodes", count,
-                  "--out", str(tmp_path / "m.txt")])
-        assert exc.value.code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "--episodes" in err
-        assert not (tmp_path / "m.txt").exists()
-
-    def test_overflowing_logits_exit_70(self, scene_dir, tiny_model, tmp_path, capsys):
-        def overflow(lines):
-            idx = lines.index("decoder.w2") + 2
-            lines[idx] = " ".join("1e308" for _ in lines[idx].split())
-
-        model = self._edited_model(tiny_model, tmp_path, overflow)
-        capsys.readouterr()
-        with np.errstate(all="ignore"):
-            code = self._eval(scene_dir, model, tmp_path)
-        assert code == EXIT_NUMERIC
-        assert "numeric failure: episode 0: segmentation logits are not finite" in capsys.readouterr().err
-
-    def test_n_way_beyond_the_test_classes_exits_2_naming_them(self, scene_dir, tiny_model, tmp_path, capsys):
-        def widen(lines):
-            idx = next(i for i in range(lines.index("[config]"), len(lines)) if lines[i].startswith("n_way="))
-            lines[idx] = "n_way=4"
-
-        model = self._edited_model(tiny_model, tmp_path, widen)
-        capsys.readouterr()
-        assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
-        assert capsys.readouterr().err == "pcseg: n_way 4 exceeds the 3 classes [1, 3, 5]\n"
-        assert not (tmp_path / "metrics.txt").exists()
 
     def test_two_fold_table_layout(self, scene_dir, tiny_model, tiny_model_fold1, tmp_path):
         metrics = tmp_path / "metrics.txt"
@@ -652,43 +188,6 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert err == f"pcseg: error: {second}: a second model of fold 0 (the first is {first})\n"
         assert not metrics.exists()
-
-    @pytest.mark.parametrize("second", ["dir", "dir/scene_000.pcseg"])
-    @pytest.mark.parametrize("command", ["train", "eval"])
-    def test_a_scene_named_twice_in_pool_exits_64(self, scene_dir, config_path, tiny_model, tmp_path, capsys,
-                                                  command, second):
-        twice = str(scene_dir / "scene_000.pcseg")
-        pool = [str(scene_dir), str(scene_dir) if second == "dir" else twice]
-        out = tmp_path / "out"
-        argv = {
-            "train": ["train", "--config", str(config_path)],
-            "eval": ["eval", "--model", str(tiny_model), "--episodes", "2"],
-        }[command]
-        capsys.readouterr()
-        assert main(argv + ["--pool", *pool, "--out", str(out)]) == EXIT_USAGE
-        assert capsys.readouterr().err == f"pcseg: error: {twice}: --pool names this file twice (first as {twice})\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize("key, edit", [
-        ("fold", lambda v: "1"),
-        ("classes", lambda v: v.rsplit(",", 1)[0]),  # the last class dropped
-        ("class_ids", lambda v: ",".join(str(int(c) - 1) for c in v.split(","))),  # the fold's test classes
-        ("class_ids", lambda v: f"{v},{v.split(',')[0]}"),  # a class repeated: one id more than update_counts
-    ], ids=["fold", "classes", "class_ids", "class_ids-repeated"])
-    def test_meta_split_that_disagrees_with_the_bank_exits_2(self, scene_dir, tiny_model, tmp_path, capsys,
-                                                              key, edit):
-        def change(lines):
-            idx = next(i for i, l in enumerate(lines) if l.startswith(f"{key}="))
-            lines[idx] = f"{key}={edit(lines[idx].split('=', 1)[1])}"
-
-        model = self._edited_model(tiny_model, tmp_path, change)
-        lines = model.read_text().splitlines()
-        lineno = next(i for i, l in enumerate(lines) if l.startswith("class_ids=")) + 1
-        capsys.readouterr()
-        assert self._eval(scene_dir, model, tmp_path) == EXIT_IO
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith(f"pcseg: {model}:{lineno}: [bank] class_ids=")
-
 
 # ---------------------------------------------------------------------------
 # output files
@@ -883,3 +382,322 @@ def test_any_argv_exits_with_a_documented_code_and_one_line(fuzz_inputs, argv):
                 assert not any(os.path.lexists(out) for out in outs)
         finally:
             os.chdir(cwd)
+
+
+# ---------------------------------------------------------------------------
+# the bad-input contract: one row per bad input, one runner
+# ---------------------------------------------------------------------------
+
+def _at(lines, where) -> int:
+    """Index of the line `where` names: a 1-based number (-1 the last line),
+    an exact line, `key=` (the first line that starts so) or `[section] key=`
+    (the first after that header), or (where, offset), as in
+    ("decoder.b2", 2) for a record's values line."""
+    if isinstance(where, tuple):
+        return _at(lines, where[0]) + where[1]
+    if isinstance(where, int):
+        return where - 1 if where > 0 else len(lines) + where
+    if not where.endswith("="):
+        return lines.index(where)
+    section, _, key = where.rpartition(" ")
+    start = lines.index(section) if section else 0
+    return next(i for i in range(start, len(lines)) if lines[i].startswith(key))
+
+
+# A line edit changes a list of lines in place and returns the 1-based line
+# the message names: the line it wrote, or the line at `named`.
+def put(where, new, named=None):
+    """The line at `where` replaced by `new`, or by `new(old line)`."""
+    def edit(lines):
+        i = _at(lines, where)
+        lines[i] = new(lines[i]) if callable(new) else new
+        return _at(lines, named) + 1 if named else i + 1
+    return edit
+
+
+def add(where, *new):
+    """`new` lines inserted after the line at `where`."""
+    def edit(lines):
+        i = _at(lines, where) + 1
+        lines[i:i] = new
+        return i + 1
+    return edit
+
+
+def drop(where, count=1, named=None):
+    """`count` lines dropped from `where` on."""
+    def edit(lines):
+        i = _at(lines, where)
+        del lines[i:i + count]
+        return _at(lines, named) + 1 if named else i + 1
+    return edit
+
+
+def _unlabeled(lines):
+    """Every row of a cloud file marked unlabeled (-1)."""
+    lines[1:] = [row.rsplit(" ", 1)[0] + " -1" for row in lines[1:]]
+
+
+SYNTH = ["synth", "--out", "OUT"]
+AUDIT = ["audit", "--cloud", "SCENE", "--fg-class", "1", "--m", "16", "--trials", "2", "--out", "OUT"]
+TRAIN = ["train", "--pool", "POOL", "--config", "CONFIG", "--out", "OUT"]
+EVAL = ["eval", "--pool", "POOL", "--model", "MODEL", "--episodes", "3", "--seed", "1", "--out", "OUT"]
+INT_FLAGS = [(SYNTH, f) for f in ("--scenes", "--classes", "--blobs", "--points", "--seed")] + [
+    (AUDIT, f) for f in ("--m", "--trials", "--seed")] + [(EVAL, f) for f in ("--episodes", "--seed")]
+# the start of an I/O failure's and of a usage error's message that names the edited file's line
+AT, USAGE_AT = "pcseg: {path}:{line}: ", "pcseg: error: {path}:{line}: "
+TRAIN_EVAL, ARTIFACT = "TestTrainEval::", "TestModelArtifact::"
+
+# Every bad input the CLI documents, one row per run: (test id, argv,
+# (input, line edit, ...) or None, exit code, the whole stderr line). The
+# test id is `[Class::]function[case]`; rows that share one run in order.
+# POOL, SCENE, CONFIG and MODEL in argv are the shared inputs, or a private
+# copy of the one the row edits; OUT is a path that must not exist after the
+# run. In the stderr line, {path} and {line} are the edited copy and the
+# line its edits return; a compiled pattern stands only for text that comes
+# from the OS or numpy.
+FAULTS = [
+    ("test_episodes_command_is_gone", ["episodes", "--pool", "POOL", "--n", "4", "--out", "OUT"], None, 64,
+     "pcseg: error: argument command: invalid choice: 'episodes' (choose from 'synth', 'audit', 'train', 'eval')"),
+    *[(f"test_int_flag_beyond_int64_is_usage_error[{argv[0]}{flag}-{value}]", argv + [flag, value], None, 64,
+       f"pcseg {argv[0]}: error: argument {flag}: invalid int64 value: '{value}'")
+      for value in (str(2**63), "99999999999999999999") for argv, flag in INT_FLAGS],
+    *[(f"test_negative_seed_is_usage_error[{argv[0]}]", argv + ["--seed", "-1"], None, 64,
+       f"pcseg {argv[0]}: error: argument --seed: must be >= 0, got -1") for argv in (SYNTH, AUDIT, EVAL)],
+    ("TestSynth::test_bad_counts_are_usage_errors[argv0---blobs]", SYNTH + ["--blobs", "3", "--classes", "2"], None,
+     64, "pcseg: error: argument --blobs: must be <= --classes (2), got 3"),
+    *[(f"TestSynth::test_bad_counts_are_usage_errors[argv{i}-{flag}]", SYNTH + [flag, value], None, 64,
+       f"pcseg synth: error: argument {flag}: must be >= {low}, got {value}")
+      for i, flag, value, low in [(1, "--blobs", "1", 2), (2, "--scenes", "0", 1), (3, "--points", "0", 1)]],
+    ("TestAudit::test_missing_file_exits_2", AUDIT + ["--cloud", "POOL/nope.pcseg"], None, 2,
+     "pcseg: [Errno 2] No such file or directory: '{POOL}/nope.pcseg'"),
+    ("TestAudit::test_out_in_missing_directory_names_the_path", AUDIT + ["--out", "OUT/r.txt"], None, 2,
+     "pcseg: [Errno 2] No such file or directory: '{OUT}/r.txt'"),
+    ("TestAudit::test_bad_flag_exits_64", AUDIT + ["--definitely-not-a-flag"], None, 64,
+     "pcseg: error: unrecognized arguments: --definitely-not-a-flag"),
+    *[(f"TestAudit::test_bad_cloud_exits_2_naming_path_and_line[{n}-{row}]", AUDIT,
+       ("SCENE", put(n, row) if n else add(-1, row)), 2, AT + what) for n, row, what in [
+        (6, "0.1 0.2 0.3 0.5 0.5 0.5", "expected 7 fields, got 6"),
+        (6, "0.1 0.2 0.3 0.5 0.5 0.5 1 9", "expected 7 fields, got 8"),
+        (4, "nan 0.2 0.3 0.5 0.5 0.5 1", "row 'nan 0.2 0.3 0.5 0.5 0.5 1': positions must be finite"),
+        (5, "0.1 0.2 0.3 2.0 0.5 0.5 1", "row '0.1 0.2 0.3 2.0 0.5 0.5 1': colors must lie in [0, 1]"),
+        (None, "0.1 0.2 0.3 0.5 0.5 0.5 1", "more rows than the header's count 450"),
+        (7, "0.1 0.2 0.3 0.5 0.5 0.5 1.5", "row '0.1 0.2 0.3 0.5 0.5 0.5 1.5': labels must be integers"),
+        (8, "0.1 0.2 0.3 0.5 0.5 0.5 -5",
+         "row '0.1 0.2 0.3 0.5 0.5 0.5 -5': labels must be >= -1 (-1 marks unlabeled), got -5"),
+        # Python's float reads these two; np.loadtxt does not
+        (3, "1_0 0 0 0.5 0.5 0.5 1", "cannot read '1_0 0 0 0.5 0.5 0.5 1' as 7 numbers"),
+        (3, "\uff11 0 0 0.5 0.5 0.5 1", "cannot read '\uff11 0 0 0.5 0.5 0.5 1' as 7 numbers"),
+        # `str.isdigit` takes these two; the header count is ASCII digits
+        (1, "PCSEG v1 \u0665", "not a 'PCSEG v1 <count>' header with a count >= 1: 'PCSEG v1 \u0665'"),
+        (1, "PCSEG v1 \u00b2", "not a 'PCSEG v1 <count>' header with a count >= 1: 'PCSEG v1 \u00b2'")]],
+    *[(f"TestAudit::test_zero_count_is_usage_error[{flag}]", AUDIT + [flag, "0"], None, 64,
+       f"pcseg audit: error: argument {flag}: must be >= 1, got 0") for flag in ("--m", "--trials")],
+    ("TestAudit::test_bad_fg_class_is_usage_error[-1]", AUDIT + ["--fg-class", "-1"], None, 64,
+     "pcseg audit: error: argument --fg-class: must be >= 0, got -1"),
+    ("TestAudit::test_bad_fg_class_is_usage_error[9223372036854775808]", AUDIT + ["--fg-class", str(2**63)], None,
+     64, "pcseg audit: error: argument --fg-class: invalid int64 value: '9223372036854775808'"),
+    ("TestAudit::test_absent_fg_class_exits_2", AUDIT + ["--fg-class", "77"], None, 2,
+     "pcseg: {SCENE}: no point has class 77"),
+    # a training run's settings come from its --config file alone
+    (TRAIN_EVAL + "test_train_without_config_or_with_seed_exits_64[no-config]", ["train", "--pool", "POOL",
+     "--out", "OUT"], None, 64, "pcseg train: error: the following arguments are required: --config"),
+    (TRAIN_EVAL + "test_train_without_config_or_with_seed_exits_64[seed-flag]", TRAIN + ["--seed", "3"], None, 64,
+     "pcseg: error: unrecognized arguments: --seed 3"),
+    (TRAIN_EVAL + "test_eval_without_model_exits_64", ["eval", "--pool", "POOL", "--out", "OUT"], None, 64,
+     "pcseg eval: error: the following arguments are required: --model"),
+    # capped to one point, each support cloud is all foreground, so the background way is empty
+    (TRAIN_EVAL + "test_a_support_without_background_names_the_episode", TRAIN,
+     ("CONFIG", put("max_points=", "max_points=1"), put("min_fg_points=", "min_fg_points=1")), 2,
+     "pcseg: episode 0 (seed 13764803076029752189): the support holds no background point"),
+    *[(TRAIN_EVAL + f"test_corrupt_artifact_exits_2_with_one_line[{case}]", EVAL, ("MODEL", edit), 2, AT + what)
+      for case, edit, what in [
+        ("update_counts-<lambda>", put("update_counts=", lambda v: v.rsplit(" ", 1)[0]),
+         "[bank] update_counts needs 3 non-negative entries, one per class id, got '3 2'"),
+        ("decoder.b2-<lambda>", put(("decoder.b2", 2), "nan"), "record decoder.b2 holds a non-finite value"),
+        ("update_counts-beyond-int64", put("update_counts=", lambda v: f"{v} {2**63}"),
+         "cannot parse [bank] update_counts='3 2 3 9223372036854775808'"),
+        ("line-2-not-utf-8", put(2, lambda v: "\udcff" + v), "byte 0xff is not UTF-8 (invalid start byte)"),
+        # in range, but not the [config] momentum that save_model writes alongside it
+        ("bank-momentum-disagrees-with-config", put("[bank] momentum=", "momentum=0.25"),
+         "[bank] momentum=0.25 does not match [config] momentum=0.995")]],
+    # a bad line that is there is named; a deleted key, at the [meta] header
+    *[(TRAIN_EVAL + f"test_bad_meta_exits_2_with_one_line[{case}]", EVAL, ("MODEL", edit), 2, AT + what)
+      for case, edit, what in [
+        ("fold-<lambda>0", drop("fold=", named="[meta]"), "[meta] has no fold= line"),
+        ("fold-<lambda>1", put("fold=", "fold=2"), "[meta] fold must be 0 or 1, got '2'"),
+        ("fold-<lambda>2", put("fold=", "fold=one"), "cannot parse [meta] fold='one'"),
+        ("classes-<lambda>0", drop("classes=", named="[meta]"), "[meta] has no classes= line"),
+        ("classes-<lambda>1", put("classes=", "classes="), "cannot parse [meta] classes=''"),
+        ("classes-<lambda>2", put("classes=", "classes=1,,3"), "cannot parse [meta] classes='1,,3'"),
+        ("classes-<lambda>3", put("classes=", "classes=1"),
+         "[meta] classes=1: need at least 2 classes to split, got 1"),
+        ("classes-<lambda>4", put("classes=", "classes=1,1,1"),
+         "[meta] classes=1,1,1: need at least 2 classes to split, got 1"),
+        ("share_background_fc-<lambda>", put("share_background_fc=", "share_background_fc=1"),
+         "[meta] share_background_fc must be 0 (no shared background layer), got '1'"),
+        ("fodl-<lambda>", add("[meta]", "fodl=1"), "unknown [meta] key 'fodl'")]],  # a misspelled key
+    *[(TRAIN_EVAL + f"test_repeated_key_or_section_exits_2_naming_the_line[{case}]", EVAL, ("MODEL", edit), 2,
+       AT + what) for case, edit, what in [
+        ("meta-repeated-key", add("fold=", "fold=1"), "duplicate [meta] key 'fold'"),
+        ("meta-no-equals", add("[meta]", "fold"), "expected [meta] key=value, got 'fold'"),
+        ("bank-repeated-key", add("update_counts=", "momentum=0.5"), "duplicate [bank] key 'momentum'"),
+        ("bank-unknown-key", add("update_counts=", "bogus=1"), "unknown [bank] key 'bogus'"),
+        ("second-config", add(-1, "[config]"), "repeated section [config]"),
+        ("second-params", add(-1, "[params]"), "repeated section [params]"),
+        ("stray-line-before-sections", add(1, "garbage line"), "expected a [section] header, got 'garbage line'")]],
+    (TRAIN_EVAL + "test_missing_or_extra_record_exits_2_naming_it[params-missing]", EVAL,
+     ("MODEL", drop("stub.w1", 3)), 2, "pcseg: {path}: records mismatch (missing ['stub.w1'], extra [])"),
+    (TRAIN_EVAL + "test_missing_or_extra_record_exits_2_naming_it[bank-extra]", EVAL,  # [bank] is the last section
+     ("MODEL", add(-1, "extra", "1 1", "0")), 2, "pcseg: {path}: records mismatch (missing [], extra ['extra'])"),
+    # a bad --config line is a usage error; the same line in an artifact's [config], an I/O failure
+    *[(TRAIN_EVAL + "test_bad_config_exits_64_but_in_an_artifact_exits_2", argv, edit, code, at + what)
+      for argv, edit, code, at, what in [
+        (TRAIN, ("CONFIG", add(-1, "bogus=1")), 64, USAGE_AT, "unknown config key 'bogus'"),
+        (EVAL, ("MODEL", add("[config]", "bogus=1")), 2, AT, "unknown config key 'bogus'"),
+        (TRAIN, ("CONFIG", put("n_prototypes=", f"n_prototypes={10**20}")), 64, USAGE_AT,
+         f"cannot parse config n_prototypes='{10**20}'"),
+        (EVAL, ("MODEL", put("[config] n_prototypes=", f"n_prototypes={10**20}")), 2, AT,
+         f"cannot parse config n_prototypes='{10**20}'")]],
+    *[(TRAIN_EVAL + f"test_non_finite_config_exits_64_but_in_an_artifact_exits_2[{key}={value}]", argv, edit, code,
+       f"{at}config field {key} must be {rule}, got {value}")
+      for key, value, rule in [("lr", "inf", "finite"), ("grid_size", "inf", "finite"), ("block_size", "inf", "finite"),
+                               ("weight_decay", "nan", ">= 0")]
+      for argv, edit, code, at in [
+        (TRAIN, ("CONFIG", put("lr=", f"lr={value}") if key == "lr" else add(-1, f"{key}={value}")), 64, USAGE_AT),
+        (EVAL, ("MODEL", put(f"[config] {key}=", f"{key}={value}")), 2, AT)]],
+    (TRAIN_EVAL + "test_cell_index_outside_int64_exits_2_naming_the_scene", TRAIN + ["--pool", "SCENE"],
+     ("CONFIG", add(-1, "grid_size=1e-300")), 2, "pcseg: {SCENE}: grid_size=1e-300 puts a cell index outside int64"),
+    # a (10**15, 8) projection exceeds any 48-bit address space, so no host can overcommit it
+    (TRAIN_EVAL + "test_impossible_allocation_exits_2", TRAIN,
+     ("CONFIG", put("n_prototypes=", f"n_prototypes={10**15}")), 2, re.compile(r"pcseg: Unable to allocate .*\n")),
+    *[(TRAIN_EVAL + f"test_eval_episode_count_below_one_is_usage_error[{count}]", EVAL + ["--episodes", count], None,
+       64, f"pcseg eval: error: argument --episodes: must be >= 1, got {count}") for count in ("0", "-1")],
+    (TRAIN_EVAL + "test_overflowing_logits_exit_70", EVAL,
+     ("MODEL", put(("decoder.w2", 2), lambda v: " ".join("1e308" for _ in v.split()))), 70,
+     "pcseg: numeric failure: episode 0: segmentation logits are not finite"),
+    (TRAIN_EVAL + "test_n_way_beyond_the_test_classes_exits_2_naming_them", EVAL, ("MODEL", put("n_way=", "n_way=4")),
+     2, "pcseg: n_way 4 exceeds the 3 classes [1, 3, 5]"),
+    # one episode could draw a scene named twice as both a support shot and the query
+    *[(TRAIN_EVAL + f"test_a_scene_named_twice_in_pool_exits_64[{argv[0]}-{case}]", argv + ["--pool", "POOL", second],
+       None, 64, "pcseg: error: {SCENE}: --pool names this file twice (first as {SCENE})")
+      for argv in (TRAIN, EVAL) for case, second in [("dir", "POOL"), ("dir/scene_000.pcseg", "SCENE")]],
+    *[(TRAIN_EVAL + f"test_meta_split_that_disagrees_with_the_bank_exits_2[{case}]", EVAL, ("MODEL", edit), 2,
+       AT + "[bank] class_ids=" + what) for case, edit, what in [
+        ("fold", put("fold=", "fold=1", named="class_ids="), "2,4,6 do not match [meta]: fold 1 trains on 1,3,5"),
+        # the last class dropped
+        ("classes", put("classes=", "classes=1,2,3,4,5", named="class_ids="),
+         "2,4,6 do not match [meta]: fold 0 trains on 2,4"),
+        # the fold's test classes
+        ("class_ids", put("class_ids=", "class_ids=1,3,5"), "1,3,5 do not match [meta]: fold 0 trains on 2,4,6"),
+        # a class repeated: one id more than update_counts
+        ("class_ids-repeated", put("class_ids=", "class_ids=2,4,6,2"),
+         "2,4,6,2 do not match [meta]: fold 0 trains on 2,4,6")]],
+    # model artifacts: each record's values and shape, and each [meta] and [bank] key
+    (ARTIFACT + "test_short_update_counts_rejected", EVAL, ("MODEL", put("update_counts=", lambda v: v.split()[0])), 2,
+     AT + "[bank] update_counts needs 3 non-negative entries, one per class id, got '3'"),
+    (ARTIFACT + "test_non_finite_parameter_rejected", EVAL, ("MODEL", put(("decoder.b2", 2), "-inf")), 2,
+     AT + "record decoder.b2 holds a non-finite value"),
+    (ARTIFACT + "test_non_finite_prototype_rejected", EVAL,
+     ("MODEL", put(("prototypes", 2), lambda v: "inf " + v.split(" ", 1)[1])), 2,
+     AT + "record prototypes holds a non-finite value"),
+    (ARTIFACT + "test_value_count_checked_against_shape", EVAL,
+     ("MODEL", put(("stub.b1", 2), lambda v: v.rsplit(" ", 1)[0])), 2, AT + "record stub.b1: 7 values for shape (8,)"),
+    (ARTIFACT + "test_prototype_shape_checked_against_class_ids", EVAL,
+     ("MODEL", put("classes=", "classes=1,2,3,4,5,6,7,8"), put("class_ids=", "class_ids=2,4,6,8"),
+      put("update_counts=", "update_counts=0 0 0 0", named=("prototypes", 1))), 2,
+     AT + "record prototypes has shape (3, 8), expected (4, 8)"),
+    *[(ARTIFACT + "test_shared_background_fc_must_be_zero", EVAL,
+       ("MODEL", put("share_background_fc=", f"share_background_fc={value}")), 2,
+       AT + f"[meta] share_background_fc must be 0 (no shared background layer), got '{value}'")
+      for value in ("true", "")],
+    (ARTIFACT + "test_bank_momentum_out_of_range_rejected", EVAL, ("MODEL", put("[bank] momentum=", "momentum=1.5")), 2,
+     AT + "[bank] momentum=1.5 does not match [config] momentum=0.995"),
+    *[(ARTIFACT + f"test_missing_bank_key_named_at_the_bank_header[{key}]", EVAL,
+       ("MODEL", drop(f"[bank] {key}=", named="[bank]")), 2, AT + f"[bank] has no {key}= line")
+      for key in ("class_ids", "momentum", "update_counts")],
+    (ARTIFACT + "test_dropped_header_line_rejected", EVAL, ("MODEL", drop(("stub.w1", 1))), 2,
+     AT + "record stub.w1: malformed header (expected 'rank d0 d1 ...')"),
+    (ARTIFACT + "test_missing_record_rejected", EVAL, ("MODEL", drop("decoder.b2", 3)), 2,
+     "pcseg: {path}: records mismatch (missing ['decoder.b2'], extra [])"),
+    # faults no other row reaches
+    ("test_fault[config-not-utf-8]", TRAIN, ("CONFIG", put(2, lambda v: "\udcff" + v)), 64,
+     USAGE_AT + "byte 0xff is not UTF-8 (invalid start byte)"),
+    ("test_fault[heads-not-a-divisor-of-dim]", TRAIN, ("CONFIG", put("dim=", "dim=10"), put("heads=", "heads=4")), 64,
+     USAGE_AT + "config field heads must be a divisor of dim, got 4"),
+    ("test_fault[cloud-not-utf-8]", AUDIT, ("SCENE", put(2, lambda v: "\udcff" + v)), 2,
+     AT + "byte 0xff is not UTF-8 (invalid start byte)"),
+    ("test_fault[pool-without-two-labeled-classes]", TRAIN + ["--pool", "SCENE"], ("SCENE", _unlabeled), 2,
+     "pcseg: --pool {path} holds 0 labeled classes; a split needs at least 2"),
+]
+PLACEHOLDER = re.compile(r"\b(POOL|SCENE|CONFIG|MODEL|OUT)\b")
+
+
+def check_fault(row, inputs, tmp_path, capsys):
+    """Run one FAULTS row and check the contract: its exit code, its whole
+    stderr as one line, no --out path left behind, and every input it names,
+    shared or edited, unchanged by the run."""
+    _, argv, edit, code, err = row
+    tmp_path.mkdir()
+    paths, named = dict(inputs, OUT=str(tmp_path / "out")), {}
+    if edit:
+        name, *steps = edit
+        source = Path(paths[name])
+        lines = source.read_bytes().decode("utf-8", "surrogateescape").splitlines()
+        for step in steps:
+            named["line"] = step(lines)
+        paths[name] = named["path"] = str(tmp_path / f"bad{source.suffix}")
+        Path(paths[name]).write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+    argv = [PLACEHOLDER.sub(lambda m: paths[m[0]], arg) for arg in argv]
+    files = [f for arg in [*argv, *inputs.values()]
+             for f in (sorted(Path(arg).iterdir()) if Path(arg).is_dir() else [Path(arg)]) if f.is_file()]
+    before = {f: f.read_bytes() for f in files}
+    capsys.readouterr()
+    # numpy prints its own overflow warning on the way to a non-finite logit; here it is silenced
+    with np.errstate(all="ignore") if code == EXIT_NUMERIC else contextlib.nullcontext():
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+    stderr = capsys.readouterr().err
+    assert got == code, stderr
+    if isinstance(err, re.Pattern):
+        assert err.fullmatch(stderr), stderr
+    else:
+        assert stderr == err.format(**paths, **named) + "\n"
+    assert not [out for flag, out in zip(argv, argv[1:]) if flag == "--out" and os.path.lexists(out)]
+    assert {f: f.read_bytes() for f in files} == before
+
+
+def _as_test(rows):
+    """One test that runs `rows`, (case, row) pairs, parametrized by case
+    unless every case is None."""
+    cases = {}
+    for case, row in rows:
+        cases.setdefault(case, []).append(row)
+
+    def test(cli_inputs, tmp_path, capsys, case):
+        for i, row in enumerate(cases[case]):
+            check_fault(row, cli_inputs, tmp_path / str(i), capsys)
+
+    if list(cases) == [None]:
+        return lambda cli_inputs, tmp_path, capsys: test(cli_inputs, tmp_path, capsys, None)
+    return pytest.mark.parametrize("case", list(cases))(test)
+
+
+def bind_faults(namespace):
+    """Make each FAULTS test whose class `namespace` defines a test of that
+    class; this module also takes the tests without a class."""
+    groups = {}
+    for row in FAULTS:
+        name, _, case = row[0].removesuffix("]").partition("[")
+        groups.setdefault(name, []).append((case or None, row))
+    for name, rows in groups.items():
+        cls, _, test = name.rpartition("::")
+        if cls in namespace:
+            setattr(namespace[cls], test, staticmethod(_as_test(rows)))
+        elif not cls and namespace is globals():
+            namespace[test] = _as_test(rows)
+
+
+bind_faults(globals())

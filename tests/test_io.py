@@ -15,9 +15,10 @@ import pcseg.io as pio
 import pcseg.tensor as T
 from pcseg.config import PlacedError, RunConfig, format_pairs, parse_pairs
 from pcseg.episodes import make_split
-from pcseg.model import BasePrototypeBank, ModelParams, forward, meta_train
+from pcseg.model import forward, meta_train
 from pcseg.episodes import generate_episode
 from pcseg.synth import make_pool, synth_scene
+from test_cli import bind_faults
 
 
 class TestCloudFormat:
@@ -528,132 +529,19 @@ class TestModelArtifact:
         pio.save_model(b, result.params, result.bank, config, meta)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_missing_record_rejected(self, tmp_path):
-        rng = np.random.default_rng(0)
-        params = ModelParams.create(rng, 8, 4, 1, 1, n_base=2)
-        bank = BasePrototypeBank.zeros([2, 4], 8)
-        config = RunConfig(dim=8, n_prototypes=4, hca_layers=1)
-        path = tmp_path / "model.txt"
-        meta = {"fold": 0, "classes": "1,2,3,4"}
-        text = pio.format_model(params, bank, config, meta)
-        # drop one parameter record (3 lines)
-        lines = text.splitlines()
-        idx = lines.index("stub.w1")
-        broken = "\n".join(lines[:idx] + lines[idx + 3 :]) + "\n"
-        path.write_text(broken)
-        with pytest.raises(ValueError, match="mismatch"):
-            pio.load_model(path)
-
-    @staticmethod
-    def _artifact_lines():
-        rng = np.random.default_rng(0)
-        params = ModelParams.create(rng, 8, 4, 1, 1, n_base=2)
-        bank = BasePrototypeBank.zeros([2, 4], 8)
-        bank.apply_update(2, np.ones(8), 0.995)
-        config = RunConfig(dim=8, n_prototypes=4, hca_layers=1)
-        meta = {"fold": 0, "classes": "1,2,3,4"}
-        return pio.format_model(params, bank, config, meta).splitlines()
-
-    def _load_broken(self, tmp_path, lines):
-        path = tmp_path / "broken.model"
-        path.write_text("\n".join(lines) + "\n")
-        return path
-
-    def test_short_update_counts_rejected(self, tmp_path):
-        lines = self._artifact_lines()
-        idx = lines.index("update_counts=1 0")
-        lines[idx] = "update_counts=1"
-        path = self._load_broken(tmp_path, lines)
-        with pytest.raises(ValueError, match=rf"^{path}:{idx + 1}: \[bank\] update_counts needs 2 .*, got '1'$"):
-            pio.load_model(path)
-
-    def test_non_finite_parameter_rejected(self, tmp_path):
-        lines = self._artifact_lines()
-        idx = lines.index("decoder.b2")
-        lines[idx + 2] = "nan"
-        path = self._load_broken(tmp_path, lines)
-        with pytest.raises(ValueError, match=rf"^{path}:{idx + 3}: record decoder\.b2 holds a non-finite value$"):
-            pio.load_model(path)
-
-    def test_non_finite_prototype_rejected(self, tmp_path):
-        lines = self._artifact_lines()
-        idx = lines.index("prototypes")
-        lines[idx + 2] = lines[idx + 2].replace("1", "inf", 1)
-        path = self._load_broken(tmp_path, lines)
-        with pytest.raises(ValueError, match=rf"^{path}:{idx + 3}: record prototypes holds a non-finite value$"):
-            pio.load_model(path)
-
-    def test_value_count_checked_against_shape(self, tmp_path):
-        lines = self._artifact_lines()
-        idx = lines.index("stub.b1")
-        lines[idx + 2] = lines[idx + 2].rsplit(" ", 1)[0]  # one value short
-        path = self._load_broken(tmp_path, lines)
-        with pytest.raises(ValueError, match=rf"^{path}:{idx + 3}: record stub\.b1: 7 values for shape \(8,\)$"):
-            pio.load_model(path)
-
-    def test_prototype_shape_checked_against_class_ids(self, tmp_path):
-        lines = self._artifact_lines()
-        lines[lines.index("classes=1,2,3,4")] = "classes=1,2,3,4,5,6"  # fold 0 trains on 2,4,6
-        idx = lines.index("class_ids=2,4")
-        lines[idx] = "class_ids=2,4,6"
-        lines[idx + 2] = "update_counts=1 0 0"
-        path = self._load_broken(tmp_path, lines)
-        header = lines.index("prototypes") + 2
-        with pytest.raises(ValueError, match=rf"^{path}:{header}: record prototypes has shape \(2, 8\), expected \(3, 8\)$"):
-            pio.load_model(path)
-
-    def test_shared_background_fc_must_be_zero(self, tmp_path):
-        lines = self._artifact_lines()
-        assert lines[lines.index("[meta]") + 3] == "share_background_fc=0"  # written for format compatibility
-        assert pio.load_model(self._load_broken(tmp_path, lines))[3] == {"classes": "1,2,3,4", "fold": "0"}
-        idx = lines.index("[meta]") + 3
-        for value in ("1", "true", ""):
-            lines[idx] = f"share_background_fc={value}"
-            path = self._load_broken(tmp_path, lines)
-            with pytest.raises(ValueError,
-                               match=rf"^{path}:{idx + 1}: \[meta\] share_background_fc must be 0 .*, got '{value}'$"):
-                pio.load_model(path)
+    _LINES = _untrained_artifact_lines()
 
     def test_comments_and_blanks_in_key_value_heads_skipped(self, tmp_path):
-        lines = self._artifact_lines()
-        _, bank0, config0, meta0 = pio.load_model(self._load_broken(tmp_path, lines))
+        path, lines = tmp_path / "model.txt", list(self._LINES)
+        path.write_text("\n".join(lines) + "\n")
+        _, bank0, config0, meta0 = pio.load_model(path)
         for header in ("[meta]", "[bank]"):
             lines[lines.index(header) + 1:lines.index(header) + 1] = ["# a note", ""]
-        _, bank, config, meta = pio.load_model(self._load_broken(tmp_path, lines))
+        path.write_text("\n".join(lines) + "\n")
+        _, bank, config, meta = pio.load_model(path)
         assert meta == meta0 and config == config0
         assert bank.class_ids == bank0.class_ids
         np.testing.assert_array_equal(bank.update_counts, bank0.update_counts)
-
-    def test_bank_momentum_out_of_range_rejected(self, tmp_path):
-        lines = self._artifact_lines()
-        idx = lines.index("momentum=0.995", lines.index("[bank]"))
-        lines[idx] = "momentum=1.5"
-        path = self._load_broken(tmp_path, lines)
-        message = rf"^{path}:{idx + 1}: \[bank\] momentum=1.5 does not match \[config\] momentum=0.995$"
-        with pytest.raises(ValueError, match=message):
-            pio.load_model(path)
-
-    # a missing [meta] key is checked through the CLI in test_bad_meta_exits_2_with_one_line
-    @pytest.mark.parametrize("key", ["class_ids", "momentum", "update_counts"])
-    def test_missing_bank_key_named_at_the_bank_header(self, tmp_path, key):
-        lines = self._artifact_lines()
-        header = lines.index("[bank]")
-        del lines[next(i for i in range(header, len(lines)) if lines[i].startswith(f"{key}="))]
-        path = self._load_broken(tmp_path, lines)
-        with pytest.raises(ValueError) as exc:
-            pio.load_model(path)
-        assert str(exc.value) == f"{path}:{header + 1}: [bank] has no {key}= line"
-
-    def test_dropped_header_line_rejected(self, tmp_path):
-        lines = self._artifact_lines()
-        idx = lines.index("stub.w1")
-        del lines[idx + 1]
-        path = self._load_broken(tmp_path, lines)
-        message = rf"^{path}:{idx + 2}: record stub\.w1: malformed header \(expected 'rank d0 d1 \.\.\.'\)$"
-        with pytest.raises(ValueError, match=message):
-            pio.load_model(path)
-
-    _LINES = _untrained_artifact_lines()
 
     # [config] is left alone, so no drawn size can allocate
     @pytest.mark.parametrize("section, key", [
@@ -682,3 +570,7 @@ class TestModelArtifact:
         except ValueError as exc:
             message = str(exc)
             assert message.startswith(str(path)) and "\n" not in message, message
+
+
+# the artifact faults load_model names are rows of FAULTS, run through the CLI
+bind_faults(globals())
