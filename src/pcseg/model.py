@@ -340,6 +340,13 @@ def _raise_malloc_thresholds() -> None:
     np.empty(4_000_000)
 
 
+def _quiet_numpy():
+    """numpy's overflow, invalid and divide warnings off. Training and
+    evaluation turn a non-finite loss, gradient, update or logit into one
+    NonFiniteLossError naming its episode, so the warnings add nothing."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 def episode_stream(pool, split: ClassSplit, phase: str, config, seed: int, n: int):
     """Episodes 0..n-1 of the phase's seeded stream at the config's way,
     shot, foreground floor and point cap; episode i is built from
@@ -398,8 +405,8 @@ def meta_train(pool, split: ClassSplit, config) -> TrainResult:
 
     Per episode: backprop `episode_loss`, one AdamW step, then a bank
     update from the support and query features. Raises NonFiniteLossError
-    with the episode index if the loss or a gradient degenerates; a bad
-    gradient leaves the parameters untouched.
+    with the episode index if the loss, a gradient or an update is not
+    finite; a bad step leaves the parameters untouched.
     """
     _raise_malloc_thresholds()
     rng = np.random.default_rng(derive_seed(config.seed, "init"))
@@ -408,19 +415,20 @@ def meta_train(pool, split: ClassSplit, config) -> TrainResult:
     opt = T.AdamW(params.parameters(), lr=config.lr, weight_decay=config.weight_decay)
     losses: list[float] = []
     episodes = episode_stream(pool, split, "train", config, config.seed, config.episodes)
-    for i, episode in enumerate(episodes):
-        step_loss, features = episode_loss(episode, params, bank)
-        value = float(step_loss.data)
-        if not math.isfinite(value):
-            raise NonFiniteLossError(f"episode {i}: loss is {value}")
-        opt.zero_grad()
-        step_loss.backward()
-        try:
-            opt.step()
-        except T.NonFiniteGradientError as exc:
-            raise NonFiniteLossError(f"episode {i}: {exc}") from None
-        _update_bank_from_episode(bank, episode, features, config.momentum)
-        losses.append(value)
+    with _quiet_numpy():
+        for i, episode in enumerate(episodes):
+            step_loss, features = episode_loss(episode, params, bank)
+            value = float(step_loss.data)
+            if not math.isfinite(value):
+                raise NonFiniteLossError(f"episode {i}: loss is {value}")
+            opt.zero_grad()
+            step_loss.backward()
+            try:
+                opt.step()
+            except T.NonFiniteGradientError as exc:
+                raise NonFiniteLossError(f"episode {i}: {exc}") from None
+            _update_bank_from_episode(bank, episode, features, config.momentum)
+            losses.append(value)
     return TrainResult(params=params, bank=bank, losses=losses)
 
 
@@ -482,7 +490,7 @@ def evaluate(
 
     def predictions():
         for i, episode in enumerate(episode_stream(pool, split, "test", config, seed, n_episodes)):
-            with T.no_grad():
+            with T.no_grad(), _quiet_numpy():
                 seg_logits = forward(episode, params, bank, ())[0]
             if not np.isfinite(seg_logits.data).all():
                 raise NonFiniteLossError(f"episode {i}: segmentation logits are not finite")

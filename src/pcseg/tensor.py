@@ -545,7 +545,8 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 # ---------------------------------------------------------------------------
 
 class NonFiniteGradientError(ArithmeticError):
-    """A gradient handed to the optimizer holds a NaN or an infinity."""
+    """A step would read a NaN or infinite gradient, or leave a parameter
+    or a moment NaN or infinite."""
 
 
 class AdamW:
@@ -582,28 +583,37 @@ class AdamW:
             p.grad = None
 
     def step(self):
-        """One update; raises NonFiniteGradientError, touching nothing, on a
-        NaN or infinite gradient."""
+        """One update, computed aside and committed only if the parameters
+        and both moments stay finite. Raises NonFiniteGradientError, touching
+        nothing, naming the first parameter whose gradient or, with a finite
+        gradient, whose update is not finite."""
         g = self._grad
         for p, sl in zip(self.params, self._slices):
             g[sl] = 0.0 if p.grad is None else p.grad.reshape(-1)
-        if not np.isfinite(g).all():
-            bad = next(p for p, sl in zip(self.params, self._slices) if not np.isfinite(g[sl]).all())
-            raise NonFiniteGradientError(f"gradient of {bad.name} is not finite")
-        self.step_count += 1
+        self._raise_at_first_non_finite("gradient", g)
+        t = self.step_count + 1
         b1, b2 = _ADAM_BETAS
-        m, v = self._m, self._v
-        m *= b1
+        m = self._m * b1
         m += (1 - b1) * g
-        v *= b2
+        v = self._v * b2
         g2 = (1 - b2) * g
         g2 *= g
         v += g2
-        mhat = m / (1 - b1 ** self.step_count)
-        vhat = np.divide(v, 1 - b2 ** self.step_count, out=g2)
+        mhat = m / (1 - b1 ** t)
+        vhat = np.divide(v, 1 - b2 ** t, out=g2)
         np.sqrt(vhat, out=vhat)
         vhat += _ADAM_EPS
         mhat *= self.lr
         mhat /= vhat
-        self._flat *= 1.0 - self.lr * self.weight_decay
-        self._flat -= mhat
+        flat = self._flat * (1.0 - self.lr * self.weight_decay)
+        flat -= mhat
+        self._raise_at_first_non_finite("update", m, v, flat)
+        self.step_count = t
+        self._m, self._v = m, v
+        self._flat[...] = flat
+
+    def _raise_at_first_non_finite(self, what, *flats):
+        if all(np.isfinite(a).all() for a in flats):
+            return
+        bad = next(p for p, sl in zip(self.params, self._slices) if not all(np.isfinite(a[sl]).all() for a in flats))
+        raise NonFiniteGradientError(f"{what} of {bad.name} is not finite")
