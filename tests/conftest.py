@@ -39,9 +39,10 @@ def split8():
     return make_split(range(1, 9), 0)
 
 
-@pytest.fixture()
+@pytest.fixture(scope="session")
 def fast_config():
-    """Small, quick config for unit tests (not the acceptance run)."""
+    """Small, quick config for unit tests (not the acceptance run); shared,
+    as `RunConfig` is frozen."""
     return RunConfig(
         seed=5,
         dim=16,

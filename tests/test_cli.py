@@ -89,12 +89,8 @@ class TestAudit:
 
 
 class TestTrainEval:
-    def test_train_writes_artifact(self, scene_dir, config_path, tmp_path):
-        out = tmp_path / "model.txt"
-        code = main(["train", "--pool", str(scene_dir), "--config", str(config_path),
-                     "--out", str(out)])
-        assert code == EXIT_OK
-        assert out.read_text().startswith("PCSEG-MODEL v1")
+    def test_train_writes_artifact(self, tiny_model):
+        assert tiny_model.read_text().startswith("PCSEG-MODEL v1")
 
     def test_zero_episode_artifact_equals_initialization(self, scene_dir, tmp_path):
         cfg = tmp_path / "zero.cfg"

@@ -1,4 +1,5 @@
-"""Golden hashes: the SHA-256 of every CLI command's output at fixed seeds.
+"""Golden hashes: the SHA-256 of every CLI command's output at fixed seeds,
+and the functions of `src/pcseg` those commands enter.
 
 `test_cli.py` compares two runs of the same code with each other, so a
 change that both runs share passes there. These hashes were taken once
@@ -7,16 +8,30 @@ A change that moves the numbers on purpose regenerates them (each failure
 names the hash it got) and says which ones moved and why.
 
 Every command runs in a temporary working directory on relative paths,
-because audit reports name their input files.
+because audit reports name their input files. They run once, in process
+under `sys.settrace`, and that one run gives both the hashes and the reach
+check: with three commands that fail (an `audit` of a cloud with a color
+out of range, one of a cloud with a byte that is not UTF-8, and a
+`synth --scenes 0` that argparse rejects), the CLI must enter every
+module-level function and method of `pcseg` but those in UNREACHED, each
+with its reason, and every entry of UNREACHED must still go unentered. So
+code that nothing runs fails here, and so does an entry that code has
+started to reach: the list only shrinks, as code is deleted.
 """
 
+import contextlib
 import hashlib
+import importlib
+import inspect
 import os
+import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
 
-from pcseg.cli import EXIT_OK, main
+import pcseg
+from pcseg.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 CONFIG = """\
 seed=11
@@ -61,6 +76,13 @@ GOLDEN = {
     "eval 2-way 3-shot": "b17f114056f0db525903c69d3db9bfd41e4ede74770af6b9d239b673a45666dc",
 }
 
+UNREACHED = {
+    "tensor.Tensor.__repr__": "for a reader at a prompt",
+    "tensor.Parameter.__repr__": "for a reader at a prompt",
+}
+
+SRC = str(Path(pcseg.__file__).parent)
+
 
 def _sha(*paths) -> str:
     h = hashlib.sha256()
@@ -95,13 +117,56 @@ def run_commands() -> dict[str, int]:
     return {name: main(argv) for name, argv in COMMANDS.items()}
 
 
+@contextlib.contextmanager
+def traced():
+    """Collect the code object of every `pcseg` function entered inside the block."""
+    entered = set()
+
+    def trace_calls(frame, event, arg):
+        if frame.f_code.co_filename.startswith(SRC):
+            entered.add(frame.f_code)
+        # no local trace function: lines are not traced
+
+    previous = sys.gettrace()
+    sys.settrace(trace_calls)
+    try:
+        yield entered
+    finally:
+        sys.settrace(previous)
+
+
+def defined_functions() -> dict:
+    """Code object -> `module.qualname` of every module-level function and
+    method that a `pcseg` module defines in its own source."""
+    out = {}
+    for info in pkgutil.iter_modules(pcseg.__path__):
+        module = importlib.import_module(f"pcseg.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = list(vars(obj).values()) if inspect.isclass(obj) else [obj]
+            for member in members:
+                if isinstance(member, property):
+                    functions = [member.fget, member.fset, member.fdel]
+                else:
+                    # a classmethod's function, or the one a decorator such as contextmanager wraps
+                    functions = [inspect.unwrap(getattr(member, "__func__", member))]
+                for fn in functions:
+                    if inspect.isfunction(fn) and fn.__code__.co_filename.startswith(SRC):
+                        out[fn.__code__] = f"{info.name}.{fn.__qualname__}"
+    return out
+
+
 @pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
+def golden_run(tmp_path_factory):
+    """Every command run once, traced: the exit codes, the output hashes and
+    the `pcseg` code objects entered."""
     work = tmp_path_factory.mktemp("golden")
     cwd = os.getcwd()
     os.chdir(work)
     try:
-        codes = run_commands()
+        with traced() as entered:
+            codes = run_commands()
         hashes = {
             "synth": _sha(*sorted(Path("scenes").glob("*.pcseg"))),
             "audit": _sha("audit.txt"),
@@ -113,11 +178,28 @@ def outputs(tmp_path_factory):
         }
     finally:
         os.chdir(cwd)
-    return codes, hashes
+    return codes, hashes, entered
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
-def test_output_hash_is_pinned(outputs, command):
-    codes, hashes = outputs
+def test_output_hash_is_pinned(golden_run, command):
+    codes, hashes, _ = golden_run
     assert codes[command] == EXIT_OK
     assert hashes[command] == GOLDEN[command], f"{command}: output hash is now {hashes[command]}"
+
+
+def test_cli_enters_every_function_but_the_listed(golden_run, tmp_path, monkeypatch):
+    codes, _, entered = golden_run
+    monkeypatch.chdir(tmp_path)
+    Path("bad_color.pcseg").write_text("PCSEG v1 1\n0 0 0 1.5 0 0 1\n")
+    Path("bad_byte.pcseg").write_bytes(b"PCSEG v1 1\n0 0 0 0 0 0 \xff\n")
+    with traced() as failing:
+        bad_cloud = main(["audit", "--cloud", "bad_color.pcseg", "--fg-class", "1", "--out", "a.txt"])
+        bad_byte = main(["audit", "--cloud", "bad_byte.pcseg", "--fg-class", "1", "--out", "a.txt"])
+        with pytest.raises(SystemExit) as bad_flag:
+            main(["synth", "--out", "none", "--scenes", "0"])
+
+    assert set(codes.values()) == {EXIT_OK}, codes
+    assert (bad_cloud, bad_byte, bad_flag.value.code) == (EXIT_IO, EXIT_IO, EXIT_USAGE)
+    never_entered = {name for code, name in defined_functions().items() if code not in entered | failing}
+    assert never_entered == set(UNREACHED)

@@ -1,6 +1,7 @@
 """Model pieces: prototypes, correlations, guidance, calibration,
 refinement layers, forward/loss, the bank, and the training loop."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -434,9 +435,18 @@ class TestEndToEndGradient:
         assert calls
 
 
+@pytest.fixture(scope="module")
+def untrained(pool8, split8, fast_config):
+    """`meta_train` at `fast_config`'s 0 episodes on `pool8`, run once: the
+    model at its init and a zero bank, with every array made read-only."""
+    result = meta_train(pool8, split8, fast_config)
+    for array in [p.data for p in result.params.parameters()] + [result.bank.prototypes, result.bank.update_counts]:
+        array.flags.writeable = False
+    return result
+
+
 class TestMetaTrain:
-    def test_zero_episodes_leaves_init(self, pool8, split8, fast_config):
-        result = meta_train(pool8, split8, fast_config)
+    def test_zero_episodes_leaves_init(self, untrained, split8, fast_config):
         fresh = ModelParams.create(
             np.random.default_rng(derive_seed(fast_config.seed, "init")),
             dim=fast_config.dim,
@@ -445,11 +455,11 @@ class TestMetaTrain:
             heads=fast_config.heads,
             n_base=len(split8.train_classes),
         )
-        for got, want in zip(result.params.parameters(), fresh.parameters()):
+        for got, want in zip(untrained.params.parameters(), fresh.parameters()):
             assert got.name == want.name
             np.testing.assert_array_equal(got.data, want.data)
-        assert (result.bank.prototypes == 0).all()
-        assert result.losses == []
+        assert (untrained.bank.prototypes == 0).all()
+        assert untrained.losses == []
 
     def test_draws_the_train_stream(self, pool8, split8, fast_config, monkeypatch):
         from pcseg import model as M
@@ -600,21 +610,19 @@ class TestEvaluate:
         assert set(result.per_class) <= set(split8.test_classes)
         assert all(iou == 1.0 for iou in result.per_class.values())
 
-    def test_scores_the_test_stream(self, pool8, split8, fast_config, monkeypatch):
+    def test_scores_the_test_stream(self, pool8, split8, fast_config, untrained, monkeypatch):
         from pcseg import model as M
 
-        trained = meta_train(pool8, split8, fast_config)
         seed = fast_config.seed + 3  # the argument picks the stream, not the config's seed
         want = [episode_key(ep) for ep in M.episode_stream(pool8, split8, "test", fast_config, seed, 4)]
         drawn = spy_episodes(monkeypatch)
-        result = M.evaluate(pool8, split8, trained.params, trained.bank, fast_config, 4, seed)
+        result = M.evaluate(pool8, split8, untrained.params, untrained.bank, fast_config, 4, seed)
         assert [episode_key(ep) for ep in drawn] == want
         assert result.n_episodes == 4
 
-    def test_non_finite_logits_raise(self, pool8, split8, fast_config, monkeypatch):
+    def test_non_finite_logits_raise(self, pool8, split8, fast_config, untrained, monkeypatch):
         from pcseg import model as M
 
-        result = meta_train(pool8, split8, fast_config)
         real_forward = M.forward
 
         def nan_forward(*args, **kwargs):
@@ -624,12 +632,11 @@ class TestEvaluate:
 
         monkeypatch.setattr(M, "forward", nan_forward)
         with pytest.raises(M.NonFiniteLossError, match="episode 0: segmentation logits"):
-            M.evaluate(pool8, split8, result.params, result.bank, fast_config, 3, seed=1)
+            M.evaluate(pool8, split8, untrained.params, untrained.bank, fast_config, 3, seed=1)
 
-    def test_builds_no_graph(self, pool8, split8, fast_config, monkeypatch):
+    def test_builds_no_graph(self, pool8, split8, fast_config, untrained, monkeypatch):
         from pcseg import model as M
 
-        result = meta_train(pool8, split8, fast_config)
         kept = []
         real_forward = M.forward
 
@@ -648,7 +655,7 @@ class TestEvaluate:
 
         monkeypatch.setattr(M, "forward", keep)
         monkeypatch.setattr(T.Tensor, "__init__", counting_init)
-        M.evaluate(pool8, split8, result.params, result.bank, fast_config, 3, seed=1)
+        M.evaluate(pool8, split8, untrained.params, untrained.bank, fast_config, 3, seed=1)
         assert len(kept) == 3
         for seg, features in kept:
             for t in [seg, *features]:
@@ -777,3 +784,46 @@ def test_guidance_parity_report(acceptance_pool):
     for seed, fold, train, test in rows:
         print(f"| {seed} | {fold} | {train:.3f} | {test:.3f} |")
     assert all(0.0 <= auc <= 1.0 for row in rows for auc in row[2:])
+
+
+def test_way_and_shot_order_report(acceptance_pool):
+    """How much `forward` depends on the order an episode lists its ways and
+    each way's shots in: the logits of 100 test episodes as listed against
+    those of the same episodes listed in reverse, with the foreground
+    columns mapped back, at 2-way 1-shot and at 1-way 3-shot. The params are
+    `TOY_CONFIG`'s init at seed 3 and the bank is zero. ProtoNet's prototype
+    (arXiv 1703.05175) is a mean over the shots, so it is invariant to their
+    order by construction; these rows measure how far the multi-prototype
+    extraction is from that. The table is printed (run with -s); nothing is
+    gated yet."""
+    from pcseg import model as M
+    from test_acceptance import TOY_CONFIG
+
+    split = make_split(range(1, 9), 0)
+    params = ModelParams.for_config(np.random.default_rng(derive_seed(TOY_CONFIG.seed, "init")), TOY_CONFIG,
+                                    len(split.train_classes))
+    bank = BasePrototypeBank.zeros(split.train_classes, TOY_CONFIG.dim)
+    rows = []
+    with T.no_grad():
+        for n_way, k_shot in ((2, 1), (1, 3)):
+            config = RunConfig(**{**TOY_CONFIG.__dict__, "n_way": n_way, "k_shot": k_shot})
+            back = [0, *range(n_way, 0, -1)]  # the reversed listing's columns in listed order
+            deltas, moved, points, listed_pairs, reversed_pairs = [], 0, 0, [], []
+            for ep in episode_stream(acceptance_pool, split, "test", config, 999, 100):
+                listed = forward(ep, params, bank, ())[0].data
+                # `forward` reads only the support and the query
+                flipped = dataclasses.replace(ep, support=[way[::-1] for way in ep.support[::-1]])
+                reverse = forward(flipped, params, bank, ())[0].data[:, back]
+                deltas.append(np.abs(listed - reverse).max())
+                moved += int((listed.argmax(axis=1) != reverse.argmax(axis=1)).sum())
+                points += len(listed)
+                listed_pairs.append((listed.argmax(axis=1), ep))
+                reversed_pairs.append((reverse.argmax(axis=1), ep))
+            rows.append((f"{n_way}-way {k_shot}-shot", np.median(deltas), max(deltas), moved, points,
+                         M.score(listed_pairs).episode_miou_mean, M.score(reversed_pairs).episode_miou_mean))
+    print("\nway and shot order at init, 100 test episodes, ways and shots listed in reverse\n"
+          "| task | max \\|Δ logit\\| (median / max over episodes) | query points whose argmax moves |"
+          " episode mIoU, as listed / reversed |")
+    for task, median, worst, moved, points, as_listed, as_reversed in rows:
+        print(f"| {task} | {median:.2f} / {worst:.2f} | {moved} of {points:,} | {as_listed:.3f} / {as_reversed:.3f} |")
+    assert all(np.isfinite(row[1:]).all() for row in rows)
