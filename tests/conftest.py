@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import settings
 
+import experiments
 from pcseg.cli import EXIT_OK, main
 from pcseg.config import RunConfig
 from pcseg.episodes import make_split
@@ -13,25 +14,17 @@ settings.register_profile("tier1", deadline=None, print_blob=True)
 settings.load_profile("tier1")
 
 
-def _read_only(pool):
-    """`pool` with every array made read-only: a test that writes into a
-    shared cloud fails at the write, not in a later test that reads it."""
-    for cloud in pool:
-        for array in (cloud.positions, cloud.colors, cloud.labels):
-            array.flags.writeable = False
-    return pool
-
-
 @pytest.fixture(scope="session")
 def pool8():
     """Shared 8-class blob pool."""
-    return _read_only(make_pool(77, 20, range(1, 9), blobs_per_scene=3, points_per_blob=300))
+    return experiments.read_only_pool(make_pool(77, 20, range(1, 9), blobs_per_scene=3, points_per_blob=300))
 
 
 @pytest.fixture(scope="session")
 def acceptance_pool():
-    """The 24-scene pool the acceptance run trains on."""
-    return _read_only(make_pool(42, 24, range(1, 9), blobs_per_scene=3, points_per_blob=400))
+    """The 24-scene pool the acceptance run trains on, as the cells of
+    `experiments` train on it."""
+    return experiments.acceptance_pool()
 
 
 @pytest.fixture(scope="session")

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import pcseg.tensor as T
+from experiments import SHIPPED, TOY_CONFIG, Cell, guidance_auc, read_only_result, train_cell
 from gradient_oracles import check_end_to_end, finite_difference_check
-from pcseg.config import RunConfig
-from pcseg.episodes import Episode, generate_episode, make_split
+from pcseg.episodes import Episode, generate_episode
 from pcseg.geometry import EmptyMaskError, PointCloud
 from pcseg.model import (
     BasePrototypeBank,
@@ -439,10 +439,7 @@ class TestEndToEndGradient:
 def untrained(pool8, split8, fast_config):
     """`meta_train` at `fast_config`'s 0 episodes on `pool8`, run once: the
     model at its init and a zero bank, with every array made read-only."""
-    result = meta_train(pool8, split8, fast_config)
-    for array in [p.data for p in result.params.parameters()] + [result.bank.prototypes, result.bank.update_counts]:
-        array.flags.writeable = False
-    return result
+    return read_only_result(meta_train(pool8, split8, fast_config))
 
 
 class TestMetaTrain:
@@ -464,7 +461,7 @@ class TestMetaTrain:
     def test_draws_the_train_stream(self, pool8, split8, fast_config, monkeypatch):
         from pcseg import model as M
 
-        config = RunConfig(**{**fast_config.__dict__, "episodes": 3})
+        config = dataclasses.replace(fast_config, episodes=3)
         want = [episode_key(ep) for ep in M.episode_stream(pool8, split8, "train", config, config.seed, config.episodes)]
         drawn = spy_episodes(monkeypatch)
         meta_train(pool8, split8, config)
@@ -473,7 +470,7 @@ class TestMetaTrain:
     def test_guidance_leaves_out_train_exclusions(self, pool8, split8, fast_config, monkeypatch):
         from pcseg import model as M
 
-        config = RunConfig(**{**fast_config.__dict__, "episodes": 3})
+        config = dataclasses.replace(fast_config, episodes=3)
         ruled, passed = [], []
         real_forward = M.forward
 
@@ -494,7 +491,7 @@ class TestMetaTrain:
     def test_losses_are_the_episode_loss_values(self, pool8, split8, fast_config, monkeypatch):
         from pcseg import model as M
 
-        config = RunConfig(**{**fast_config.__dict__, "episodes": 3})
+        config = dataclasses.replace(fast_config, episodes=3)
         values, loss_calls = [], []
         real_episode_loss, real_loss = M.episode_loss, M.loss
 
@@ -514,7 +511,7 @@ class TestMetaTrain:
         assert len(loss_calls) == 3
 
     def test_loss_trends_down_over_200_episodes(self, pool8, split8, fast_config):
-        config = RunConfig(**{**fast_config.__dict__, "episodes": 200})
+        config = dataclasses.replace(fast_config, episodes=200)
         result = meta_train(pool8, split8, config)
         losses = np.array(result.losses)
         assert losses.shape == (200,)
@@ -524,7 +521,7 @@ class TestMetaTrain:
     def test_bank_steps_at_the_config_momentum(self, pool8, split8, fast_config, tmp_path, monkeypatch):
         from pcseg import io as pio
 
-        config = RunConfig(**{**fast_config.__dict__, "episodes": 3, "momentum": 0.5})
+        config = dataclasses.replace(fast_config, episodes=3, momentum=0.5)
         updates = []
         real_update = BasePrototypeBank.apply_update
 
@@ -551,7 +548,7 @@ class TestMetaTrain:
         np.testing.assert_array_equal(loaded.update_counts, bank.update_counts)
 
     def test_bank_rows_for_unseen_classes_stay_zero(self, pool8, split8, fast_config):
-        config = RunConfig(**{**fast_config.__dict__, "episodes": 20})
+        config = dataclasses.replace(fast_config, episodes=20)
         result = meta_train(pool8, split8, config)
         # test-fold classes never enter the bank (it only tracks train classes)
         assert result.bank.class_ids == split8.train_classes
@@ -562,7 +559,7 @@ class TestMetaTrain:
     def test_nan_gradient_stops_before_the_update(self, pool8, split8, fast_config, monkeypatch):
         from pcseg import model as M
 
-        clean = meta_train(pool8, split8, RunConfig(**{**fast_config.__dict__, "episodes": 2}))
+        clean = meta_train(pool8, split8, dataclasses.replace(fast_config, episodes=2))
         per_episode = 4 * fast_config.hca_layers  # layer norms per forward pass
         calls = []
         real_layer_norm = T.layer_norm
@@ -590,7 +587,7 @@ class TestMetaTrain:
         monkeypatch.setattr(T, "layer_norm", poisoned)
         monkeypatch.setattr(T, "AdamW", Spy)
         with pytest.raises(M.NonFiniteLossError, match=r"episode 2: gradient of layers\.0\.ln_point_attn\.gain"):
-            meta_train(pool8, split8, RunConfig(**{**fast_config.__dict__, "episodes": 5}))
+            meta_train(pool8, split8, dataclasses.replace(fast_config, episodes=5))
         assert opts[0].step_count == 2
         for got, want in zip(opts[0].params, clean.params.parameters()):
             assert got.name == want.name
@@ -602,7 +599,7 @@ class TestEvaluate:
     def test_ground_truth_scores_one(self, pool8, split8, fast_config, n_way):
         from pcseg import model as M
 
-        config = RunConfig(**{**fast_config.__dict__, "n_way": n_way})
+        config = dataclasses.replace(fast_config, n_way=n_way)
         episodes = list(M.episode_stream(pool8, split8, "test", config, 8, 4))
         result = M.score((ep.query_gt, ep) for ep in episodes)
         assert result.mean_iou == result.episode_miou_mean == 1.0
@@ -704,7 +701,7 @@ print(result.n_episodes, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - be
             return real_mlp(t, params)
 
         monkeypatch.setattr(T, "mlp_forward", spy)
-        config = RunConfig(**{**fast_config.__dict__, "episodes": 3})
+        config = dataclasses.replace(fast_config, episodes=3)
         trained = meta_train(pool8, split8, config)
         assert sum(p is trained.params.base_head for p in heads) == 3
         heads.clear()
@@ -715,7 +712,7 @@ print(result.n_episodes, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - be
     def test_graph_recording_returns_after_a_failure(self, pool8, split8, fast_config, monkeypatch, where):
         from pcseg import model as M
 
-        config = RunConfig(**{**fast_config.__dict__, "episodes": 3})
+        config = dataclasses.replace(fast_config, episodes=3)
         clean = meta_train(pool8, split8, config)
         params = ModelParams.for_config(np.random.default_rng(0), fast_config, len(split8.train_classes))
         if where == "logits":  # evaluate raises after the forward pass
@@ -737,49 +734,24 @@ print(result.n_episodes, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - be
             assert a.data.tobytes() == b.data.tobytes()
 
 
-def _auc(score, positive):
-    """Probability that a positive outscores a negative, ties counting half."""
-    negatives = np.sort(score[~positive])
-    below = np.searchsorted(negatives, score[positive], "left")
-    ties = np.searchsorted(negatives, score[positive], "right") - below
-    return (below.sum() + 0.5 * ties.sum()) / (below.size * negatives.size)
-
-
-def guidance_auc(pool, split, config, params, bank):
-    """The mean per-episode AUC of -guidance for the query foreground over
-    100 episodes, with `params.stub` and `bank`: [train stream at
-    `config.seed` with `train_exclusions`, test stream at seed 999 (the
-    one the ROADMAP's evaluations use) with none], as `evaluate` runs it."""
-    streams = (("train", config.seed, train_exclusions), ("test", 999, lambda ep: ()))
-    with T.no_grad():
-        return [np.mean([_auc(-base_guidance(backbone_stub(ep.query, params.stub), bank, excluded(ep)).data,
-                              ep.query_gt > 0)
-                         for ep in episode_stream(pool, split, phase, config, seed, 100)])
-                for phase, seed, excluded in streams]
-
-
 def test_guidance_parity_report(acceptance_pool):
     """How well low guidance alone marks a query's foreground: `guidance_auc`
     with nothing trained. The stub is at its init and each bank row is its
     class's mean stub feature over the acceptance pool. A train AUC above
     the test one is a cue that solves training and does not transfer. The
     table is printed (run with -s); nothing is gated yet."""
-    from test_acceptance import TOY_CONFIG
-
     rows = []
     with T.no_grad():
         for seed in (3, 4, 5):
-            config = RunConfig(**{**TOY_CONFIG.__dict__, "seed": seed})
             for fold in (0, 1):
-                split = make_split(range(1, 9), fold)
-                params = ModelParams.for_config(np.random.default_rng(derive_seed(seed, "init")), config,
-                                                len(split.train_classes))
+                cell = Cell(SHIPPED, fold, seed, 0)
+                params, split = train_cell(cell)[0].params, cell.split
                 features = [backbone_stub(cloud, params.stub).data for cloud in acceptance_pool]
-                bank = BasePrototypeBank.zeros(split.train_classes, config.dim)
+                bank = BasePrototypeBank.zeros(split.train_classes, TOY_CONFIG.dim)
                 for cid in split.train_classes:
                     pooled = np.concatenate([f[cloud.labels == cid] for f, cloud in zip(features, acceptance_pool)])
                     bank.apply_update(cid, pooled.mean(axis=0), 0.0)
-                rows.append((seed, fold, *guidance_auc(acceptance_pool, split, config, params, bank)))
+                rows.append((seed, fold, *guidance_auc(acceptance_pool, split, cell.config, params, bank)))
     print("\nguidance parity, mean AUC of -guidance for the query foreground\n| seed | fold | train | test |")
     for seed, fold, train, test in rows:
         print(f"| {seed} | {fold} | {train:.3f} | {test:.3f} |")
@@ -790,23 +762,21 @@ def test_way_and_shot_order_report(acceptance_pool):
     """How much `forward` depends on the order an episode lists its ways and
     each way's shots in: the logits of 100 test episodes as listed against
     those of the same episodes listed in reverse, with the foreground
-    columns mapped back, at 2-way 1-shot and at 1-way 3-shot. The params are
-    `TOY_CONFIG`'s init at seed 3 and the bank is zero. ProtoNet's prototype
-    (arXiv 1703.05175) is a mean over the shots, so it is invariant to their
-    order by construction; these rows measure how far the multi-prototype
-    extraction is from that. The table is printed (run with -s); nothing is
-    gated yet."""
+    columns mapped back, at 2-way 1-shot and at 1-way 3-shot. The model is
+    the 0-episode cell at seed 3, fold 0: `TOY_CONFIG`'s init and a zero
+    bank. ProtoNet's prototype (arXiv 1703.05175) is a mean over the shots,
+    so it is invariant to their order by construction; these rows measure
+    how far the multi-prototype extraction is from that. The table is
+    printed (run with -s); nothing is gated yet."""
     from pcseg import model as M
-    from test_acceptance import TOY_CONFIG
 
-    split = make_split(range(1, 9), 0)
-    params = ModelParams.for_config(np.random.default_rng(derive_seed(TOY_CONFIG.seed, "init")), TOY_CONFIG,
-                                    len(split.train_classes))
-    bank = BasePrototypeBank.zeros(split.train_classes, TOY_CONFIG.dim)
+    cell = Cell(SHIPPED, fold=0, seed=TOY_CONFIG.seed, episodes=0)
+    untrained, split = train_cell(cell)[0], cell.split
+    params, bank = untrained.params, untrained.bank
     rows = []
     with T.no_grad():
         for n_way, k_shot in ((2, 1), (1, 3)):
-            config = RunConfig(**{**TOY_CONFIG.__dict__, "n_way": n_way, "k_shot": k_shot})
+            config = dataclasses.replace(TOY_CONFIG, n_way=n_way, k_shot=k_shot)
             back = [0, *range(n_way, 0, -1)]  # the reversed listing's columns in listed order
             deltas, moved, points, listed_pairs, reversed_pairs = [], 0, 0, [], []
             for ep in episode_stream(acceptance_pool, split, "test", config, 999, 100):

@@ -10,10 +10,10 @@ import pytest
 import pcseg.model as M
 import pcseg.tensor as T
 from attention_oracles import mul
+from experiments import TOY_CONFIG
 from gradient_oracles import finite_difference_check
 from pcseg.episodes import make_split
 from pcseg.tensor import AdamW, Parameter, Tensor
-from test_acceptance import TOY_CONFIG
 
 
 class TestForwardOracles:
