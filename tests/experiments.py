@@ -103,9 +103,9 @@ def train_cell(cell):
     """`meta_train` of the cell under its variant: the read-only result and
     the seconds it took."""
     with cell.variant.applied():
-        start = time.time()
+        start = time.perf_counter()
         result = M.meta_train(acceptance_pool(), cell.split, cell.config)
-        seconds = time.time() - start
+        seconds = time.perf_counter() - start
     return read_only_result(result), seconds
 
 

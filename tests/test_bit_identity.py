@@ -1,16 +1,23 @@
 """The fast kernels against the straightforward versions they replaced.
 
-The references below are the earlier implementations, kept verbatim: ELU
-and elu+1 by boolean indexing, layer norm with fresh temporaries and
-`.mean`, AdamW looping over parameters, episode generation that caps
-every pool entry, a backward pass that keeps the whole graph alive, voxel
-subsampling through `np.unique(axis=0)` and block splitting by one scan of
-every point per block, farthest point sampling and nearest-seed
-clustering on row-major (M, 3) coordinates, a plain `np.matmul` forward,
-`affine` as four nodes and a cloud formatter over numpy scalars. The fast
-versions do the
-same per-element arithmetic on the same random streams, so every
-comparison here is on bytes.
+The references below are the earlier implementations: ELU and elu+1 by
+boolean indexing, layer norm with fresh temporaries and `.mean`, AdamW
+looping over parameters, episode generation that caps every pool entry, a
+backward pass that keeps the whole graph alive, voxel subsampling through
+`np.unique(axis=0)` and block splitting by one scan of every point per
+block, farthest point sampling and nearest-seed clustering on row-major
+(M, 3) coordinates, a plain `np.matmul` forward, `affine` as four nodes and
+a cloud formatter over numpy scalars. Each is kept verbatim but one:
+`ref_farthest_point_sample` also sets a chosen point's distance to -1, as
+the fixed `farthest_point_sample` does, so that neither picks a seed twice
+where every unchosen point coincides with one.
+
+Each kernel is compared with its reference on its own, and then once end to
+end: `REFERENCE_KERNELS` patches in every reference a run uses, and one
+training and one evaluation under it must give the fast library's losses,
+parameters, bank, scores and logits. The fast versions do the same
+per-element arithmetic on the same random streams, so every comparison
+here is on bytes.
 """
 
 import contextlib
@@ -28,6 +35,7 @@ from pcseg.episodes import Episode, PoolExhaustedError, generate_episode, make_s
 from pcseg.geometry import PointCloud, cluster_to_seeds, farthest_point_sample, grid_subsample, split_blocks
 from pcseg.synth import make_pool
 from pcseg.tensor import Parameter, Tensor
+from experiments import Variant
 
 # ---------------------------------------------------------------------------
 # references
@@ -472,160 +480,72 @@ def test_seed_selection_and_clustering_match_row_major(count):
 # end to end
 # ---------------------------------------------------------------------------
 
+# Every reference above that a training or an evaluation runs, in place of
+# the kernel it stands for.
+REFERENCE_KERNELS = Variant("reference kernels", (
+    (T, "elu", ref_elu),
+    (T, "elu_plus_one", ref_elu_plus_one),
+    (T, "layer_norm", ref_layer_norm),
+    (T, "matmul", ref_matmul),
+    (T, "affine", ref_affine),
+    (T, "AdamW", RefAdamW),
+    (T.Tensor, "backward", ref_backward),
+    (T, "no_grad", contextlib.nullcontext),  # evaluate records the graph it would skip
+    (M, "generate_episode", ref_generate_episode),
+))
 
-def test_meta_train_matches_reference_kernels(monkeypatch):
-    pool = make_pool(12, 16, range(1, 9), blobs_per_scene=3, points_per_blob=200)
+
+def test_reference_run_matches_the_fast_library(monkeypatch):
+    # 2-way at cap 512 in training and 2,048 in eval: (1536, 32) and (6144, 32)
+    # products, past the small-matrix limit, so the row blocks engage in both
+    pool = make_pool(34, 12, range(1, 9), blobs_per_scene=3, points_per_blob=800)  # 2,400 points each
     split = make_split(range(1, 9), 0)
-    config = RunConfig(seed=3, dim=16, n_prototypes=6, hca_layers=2, heads=2, max_points=256,
-                       min_fg_points=40, episodes=12, lr=1e-2)
-    fast = M.meta_train(pool, split, config)
-    monkeypatch.setattr(T, "elu", ref_elu)
-    monkeypatch.setattr(T, "elu_plus_one", ref_elu_plus_one)
-    monkeypatch.setattr(T, "layer_norm", ref_layer_norm)
-    monkeypatch.setattr(T, "AdamW", RefAdamW)
-    monkeypatch.setattr(T.Tensor, "backward", ref_backward)
-    monkeypatch.setattr(M, "generate_episode", ref_generate_episode)
-    slow = M.meta_train(pool, split, config)
-    assert fast.losses == slow.losses
-    for a, b in zip(fast.params.parameters(), slow.params.parameters()):
-        assert a.name == b.name and same_bytes(a.data, b.data)
-    assert same_bytes(fast.bank.prototypes, slow.bank.prototypes)
-    assert same_bytes(fast.bank.update_counts, slow.bank.update_counts)
-
-
-def _leaves(root):
-    seen, stack, out = set(), [root], []
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if node._backward is None:
-            out.append(node)
-        stack.extend(node._parents)
-    return out
-
-
-def test_leaf_gradients_match_a_graph_that_is_kept():
-    pool = make_pool(31, 12, range(1, 9), blobs_per_scene=3, points_per_blob=200)
-    split = make_split(range(1, 9), 0)
-    config = RunConfig(seed=9, dim=16, n_prototypes=6, hca_layers=2, heads=2, max_points=256,
-                       min_fg_points=40, episodes=6, lr=1e-2)
-    trained = M.meta_train(pool, split, config)  # a bank with rows, so guidance is live
-    episode = generate_episode(pool, split.train_classes, 2, 1, 40, 256, 5)
-    for p in trained.params.parameters():
-        p.grad = None
-    kept = M.episode_loss(episode, trained.params, trained.bank)[0]
-    kept_leaves = _leaves(kept)
-    ref_backward(kept)
-    kept_grads = [None if leaf.grad is None else leaf.grad.copy() for leaf in kept_leaves]
-    for p in trained.params.parameters():
-        p.grad = None
-    freed = M.episode_loss(episode, trained.params, trained.bank)[0]
-    freed_leaves = _leaves(freed)
-    freed.backward()
-    assert len(freed_leaves) == len(kept_leaves) > len(trained.params.parameters())
-    for a, b, leaf in zip(kept_grads, freed_leaves, kept_leaves):
-        assert a is not None and b.grad is not None and same_bytes(a, b.grad), getattr(leaf, "name", leaf)
-    assert kept._backward is not None and freed._backward is None and freed._parents is None
-
-
-def test_evaluate_matches_a_recorded_forward(monkeypatch):
-    pool = make_pool(32, 12, range(1, 9), blobs_per_scene=3, points_per_blob=200)
-    split = make_split(range(1, 9), 0)
-    config = RunConfig(seed=2, dim=16, n_prototypes=6, hca_layers=2, heads=2, max_points=256,
-                       min_fg_points=40, episodes=6, lr=1e-2, n_way=2)
-    trained = M.meta_train(pool, split, config)
-    logits = []
-    real_forward = M.forward
+    config = RunConfig(seed=4, dim=32, n_prototypes=6, hca_layers=2, heads=2, max_points=512,
+                       min_fg_points=40, episodes=3, lr=1e-2, n_way=2)
+    wide = dataclasses.replace(config, max_points=2048)
+    logits, blocked = [], []
+    real_forward, real_product = M.forward, T._forward_product
 
     def keep_logits(*args):
         seg_logits, features = real_forward(*args)
         logits.append(seg_logits)
         return seg_logits, features
 
-    monkeypatch.setattr(M, "forward", keep_logits)
-    fast = M.evaluate(pool, split, trained.params, trained.bank, config, 5, 11)
-    monkeypatch.setattr(T, "no_grad", contextlib.nullcontext)
-    slow = M.evaluate(pool, split, trained.params, trained.bank, config, 5, 11)
-    assert fast == slow
-    assert all(t._backward is None for t in logits[:5]) and all(t._backward is not None for t in logits[5:])
-    for a, b in zip(logits[:5], logits[5:]):
-        assert same_bytes(a.data, b.data)
-
-
-def _use_reference_dense_path(monkeypatch):
-    monkeypatch.setattr(T, "matmul", ref_matmul)
-    monkeypatch.setattr(T, "affine", ref_affine)
-
-
-def _count_blocked_products(monkeypatch):
-    """Count the forward products large enough for row blocks to engage."""
-    blocked = []
-    real = T._forward_product
-
-    def spy(a, b):
+    def spy_product(a, b):
         m, k, n = a.shape[-2], a.shape[-1], b.shape[-1]
         blocked.append(m * k * n > T._SMALL_GEMM_MAX and m > T._BLOCK_ROWS + 1 and n % 8 == 0
                        and b.flags.c_contiguous)
-        return real(a, b)
-
-    monkeypatch.setattr(T, "_forward_product", spy)
-    return blocked
-
-
-def test_train_episode_with_row_blocks_matches_reference(monkeypatch):
-    pool = make_pool(33, 12, range(1, 9), blobs_per_scene=3, points_per_blob=200)  # 600 points each
-    split = make_split(range(1, 9), 0)
-    config = RunConfig(seed=4, dim=32, n_prototypes=6, hca_layers=2, heads=2, max_points=512,
-                       min_fg_points=40, episodes=3, lr=1e-2, n_way=2)
-    trained = M.meta_train(pool, split, config)  # a bank with rows, so guidance is live
-    episode = generate_episode(pool, split.train_classes, 2, 1, 40, 512, 6)
-    assert len(episode.query) == 512  # 3 classes x 512 points: (1536, 32) @ (32, 32) products
-
-    def run():
-        for p in trained.params.parameters():
-            p.grad = None
-        root = M.episode_loss(episode, trained.params, trained.bank)[0]
-        leaves = _leaves(root)
-        root.backward()
-        grads = sorted(leaf.grad.tobytes() for leaf in leaves if leaf.grad is not None)
-        named = {p.name: p.grad.copy() for p in trained.params.parameters()}
-        return root.data.tobytes(), grads, named
-
-    blocked = _count_blocked_products(monkeypatch)
-    fast = run()
-    assert any(blocked)
-    _use_reference_dense_path(monkeypatch)
-    slow = run()
-    assert fast[0] == slow[0] and fast[1] == slow[1]
-    assert all(same_bytes(fast[2][name], slow[2][name]) for name in fast[2])
-
-
-def test_evaluate_with_row_blocks_matches_reference(monkeypatch):
-    pool = make_pool(34, 12, range(1, 9), blobs_per_scene=3, points_per_blob=800)  # 2,400 points each
-    split = make_split(range(1, 9), 0)
-    config = RunConfig(seed=5, dim=32, n_prototypes=6, hca_layers=2, heads=1, max_points=256,
-                       min_fg_points=40, episodes=3, lr=1e-2, n_way=2)
-    trained = M.meta_train(pool, split, config)
-    wide = dataclasses.replace(config, max_points=2048)
-    logits = []
-    real_forward = M.forward
-
-    def keep_logits(*args):
-        seg_logits, features = real_forward(*args)
-        logits.append(seg_logits.data)
-        return seg_logits, features
+        return real_product(a, b)
 
     monkeypatch.setattr(M, "forward", keep_logits)
-    blocked = _count_blocked_products(monkeypatch)
-    fast = M.evaluate(pool, split, trained.params, trained.bank, wide, 3, 12)
-    assert any(blocked) and all(len(x) == 2048 for x in logits)
-    _use_reference_dense_path(monkeypatch)
-    slow = M.evaluate(pool, split, trained.params, trained.bank, wide, 3, 12)
-    assert fast == slow and len(logits) == 6
-    for a, b in zip(logits[:3], logits[3:]):
-        assert same_bytes(a, b)
+    monkeypatch.setattr(T, "_forward_product", spy_product)
+
+    def run():
+        """The trained result, the evaluation, every forward pass's logits,
+        and whether row blocks engaged in training and in evaluation."""
+        logits.clear()
+        blocked.clear()
+        trained = M.meta_train(pool, split, config)
+        in_training = len(blocked)
+        evaluation = M.evaluate(pool, split, trained.params, trained.bank, wide, 3, 12)
+        return trained, evaluation, list(logits), any(blocked[:in_training]), any(blocked[in_training:])
+
+    fast = run()
+    with REFERENCE_KERNELS.applied():
+        slow = run()
+    assert fast[3:] == (True, True) and not blocked  # the reference matmul and affine take no row block
+    (fast_trained, fast_eval, fast_logits), (slow_trained, slow_eval, slow_logits) = fast[:3], slow[:3]
+    assert same_bytes(fast_trained.losses, slow_trained.losses)
+    for a, b in zip(fast_trained.params.parameters(), slow_trained.params.parameters(), strict=True):
+        assert a.name == b.name and same_bytes(a.data, b.data), a.name
+    assert same_bytes(fast_trained.bank.prototypes, slow_trained.bank.prototypes)
+    assert same_bytes(fast_trained.bank.update_counts, slow_trained.bank.update_counts)
+    assert fast_eval == slow_eval
+    assert len(fast_logits) == len(slow_logits) == 6 and [len(t.data) for t in fast_logits[3:]] == [2048] * 3
+    for a, b in zip(fast_logits, slow_logits):
+        assert same_bytes(a.data, b.data)
+    # evaluate's forward records no graph, and under the reference it records one
+    assert all(t._backward is None for t in fast_logits[3:]) and all(t._backward is not None for t in slow_logits)
 
 
 def _outcome(generate, *args):

@@ -31,86 +31,15 @@ class TestCloudFormat:
         np.testing.assert_array_equal(back.colors, scene.colors)
         np.testing.assert_array_equal(back.labels, scene.labels)
 
-    def test_header_checked(self, tmp_path):
-        path = tmp_path / "bad.pcseg"
-        path.write_text("NOT A CLOUD 3\n")
-        with pytest.raises(ValueError) as exc:
-            pio.read_cloud(path)
-        assert str(exc.value).startswith(f"{path}:1: not a 'PCSEG v1 <count>' header")
-
     def test_truncated_file_rejected(self, tmp_path):
-        scene = synth_scene(4, [(1, 10), (2, 10)])
-        text = pio.format_cloud(scene)
+        # FAULTS holds the short file's message; a row cannot see that an empty body warns
         path = tmp_path / "short.pcseg"
-        path.write_text("\n".join(text.splitlines()[:-5]) + "\n")
-        with pytest.raises(ValueError) as exc:
-            pio.read_cloud(path)
-        assert str(exc.value) == f"{path}:17: the file ends after 15 of 20 rows"
-        path.write_text(text.splitlines()[0] + "\n")
+        path.write_text(pio.format_cloud(synth_scene(4, [(1, 10), (2, 10)])).splitlines()[0] + "\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an empty body must not warn on top of the error
             with pytest.raises(ValueError) as exc:
                 pio.read_cloud(path)
         assert str(exc.value) == f"{path}:2: the file ends after 0 of 20 rows"
-
-    @pytest.mark.parametrize("lineno, row, what", [
-        (6, "0.1 0.2 0.3 0.5 0.5 0.5", "expected 7 fields, got 6"),
-        (6, "0.1 0.2 0.3 0.5 0.5 0.5 1 9", "expected 7 fields, got 8"),
-        # a point's rules are PointCloud's, whose reason comes with the row; each id names the fault
-        pytest.param(4, "nan 0.2 0.3 0.5 0.5 0.5 1", "row 'nan 0.2 0.3 0.5 0.5 0.5 1': positions must be finite",
-                     id="4-nan 0.2 0.3 0.5 0.5 0.5 1-position nan 0.2 0.3 is not finite"),
-        pytest.param(5, "0.1 0.2 0.3 2.0 0.5 0.5 1", "row '0.1 0.2 0.3 2.0 0.5 0.5 1': colors must lie in [0, 1]",
-                     id="5-0.1 0.2 0.3 2.0 0.5 0.5 1-color 2.0 0.5 0.5 is not in [0, 1]"),
-        pytest.param(7, "0.1 0.2 0.3 0.5 0.5 0.5 1.5", "row '0.1 0.2 0.3 0.5 0.5 0.5 1.5': labels must be integers",
-                     id="7-0.1 0.2 0.3 0.5 0.5 0.5 1.5-label 1.5 is not an integer"),
-        pytest.param(8, "0.1 0.2 0.3 0.5 0.5 0.5 -5",
-                     "row '0.1 0.2 0.3 0.5 0.5 0.5 -5': labels must be >= -1 (-1 marks unlabeled), got -5",
-                     id="8-0.1 0.2 0.3 0.5 0.5 0.5 -5-label -5 is below -1"),
-        (3, "0.1 0.2 0.3 0.5 0.5 0.5 one", "cannot read '0.1 0.2 0.3 0.5 0.5 0.5 one' as 7 numbers"),
-        (22, "0.1 0.2 0.3 0.5 0.5 0.5 1", "more rows than the header's count 20"),
-        (1, "PCSEG v1 0", "not a 'PCSEG v1 <count>' header with a count >= 1: 'PCSEG v1 0'"),
-        # digits that `str.isdigit` takes: an Arabic-Indic five, which `int` reads, and a superscript two
-        (1, "PCSEG v1 \u0665", "not a 'PCSEG v1 <count>' header with a count >= 1: 'PCSEG v1 \u0665'"),
-        (1, "PCSEG v1 \u00b2", "not a 'PCSEG v1 <count>' header with a count >= 1: 'PCSEG v1 \u00b2'"),
-        (3, "1_0 0.2 0.3 0.5 0.5 0.5 1", "cannot read '1_0 0.2 0.3 0.5 0.5 0.5 1' as 7 numbers"),
-        (3, "\uff11 0.2 0.3 0.5 0.5 0.5 1", "cannot read '\uff11 0.2 0.3 0.5 0.5 0.5 1' as 7 numbers"),
-        (3, "0.1 0.2 0.3\r0.5 0.5 0.5 1", "expected 7 fields, got 3"),  # a lone CR ends a line
-    ])
-    def test_bad_line_named(self, tmp_path, lineno, row, what):
-        lines = pio.format_cloud(synth_scene(4, [(1, 10), (2, 10)])).splitlines()
-        lines[lineno - 1:lineno] = [row]
-        path = tmp_path / "bad.pcseg"
-        path.write_text("\n".join(lines) + "\n", newline="")
-        with pytest.raises(ValueError) as exc:
-            pio.read_cloud(path)
-        assert str(exc.value) == f"{path}:{lineno}: {what}"
-
-    def test_empty_and_non_utf8_files_named(self, tmp_path):
-        path = tmp_path / "bad.pcseg"
-        path.write_bytes(b"")
-        with pytest.raises(ValueError) as exc:
-            pio.read_cloud(path)
-        assert str(exc.value) == f"{path}:1: the file is empty"
-        lines = pio.format_cloud(synth_scene(4, [(1, 10), (2, 10)])).encode().splitlines()
-        lines[4] = lines[4][:-1] + b"\xff"
-        path.write_bytes(b"\n".join(lines) + b"\n")
-        with pytest.raises(ValueError) as exc:
-            pio.read_cloud(path)
-        assert str(exc.value) == f"{path}:5: byte 0xff is not UTF-8 (invalid start byte)"
-        lines[2] = b"0.1 0.2 0.3 0.5 0.5 0.5"  # the file is decoded whole before any row is checked
-        path.write_bytes(b"\n".join(lines) + b"\n")
-        with pytest.raises(ValueError) as exc:
-            pio.read_cloud(path)
-        assert str(exc.value) == f"{path}:5: byte 0xff is not UTF-8 (invalid start byte)"
-
-    def test_line_count_includes_comments_and_blanks(self, tmp_path):
-        lines = pio.format_cloud(synth_scene(4, [(1, 10), (2, 10)])).splitlines()
-        lines[3:3] = ["", "# a comment", "   "]
-        lines[9] = lines[9].rsplit(" ", 1)[0] + " 2.5"
-        path = tmp_path / "bad.pcseg"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=r":10: row '[^']* 2\.5': labels must be integers$"):
-            pio.read_cloud(path)
 
     def test_good_file_never_searched(self, tmp_path, monkeypatch):
         scene = synth_scene(5, [(1, 30), (2, 30)])
@@ -198,14 +127,6 @@ class TestCloudFormat:
             pio.read_cloud(path)
         assert len(calls) <= 2 * math.ceil(math.log2(rows)) + 4
 
-    def test_write_is_byte_stable(self, tmp_path):
-        scene = synth_scene(5, [(1, 30), (2, 30)])
-        a, b = tmp_path / "a.pcseg", tmp_path / "b.pcseg"
-        pio.write_cloud(a, scene)
-        pio.write_cloud(b, scene)
-        assert a.read_bytes() == b.read_bytes()
-
-
 class TestSerialization:
     def test_round_trip_exact(self):
         rng = np.random.default_rng(23)
@@ -239,29 +160,6 @@ class TestRunConfig:
         back = RunConfig.from_lines(config.to_text().splitlines(), "t.cfg")
         assert back == config
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown config key"):
-            RunConfig.from_lines(["seed=1", "warp_factor=9"], "t.cfg")
-
-    def test_from_file_names_path_and_line(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("seed=1\nbogus=2\n")
-        with pytest.raises(ValueError) as exc:
-            RunConfig.from_file(path)
-        assert str(exc.value) == f"{path}:2: unknown config key 'bogus'"
-        path.write_text("seed=1\ngrid_size=-0.5\n")
-        with pytest.raises(ValueError) as exc:
-            RunConfig.from_file(path)
-        assert str(exc.value) == f"{path}:2: config field grid_size must be > 0, got -0.5"
-        path.write_text("heads=4\ndim=10\n")  # the divisor rule names the heads= line
-        with pytest.raises(ValueError) as exc:
-            RunConfig.from_file(path)
-        assert str(exc.value) == f"{path}:1: config field heads must be a divisor of dim, got 4"
-        path.write_bytes(b"seed=1\n\xff\n")
-        with pytest.raises(ValueError) as exc:
-            RunConfig.from_file(path)
-        assert str(exc.value) == f"{path}:2: byte 0xff is not UTF-8 (invalid start byte)"
-
     @pytest.mark.parametrize("inside", ["\x0c", "\x0b", "\x1c", "\x85", "\u2028"])
     @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
     def test_only_newlines_end_a_line(self, tmp_path, inside, eol):
@@ -284,14 +182,6 @@ class TestRunConfig:
             config.seed = 2**63
         assert config.seed == 0 and not hasattr(RunConfig, "validate")
 
-    def test_range_validation(self):
-        with pytest.raises(ValueError, match="grid_size"):
-            RunConfig.from_lines(["grid_size=-0.5"], "t.cfg")
-        with pytest.raises(ValueError, match="momentum"):
-            RunConfig(momentum=1.5)
-        with pytest.raises(ValueError, match="heads"):
-            RunConfig(dim=10, heads=3)
-
     @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(RunConfig) if f.type == "int"])
     def test_int_field_beyond_int64_rejected(self, key):
         with pytest.raises(ValueError, match=rf"^config field {key} must be .*, got {2**63}$"):
@@ -307,10 +197,6 @@ class TestRunConfig:
         with pytest.raises(ValueError) as exc:
             RunConfig.from_file(path)
         assert str(exc.value).startswith(f"{path}:2: config field {key} must be ")
-
-    def test_duplicate_key_rejected(self):
-        with pytest.raises(ValueError, match=r"^t.cfg:2: duplicate config key 'seed'$"):
-            RunConfig.from_lines(["seed=1", "seed=2"], "t.cfg")
 
     def test_comments_and_blanks_ignored(self):
         config = RunConfig.from_lines(["# comment", "", "seed=4"], "t.cfg")
@@ -520,14 +406,6 @@ class TestModelArtifact:
         base_a = T.mlp_forward(features_a[-1], result.params.base_head)
         base_b = T.mlp_forward(features_b[-1], params2.base_head)
         assert (base_a.data == base_b.data).all()
-
-    def test_artifact_byte_stable(self, trained, tmp_path):
-        _, _, result, config = trained
-        a, b = tmp_path / "a.model", tmp_path / "b.model"
-        meta = {"fold": 1, "classes": "1,2,3,4,5,6"}
-        pio.save_model(a, result.params, result.bank, config, meta)
-        pio.save_model(b, result.params, result.bank, config, meta)
-        assert a.read_bytes() == b.read_bytes()
 
     _LINES = _untrained_artifact_lines()
 
