@@ -255,6 +255,19 @@ def calibrate_background(corr: Tensor, guide: Tensor, fc_w: Parameter, fc_b: Par
     return T.concat([fg, T.reshape(new_bg, (n_q, 1, dim))], axis=1)
 
 
+def _refine_points(t: Tensor, lp: RefineLayerParams) -> Tensor:
+    """The point half of a layer on N_C x N_Q x D: point attention, then the point MLP."""
+    t = T.add(t, multi_head_linear_attention(T.layer_norm(t, lp.ln_point_attn.gain, lp.ln_point_attn.bias), lp.point_attn))
+    return T.add(t, T.mlp_forward(T.layer_norm(t, lp.ln_point_mlp.gain, lp.ln_point_mlp.bias), lp.point_mlp))
+
+
+def _refine_classes(c: Tensor, guide: Tensor, lp: RefineLayerParams) -> Tensor:
+    """The class half on N_Q x N_C x D: background recalibration, class attention, then the class MLP."""
+    c = calibrate_background(c, guide, lp.bg_fc_w, lp.bg_fc_b)
+    c = T.add(c, multi_head_linear_attention(T.layer_norm(c, lp.ln_class_attn.gain, lp.ln_class_attn.bias), lp.class_attn))
+    return T.add(c, T.mlp_forward(T.layer_norm(c, lp.ln_class_mlp.gain, lp.ln_class_mlp.bias), lp.class_mlp))
+
+
 def apply_refine_layer(corr: Tensor, guide: Tensor, lp: RefineLayerParams) -> Tensor:
     """One refinement layer on an N_Q x N_C x D correlation tensor.
 
@@ -262,15 +275,25 @@ def apply_refine_layer(corr: Tensor, guide: Tensor, lp: RefineLayerParams) -> Te
     slice), a point-wise MLP, background recalibration, attention across
     classes (per query point), and another MLP. Output layout is again
     N_Q x N_C x D.
+
+    With gradients on, or at a D that is not a multiple of 8 (there
+    `np.matmul`'s kernel depends on the row count), each half runs on the
+    whole tensor. Under `no_grad` the point half runs one class slice and
+    the class half `_BLOCK_ROWS` query points at a time, in half the memory
+    and with the same bytes: blocks keep `_forward_product`'s row-block
+    alignment, and a one-point tail joins the block before it.
     """
-    t = T.transpose_first_two(corr)  # (N_C, N_Q, D): attend across points
-    t = T.add(t, multi_head_linear_attention(T.layer_norm(t, lp.ln_point_attn.gain, lp.ln_point_attn.bias), lp.point_attn))
-    t = T.add(t, T.mlp_forward(T.layer_norm(t, lp.ln_point_mlp.gain, lp.ln_point_mlp.bias), lp.point_mlp))
-    c = T.transpose_first_two(t)  # (N_Q, N_C, D): attend across classes
-    c = calibrate_background(c, guide, lp.bg_fc_w, lp.bg_fc_b)
-    c = T.add(c, multi_head_linear_attention(T.layer_norm(c, lp.ln_class_attn.gain, lp.ln_class_attn.bias), lp.class_attn))
-    c = T.add(c, T.mlp_forward(T.layer_norm(c, lp.ln_class_mlp.gain, lp.ln_class_mlp.bias), lp.class_mlp))
-    return c
+    n_q, n_c, dim = corr.shape
+    if T._grad_enabled or dim % 8:
+        t = _refine_points(T.transpose_first_two(corr), lp)  # (N_C, N_Q, D): attend across points
+        return _refine_classes(T.transpose_first_two(t), guide, lp)  # (N_Q, N_C, D): attend across classes
+    out = np.empty(corr.shape)
+    for k in range(n_c):
+        out[:, k] = _refine_points(Tensor(np.ascontiguousarray(corr.data[None, :, k])), lp).data[0]
+    starts = list(range(0, max(n_q - 1, 1), T._BLOCK_ROWS))  # never a one-point last block
+    for q0, q1 in zip(starts, starts[1:] + [n_q]):
+        out[q0:q1] = _refine_classes(Tensor(out[q0:q1]), Tensor(guide.data[q0:q1]), lp).data
+    return Tensor(out)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +507,8 @@ def evaluate(
 
     Raises NonFiniteLossError with the episode index on a NaN or infinite
     segmentation logit. The forward pass runs under `no_grad`, so it
-    builds no autograd graph.
+    builds no autograd graph and `apply_refine_layer` takes its block path:
+    the same logits, byte for byte, in about half the memory.
     """
     _raise_malloc_thresholds()
 

@@ -503,8 +503,8 @@ def test_reference_run_matches_the_fast_library(monkeypatch):
     config = RunConfig(seed=4, dim=32, n_prototypes=6, hca_layers=2, heads=2, max_points=512,
                        min_fg_points=40, episodes=3, lr=1e-2, n_way=2)
     wide = dataclasses.replace(config, max_points=2048)
-    logits, blocked = [], []
-    real_forward, real_product = M.forward, T._forward_product
+    logits, blocked, class_rows = [], [], []
+    real_forward, real_product, real_classes = M.forward, T._forward_product, M._refine_classes
 
     def keep_logits(*args):
         seg_logits, features = real_forward(*args)
@@ -517,23 +517,34 @@ def test_reference_run_matches_the_fast_library(monkeypatch):
                        and b.flags.c_contiguous)
         return real_product(a, b)
 
+    def spy_classes(c, guide, lp):
+        class_rows.append(c.shape[0])
+        return real_classes(c, guide, lp)
+
     monkeypatch.setattr(M, "forward", keep_logits)
     monkeypatch.setattr(T, "_forward_product", spy_product)
+    monkeypatch.setattr(M, "_refine_classes", spy_classes)
 
     def run():
         """The trained result, the evaluation, every forward pass's logits,
-        and whether row blocks engaged in training and in evaluation."""
+        whether row blocks engaged in training and in evaluation, and the
+        query counts the refine layers' class halves saw in evaluation."""
         logits.clear()
         blocked.clear()
+        class_rows.clear()
         trained = M.meta_train(pool, split, config)
-        in_training = len(blocked)
+        in_training, classes_in_training = len(blocked), len(class_rows)
         evaluation = M.evaluate(pool, split, trained.params, trained.bank, wide, 3, 12)
-        return trained, evaluation, list(logits), any(blocked[:in_training]), any(blocked[in_training:])
+        return (trained, evaluation, list(logits), any(blocked[:in_training]), any(blocked[in_training:]),
+                set(class_rows[classes_in_training:]))
 
     fast = run()
     with REFERENCE_KERNELS.applied():
         slow = run()
-    assert fast[3:] == (True, True) and not blocked  # the reference matmul and affine take no row block
+    assert fast[3:5] == (True, True) and not blocked  # the reference matmul and affine take no row block
+    # evaluate's no_grad forward runs the class halves on blocks of query points;
+    # under the reference it records a graph, so each layer runs on the whole tensor
+    assert fast[5] == {T._BLOCK_ROWS} and slow[5] == {2048}
     (fast_trained, fast_eval, fast_logits), (slow_trained, slow_eval, slow_logits) = fast[:3], slow[:3]
     assert same_bytes(fast_trained.losses, slow_trained.losses)
     for a, b in zip(fast_trained.params.parameters(), slow_trained.params.parameters(), strict=True):

@@ -553,8 +553,10 @@ FAULTS = [
          f"cannot parse config n_prototypes='{10**20}'")]],
     *[(TRAIN_EVAL + f"test_non_finite_config_exits_64_but_in_an_artifact_exits_2[{key}={value}]", argv, edit, code,
        f"{at}config field {key} must be {rule}, got {value}")
-      for key, value, rule in [("lr", "inf", "finite"), ("grid_size", "inf", "finite"), ("block_size", "inf", "finite"),
-                               ("weight_decay", "nan", ">= 0")]
+      # -inf and nan fail the sign check, which comes first
+      for key, value, rule in [(key, value, "finite" if value == "inf" else ">= 0" if key == "weight_decay" else "> 0")
+                               for key in ("lr", "grid_size", "block_size", "weight_decay")
+                               for value in ("inf", "-inf", "nan")]
       for argv, edit, code, at in [
         (TRAIN, ("CONFIG", put("lr=", f"lr={value}") if key == "lr" else add(-1, f"{key}={value}")), 64, USAGE_AT),
         (EVAL, ("MODEL", put(f"[config] {key}=", f"{key}={value}")), 2, AT)]],

@@ -5,6 +5,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -327,6 +328,59 @@ class TestRefineLayer:
             Tensor(corr.data[perm]), Tensor(guide.data[perm]), params.layers[0]
         ).data
         np.testing.assert_allclose(permuted, base[perm], atol=1e-10)
+
+
+def random_episode(rng, n_way, k_shot, n_query, n_support=60):
+    """An episode of uniform random clouds, a third of each support cloud masked."""
+    def cloud(n):
+        return PointCloud(rng.uniform(0, 1, (n, 3)), rng.uniform(0, 1, (n, 3)), np.zeros(n, dtype=np.int64))
+
+    mask = np.arange(n_support) < n_support // 3
+    support = [[(cloud(n_support), mask) for _ in range(k_shot)] for _ in range(n_way)]
+    return Episode(support, cloud(n_query), np.zeros(n_query, dtype=np.int64), tuple(range(1, n_way + 1)))
+
+
+def random_model(rng, dim, heads):
+    """Random-init parameters and a bank with one updated row, so guidance is not zero."""
+    params = ModelParams.create(rng, dim=dim, n_prototypes=4, n_layers=1, heads=heads, n_base=3)
+    bank = BasePrototypeBank.zeros((7, 8, 9), dim)
+    bank.apply_update(8, rng.standard_normal(dim), 0.9)
+    return params, bank
+
+
+class TestBlockPath:
+    # Under no_grad, `apply_refine_layer` runs one class slice and then one
+    # block of query points at a time. Query sizes 257, 513 and 2049 end on a
+    # one-point block unless it joins the one before; at dim 20 from about
+    # 700 query points `np.matmul` sums a smaller row count in another order.
+    @pytest.mark.parametrize("dim,heads", [(8, 2), (12, 3), (20, 4), (32, 4)])
+    def test_no_grad_forward_matches_the_graph_recording_one(self, dim, heads):
+        rng = np.random.default_rng(dim)
+        params, bank = random_model(rng, dim, heads)
+        for n_query in (100, 256, 257, 513, 2049, 3000):
+            for n_way, k_shot in ((1, 1), (3, 1), (2, 3)):
+                ep = random_episode(rng, n_way, k_shot, n_query)
+                recorded = forward(ep, params, bank, ())[0]
+                with T.no_grad():
+                    blocked = forward(ep, params, bank, ())[0]
+                assert recorded._backward is not None and blocked._backward is None
+                assert blocked.data.tobytes() == recorded.data.tobytes(), (n_query, n_way, k_shot)
+
+    def test_no_grad_forward_holds_about_five_correlation_arrays(self):
+        # One (N_Q, N_C, D) float64 array at 2-way, 2,048 query points and D = 32
+        # is 1.5 MB; whole-tensor refine layers peak near ten of them.
+        rng = np.random.default_rng(29)
+        params, bank = random_model(rng, 32, 4)
+        ep = random_episode(rng, 2, 1, 2048)
+        with T.no_grad():
+            forward(ep, params, bank, ())
+            tracemalloc.start()
+            try:
+                forward(ep, params, bank, ())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 6 * (3 * 2048 * 32 * 8), peak
 
 
 class TestForwardAndLoss:
