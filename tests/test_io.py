@@ -187,6 +187,17 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=rf"^config field {key} must be .*, got {2**63}$"):
             RunConfig(**{key: 2**63})
 
+    @pytest.mark.parametrize("key", ["lr", "grid_size", "block_size", "weight_decay"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_floats_rejected(self, tmp_path, key, value):
+        with pytest.raises(ValueError, match=rf"^t.cfg:1: config field {key} must be .*, got {value}$"):
+            RunConfig.from_lines([f"{key}={value}"], "t.cfg")
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"seed=1\n{key}={value}\n")
+        with pytest.raises(ValueError) as exc:
+            RunConfig.from_file(path)
+        assert str(exc.value).startswith(f"{path}:2: config field {key} must be ")
+
     def test_comments_and_blanks_ignored(self):
         config = RunConfig.from_lines(["# comment", "", "seed=4"], "t.cfg")
         assert config.seed == 4
