@@ -53,7 +53,9 @@ def kernel_attention(fq: Tensor, fk: Tensor, v: Tensor, reassociated: bool) -> T
     The two association orders are algebraically identical; `reassociated`
     picks the O(N Dh^2) one, otherwise the O(N^2 Dh) score matrix is
     formed (cheaper when the token axis is short). Denominators are
-    floored at 1e-12 (phi > 0, so this only guards overflow).
+    floored at 1e-12. This guards underflow: phi(x) = exp(x) for x <= 0
+    is 0 below about -745, so a denominator can be 0. The floor does
+    nothing for an infinite denominator.
     """
     if reassociated:
         summary = T.matmul(T.swap_axes(fk, -1, -2), v)

@@ -57,10 +57,6 @@ def test_readme_documents_every_command():
 
 
 class TestSynth:
-    def test_writes_scene_files(self, scene_dir):
-        files = sorted(scene_dir.glob("*.pcseg"))
-        assert len(files) == 12
-
     def test_a_scene_file_it_would_not_overwrite_exits_64(self, tmp_path, capsys):
         argv = ["synth", "--out", str(tmp_path), "--classes", "4", "--points", "20"]
         assert main(argv + ["--scenes", "5", "--seed", "1"]) == EXIT_OK
@@ -74,23 +70,10 @@ class TestSynth:
 
 
 class TestAudit:
-    def test_report_blocks(self, scene_dir, tmp_path):
-        scene = str(sorted(scene_dir.glob("*.pcseg"))[0])
-        out = tmp_path / "audit.txt"
-        code = main(["audit", "--cloud", scene, "--fg-class", "1", "--m", "64",
-                     "--trials", "10", "--seed", "3", "--out", str(out)])
-        assert code == EXIT_OK
-        text = out.read_text()
-        assert "sampler=biased" in text and "sampler=uniform" in text
-        for key in ("input_fg_fraction", "mean_output_fg_fraction",
-                    "expected_biased_fraction", "density_ratio", "trials"):
-            assert text.count(f"{key}=") == 2
+    """Holds the audit command's FAULTS rows, which `bind_faults` adds."""
 
 
 class TestTrainEval:
-    def test_train_writes_artifact(self, tiny_model):
-        assert tiny_model.read_text().startswith("PCSEG-MODEL v1")
-
     def test_zero_episode_artifact_equals_initialization(self, scene_dir, tmp_path):
         cfg = tmp_path / "zero.cfg"
         cfg.write_text(TINY_CONFIG.replace("episodes=3", "episodes=0"))
@@ -103,15 +86,6 @@ class TestTrainEval:
         assert "update_counts=" in text
         counts = [l for l in text.splitlines() if l.startswith("update_counts=")][0]
         assert set(counts.split("=")[1].split()) == {"0"}
-
-    def test_eval_metrics_layout(self, scene_dir, tiny_model, tmp_path):
-        metrics = tmp_path / "metrics.txt"
-        code = main(["eval", "--pool", str(scene_dir), "--model", str(tiny_model),
-                     "--episodes", "4", "--seed", "8", "--out", str(metrics)])
-        assert code == EXIT_OK
-        text = metrics.read_text()
-        assert "fold0_mean_iou=" in text and "mean_iou=" in text
-        assert "fold0_episode_miou_mean=" in text
 
     def test_two_fold_table_layout(self, scene_dir, tiny_model, tiny_model_fold1, tmp_path):
         metrics = tmp_path / "metrics.txt"
@@ -551,7 +525,7 @@ FAULTS = [
          f"cannot parse config n_prototypes='{10**20}'"),
         (EVAL, ("MODEL", put("[config] n_prototypes=", f"n_prototypes={10**20}")), 2, AT,
          f"cannot parse config n_prototypes='{10**20}'")]],
-    *[(TRAIN_EVAL + f"test_non_finite_config_exits_64_but_in_an_artifact_exits_2[{key}={value}]", argv, edit, code,
+    *[(TRAIN_EVAL + f"test_non_finite_config_exits_64_or_2_in_artifact[{key}={value}]", argv, edit, code,
        f"{at}config field {key} must be {rule}, got {value}")
       # -inf and nan fail the sign check, which comes first
       for key, value, rule in [(key, value, "finite" if value == "inf" else ">= 0" if key == "weight_decay" else "> 0")
@@ -700,3 +674,12 @@ def bind_faults(namespace):
 
 
 bind_faults(globals())
+
+
+def test_node_ids_differ_in_their_first_100_characters(request):
+    # A report that cuts test ids to 100 characters must still name each test apart.
+    by_prefix = {}
+    for item in request.session.items:
+        by_prefix.setdefault(item.nodeid[:100], []).append(item.nodeid)
+    clashes = [nodeid for ids in by_prefix.values() if len(ids) > 1 for nodeid in ids]
+    assert not clashes, "\n".join(clashes)

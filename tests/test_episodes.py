@@ -70,14 +70,6 @@ class TestGenerateEpisode:
         assert len(ep.target_classes) == 2
         assert len(set(ep.target_classes)) == 2
 
-    def test_deterministic(self, pool8, split8):
-        a = generate_episode(pool8, split8.train_classes, 1, 1, MIN_FG, CAP, 123)
-        b = generate_episode(pool8, split8.train_classes, 1, 1, MIN_FG, CAP, 123)
-        assert a.target_classes == b.target_classes
-        assert a.support_indices == b.support_indices and a.query_index == b.query_index
-        np.testing.assert_array_equal(a.query.positions, b.query.positions)
-        np.testing.assert_array_equal(a.query_gt, b.query_gt)
-
     def test_stream_phase_picks_the_classes(self, pool8, split8, monkeypatch):
         config = RunConfig(min_fg_points=MIN_FG, max_points=CAP)
         handed = []
@@ -201,11 +193,6 @@ def miou(pred, gt, n_way: int):
 
 
 class TestMiou:
-    def test_perfect_prediction(self):
-        gt = np.array([0, 1, 1, 0, 1])
-        ious, mean = miou(gt, gt, 1)
-        assert ious[0] == 1.0 and mean == 1.0
-
     def test_all_background_prediction(self):
         gt = np.array([0, 0, 1, 1])
         ious, mean = miou(np.zeros(4, dtype=int), gt, 1)

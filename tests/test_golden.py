@@ -1,11 +1,12 @@
 """Golden hashes: the SHA-256 of every CLI command's output at fixed seeds,
 and the functions of `src/pcseg` those commands enter.
 
-`test_cli.py` compares two runs of the same code with each other, so a
-change that both runs share passes there. These hashes were taken once
-and stay fixed: a change that is meant to keep every byte must keep them.
-A change that moves the numbers on purpose regenerates them (each failure
-names the hash it got) and says which ones moved and why.
+Criterion `cli-determinism` in `test_acceptance.py` compares two runs of
+the same code with each other, so a change that both runs share passes
+there. These hashes were taken once and stay fixed: a change that is
+meant to keep every byte must keep them. A change that moves the numbers
+on purpose regenerates them (each failure names the hash it got) and says
+which ones moved and why.
 
 Every command runs in a temporary working directory on relative paths,
 because audit reports name their input files. They run once, in process

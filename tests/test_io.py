@@ -18,7 +18,7 @@ from pcseg.episodes import make_split
 from pcseg.model import forward, meta_train
 from pcseg.episodes import generate_episode
 from pcseg.synth import make_pool, synth_scene
-from test_cli import bind_faults
+import test_cli
 
 
 class TestCloudFormat:
@@ -186,21 +186,6 @@ class TestRunConfig:
     def test_int_field_beyond_int64_rejected(self, key):
         with pytest.raises(ValueError, match=rf"^config field {key} must be .*, got {2**63}$"):
             RunConfig(**{key: 2**63})
-
-    @pytest.mark.parametrize("key", ["lr", "grid_size", "block_size", "weight_decay"])
-    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
-    def test_non_finite_floats_rejected(self, tmp_path, key, value):
-        with pytest.raises(ValueError, match=rf"^t.cfg:1: config field {key} must be .*, got {value}$"):
-            RunConfig.from_lines([f"{key}={value}"], "t.cfg")
-        path = tmp_path / "bad.cfg"
-        path.write_text(f"seed=1\n{key}={value}\n")
-        with pytest.raises(ValueError) as exc:
-            RunConfig.from_file(path)
-        assert str(exc.value).startswith(f"{path}:2: config field {key} must be ")
-
-    def test_comments_and_blanks_ignored(self):
-        config = RunConfig.from_lines(["# comment", "", "seed=4"], "t.cfg")
-        assert config.seed == 4
 
 
 _VALUES = st.one_of(
@@ -451,4 +436,11 @@ class TestModelArtifact:
 
 
 # the artifact faults load_model names are rows of FAULTS, run through the CLI
-bind_faults(globals())
+test_cli.bind_faults(globals())
+
+
+def test_every_fault_row_names_a_class_that_binds_it():
+    # `bind_faults` skips a row whose class neither module defines; such a row would run nowhere
+    classes = {name for module in (vars(test_cli), globals()) for name, obj in module.items() if isinstance(obj, type)}
+    named = {row[0].partition("[")[0].rpartition("::")[0] for row in test_cli.FAULTS} - {""}
+    assert named - classes == set()

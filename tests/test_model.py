@@ -412,16 +412,6 @@ class TestForwardAndLoss:
         for feat, cloud in zip(features, clouds):
             assert feat.data.tobytes() == backbone_stub(cloud, params.stub).data.tobytes()
 
-    def test_forward_deterministic(self, pool8, split8, fast_config):
-        rng = np.random.default_rng(24)
-        params = ModelParams.create(rng, 16, 6, 2, 1, n_base=4)
-        bank = BasePrototypeBank.zeros(split8.train_classes, 16)
-        ep = episode_for(pool8, split8, fast_config, seed=50)
-        a_seg, a_features = forward(ep, params, bank, ep.target_classes)
-        b_seg, b_features = forward(ep, params, bank, ep.target_classes)
-        assert (a_seg.data == b_seg.data).all()
-        assert all((a.data == b.data).all() for a, b in zip(a_features, b_features))
-
     def test_refine_blocks_read_c_ordered_data(self, pool8, split8, fast_config, monkeypatch):
         # Each block after a transpose of the first two axes reads a C-ordered
         # copy; a strided view made the attention and the MLPs slower.
@@ -756,31 +746,6 @@ print(result.n_episodes, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - be
         heads.clear()
         M.evaluate(pool8, split8, trained.params, trained.bank, config, 4, seed=1)
         assert heads and not any(p is trained.params.base_head for p in heads)
-
-    @pytest.mark.parametrize("where", ["logits", "forward"])
-    def test_graph_recording_returns_after_a_failure(self, pool8, split8, fast_config, monkeypatch, where):
-        from pcseg import model as M
-
-        config = dataclasses.replace(fast_config, episodes=3)
-        clean = meta_train(pool8, split8, config)
-        params = ModelParams.for_config(np.random.default_rng(0), fast_config, len(split8.train_classes))
-        if where == "logits":  # evaluate raises after the forward pass
-            params.decoder.w2.data = np.full_like(params.decoder.w2.data, 1e308)
-        else:  # the forward pass itself raises, inside no_grad
-            def failing(*args, **kwargs):
-                raise M.NonFiniteLossError("forward failed")
-
-            monkeypatch.setattr(M, "forward", failing)
-        bank = BasePrototypeBank.zeros(split8.train_classes, fast_config.dim)
-        with pytest.raises(M.NonFiniteLossError):
-            M.evaluate(pool8, split8, params, bank, fast_config, 2, seed=1)
-        monkeypatch.undo()  # meta_train runs the same `forward`
-        x = Tensor(np.ones(2))
-        assert T.add(x, x)._backward is not None
-        again = meta_train(pool8, split8, config)  # without a graph, no gradient would reach the parameters
-        assert again.losses == clean.losses
-        for a, b in zip(again.params.parameters(), clean.params.parameters()):
-            assert a.data.tobytes() == b.data.tobytes()
 
 
 def test_guidance_parity_report(acceptance_pool):

@@ -61,13 +61,6 @@ class TestBiasedSample:
         assert len(out) == 4
         assert {tuple(p) for p in out.positions} == {tuple(p) for p in cloud.positions}
 
-    def test_deterministic(self):
-        cloud = labeled_cloud(100, 30)
-        a = biased_sample(cloud, 64, 1, 42)
-        b = biased_sample(cloud, 64, 1, 42)
-        np.testing.assert_array_equal(a.positions, b.positions)
-        np.testing.assert_array_equal(a.labels, b.labels)
-
     def test_rejects_bad_m(self):
         cloud = labeled_cloud(10, 2)
         with pytest.raises(ValueError):
@@ -83,12 +76,6 @@ class TestCapPoints:
     def test_caps_when_large(self):
         cloud = labeled_cloud(3000, 100)
         assert len(cap_points(cloud, 2048, 0)) == 2048
-
-    def test_deterministic(self):
-        cloud = labeled_cloud(3000, 100)
-        a = cap_points(cloud, 2048, 5)
-        b = cap_points(cloud, 2048, 5)
-        np.testing.assert_array_equal(a.positions, b.positions)
 
 
 class TestLeakageAudit:
@@ -180,9 +167,3 @@ class TestLeakageAudit:
         cloud = labeled_cloud(100, 20)
         with pytest.raises(ValueError, match="^m must be >= 1, got 0$"):
             leakage_audit(cloud, 1, 0, sampler, 5, 0)
-
-    def test_deterministic(self):
-        cloud = labeled_cloud(1000, 200)
-        a = leakage_audit(cloud, 1, 256, "biased", 50, 21)
-        b = leakage_audit(cloud, 1, 256, "biased", 50, 21)
-        assert a == b

@@ -34,13 +34,6 @@ class TestSynthScene:
         values, counts = np.unique(scene.labels, return_counts=True)
         assert dict(zip(values.tolist(), counts.tolist())) == {1: 500, 2: 500}
 
-    def test_deterministic(self):
-        a = synth_scene(9, [(3, 100), (5, 200)])
-        b = synth_scene(9, [(3, 100), (5, 200)])
-        np.testing.assert_array_equal(a.positions, b.positions)
-        np.testing.assert_array_equal(a.colors, b.colors)
-        np.testing.assert_array_equal(a.labels, b.labels)
-
     def test_nearest_centroid_separates_blobs(self):
         # centers are kept 10 sigma apart: xyz nearest-centroid > 99%
         for seed in range(5):
