@@ -300,11 +300,9 @@ def apply_refine_layer(corr: Tensor, guide: Tensor, lp: RefineLayerParams) -> Te
 # forward / loss
 # ---------------------------------------------------------------------------
 
-def forward(episode: Episode, params: ModelParams, bank: BasePrototypeBank, excluded):
-    """Segmentation logits (N_Q x (n_way+1), background first) and the
-    backbone features of the episode's clouds: every support shot, way by
-    way, then the query last. Guidance leaves out the bank rows of the
-    `excluded` class ids."""
+def embed_episode(episode: Episode, params: ModelParams):
+    """The stub features of every support shot, way by way; each class's
+    prototypes, the background way last; and the query's stub features."""
     support_feats = [[backbone_stub(cloud, params.stub) for cloud, _ in way] for way in episode.support]
     all_feats = [f for feats in support_feats for f in feats]
     # The background is one more way: every support cloud with its mask
@@ -312,10 +310,12 @@ def forward(episode: Episode, params: ModelParams, bank: BasePrototypeBank, excl
     background = [(cloud, ~mask) for way in episode.support for cloud, mask in way]
     protos = [extract_prototypes(feats, shots, params.proj.w1.shape[0])
               for feats, shots in zip(support_feats + [all_feats], episode.support + [background])]
+    return all_feats, protos, backbone_stub(episode.query, params.stub)
 
-    query_features = backbone_stub(episode.query, params.stub)
-    guide = base_guidance(query_features, bank, excluded)
 
+def segment(query_features: Tensor, protos: list[Tensor], guide: Tensor, params: ModelParams) -> Tensor:
+    """Segmentation logits (N_Q x (n_way+1), background first) from `embed_episode`'s
+    query features and prototypes and the guidance: correlations, refinement, decoder."""
     corr = compute_correlations(query_features, protos, params.proj)
     for lp in params.layers:
         corr = apply_refine_layer(corr, guide, lp)
@@ -324,8 +324,16 @@ def forward(episode: Episode, params: ModelParams, bank: BasePrototypeBank, excl
     decoded = T.reshape(T.mlp_forward(corr, params.decoder), (n_q, n_c))
     # Tensor class order is (ways..., background); ground truth uses 0 for
     # background, so move the background column to the front.
-    seg_logits = T.concat([T.narrow(decoded, 1, n_c - 1, 1), T.narrow(decoded, 1, 0, n_c - 1)], axis=1)
-    return seg_logits, all_feats + [query_features]
+    return T.concat([T.narrow(decoded, 1, n_c - 1, 1), T.narrow(decoded, 1, 0, n_c - 1)], axis=1)
+
+
+def forward(episode: Episode, params: ModelParams, bank: BasePrototypeBank, excluded):
+    """`segment`'s logits, with guidance that leaves out the bank rows of the
+    `excluded` class ids, and the backbone features of the episode's clouds:
+    every support shot, way by way, then the query last."""
+    support_features, protos, query_features = embed_episode(episode, params)
+    seg_logits = segment(query_features, protos, base_guidance(query_features, bank, excluded), params)
+    return seg_logits, support_features + [query_features]
 
 
 def loss(seg_logits: Tensor, base_logits: Tensor, query_gt, base_gt) -> Tensor:

@@ -366,7 +366,7 @@ def elu(t: Tensor) -> Tensor:
 
 
 def elu_plus_one(t: Tensor) -> Tensor:
-    """phi(x) = elu(x) + 1: strictly positive, equals exp(x) for x <= 0."""
+    """phi(x) = elu(x) + 1: non-negative, 0 below about -745, equals exp(x) for x <= 0."""
     # Branch-free: exp(min(x, 0)) + max(x, 0) is exp(x) for x <= 0 and 1 + x above.
     data = np.minimum(t.data, 0.0)
     np.exp(data, out=data)

@@ -4,7 +4,6 @@ compare against; the model runs none of them."""
 import numpy as np
 
 from pcseg import tensor as T
-from pcseg.attention import _DEN_FLOOR
 from pcseg.tensor import Tensor, _unbroadcast
 
 
@@ -54,5 +53,5 @@ def linear_attention_quadratic(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     weights = T.einsum("...nd,...md->...nm", fq, fk)
     ones = Tensor(np.ones(k.shape[-2]))
     num = T.einsum("...nm,...md->...nd", weights, v)
-    den = T.clamp_min(T.einsum("...nm,m->...n", weights, ones), _DEN_FLOOR)
+    den = T.clamp_min(T.einsum("...nm,m->...n", weights, ones), 1e-12)
     return T.div(num, T.reshape(den, q.shape[:-1] + (1,)))

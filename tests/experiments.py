@@ -119,25 +119,16 @@ def score_cell(cell):
                      for bank in (result.bank, result.bank.zeroed()))
 
 
-def _prototype_forward(episode, params, bank, excluded):
-    """Prototype matching (ProtoNet, arXiv 1703.05175) in place of
-    `model.forward`: the same stub and `extract_prototypes`, with the
-    background as one more way, and a class's logit the max cosine of a
-    query point to the class's prototypes over a temperature of 0.1. No
-    correlations, refinement, decoder or guidance."""
-    support_feats = [[M.backbone_stub(cloud, params.stub) for cloud, _ in way] for way in episode.support]
-    all_feats = [f for feats in support_feats for f in feats]
-    background = [(cloud, ~mask) for way in episode.support for cloud, mask in way]
-    protos = [M.extract_prototypes(feats, shots, params.proj.w1.shape[0])
-              for feats, shots in zip(support_feats + [all_feats], episode.support + [background])]
-    query_features = M.backbone_stub(episode.query, params.stub)
-    n_q = query_features.shape[0]
-    columns = [T.reshape(T.max_pool_rows(T.cosine_rows(query_features, mat)), (n_q, 1)) for mat in protos]
-    logits = T.concat(columns[-1:] + columns[:-1], axis=1)  # background first, as in `forward`
-    return T.div(logits, T.Tensor(np.array(0.1))), all_feats + [query_features]
+def _prototype_head(query_features, protos, guide, params):
+    """Prototype matching (ProtoNet, arXiv 1703.05175) in place of `model.segment`:
+    a class's logit is the max cosine of a query point to its prototypes over a
+    temperature of 0.1, the background first. No correlations, refinement, decoder or guidance."""
+    columns = [T.reshape(T.max_pool_rows(T.cosine_rows(query_features, mat)), (query_features.shape[0], 1))
+               for mat in protos]
+    return T.div(T.concat(columns[-1:] + columns[:-1], axis=1), T.Tensor(np.array(0.1)))
 
 
-PROTOTYPE_MATCHING = Variant("prototype matching", ((M, "forward", _prototype_forward),))
+PROTOTYPE_MATCHING = Variant("prototype matching", ((M, "segment", _prototype_head),))
 
 
 def _auc(score, positive):

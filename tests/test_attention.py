@@ -95,6 +95,15 @@ class TestLinearAttention:
         for order in ORDERS:
             assert np.isfinite(kernel(q, k, v, order)).all()
 
+    def test_keys_whose_phi_underflows_give_zeros(self):
+        # phi(-1000) = exp(-1000) is exactly 0.0, so every numerator and
+        # denominator is 0: the 1e-12 floor makes 0/0 a 0, not a NaN.
+        rng = np.random.default_rng(12)
+        q, _, v = qkv(rng, 6, 4)
+        k = Tensor(np.full((6, 4), -1000.0))
+        for order in ORDERS:
+            np.testing.assert_array_equal(kernel(q, k, v, order), np.zeros((6, 4)))
+
     def test_token_permutation_equivariance(self):
         rng = np.random.default_rng(10)
         q, k, v = qkv(rng, 20, 8)

@@ -187,6 +187,10 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=rf"^config field {key} must be .*, got {2**63}$"):
             RunConfig(**{key: 2**63})
 
+    @pytest.mark.parametrize("momentum", [0.0, 1.0])
+    def test_momentum_endpoints_accepted(self, momentum):
+        assert RunConfig(momentum=momentum).momentum == momentum
+
 
 _VALUES = st.one_of(
     st.integers(),

@@ -646,6 +646,17 @@ class TestEvaluate:
         assert set(result.per_class) <= set(split8.test_classes)
         assert all(iou == 1.0 for iou in result.per_class.values())
 
+    def test_an_episode_with_no_tp_fp_or_fn_is_left_out_of_the_episode_mean(self, pool8, split8, fast_config):
+        from pcseg import model as M
+
+        episode = next(M.episode_stream(pool8, split8, "test", fast_config, 8, 1))
+        pred = np.where(np.arange(episode.query_gt.size) % 2, episode.query_gt, 0)
+        empty = dataclasses.replace(episode, query_gt=np.zeros_like(episode.query_gt))
+        ordinary = M.score([(pred, episode)])
+        result = M.score([(pred, episode), (empty.query_gt, empty)])
+        assert 0.0 < ordinary.episode_miou_mean < 1.0
+        assert result.episode_miou_mean == ordinary.episode_miou_mean and result.n_episodes == 2
+
     def test_scores_the_test_stream(self, pool8, split8, fast_config, untrained, monkeypatch):
         from pcseg import model as M
 
