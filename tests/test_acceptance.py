@@ -34,7 +34,7 @@ from pcseg.sampling import biased_sample, cap_indices, cap_points, leakage_audit
 from pcseg.synth import make_pool
 from pcseg.tensor import Tensor
 
-from test_geometry import fps_oracle, nearest_seed_oracle, random_cloud, voxel_dedup_oracle
+from geometry_oracles import fps_oracle, nearest_seed_oracle, random_cloud, voxel_dedup_oracle
 
 
 @contextmanager

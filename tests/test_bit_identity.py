@@ -17,7 +17,9 @@ end: `REFERENCE_KERNELS` patches in every reference a run uses, and one
 training and one evaluation under it must give the fast library's losses,
 parameters, bank, scores and logits. The fast versions do the same
 per-element arithmetic on the same random streams, so every comparison
-here is on bytes.
+here is on bytes. Each per-kernel comparison is also the home of its op's
+forward values, so the unit files add no hand-formula check of a value
+pinned here.
 """
 
 import contextlib

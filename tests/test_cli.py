@@ -1,6 +1,7 @@
 """CLI: exit codes, file outputs, byte determinism."""
 
 import argparse
+import ast
 import contextlib
 import errno
 import io
@@ -683,3 +684,21 @@ def test_node_ids_differ_in_their_first_100_characters(request):
         by_prefix.setdefault(item.nodeid[:100], []).append(item.nodeid)
     clashes = [nodeid for ids in by_prefix.values() if len(ids) > 1 for nodeid in ids]
     assert not clashes, "\n".join(clashes)
+
+
+def test_no_test_module_imports_another():
+    # Shared helpers live in the oracle and harness modules, which collect no
+    # tests; test_io reads the FAULTS rows of test_cli through `bind_faults`.
+    here = Path(__file__).parent
+    test_modules = {path.stem for path in here.glob("test_*.py")}
+    imports = set()
+    for path in here.glob("test_*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            imports |= {(path.name, name) for name in names if name in test_modules}
+    assert imports <= {("test_io.py", "test_cli")}, sorted(imports)

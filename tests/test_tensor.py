@@ -1,5 +1,9 @@
 """Tensor kernel: forward values against hand oracles, gradients against
-finite differences, and optimizer arithmetic."""
+finite differences, graph lifetime and optimizer arithmetic.
+
+Where `test_bit_identity.py` pins an op's forward values byte for byte, a
+hand oracle here checks only what that reference cannot see: an epsilon
+that the reference reads from the library."""
 
 import tracemalloc
 import weakref
@@ -17,21 +21,6 @@ from pcseg.tensor import AdamW, Parameter, Tensor
 
 
 class TestForwardOracles:
-    def test_matmul_zero(self):
-        a = Tensor(np.random.default_rng(1).standard_normal((3, 4)))
-        out = T.matmul(a, Tensor(np.zeros((4, 2))))
-        np.testing.assert_array_equal(out.data, np.zeros((3, 2)))
-
-    def test_matmul_triple_loop(self):
-        rng = np.random.default_rng(2)
-        a, b = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
-        want = np.zeros((3, 2))
-        for i in range(3):
-            for j in range(2):
-                for k in range(4):
-                    want[i, j] += a[i, k] * b[k, j]
-        np.testing.assert_allclose(T.matmul(Tensor(a), Tensor(b)).data, want, atol=1e-12)
-
     def test_concat_axis1_shape(self):
         a = Tensor(np.zeros((4, 1, 8)))
         b = Tensor(np.zeros((4, 1, 8)))
@@ -68,6 +57,7 @@ class TestForwardOracles:
         np.testing.assert_array_equal(out._backward(g)[0], g.swapaxes(0, 1))
 
     def test_layer_norm_standardizes(self):
+        # `ref_layer_norm` reads `_LN_EPS` from the library, so only this test sees it move.
         rng = np.random.default_rng(7)
         x = rng.standard_normal((6, 32)) * 3 + 1
         out = T.layer_norm(Tensor(x), Tensor(np.ones(32)), Tensor(np.zeros(32))).data
@@ -95,12 +85,9 @@ class TestForwardOracles:
         params.b2 = Tensor(np.full(4, -10.0))
         np.testing.assert_allclose(T.mlp_forward(Tensor(x), params).data, x, atol=1e-12)
 
-    def test_cosine_orthogonal_is_zero(self):
-        a = Tensor(np.array([[1.0, 0.0]]))
-        b = Tensor(np.array([[0.0, 1.0]]))
-        np.testing.assert_allclose(T.cosine_rows(a, b).data, 0.0, atol=1e-15)
-
     def test_cosine_matches_scalar_formula(self):
+        # Two of these rows have norms under 1; the byte-identity reference reads
+        # `_COS_EPS` from the library and its nonzero rows have norms above 3.
         rng = np.random.default_rng(11)
         a, b = rng.standard_normal((3, 4)), rng.standard_normal((2, 4))
         got = T.cosine_rows(Tensor(a), Tensor(b)).data
@@ -108,18 +95,6 @@ class TestForwardOracles:
             for j in range(2):
                 want = a[i] @ b[j] / (np.linalg.norm(a[i]) * np.linalg.norm(b[j]))
                 np.testing.assert_allclose(got[i, j], want, atol=1e-12)
-
-    def test_cosine_bounded(self):
-        rng = np.random.default_rng(12)
-        out = T.cosine_rows(
-            Tensor(rng.standard_normal((20, 8)) * 10), Tensor(rng.standard_normal((15, 8)) * 0.1)
-        ).data
-        assert out.min() >= -1.0 - 1e-12 and out.max() <= 1.0 + 1e-12
-
-    def test_cosine_zero_vector_guard(self):
-        a = Tensor(np.zeros((1, 4)))
-        b = Tensor(np.random.default_rng(13).standard_normal((3, 4)))
-        np.testing.assert_array_equal(T.cosine_rows(a, b).data, np.zeros((1, 3)))
 
     def test_max_pool_matches_scan(self):
         rng = np.random.default_rng(15)
@@ -201,24 +176,6 @@ class TestAdamW:
         p.grad = np.zeros(2)
         opt.step()
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
-
-    def test_first_step_matches_hand_computation(self):
-        # quadratic f(w) = w^2 / 2 at w = 3: gradient 3
-        w = Parameter(np.array([3.0]), "w")
-        opt = AdamW([w], lr=0.01, weight_decay=0.0)
-        w.grad = np.array([3.0])
-        opt.step()
-        mhat = 3.0  # (1-b1)*g / (1-b1)
-        vhat = 9.0  # (1-b2)*g^2 / (1-b2)
-        want = 3.0 - 0.01 * mhat / (np.sqrt(vhat) + 1e-8)
-        np.testing.assert_allclose(w.data, [want], rtol=1e-12)
-
-    def test_decay_only_shrinks(self):
-        p = Parameter(np.array([2.0]), "p")
-        opt = AdamW([p], lr=0.1, weight_decay=0.5)
-        p.grad = np.zeros(1)
-        opt.step()
-        np.testing.assert_allclose(p.data, [2.0 * (1 - 0.1 * 0.5)], rtol=1e-12)
 
 
 class TestGraphLifetime:
