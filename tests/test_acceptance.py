@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from attention_oracles import linear_attention_quadratic, standard_attention
-from experiments import PROTOTYPE_MATCHING, SHIPPED, TOY_CONFIG, Cell, guidance_auc, score_cell, train_cell
+from experiments import SHIPPED, TOY_CONFIG, Cell, score_cell, train_cell
 from gradient_oracles import OP_CHECKS, check_end_to_end, check_op
 from pcseg import tensor as T
 from pcseg.attention import kernel_attention
@@ -284,35 +284,6 @@ def test_end_to_end_learning():
             f"(pooled {with_bank.mean_iou:.4f}), zeroed bank {zeroed.episode_miou_mean:.4f}, "
             f"train {train_seconds:.0f}s"
         )
-
-
-def test_trained_guidance_parity_report(acceptance_pool):
-    """`test_model.py::test_guidance_parity_report` on the trained model:
-    `guidance_auc` with the trained stub and bank. Printed (run with -s);
-    only the range of each AUC is gated."""
-    result, _ = train_cell(LEARNING_CELL)
-    aucs = guidance_auc(acceptance_pool, LEARNING_CELL.split, TOY_CONFIG, result.params, result.bank)
-    print(f"\n  trained guidance parity, mean AUC of -guidance: train {aucs[0]:.3f}, test {aucs[1]:.3f}")
-    assert all(0.0 <= auc <= 1.0 for auc in aucs)
-
-
-def test_prototype_baseline_report():
-    """The paper's central contrast: correlation optimization against
-    feature optimization with prototype matching (ProtoNet, arXiv
-    1703.05175; attMPTI, arXiv 2006.12052). The baseline is trained like
-    the shipped model at seed 3 on both folds; the shipped model is read
-    at fold 0 only, as the learning criterion trained it. Episode mIoU,
-    pooled in parentheses, with the bank and zeroed. Printed (run with
-    -s); only the range is gated, until the margin holds over seeds."""
-    cells = [Cell(PROTOTYPE_MATCHING, fold, TOY_CONFIG.seed, TOY_CONFIG.episodes) for fold in (0, 1)]
-    rows = [(cell, *score_cell(cell)) for cell in [*cells, LEARNING_CELL]]
-    print("\nprototype matching against the shipped model, seed 3, episode mIoU (pooled)\n"
-          "| model | fold | with the bank | zeroed |")
-    for cell, with_bank, zeroed in rows:
-        print(f"| {cell.variant.name} | {cell.fold} | {with_bank.episode_miou_mean:.3f} ({with_bank.mean_iou:.3f}) "
-              f"| {zeroed.episode_miou_mean:.3f} ({zeroed.mean_iou:.3f}) |")
-    scores = [value for _, *results in rows for r in results for value in (r.episode_miou_mean, r.mean_iou)]
-    assert all(0.0 <= value <= 1.0 for value in scores), scores
 
 
 def test_cli_determinism(tmp_path):

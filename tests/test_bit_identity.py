@@ -76,7 +76,7 @@ def ref_layer_norm(t, gain, bias):
     mu = t.data.mean(axis=-1, keepdims=True)
     xc = t.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + T._LN_EPS)
+    inv = 1.0 / np.sqrt(var + 1e-12)
     y = xc * inv
     lead = tuple(range(t.ndim - 1))
 
@@ -363,9 +363,9 @@ class TestLayerNorm:
 def test_cosine_rows_norms_match_linalg():
     rng = np.random.default_rng(7)
     a, b = rng.standard_normal((300, 32)), rng.standard_normal((10, 32))
-    a[3] = 0.0
-    ca = np.maximum(np.linalg.norm(a, axis=1), T._COS_EPS)
-    cb = np.maximum(np.linalg.norm(b, axis=1), T._COS_EPS)
+    a[3], a[4], b[0] = 0.0, a[4] * 1e-3, b[0] * 1e-3  # a zero row, and norms between the floor and 1
+    ca = np.maximum(np.linalg.norm(a, axis=1), 1e-8)
+    cb = np.maximum(np.linalg.norm(b, axis=1), 1e-8)
     assert same_bytes(T.cosine_rows(Tensor(a), Tensor(b)).data, (a @ b.T) / ca[:, None] / cb[None, :])
 
 

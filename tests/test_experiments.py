@@ -1,11 +1,15 @@
 """The experiment harness's mechanics: patches are undone, a cell trains
-once, and what the memo hands out is read-only. Only 0-episode cells run."""
+once, what the memo hands out is read-only, and the report command prints.
+Only 0-episode cells run."""
 
+import dataclasses
+import re
 import types
 
 import numpy as np
 import pytest
 
+import experiments
 from experiments import SHIPPED, Cell, Variant, score_cell, train_cell
 from pcseg import model as M
 from pcseg.tensor import Tensor
@@ -50,3 +54,13 @@ def test_memoized_arrays_are_read_only():
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
+
+
+def test_the_report_command_prints_four_finite_tables(monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "TOY_CONFIG", dataclasses.replace(experiments.TOY_CONFIG, episodes=0))
+    experiments.main()
+    out = capsys.readouterr().out
+    for header in ("prototype matching against", "  trained guidance parity", "guidance parity, mean", "way and shot"):
+        assert f"\n{header}" in out, header
+    numbers = re.findall(r"\b(?:nan|inf|\d[\d,]*(?:\.\d+)?)\b", out)
+    assert len(numbers) > 50 and all(np.isfinite(float(n.replace(",", ""))) for n in numbers), out

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import pcseg.tensor as T
-from experiments import SHIPPED, TOY_CONFIG, Cell, guidance_auc, read_only_result, train_cell
+from experiments import read_only_result
 from gradient_oracles import check_end_to_end, finite_difference_check
 from pcseg.episodes import Episode, generate_episode
 from pcseg.geometry import EmptyMaskError, PointCloud
@@ -26,7 +26,6 @@ from pcseg.model import (
     base_guidance,
     calibrate_background,
     compute_correlations,
-    episode_stream,
     extract_prototypes,
     forward,
     loss,
@@ -710,68 +709,3 @@ print(result.n_episodes, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - be
         heads.clear()
         M.evaluate(pool8, split8, trained.params, trained.bank, config, 4, seed=1)
         assert heads and not any(p is trained.params.base_head for p in heads)
-
-
-def test_guidance_parity_report(acceptance_pool):
-    """How well low guidance alone marks a query's foreground: `guidance_auc`
-    with nothing trained. The stub is at its init and each bank row is its
-    class's mean stub feature over the acceptance pool. A train AUC above
-    the test one is a cue that solves training and does not transfer. The
-    table is printed (run with -s); nothing is gated yet."""
-    rows = []
-    with T.no_grad():
-        for seed in (3, 4, 5):
-            for fold in (0, 1):
-                cell = Cell(SHIPPED, fold, seed, 0)
-                params, split = train_cell(cell)[0].params, cell.split
-                features = [backbone_stub(cloud, params.stub).data for cloud in acceptance_pool]
-                bank = BasePrototypeBank.zeros(split.train_classes, TOY_CONFIG.dim)
-                for cid in split.train_classes:
-                    pooled = np.concatenate([f[cloud.labels == cid] for f, cloud in zip(features, acceptance_pool)])
-                    bank.apply_update(cid, pooled.mean(axis=0), 0.0)
-                rows.append((seed, fold, *guidance_auc(acceptance_pool, split, cell.config, params, bank)))
-    print("\nguidance parity, mean AUC of -guidance for the query foreground\n| seed | fold | train | test |")
-    for seed, fold, train, test in rows:
-        print(f"| {seed} | {fold} | {train:.3f} | {test:.3f} |")
-    assert all(0.0 <= auc <= 1.0 for row in rows for auc in row[2:])
-
-
-def test_way_and_shot_order_report(acceptance_pool):
-    """How much `forward` depends on the order an episode lists its ways and
-    each way's shots in: the logits of 100 test episodes as listed against
-    those of the same episodes listed in reverse, with the foreground
-    columns mapped back, at 2-way 1-shot and at 1-way 3-shot. The model is
-    the 0-episode cell at seed 3, fold 0: `TOY_CONFIG`'s init and a zero
-    bank. ProtoNet's prototype (arXiv 1703.05175) is a mean over the shots,
-    so it is invariant to their order by construction; these rows measure
-    how far the multi-prototype extraction is from that. The table is
-    printed (run with -s); nothing is gated yet."""
-    from pcseg import model as M
-
-    cell = Cell(SHIPPED, fold=0, seed=TOY_CONFIG.seed, episodes=0)
-    untrained, split = train_cell(cell)[0], cell.split
-    params, bank = untrained.params, untrained.bank
-    rows = []
-    with T.no_grad():
-        for n_way, k_shot in ((2, 1), (1, 3)):
-            config = dataclasses.replace(TOY_CONFIG, n_way=n_way, k_shot=k_shot)
-            back = [0, *range(n_way, 0, -1)]  # the reversed listing's columns in listed order
-            deltas, moved, points, listed_pairs, reversed_pairs = [], 0, 0, [], []
-            for ep in episode_stream(acceptance_pool, split, "test", config, 999, 100):
-                listed = forward(ep, params, bank, ())[0].data
-                # `forward` reads only the support and the query
-                flipped = dataclasses.replace(ep, support=[way[::-1] for way in ep.support[::-1]])
-                reverse = forward(flipped, params, bank, ())[0].data[:, back]
-                deltas.append(np.abs(listed - reverse).max())
-                moved += int((listed.argmax(axis=1) != reverse.argmax(axis=1)).sum())
-                points += len(listed)
-                listed_pairs.append((listed.argmax(axis=1), ep))
-                reversed_pairs.append((reverse.argmax(axis=1), ep))
-            rows.append((f"{n_way}-way {k_shot}-shot", np.median(deltas), max(deltas), moved, points,
-                         M.score(listed_pairs).episode_miou_mean, M.score(reversed_pairs).episode_miou_mean))
-    print("\nway and shot order at init, 100 test episodes, ways and shots listed in reverse\n"
-          "| task | max \\|Δ logit\\| (median / max over episodes) | query points whose argmax moves |"
-          " episode mIoU, as listed / reversed |")
-    for task, median, worst, moved, points, as_listed, as_reversed in rows:
-        print(f"| {task} | {median:.2f} / {worst:.2f} | {moved} of {points:,} | {as_listed:.3f} / {as_reversed:.3f} |")
-    assert all(np.isfinite(row[1:]).all() for row in rows)

@@ -1,9 +1,9 @@
 """Tensor kernel: forward values against hand oracles, gradients against
 finite differences, graph lifetime and optimizer arithmetic.
 
-Where `test_bit_identity.py` pins an op's forward values byte for byte, a
-hand oracle here checks only what that reference cannot see: an epsilon
-that the reference reads from the library."""
+Where `test_bit_identity.py` pins an op's forward values byte for byte,
+against a reference that writes its epsilons as literals, no hand oracle
+here restates it."""
 
 import tracemalloc
 import weakref
@@ -56,14 +56,6 @@ class TestForwardOracles:
         g = np.random.default_rng(7).standard_normal((5, 2, 8))
         np.testing.assert_array_equal(out._backward(g)[0], g.swapaxes(0, 1))
 
-    def test_layer_norm_standardizes(self):
-        # `ref_layer_norm` reads `_LN_EPS` from the library, so only this test sees it move.
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal((6, 32)) * 3 + 1
-        out = T.layer_norm(Tensor(x), Tensor(np.ones(32)), Tensor(np.zeros(32))).data
-        assert np.abs(out.mean(axis=1)).max() < 1e-10
-        assert np.abs(out.var(axis=1) - 1).max() < 1e-8
-
     def test_mlp_zero_weights_broadcast_bias(self):
         rng = np.random.default_rng(8)
         params = type("P", (), {})()
@@ -84,17 +76,6 @@ class TestForwardOracles:
         params.w2 = Tensor(np.eye(4))
         params.b2 = Tensor(np.full(4, -10.0))
         np.testing.assert_allclose(T.mlp_forward(Tensor(x), params).data, x, atol=1e-12)
-
-    def test_cosine_matches_scalar_formula(self):
-        # Two of these rows have norms under 1; the byte-identity reference reads
-        # `_COS_EPS` from the library and its nonzero rows have norms above 3.
-        rng = np.random.default_rng(11)
-        a, b = rng.standard_normal((3, 4)), rng.standard_normal((2, 4))
-        got = T.cosine_rows(Tensor(a), Tensor(b)).data
-        for i in range(3):
-            for j in range(2):
-                want = a[i] @ b[j] / (np.linalg.norm(a[i]) * np.linalg.norm(b[j]))
-                np.testing.assert_allclose(got[i, j], want, atol=1e-12)
 
     def test_max_pool_matches_scan(self):
         rng = np.random.default_rng(15)
