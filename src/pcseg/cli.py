@@ -80,10 +80,12 @@ def _pool_paths(pool_args) -> list[str]:
 
 def _check_out_dir(path) -> None:
     """Raise, before any work, the OSError that writing the output file
-    `path` would raise when it is a directory, or its directory is missing,
+    `path` would raise when it is empty or a directory, or its directory is missing,
     not a directory or cannot take a new file: a probe file is made there and removed."""
     directory = os.path.dirname(path) or "."
     try:
+        if not path:
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         if not stat.S_ISDIR(os.stat(directory).st_mode):
@@ -179,7 +181,7 @@ def cmd_audit(args) -> int:
             )
             blocks.append(format_pairs([("cloud", path), ("sampler", sampler)]) + report.to_text())
     text = "\n".join(blocks)
-    if args.out:
+    if args.out is not None:
         pio.atomic_write_text(args.out, text)
         print(f"wrote audit report to {args.out}")
     else:
@@ -292,7 +294,7 @@ def main(argv=None) -> int:
     if args.command == "synth" and args.blobs > args.classes:
         parser.error(f"argument --blobs: must be <= --classes ({args.classes}), got {args.blobs}")
     try:
-        if args.command != "synth" and args.out:  # synth's --out is a directory it makes
+        if args.command != "synth" and args.out is not None:  # synth's --out is a directory it makes
             _check_out_dir(args.out)
             _check_out_is_no_input(args)
         return args.func(args)

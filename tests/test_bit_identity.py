@@ -363,7 +363,7 @@ class TestLayerNorm:
 def test_cosine_rows_norms_match_linalg():
     rng = np.random.default_rng(7)
     a, b = rng.standard_normal((300, 32)), rng.standard_normal((10, 32))
-    a[3], a[4], b[0] = 0.0, a[4] * 1e-3, b[0] * 1e-3  # a zero row, and norms between the floor and 1
+    a[3], a[4], a[5], b[0] = 0.0, a[4] * 1e-3, a[5] * 1e-7, b[0] * 1e-3  # a zero row, and norms between the floor and 1
     ca = np.maximum(np.linalg.norm(a, axis=1), 1e-8)
     cb = np.maximum(np.linalg.norm(b, axis=1), 1e-8)
     assert same_bytes(T.cosine_rows(Tensor(a), Tensor(b)).data, (a @ b.T) / ca[:, None] / cb[None, :])

@@ -70,10 +70,6 @@ class TestSynth:
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
-class TestAudit:
-    """Holds the audit command's FAULTS rows, which `bind_faults` adds."""
-
-
 class TestTrainEval:
     def test_zero_episode_artifact_equals_initialization(self, scene_dir, tmp_path):
         cfg = tmp_path / "zero.cfg"
@@ -158,7 +154,8 @@ def test_output_files_follow_the_umask(scene_dir, config_path, tmp_path):
         path.name: oct(0o640) for path in written}
 
 
-@pytest.mark.parametrize("parent, code", [("nodir", errno.ENOENT), ("afile", errno.ENOTDIR), ("adir", errno.EISDIR)])
+@pytest.mark.parametrize("parent, code", [("nodir", errno.ENOENT), ("afile", errno.ENOTDIR), ("adir", errno.EISDIR),
+                                          pytest.param("", errno.ENOENT, id="empty-2")])
 @pytest.mark.parametrize("command", ["train", "eval", "audit"])
 def test_out_in_a_missing_directory_exits_2_before_any_work(scene_dir, config_path, tiny_model, tmp_path, capsys,
                                                             monkeypatch, command, parent, code):
@@ -166,7 +163,7 @@ def test_out_in_a_missing_directory_exits_2_before_any_work(scene_dir, config_pa
     (tmp_path / "adir" / "out.txt").mkdir(parents=True)  # --out names this directory
     for owner, name in ((M, "meta_train"), (M, "evaluate"), (cli, "leakage_audit")):
         monkeypatch.setattr(owner, name, lambda *args, _name=name: pytest.fail(f"{_name} ran before --out was checked"))
-    out = tmp_path / parent / "out.txt"
+    out = tmp_path / parent / "out.txt" if parent else ""
     argv = {
         "train": ["train", "--pool", str(scene_dir), "--config", str(config_path)],
         "eval": ["eval", "--pool", str(scene_dir), "--model", str(tiny_model), "--episodes", "2"],
@@ -397,56 +394,58 @@ INT_FLAGS = [(SYNTH, f) for f in ("--scenes", "--classes", "--blobs", "--points"
     (AUDIT, f) for f in ("--m", "--trials", "--seed")] + [(EVAL, f) for f in ("--episodes", "--seed")]
 # the start of an I/O failure's and of a usage error's message that names the edited file's line
 AT, USAGE_AT = "pcseg: {path}:{line}: ", "pcseg: error: {path}:{line}: "
-TRAIN_EVAL, ARTIFACT = "TestTrainEval::", "TestModelArtifact::"
 
-# Every bad input the CLI documents, one row per run: (test id, argv,
-# (input, line edit, ...) or None, exit code, the whole stderr line). The
-# test id is `[Class::]function[case]`; rows that share one run in order.
+# Every bad input the CLI documents, one row per run: (id, argv, (input,
+# line edit, ...) or None, exit code, the whole stderr line). The id,
+# `<command>-<fault>`, names the row's run of `test_fault`.
 # POOL, SCENE, CONFIG and MODEL in argv are the shared inputs, or a private
 # copy of the one the row edits; OUT is a path that must not exist after the
 # run. In the stderr line, {path} and {line} are the edited copy and the
 # line its edits return; a compiled pattern stands only for text that comes
 # from the OS or numpy.
 FAULTS = [
-    ("test_episodes_command_is_gone", ["episodes", "--pool", "POOL", "--n", "4", "--out", "OUT"], None, 64,
+    ("episodes-command-is-gone", ["episodes", "--pool", "POOL", "--n", "4", "--out", "OUT"], None, 64,
      "pcseg: error: argument command: invalid choice: 'episodes' (choose from 'synth', 'audit', 'train', 'eval')"),
-    *[(f"test_int_flag_beyond_int64_is_usage_error[{argv[0]}{flag}-{value}]", argv + [flag, value], None, 64,
+    *[(f"{argv[0]}-{flag[2:]}={value}", argv + [flag, value], None, 64,
        f"pcseg {argv[0]}: error: argument {flag}: invalid int64 value: '{value}'")
       for value in (str(2**63), "99999999999999999999") for argv, flag in INT_FLAGS],
-    *[(f"test_negative_seed_is_usage_error[{argv[0]}]", argv + ["--seed", "-1"], None, 64,
+    *[(f"{argv[0]}-seed=-1", argv + ["--seed", "-1"], None, 64,
        f"pcseg {argv[0]}: error: argument --seed: must be >= 0, got -1") for argv in (SYNTH, AUDIT, EVAL)],
-    ("TestSynth::test_bad_counts_are_usage_errors[argv0---blobs]", SYNTH + ["--blobs", "3", "--classes", "2"], None,
-     64, "pcseg: error: argument --blobs: must be <= --classes (2), got 3"),
-    *[(f"TestSynth::test_bad_counts_are_usage_errors[argv{i}-{flag}]", SYNTH + [flag, value], None, 64,
+    ("synth-blobs=3-above-classes=2", SYNTH + ["--blobs", "3", "--classes", "2"], None, 64,
+     "pcseg: error: argument --blobs: must be <= --classes (2), got 3"),
+    *[(f"synth-{flag[2:]}={value}", SYNTH + [flag, value], None, 64,
        f"pcseg synth: error: argument {flag}: must be >= {low}, got {value}")
-      for i, flag, value, low in [(1, "--blobs", "1", 2), (2, "--scenes", "0", 1), (3, "--points", "0", 1)]],
-    ("TestAudit::test_missing_file_exits_2", AUDIT + ["--cloud", "POOL/nope.pcseg"], None, 2,
+      for flag, value, low in [("--blobs", "1", 2), ("--scenes", "0", 1), ("--points", "0", 1)]],
+    ("audit-cloud-missing", AUDIT + ["--cloud", "POOL/nope.pcseg"], None, 2,
      "pcseg: [Errno 2] No such file or directory: '{POOL}/nope.pcseg'"),
-    ("TestAudit::test_out_in_missing_directory_names_the_path", AUDIT + ["--out", "OUT/r.txt"], None, 2,
+    ("audit-out-in-a-missing-directory", AUDIT + ["--out", "OUT/r.txt"], None, 2,
      "pcseg: [Errno 2] No such file or directory: '{OUT}/r.txt'"),
-    ("TestAudit::test_bad_flag_exits_64", AUDIT + ["--definitely-not-a-flag"], None, 64,
+    ("audit-unknown-flag", AUDIT + ["--definitely-not-a-flag"], None, 64,
      "pcseg: error: unrecognized arguments: --definitely-not-a-flag"),
-    *[(f"TestAudit::test_bad_cloud_exits_2_naming_path_and_line[{n}-{row}]", AUDIT,
-       ("SCENE", put(n, row) if n else add(-1, row)), 2, AT + what) for n, row, what in [
-        (6, "0.1 0.2 0.3 0.5 0.5 0.5", "expected 7 fields, got 6"),
-        (6, "0.1 0.2 0.3 0.5 0.5 0.5 1 9", "expected 7 fields, got 8"),
-        (4, "nan 0.2 0.3 0.5 0.5 0.5 1", "row 'nan 0.2 0.3 0.5 0.5 0.5 1': positions must be finite"),
-        (5, "0.1 0.2 0.3 2.0 0.5 0.5 1", "row '0.1 0.2 0.3 2.0 0.5 0.5 1': colors must lie in [0, 1]"),
-        (None, "0.1 0.2 0.3 0.5 0.5 0.5 1", "more rows than the header's count 450"),
-        (7, "0.1 0.2 0.3 0.5 0.5 0.5 1.5", "row '0.1 0.2 0.3 0.5 0.5 0.5 1.5': labels must be integers"),
-        (8, "0.1 0.2 0.3 0.5 0.5 0.5 -5",
+    *[(f"audit-cloud-{case}", AUDIT, ("SCENE", put(n, row) if n else add(-1, row)), 2, AT + what)
+      for case, n, row, what in [
+        ("6-fields", 6, "0.1 0.2 0.3 0.5 0.5 0.5", "expected 7 fields, got 6"),
+        ("8-fields", 6, "0.1 0.2 0.3 0.5 0.5 0.5 1 9", "expected 7 fields, got 8"),
+        ("nan-position", 4, "nan 0.2 0.3 0.5 0.5 0.5 1", "row 'nan 0.2 0.3 0.5 0.5 0.5 1': positions must be finite"),
+        ("color-2.0", 5, "0.1 0.2 0.3 2.0 0.5 0.5 1", "row '0.1 0.2 0.3 2.0 0.5 0.5 1': colors must lie in [0, 1]"),
+        ("extra-row", None, "0.1 0.2 0.3 0.5 0.5 0.5 1", "more rows than the header's count 450"),
+        ("label-1.5", 7, "0.1 0.2 0.3 0.5 0.5 0.5 1.5", "row '0.1 0.2 0.3 0.5 0.5 0.5 1.5': labels must be integers"),
+        ("label--5", 8, "0.1 0.2 0.3 0.5 0.5 0.5 -5",
          "row '0.1 0.2 0.3 0.5 0.5 0.5 -5': labels must be >= -1 (-1 marks unlabeled), got -5"),
         # Python's float reads these two; np.loadtxt does not
-        (3, "1_0 0 0 0.5 0.5 0.5 1", "cannot read '1_0 0 0 0.5 0.5 0.5 1' as 7 numbers"),
-        (3, "\uff11 0 0 0.5 0.5 0.5 1", "cannot read '\uff11 0 0 0.5 0.5 0.5 1' as 7 numbers"),
+        ("underscore-in-a-number", 3, "1_0 0 0 0.5 0.5 0.5 1", "cannot read '1_0 0 0 0.5 0.5 0.5 1' as 7 numbers"),
+        ("fullwidth-digit", 3, "\uff11 0 0 0.5 0.5 0.5 1", "cannot read '\uff11 0 0 0.5 0.5 0.5 1' as 7 numbers"),
         # `str.isdigit` takes these two; the header count is ASCII digits
-        (1, "PCSEG v1 \u0665", "not a 'PCSEG v1 <count>' header with a count >= 1: 'PCSEG v1 \u0665'"),
-        (1, "PCSEG v1 \u00b2", "not a 'PCSEG v1 <count>' header with a count >= 1: 'PCSEG v1 \u00b2'"),
-        (1, "PCSEG v1 0", "not a 'PCSEG v1 <count>' header with a count >= 1: 'PCSEG v1 0'"),
-        (1, "NOT A CLOUD 3", "not a 'PCSEG v1 <count>' header with a count >= 1: 'NOT A CLOUD 3'"),
-        (3, "0.1 0.2 0.3 0.5 0.5 0.5 one", "cannot read '0.1 0.2 0.3 0.5 0.5 0.5 one' as 7 numbers"),
-        (3, "0.1 0.2 0.3\r0.5 0.5 0.5 1", "expected 7 fields, got 3")]],  # a lone CR ends a line
-    *[(f"TestAudit::test_bad_cloud_exits_2_naming_path_and_line[{case}]", AUDIT, ("SCENE", *edits), 2, AT + what)
+        ("header-arabic-indic-digit", 1, "PCSEG v1 \u0665",
+         "not a 'PCSEG v1 <count>' header with a count >= 1: 'PCSEG v1 \u0665'"),
+        ("header-superscript-digit", 1, "PCSEG v1 \u00b2",
+         "not a 'PCSEG v1 <count>' header with a count >= 1: 'PCSEG v1 \u00b2'"),
+        ("header-count-0", 1, "PCSEG v1 0", "not a 'PCSEG v1 <count>' header with a count >= 1: 'PCSEG v1 0'"),
+        ("not-a-header", 1, "NOT A CLOUD 3", "not a 'PCSEG v1 <count>' header with a count >= 1: 'NOT A CLOUD 3'"),
+        ("word-for-a-label", 3, "0.1 0.2 0.3 0.5 0.5 0.5 one",
+         "cannot read '0.1 0.2 0.3 0.5 0.5 0.5 one' as 7 numbers"),
+        ("lone-cr", 3, "0.1 0.2 0.3\r0.5 0.5 0.5 1", "expected 7 fields, got 3")]],  # a lone CR ends a line
+    *[(f"audit-cloud-{case}", AUDIT, ("SCENE", *edits), 2, AT + what)
       for case, edits, what in [
         ("empty", [_emptied], "the file is empty"),
         ("rows-dropped-from-the-end", [drop(-5, 5)], "the file ends after 445 of 450 rows"),
@@ -456,166 +455,166 @@ FAULTS = [
         # blank and comment lines are lines: the bad row is the file's line 10, its 6th row
         ("blank-and-comment-lines", [add(3, "", "# a comment", "   "), put(10, "0.1 0.2 0.3 0.5 0.5 0.5 2.5")],
          "row '0.1 0.2 0.3 0.5 0.5 0.5 2.5': labels must be integers")]],
-    *[(f"TestAudit::test_zero_count_is_usage_error[{flag}]", AUDIT + [flag, "0"], None, 64,
+    *[(f"audit-{flag[2:]}=0", AUDIT + [flag, "0"], None, 64,
        f"pcseg audit: error: argument {flag}: must be >= 1, got 0") for flag in ("--m", "--trials")],
-    ("TestAudit::test_bad_fg_class_is_usage_error[-1]", AUDIT + ["--fg-class", "-1"], None, 64,
+    ("audit-fg-class=-1", AUDIT + ["--fg-class", "-1"], None, 64,
      "pcseg audit: error: argument --fg-class: must be >= 0, got -1"),
-    ("TestAudit::test_bad_fg_class_is_usage_error[9223372036854775808]", AUDIT + ["--fg-class", str(2**63)], None,
-     64, "pcseg audit: error: argument --fg-class: invalid int64 value: '9223372036854775808'"),
-    ("TestAudit::test_absent_fg_class_exits_2", AUDIT + ["--fg-class", "77"], None, 2,
-     "pcseg: {SCENE}: no point has class 77"),
+    ("audit-fg-class=9223372036854775808", AUDIT + ["--fg-class", str(2**63)], None, 64,
+     "pcseg audit: error: argument --fg-class: invalid int64 value: '9223372036854775808'"),
+    ("audit-fg-class-absent", AUDIT + ["--fg-class", "77"], None, 2, "pcseg: {SCENE}: no point has class 77"),
     # a training run's settings come from its --config file alone
-    (TRAIN_EVAL + "test_train_without_config_or_with_seed_exits_64[no-config]", ["train", "--pool", "POOL",
-     "--out", "OUT"], None, 64, "pcseg train: error: the following arguments are required: --config"),
-    (TRAIN_EVAL + "test_train_without_config_or_with_seed_exits_64[seed-flag]", TRAIN + ["--seed", "3"], None, 64,
-     "pcseg: error: unrecognized arguments: --seed 3"),
-    (TRAIN_EVAL + "test_eval_without_model_exits_64", ["eval", "--pool", "POOL", "--out", "OUT"], None, 64,
+    ("train-no-config", ["train", "--pool", "POOL", "--out", "OUT"], None, 64,
+     "pcseg train: error: the following arguments are required: --config"),
+    ("train-seed-flag", TRAIN + ["--seed", "3"], None, 64, "pcseg: error: unrecognized arguments: --seed 3"),
+    ("eval-no-model", ["eval", "--pool", "POOL", "--out", "OUT"], None, 64,
      "pcseg eval: error: the following arguments are required: --model"),
     # 2-way 3-shot at seed 0: the stream first draws a class the shared pool cannot serve at episode 3
-    (TRAIN_EVAL + "test_a_pool_that_runs_dry_names_the_episode", TRAIN,
+    ("train-pool-runs-dry", TRAIN,
      ("CONFIG", put("seed=", "seed=0"), put("episodes=", "episodes=4"), add(-1, "n_way=2", "k_shot=3")), 2,
      "pcseg: episode 3 (seed 7432487890069041120): class 2: need 3 support clouds with >= 30 foreground points, "
      "pool offers 2"),
     # capped to one point, each support cloud is all foreground, so the background way is empty
-    (TRAIN_EVAL + "test_a_support_without_background_names_the_episode", TRAIN,
+    ("train-support-without-background", TRAIN,
      ("CONFIG", put("max_points=", "max_points=1"), put("min_fg_points=", "min_fg_points=1")), 2,
      "pcseg: episode 0 (seed 13764803076029752189): the support holds no background point"),
-    *[(TRAIN_EVAL + f"test_corrupt_artifact_exits_2_with_one_line[{case}]", EVAL, ("MODEL", edit), 2, AT + what)
-      for case, edit, what in [
-        ("update_counts-<lambda>", put("update_counts=", lambda v: v.rsplit(" ", 1)[0]),
+    *[(f"eval-artifact-{case}", EVAL, ("MODEL", edit), 2, AT + what) for case, edit, what in [
+        ("update_counts-short", put("update_counts=", lambda v: v.rsplit(" ", 1)[0]),
          "[bank] update_counts needs 3 non-negative entries, one per class id, got '3 2'"),
-        ("decoder.b2-<lambda>", put(("decoder.b2", 2), "nan"), "record decoder.b2 holds a non-finite value"),
+        ("decoder.b2-nan", put(("decoder.b2", 2), "nan"), "record decoder.b2 holds a non-finite value"),
         ("update_counts-beyond-int64", put("update_counts=", lambda v: f"{v} {2**63}"),
          "cannot parse [bank] update_counts='3 2 3 9223372036854775808'"),
         ("line-2-not-utf-8", put(2, lambda v: "\udcff" + v), "byte 0xff is not UTF-8 (invalid start byte)")]],
     # a bad line that is there is named; a deleted key, at the [meta] header
-    *[(TRAIN_EVAL + f"test_bad_meta_exits_2_with_one_line[{case}]", EVAL, ("MODEL", edit), 2, AT + what)
-      for case, edit, what in [
-        ("fold-<lambda>0", drop("fold=", named="[meta]"), "[meta] has no fold= line"),
-        ("fold-<lambda>1", put("fold=", "fold=2"), "[meta] fold must be 0 or 1, got '2'"),
-        ("fold-<lambda>2", put("fold=", "fold=one"), "cannot parse [meta] fold='one'"),
-        ("classes-<lambda>0", drop("classes=", named="[meta]"), "[meta] has no classes= line"),
-        ("classes-<lambda>1", put("classes=", "classes="), "cannot parse [meta] classes=''"),
-        ("classes-<lambda>2", put("classes=", "classes=1,,3"), "cannot parse [meta] classes='1,,3'"),
-        ("classes-<lambda>3", put("classes=", "classes=1"),
+    *[(f"eval-meta-{case}", EVAL, ("MODEL", edit), 2, AT + what) for case, edit, what in [
+        ("fold-missing", drop("fold=", named="[meta]"), "[meta] has no fold= line"),
+        ("fold-2", put("fold=", "fold=2"), "[meta] fold must be 0 or 1, got '2'"),
+        ("fold-one", put("fold=", "fold=one"), "cannot parse [meta] fold='one'"),
+        ("classes-missing", drop("classes=", named="[meta]"), "[meta] has no classes= line"),
+        ("classes-empty", put("classes=", "classes="), "cannot parse [meta] classes=''"),
+        ("classes-1,,3", put("classes=", "classes=1,,3"), "cannot parse [meta] classes='1,,3'"),
+        ("classes-1", put("classes=", "classes=1"),
          "[meta] classes=1: need at least 2 classes to split, got 1"),
-        ("classes-<lambda>4", put("classes=", "classes=1,1,1"),
+        ("classes-1,1,1", put("classes=", "classes=1,1,1"),
          "[meta] classes=1,1,1: need at least 2 classes to split, got 1"),
-        ("share_background_fc-<lambda>", put("share_background_fc=", "share_background_fc=1"),
+        ("share_background_fc-1", put("share_background_fc=", "share_background_fc=1"),
          "[meta] share_background_fc must be 0 (no shared background layer), got '1'"),
-        ("fodl-<lambda>", add("[meta]", "fodl=1"), "unknown [meta] key 'fodl'")]],  # a misspelled key
-    *[(TRAIN_EVAL + f"test_repeated_key_or_section_exits_2_naming_the_line[{case}]", EVAL, ("MODEL", edit), 2,
-       AT + what) for case, edit, what in [
+        ("misspelled-key", add("[meta]", "fodl=1"), "unknown [meta] key 'fodl'")]],
+    *[(f"eval-{case}", EVAL, ("MODEL", edit), 2, AT + what) for case, edit, what in [
         ("meta-repeated-key", add("fold=", "fold=1"), "duplicate [meta] key 'fold'"),
         ("meta-no-equals", add("[meta]", "fold"), "expected [meta] key=value, got 'fold'"),
         ("bank-repeated-key", add("update_counts=", "momentum=0.5"), "duplicate [bank] key 'momentum'"),
         ("bank-unknown-key", add("update_counts=", "bogus=1"), "unknown [bank] key 'bogus'"),
-        ("second-config", add(-1, "[config]"), "repeated section [config]"),
-        ("second-params", add(-1, "[params]"), "repeated section [params]"),
-        ("stray-line-before-sections", add(1, "garbage line"), "expected a [section] header, got 'garbage line'")]],
-    (TRAIN_EVAL + "test_missing_or_extra_record_exits_2_naming_it[params-missing]", EVAL,
-     ("MODEL", drop("stub.w1", 3)), 2, "pcseg: {path}: records mismatch (missing ['stub.w1'], extra [])"),
-    (TRAIN_EVAL + "test_missing_or_extra_record_exits_2_naming_it[bank-extra]", EVAL,  # [bank] is the last section
+        ("artifact-second-config", add(-1, "[config]"), "repeated section [config]"),
+        ("artifact-second-params", add(-1, "[params]"), "repeated section [params]"),
+        ("artifact-line-before-sections", add(1, "garbage line"),
+         "expected a [section] header, got 'garbage line'")]],
+    ("eval-artifact-record-missing", EVAL, ("MODEL", drop("stub.w1", 3)), 2,
+     "pcseg: {path}: records mismatch (missing ['stub.w1'], extra [])"),
+    ("eval-artifact-record-extra", EVAL,  # [bank] is the last section
      ("MODEL", add(-1, "extra", "1 1", "0")), 2, "pcseg: {path}: records mismatch (missing [], extra ['extra'])"),
     # a bad --config line is a usage error; the same line in an artifact's [config], an I/O failure
-    *[(TRAIN_EVAL + "test_bad_config_exits_64_but_in_an_artifact_exits_2", argv, edit, code, at + what)
-      for argv, edit, code, at, what in [
-        (TRAIN, ("CONFIG", add(-1, "bogus=1")), 64, USAGE_AT, "unknown config key 'bogus'"),
-        (EVAL, ("MODEL", add("[config]", "bogus=1")), 2, AT, "unknown config key 'bogus'"),
-        (TRAIN, ("CONFIG", put("n_prototypes=", f"n_prototypes={10**20}")), 64, USAGE_AT,
-         f"cannot parse config n_prototypes='{10**20}'"),
-        (EVAL, ("MODEL", put("[config] n_prototypes=", f"n_prototypes={10**20}")), 2, AT,
-         f"cannot parse config n_prototypes='{10**20}'")]],
-    *[(TRAIN_EVAL + f"test_non_finite_config_exits_64_or_2_in_artifact[{key}={value}]", argv, edit, code,
-       f"{at}config field {key} must be {rule}, got {value}")
+    *[(row_id, argv, edit, code, at + what) for row_id, argv, edit, code, at, what in [
+        ("train-config-bogus=1", TRAIN, ("CONFIG", add(-1, "bogus=1")), 64, USAGE_AT, "unknown config key 'bogus'"),
+        ("eval-artifact-bogus=1", EVAL, ("MODEL", add("[config]", "bogus=1")), 2, AT, "unknown config key 'bogus'"),
+        ("train-config-n_prototypes=1e20", TRAIN, ("CONFIG", put("n_prototypes=", f"n_prototypes={10**20}")), 64,
+         USAGE_AT, f"cannot parse config n_prototypes='{10**20}'"),
+        ("eval-artifact-n_prototypes=1e20", EVAL, ("MODEL", put("[config] n_prototypes=", f"n_prototypes={10**20}")),
+         2, AT, f"cannot parse config n_prototypes='{10**20}'")]],
+    *[(f"{where}-{key}={value}", argv, edit, code, f"{at}config field {key} must be {rule}, got {value}")
       # -inf and nan fail the sign check, which comes first
       for key, value, rule in [(key, value, "finite" if value == "inf" else ">= 0" if key == "weight_decay" else "> 0")
                                for key in ("lr", "grid_size", "block_size", "weight_decay")
                                for value in ("inf", "-inf", "nan")]
-      for argv, edit, code, at in [
-        (TRAIN, ("CONFIG", put("lr=", f"lr={value}") if key == "lr" else add(-1, f"{key}={value}")), 64, USAGE_AT),
-        (EVAL, ("MODEL", put(f"[config] {key}=", f"{key}={value}")), 2, AT)]],
-    (TRAIN_EVAL + "test_cell_index_outside_int64_exits_2_naming_the_scene", TRAIN + ["--pool", "SCENE"],
+      for where, argv, edit, code, at in [
+        ("train-config", TRAIN, ("CONFIG", put("lr=", f"lr={value}") if key == "lr" else add(-1, f"{key}={value}")),
+         64, USAGE_AT),
+        ("eval-artifact", EVAL, ("MODEL", put(f"[config] {key}=", f"{key}={value}")), 2, AT)]],
+    ("train-cell-index-outside-int64", TRAIN + ["--pool", "SCENE"],
      ("CONFIG", add(-1, "grid_size=1e-300")), 2, "pcseg: {SCENE}: grid_size=1e-300 puts a cell index outside int64"),
     # a (10**15, 8) projection exceeds any 48-bit address space, so no host can overcommit it
-    (TRAIN_EVAL + "test_impossible_allocation_exits_2", TRAIN,
+    ("train-impossible-allocation", TRAIN,
      ("CONFIG", put("n_prototypes=", f"n_prototypes={10**15}")), 2, re.compile(r"pcseg: Unable to allocate .*\n")),
-    *[(TRAIN_EVAL + f"test_eval_episode_count_below_one_is_usage_error[{count}]", EVAL + ["--episodes", count], None,
-       64, f"pcseg eval: error: argument --episodes: must be >= 1, got {count}") for count in ("0", "-1")],
-    (TRAIN_EVAL + "test_overflowing_logits_exit_70", EVAL,
+    *[(f"eval-episodes={count}", EVAL + ["--episodes", count], None, 64,
+       f"pcseg eval: error: argument --episodes: must be >= 1, got {count}") for count in ("0", "-1")],
+    ("eval-logits-overflow", EVAL,
      ("MODEL", put(("decoder.w2", 2), lambda v: " ".join("1e308" for _ in v.split()))), 70,
      "pcseg: numeric failure: episode 0: segmentation logits are not finite"),
-    (TRAIN_EVAL + "test_n_way_beyond_the_test_classes_exits_2_naming_them", EVAL, ("MODEL", put("n_way=", "n_way=4")),
-     2, "pcseg: n_way 4 exceeds the 3 classes [1, 3, 5]"),
+    ("eval-n_way-beyond-the-test-classes", EVAL, ("MODEL", put("n_way=", "n_way=4")), 2,
+     "pcseg: n_way 4 exceeds the 3 classes [1, 3, 5]"),
     # one episode could draw a scene named twice as both a support shot and the query
-    *[(TRAIN_EVAL + f"test_a_scene_named_twice_in_pool_exits_64[{argv[0]}-{case}]", argv + ["--pool", "POOL", second],
-       None, 64, "pcseg: error: {SCENE}: --pool names this file twice (first as {SCENE})")
-      for argv in (TRAIN, EVAL) for case, second in [("dir", "POOL"), ("dir/scene_000.pcseg", "SCENE")]],
-    *[(TRAIN_EVAL + f"test_meta_split_that_disagrees_with_the_bank_exits_2[{case}]", EVAL, ("MODEL", edit), 2,
-       AT + "[bank] class_ids=" + what) for case, edit, what in [
-        ("fold", put("fold=", "fold=1", named="class_ids="), "2,4,6 do not match [meta]: fold 1 trains on 1,3,5"),
+    *[(f"{argv[0]}-pool-{case}", argv + ["--pool", "POOL", second], None, 64,
+       "pcseg: error: {SCENE}: --pool names this file twice (first as {SCENE})")
+      for argv in (TRAIN, EVAL) for case, second in [("dir-twice", "POOL"), ("dir-and-its-scene", "SCENE")]],
+    *[(f"eval-bank-class_ids-{case}", EVAL, ("MODEL", edit), 2, AT + "[bank] class_ids=" + what)
+      for case, edit, what in [
+        ("vs-meta-fold", put("fold=", "fold=1", named="class_ids="),
+         "2,4,6 do not match [meta]: fold 1 trains on 1,3,5"),
         # the last class dropped
-        ("classes", put("classes=", "classes=1,2,3,4,5", named="class_ids="),
+        ("vs-meta-classes", put("classes=", "classes=1,2,3,4,5", named="class_ids="),
          "2,4,6 do not match [meta]: fold 0 trains on 2,4"),
         # the fold's test classes
-        ("class_ids", put("class_ids=", "class_ids=1,3,5"), "1,3,5 do not match [meta]: fold 0 trains on 2,4,6"),
+        ("of-the-test-classes", put("class_ids=", "class_ids=1,3,5"),
+         "1,3,5 do not match [meta]: fold 0 trains on 2,4,6"),
         # a class repeated: one id more than update_counts
-        ("class_ids-repeated", put("class_ids=", "class_ids=2,4,6,2"),
+        ("repeated", put("class_ids=", "class_ids=2,4,6,2"),
          "2,4,6,2 do not match [meta]: fold 0 trains on 2,4,6")]],
     # model artifacts: each record's values and shape, and each [meta] and [bank] key
-    (ARTIFACT + "test_non_finite_prototype_rejected", EVAL,
+    ("eval-artifact-prototype-inf", EVAL,
      ("MODEL", put(("prototypes", 2), lambda v: "inf " + v.split(" ", 1)[1])), 2,
      AT + "record prototypes holds a non-finite value"),
-    (ARTIFACT + "test_value_count_checked_against_shape", EVAL,
+    ("eval-artifact-stub.b1-short", EVAL,
      ("MODEL", put(("stub.b1", 2), lambda v: v.rsplit(" ", 1)[0])), 2, AT + "record stub.b1: 7 values for shape (8,)"),
-    (ARTIFACT + "test_prototype_shape_checked_against_class_ids", EVAL,
+    ("eval-artifact-prototypes-shape", EVAL,
      ("MODEL", put("classes=", "classes=1,2,3,4,5,6,7,8"), put("class_ids=", "class_ids=2,4,6,8"),
       put("update_counts=", "update_counts=0 0 0 0", named=("prototypes", 1))), 2,
      AT + "record prototypes has shape (3, 8), expected (4, 8)"),
-    (ARTIFACT + "test_bank_momentum_out_of_range_rejected", EVAL, ("MODEL", put("[bank] momentum=", "momentum=1.5")), 2,
+    ("eval-bank-momentum=1.5", EVAL, ("MODEL", put("[bank] momentum=", "momentum=1.5")), 2,
      AT + "[bank] momentum=1.5 does not match [config] momentum=0.995"),
-    *[(ARTIFACT + f"test_missing_bank_key_named_at_the_bank_header[{key}]", EVAL,
+    *[(f"eval-bank-no-{key}", EVAL,
        ("MODEL", drop(f"[bank] {key}=", named="[bank]")), 2, AT + f"[bank] has no {key}= line")
       for key in ("class_ids", "momentum", "update_counts")],
-    (ARTIFACT + "test_dropped_header_line_rejected", EVAL, ("MODEL", drop(("stub.w1", 1))), 2,
+    ("eval-artifact-record-header-dropped", EVAL, ("MODEL", drop(("stub.w1", 1))), 2,
      AT + "record stub.w1: malformed header (expected 'rank d0 d1 ...')"),
     # faults no other row reaches
-    ("test_fault[config-not-utf-8]", TRAIN, ("CONFIG", put(2, lambda v: "\udcff" + v)), 64,
+    ("train-config-not-utf-8", TRAIN, ("CONFIG", put(2, lambda v: "\udcff" + v)), 64,
      USAGE_AT + "byte 0xff is not UTF-8 (invalid start byte)"),
-    ("test_fault[heads-not-a-divisor-of-dim]", TRAIN, ("CONFIG", put("dim=", "dim=10"), put("heads=", "heads=4")), 64,
+    ("train-config-heads-not-a-divisor-of-dim", TRAIN, ("CONFIG", put("dim=", "dim=10"), put("heads=", "heads=4")), 64,
      USAGE_AT + "config field heads must be a divisor of dim, got 4"),
     # the divisor rule names the heads= line, also where it comes before dim=
-    ("test_fault[heads-before-dim-not-a-divisor]", TRAIN,
+    ("train-config-heads-before-dim-not-a-divisor", TRAIN,
      ("CONFIG", drop("heads="), add(1, "heads=4"), put("dim=", "dim=10", named="heads=")), 64,
      USAGE_AT + "config field heads must be a divisor of dim, got 4"),
-    ("test_fault[grid_size-not-positive]", TRAIN, ("CONFIG", add(-1, "grid_size=-0.5")), 64,
+    ("train-config-grid_size=-0.5", TRAIN, ("CONFIG", add(-1, "grid_size=-0.5")), 64,
      USAGE_AT + "config field grid_size must be > 0, got -0.5"),
-    ("test_fault[momentum-outside-0-1]", TRAIN, ("CONFIG", add(-1, "momentum=1.5")), 64,
+    ("train-config-momentum=1.5", TRAIN, ("CONFIG", add(-1, "momentum=1.5")), 64,
      USAGE_AT + "config field momentum must be in [0, 1], got 1.5"),
-    ("test_fault[config-repeated-key]", TRAIN, ("CONFIG", add(-1, "seed=5")), 64,
+    ("train-config-repeated-key", TRAIN, ("CONFIG", add(-1, "seed=5")), 64,
      USAGE_AT + "duplicate config key 'seed'"),
-    ("test_fault[cloud-not-utf-8]", AUDIT, ("SCENE", put(2, lambda v: "\udcff" + v)), 2,
+    ("audit-cloud-not-utf-8", AUDIT, ("SCENE", put(2, lambda v: "\udcff" + v)), 2,
      AT + "byte 0xff is not UTF-8 (invalid start byte)"),
-    ("test_fault[pool-without-two-labeled-classes]", TRAIN + ["--pool", "SCENE"], ("SCENE", _unlabeled), 2,
+    ("train-pool-without-two-labeled-classes", TRAIN + ["--pool", "SCENE"], ("SCENE", _unlabeled), 2,
      "pcseg: --pool {path} holds 0 labeled classes; a split needs at least 2"),
     # the first step leaves parameters near 1e300, so the second episode's forward overflows
-    ("test_fault[train-lr-1e300]", TRAIN, ("CONFIG", put("lr=", "lr=1e300")), 70,
+    ("train-config-lr=1e300", TRAIN, ("CONFIG", put("lr=", "lr=1e300")), 70,
      "pcseg: numeric failure: episode 1: loss is nan"),
     # the last step: no later loss would see what it leaves
-    ("test_fault[train-final-update-not-finite]", TRAIN,
+    ("train-final-update-not-finite", TRAIN,
      ("CONFIG", put("episodes=", "episodes=1"), put("lr=", "lr=1e300"), add(-1, "weight_decay=1e10")), 70,
      "pcseg: numeric failure: episode 0: update of stub.w1 is not finite"),
 ]
+ROW_IDS = [row[0] for row in FAULTS]
+# pytest would suffix a repeated id and pass; 60 characters keep node ids apart in their first 100
+assert len(set(ROW_IDS)) == len(ROW_IDS) and max(map(len, ROW_IDS)) <= 60
 PLACEHOLDER = re.compile(r"\b(POOL|SCENE|CONFIG|MODEL|OUT)\b")
 
 
-def check_fault(row, inputs, tmp_path, capsys):
+@pytest.mark.parametrize("row", FAULTS, ids=ROW_IDS)
+def test_fault(row, cli_inputs, tmp_path, capsys):
     """Run one FAULTS row and check the contract: its exit code, its whole
     stderr as one line, no --out path left behind, and every input it names,
     shared or edited, unchanged by the run."""
     _, argv, edit, code, err = row
-    tmp_path.mkdir()
-    paths, named = dict(inputs, OUT=str(tmp_path / "out")), {}
+    paths, named = dict(cli_inputs, OUT=str(tmp_path / "out")), {}
     if edit:
         name, *steps = edit
         source = Path(paths[name])
@@ -625,7 +624,7 @@ def check_fault(row, inputs, tmp_path, capsys):
         paths[name] = named["path"] = str(tmp_path / f"bad{source.suffix}")
         Path(paths[name]).write_bytes("".join(f"{line}\n" for line in lines).encode("utf-8", "surrogateescape"))
     argv = [PLACEHOLDER.sub(lambda m: paths[m[0]], arg) for arg in argv]
-    files = [f for arg in [*argv, *inputs.values()]
+    files = [f for arg in [*argv, *cli_inputs.values()]
              for f in (sorted(Path(arg).iterdir()) if Path(arg).is_dir() else [Path(arg)]) if f.is_file()]
     before = {f: f.read_bytes() for f in files}
     capsys.readouterr()
@@ -643,40 +642,6 @@ def check_fault(row, inputs, tmp_path, capsys):
     assert {f: f.read_bytes() for f in files} == before
 
 
-def _as_test(rows):
-    """One test that runs `rows`, (case, row) pairs, parametrized by case
-    unless every case is None."""
-    cases = {}
-    for case, row in rows:
-        cases.setdefault(case, []).append(row)
-
-    def test(cli_inputs, tmp_path, capsys, case):
-        for i, row in enumerate(cases[case]):
-            check_fault(row, cli_inputs, tmp_path / str(i), capsys)
-
-    if list(cases) == [None]:
-        return lambda cli_inputs, tmp_path, capsys: test(cli_inputs, tmp_path, capsys, None)
-    return pytest.mark.parametrize("case", list(cases))(test)
-
-
-def bind_faults(namespace):
-    """Make each FAULTS test whose class `namespace` defines a test of that
-    class; this module also takes the tests without a class."""
-    groups = {}
-    for row in FAULTS:
-        name, _, case = row[0].removesuffix("]").partition("[")
-        groups.setdefault(name, []).append((case or None, row))
-    for name, rows in groups.items():
-        cls, _, test = name.rpartition("::")
-        if cls in namespace:
-            setattr(namespace[cls], test, staticmethod(_as_test(rows)))
-        elif not cls and namespace is globals():
-            namespace[test] = _as_test(rows)
-
-
-bind_faults(globals())
-
-
 def test_node_ids_differ_in_their_first_100_characters(request):
     # A report that cuts test ids to 100 characters must still name each test apart.
     by_prefix = {}
@@ -687,8 +652,7 @@ def test_node_ids_differ_in_their_first_100_characters(request):
 
 
 def test_no_test_module_imports_another():
-    # Shared helpers live in the oracle and harness modules, which collect no
-    # tests; test_io reads the FAULTS rows of test_cli through `bind_faults`.
+    # Shared helpers live in the oracle and harness modules, which collect no tests.
     here = Path(__file__).parent
     test_modules = {path.stem for path in here.glob("test_*.py")}
     imports = set()
@@ -701,4 +665,4 @@ def test_no_test_module_imports_another():
             else:
                 continue
             imports |= {(path.name, name) for name in names if name in test_modules}
-    assert imports <= {("test_io.py", "test_cli")}, sorted(imports)
+    assert not imports, sorted(imports)

@@ -18,7 +18,6 @@ from pcseg.episodes import make_split
 from pcseg.model import forward, meta_train
 from pcseg.episodes import generate_episode
 from pcseg.synth import make_pool, synth_scene
-import test_cli
 
 
 class TestCloudFormat:
@@ -438,13 +437,3 @@ class TestModelArtifact:
             message = str(exc)
             assert message.startswith(str(path)) and "\n" not in message, message
 
-
-# the artifact faults load_model names are rows of FAULTS, run through the CLI
-test_cli.bind_faults(globals())
-
-
-def test_every_fault_row_names_a_class_that_binds_it():
-    # `bind_faults` skips a row whose class neither module defines; such a row would run nowhere
-    classes = {name for module in (vars(test_cli), globals()) for name, obj in module.items() if isinstance(obj, type)}
-    named = {row[0].partition("[")[0].rpartition("::")[0] for row in test_cli.FAULTS} - {""}
-    assert named - classes == set()
