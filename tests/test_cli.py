@@ -70,66 +70,6 @@ class TestSynth:
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
-class TestTrainEval:
-    def test_zero_episode_artifact_equals_initialization(self, scene_dir, tmp_path):
-        cfg = tmp_path / "zero.cfg"
-        cfg.write_text(TINY_CONFIG.replace("episodes=3", "episodes=0"))
-        a = tmp_path / "zero.model"
-        b = tmp_path / "zero2.model"
-        assert main(["train", "--pool", str(scene_dir), "--config", str(cfg), "--out", str(a)]) == EXIT_OK
-        assert main(["train", "--pool", str(scene_dir), "--config", str(cfg), "--out", str(b)]) == EXIT_OK
-        assert a.read_bytes() == b.read_bytes()
-        text = a.read_text()
-        assert "update_counts=" in text
-        counts = [l for l in text.splitlines() if l.startswith("update_counts=")][0]
-        assert set(counts.split("=")[1].split()) == {"0"}
-
-    def test_two_fold_table_layout(self, scene_dir, tiny_model, tiny_model_fold1, tmp_path):
-        metrics = tmp_path / "metrics.txt"
-        assert main(["eval", "--pool", str(scene_dir), "--model", str(tiny_model), "--model", str(tiny_model_fold1),
-                     "--episodes", "3", "--seed", "1", "--out", str(metrics)]) == EXIT_OK
-        values = dict(line.split("=") for line in metrics.read_text().strip().splitlines())
-        assert "fold0_mean_iou" in values and "fold1_mean_iou" in values
-        want = (float(values["fold0_mean_iou"]) + float(values["fold1_mean_iou"])) / 2
-        np.testing.assert_allclose(float(values["mean_iou"]), want, rtol=1e-12)
-
-    def test_two_fold_eval_reads_the_pool_once(self, scene_dir, tiny_model, tiny_model_fold1, tmp_path,
-                                               monkeypatch):
-        models = [tiny_model, tiny_model_fold1]
-
-        def eval_metrics(*paths):
-            out = tmp_path / "metrics.txt"
-            argv = ["eval", "--pool", str(scene_dir), "--episodes", "3", "--seed", "1", "--out", str(out)]
-            assert main(argv + [arg for path in paths for arg in ("--model", str(path))]) == EXIT_OK
-            return out.read_text().splitlines()
-
-        # each fold alone, read from its own pool: the two-fold file is their rows and the mean
-        rows0, rows1 = eval_metrics(models[0])[:-1], eval_metrics(models[1])[2:-1]
-        mean = np.mean([float(rows0[-2].split("=")[1]), float(rows1[-2].split("=")[1])])
-        reads = []
-        real_read = pio.read_cloud
-
-        def counting_read(path):
-            reads.append(path)
-            return real_read(path)
-
-        monkeypatch.setattr(pio, "read_cloud", counting_read)
-        assert eval_metrics(*models) == rows0 + rows1 + [f"mean_iou={float(mean):.17g}"]
-        assert len(reads) == len(list(scene_dir.glob("*.pcseg")))
-
-    def test_two_models_of_one_fold_exit_64_before_evaluating(self, scene_dir, tiny_model, tmp_path, capsys,
-                                                               monkeypatch):
-        first, second = tiny_model, tmp_path / "b.model"
-        second.write_bytes(first.read_bytes())
-        monkeypatch.setattr(M, "evaluate", lambda *args: pytest.fail("evaluated before the folds were checked"))
-        metrics = tmp_path / "metrics.txt"
-        capsys.readouterr()
-        assert main(["eval", "--pool", str(scene_dir), "--model", str(first), "--model", str(second),
-                     "--episodes", "3", "--seed", "1", "--out", str(metrics)]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err == f"pcseg: error: {second}: a second model of fold 0 (the first is {first})\n"
-        assert not metrics.exists()
-
 # ---------------------------------------------------------------------------
 # output files
 # ---------------------------------------------------------------------------
@@ -396,21 +336,87 @@ INT_FLAGS = [(SYNTH, f) for f in ("--scenes", "--classes", "--blobs", "--points"
 AT, USAGE_AT = "pcseg: {path}:{line}: ", "pcseg: error: {path}:{line}: "
 
 # Every bad input the CLI documents, one row per run: (id, argv, (input,
-# line edit, ...) or None, exit code, the whole stderr line). The id,
-# `<command>-<fault>`, names the row's run of `test_fault`.
+# line edit, ...) or None, exit code, the whole stderr line). The rows of
+# `FAULTS` run as `test_fault[<id>]`; the tables before it each hold one
+# claim's rows, run by a test named for that claim, `<test>[<id>]`. Rows of
+# one table that share an id run in order, as one case.
 # POOL, SCENE, CONFIG and MODEL in argv are the shared inputs, or a private
 # copy of the one the row edits; OUT is a path that must not exist after the
 # run. In the stderr line, {path} and {line} are the edited copy and the
 # line its edits return; a compiled pattern stands only for text that comes
 # from the OS or numpy.
+INT64_FAULTS = [(f"{argv[0]}{flag}-{value}", argv + [flag, value], None, 64,
+                 f"pcseg {argv[0]}: error: argument {flag}: invalid int64 value: '{value}'")
+                for value in (str(2**63), "99999999999999999999") for argv, flag in INT_FLAGS]
+SEED_FAULTS = [(argv[0], argv + ["--seed", "-1"], None, 64,
+                f"pcseg {argv[0]}: error: argument --seed: must be >= 0, got -1") for argv in (SYNTH, AUDIT, EVAL)]
+CLOUD_FAULTS = [
+    *[(f"{n}-{row}", AUDIT, ("SCENE", put(n, row) if n else add(-1, row)), 2, AT + what) for n, row, what in [
+        (6, "0.1 0.2 0.3 0.5 0.5 0.5", "expected 7 fields, got 6"),
+        (6, "0.1 0.2 0.3 0.5 0.5 0.5 1 9", "expected 7 fields, got 8"),
+        (4, "nan 0.2 0.3 0.5 0.5 0.5 1", "row 'nan 0.2 0.3 0.5 0.5 0.5 1': positions must be finite"),
+        (5, "0.1 0.2 0.3 2.0 0.5 0.5 1", "row '0.1 0.2 0.3 2.0 0.5 0.5 1': colors must lie in [0, 1]"),
+        (None, "0.1 0.2 0.3 0.5 0.5 0.5 1", "more rows than the header's count 450"),
+        (7, "0.1 0.2 0.3 0.5 0.5 0.5 1.5", "row '0.1 0.2 0.3 0.5 0.5 0.5 1.5': labels must be integers"),
+        (8, "0.1 0.2 0.3 0.5 0.5 0.5 -5",
+         "row '0.1 0.2 0.3 0.5 0.5 0.5 -5': labels must be >= -1 (-1 marks unlabeled), got -5"),
+        # Python's float reads these two; np.loadtxt does not
+        (3, "1_0 0 0 0.5 0.5 0.5 1", "cannot read '1_0 0 0 0.5 0.5 0.5 1' as 7 numbers"),
+        (3, "\uff11 0 0 0.5 0.5 0.5 1", "cannot read '\uff11 0 0 0.5 0.5 0.5 1' as 7 numbers"),
+        # `str.isdigit` takes these two; the header count is ASCII digits
+        (1, "PCSEG v1 \u0665", "not a 'PCSEG v1 <count>' header with a count >= 1: 'PCSEG v1 \u0665'"),
+        (1, "PCSEG v1 \u00b2", "not a 'PCSEG v1 <count>' header with a count >= 1: 'PCSEG v1 \u00b2'"),
+        (1, "PCSEG v1 0", "not a 'PCSEG v1 <count>' header with a count >= 1: 'PCSEG v1 0'"),
+        (1, "NOT A CLOUD 3", "not a 'PCSEG v1 <count>' header with a count >= 1: 'NOT A CLOUD 3'"),
+        (3, "0.1 0.2 0.3 0.5 0.5 0.5 one", "cannot read '0.1 0.2 0.3 0.5 0.5 0.5 one' as 7 numbers"),
+        (3, "0.1 0.2 0.3\r0.5 0.5 0.5 1", "expected 7 fields, got 3")]],  # a lone CR ends a line
+    *[(case, AUDIT, ("SCENE", *edits), 2, AT + what) for case, edits, what in [
+        ("empty", [_emptied], "the file is empty"),
+        ("rows-dropped-from-the-end", [drop(-5, 5)], "the file ends after 445 of 450 rows"),
+        # the file is decoded whole before any row is checked
+        ("not-utf-8-after-a-bad-row", [put(3, "0.1 0.2 0.3 0.5 0.5 0.5"), put(5, lambda v: v[:-1] + "\udcff")],
+         "byte 0xff is not UTF-8 (invalid start byte)"),
+        # blank and comment lines are lines: the bad row is the file's line 10, its 6th row
+        ("blank-and-comment-lines", [add(3, "", "# a comment", "   "), put(10, "0.1 0.2 0.3 0.5 0.5 0.5 2.5")],
+         "row '0.1 0.2 0.3 0.5 0.5 0.5 2.5': labels must be integers")]],
+]
+SECTION_FAULTS = [(case, EVAL, ("MODEL", edit), 2, AT + what) for case, edit, what in [
+    ("meta-repeated-key", add("fold=", "fold=1"), "duplicate [meta] key 'fold'"),
+    ("meta-no-equals", add("[meta]", "fold"), "expected [meta] key=value, got 'fold'"),
+    ("bank-repeated-key", add("update_counts=", "momentum=0.5"), "duplicate [bank] key 'momentum'"),
+    ("bank-unknown-key", add("update_counts=", "bogus=1"), "unknown [bank] key 'bogus'"),
+    ("second-config", add(-1, "[config]"), "repeated section [config]"),
+    ("second-params", add(-1, "[params]"), "repeated section [params]"),
+    ("stray-line-before-sections", add(1, "garbage line"), "expected a [section] header, got 'garbage line'")]]
+# each value in a --config file, a usage error, and in an artifact's [config], an I/O failure
+NON_FINITE_FAULTS = [
+    (f"{key}={value}", argv, edit, code, f"{at}config field {key} must be {rule}, got {value}")
+    # -inf and nan fail the sign check, which comes first
+    for key, value, rule in [(key, value, "finite" if value == "inf" else ">= 0" if key == "weight_decay" else "> 0")
+                             for key in ("lr", "grid_size", "block_size", "weight_decay")
+                             for value in ("inf", "-inf", "nan")]
+    for argv, edit, code, at in [
+        (TRAIN, ("CONFIG", put("lr=", f"lr={value}") if key == "lr" else add(-1, f"{key}={value}")), 64, USAGE_AT),
+        (EVAL, ("MODEL", put(f"[config] {key}=", f"{key}={value}")), 2, AT)]]
+EPISODE_FAULTS = [(count, EVAL + ["--episodes", count], None, 64,
+                   f"pcseg eval: error: argument --episodes: must be >= 1, got {count}") for count in ("0", "-1")]
+# one episode could draw a scene named twice as both a support shot and the query
+POOL_TWICE_FAULTS = [(f"{argv[0]}-{case}", argv + ["--pool", "POOL", second], None, 64,
+                      "pcseg: error: {SCENE}: --pool names this file twice (first as {SCENE})")
+                     for argv in (TRAIN, EVAL) for case, second in [("dir", "POOL"), ("dir/scene_000.pcseg", "SCENE")]]
+SPLIT_FAULTS = [(case, EVAL, ("MODEL", edit), 2, AT + "[bank] class_ids=" + what) for case, edit, what in [
+    ("fold", put("fold=", "fold=1", named="class_ids="), "2,4,6 do not match [meta]: fold 1 trains on 1,3,5"),
+    # the last class dropped
+    ("classes", put("classes=", "classes=1,2,3,4,5", named="class_ids="),
+     "2,4,6 do not match [meta]: fold 0 trains on 2,4"),
+    # the fold's test classes
+    ("class_ids", put("class_ids=", "class_ids=1,3,5"), "1,3,5 do not match [meta]: fold 0 trains on 2,4,6"),
+    # a class repeated: one id more than update_counts
+    ("class_ids-repeated", put("class_ids=", "class_ids=2,4,6,2"),
+     "2,4,6,2 do not match [meta]: fold 0 trains on 2,4,6")]]
 FAULTS = [
     ("episodes-command-is-gone", ["episodes", "--pool", "POOL", "--n", "4", "--out", "OUT"], None, 64,
      "pcseg: error: argument command: invalid choice: 'episodes' (choose from 'synth', 'audit', 'train', 'eval')"),
-    *[(f"{argv[0]}-{flag[2:]}={value}", argv + [flag, value], None, 64,
-       f"pcseg {argv[0]}: error: argument {flag}: invalid int64 value: '{value}'")
-      for value in (str(2**63), "99999999999999999999") for argv, flag in INT_FLAGS],
-    *[(f"{argv[0]}-seed=-1", argv + ["--seed", "-1"], None, 64,
-       f"pcseg {argv[0]}: error: argument --seed: must be >= 0, got -1") for argv in (SYNTH, AUDIT, EVAL)],
     ("synth-blobs=3-above-classes=2", SYNTH + ["--blobs", "3", "--classes", "2"], None, 64,
      "pcseg: error: argument --blobs: must be <= --classes (2), got 3"),
     *[(f"synth-{flag[2:]}={value}", SYNTH + [flag, value], None, 64,
@@ -422,39 +428,6 @@ FAULTS = [
      "pcseg: [Errno 2] No such file or directory: '{OUT}/r.txt'"),
     ("audit-unknown-flag", AUDIT + ["--definitely-not-a-flag"], None, 64,
      "pcseg: error: unrecognized arguments: --definitely-not-a-flag"),
-    *[(f"audit-cloud-{case}", AUDIT, ("SCENE", put(n, row) if n else add(-1, row)), 2, AT + what)
-      for case, n, row, what in [
-        ("6-fields", 6, "0.1 0.2 0.3 0.5 0.5 0.5", "expected 7 fields, got 6"),
-        ("8-fields", 6, "0.1 0.2 0.3 0.5 0.5 0.5 1 9", "expected 7 fields, got 8"),
-        ("nan-position", 4, "nan 0.2 0.3 0.5 0.5 0.5 1", "row 'nan 0.2 0.3 0.5 0.5 0.5 1': positions must be finite"),
-        ("color-2.0", 5, "0.1 0.2 0.3 2.0 0.5 0.5 1", "row '0.1 0.2 0.3 2.0 0.5 0.5 1': colors must lie in [0, 1]"),
-        ("extra-row", None, "0.1 0.2 0.3 0.5 0.5 0.5 1", "more rows than the header's count 450"),
-        ("label-1.5", 7, "0.1 0.2 0.3 0.5 0.5 0.5 1.5", "row '0.1 0.2 0.3 0.5 0.5 0.5 1.5': labels must be integers"),
-        ("label--5", 8, "0.1 0.2 0.3 0.5 0.5 0.5 -5",
-         "row '0.1 0.2 0.3 0.5 0.5 0.5 -5': labels must be >= -1 (-1 marks unlabeled), got -5"),
-        # Python's float reads these two; np.loadtxt does not
-        ("underscore-in-a-number", 3, "1_0 0 0 0.5 0.5 0.5 1", "cannot read '1_0 0 0 0.5 0.5 0.5 1' as 7 numbers"),
-        ("fullwidth-digit", 3, "\uff11 0 0 0.5 0.5 0.5 1", "cannot read '\uff11 0 0 0.5 0.5 0.5 1' as 7 numbers"),
-        # `str.isdigit` takes these two; the header count is ASCII digits
-        ("header-arabic-indic-digit", 1, "PCSEG v1 \u0665",
-         "not a 'PCSEG v1 <count>' header with a count >= 1: 'PCSEG v1 \u0665'"),
-        ("header-superscript-digit", 1, "PCSEG v1 \u00b2",
-         "not a 'PCSEG v1 <count>' header with a count >= 1: 'PCSEG v1 \u00b2'"),
-        ("header-count-0", 1, "PCSEG v1 0", "not a 'PCSEG v1 <count>' header with a count >= 1: 'PCSEG v1 0'"),
-        ("not-a-header", 1, "NOT A CLOUD 3", "not a 'PCSEG v1 <count>' header with a count >= 1: 'NOT A CLOUD 3'"),
-        ("word-for-a-label", 3, "0.1 0.2 0.3 0.5 0.5 0.5 one",
-         "cannot read '0.1 0.2 0.3 0.5 0.5 0.5 one' as 7 numbers"),
-        ("lone-cr", 3, "0.1 0.2 0.3\r0.5 0.5 0.5 1", "expected 7 fields, got 3")]],  # a lone CR ends a line
-    *[(f"audit-cloud-{case}", AUDIT, ("SCENE", *edits), 2, AT + what)
-      for case, edits, what in [
-        ("empty", [_emptied], "the file is empty"),
-        ("rows-dropped-from-the-end", [drop(-5, 5)], "the file ends after 445 of 450 rows"),
-        # the file is decoded whole before any row is checked
-        ("not-utf-8-after-a-bad-row", [put(3, "0.1 0.2 0.3 0.5 0.5 0.5"), put(5, lambda v: v[:-1] + "\udcff")],
-         "byte 0xff is not UTF-8 (invalid start byte)"),
-        # blank and comment lines are lines: the bad row is the file's line 10, its 6th row
-        ("blank-and-comment-lines", [add(3, "", "# a comment", "   "), put(10, "0.1 0.2 0.3 0.5 0.5 0.5 2.5")],
-         "row '0.1 0.2 0.3 0.5 0.5 0.5 2.5': labels must be integers")]],
     *[(f"audit-{flag[2:]}=0", AUDIT + [flag, "0"], None, 64,
        f"pcseg audit: error: argument {flag}: must be >= 1, got 0") for flag in ("--m", "--trials")],
     ("audit-fg-class=-1", AUDIT + ["--fg-class", "-1"], None, 64,
@@ -499,15 +472,6 @@ FAULTS = [
         ("share_background_fc-1", put("share_background_fc=", "share_background_fc=1"),
          "[meta] share_background_fc must be 0 (no shared background layer), got '1'"),
         ("misspelled-key", add("[meta]", "fodl=1"), "unknown [meta] key 'fodl'")]],
-    *[(f"eval-{case}", EVAL, ("MODEL", edit), 2, AT + what) for case, edit, what in [
-        ("meta-repeated-key", add("fold=", "fold=1"), "duplicate [meta] key 'fold'"),
-        ("meta-no-equals", add("[meta]", "fold"), "expected [meta] key=value, got 'fold'"),
-        ("bank-repeated-key", add("update_counts=", "momentum=0.5"), "duplicate [bank] key 'momentum'"),
-        ("bank-unknown-key", add("update_counts=", "bogus=1"), "unknown [bank] key 'bogus'"),
-        ("artifact-second-config", add(-1, "[config]"), "repeated section [config]"),
-        ("artifact-second-params", add(-1, "[params]"), "repeated section [params]"),
-        ("artifact-line-before-sections", add(1, "garbage line"),
-         "expected a [section] header, got 'garbage line'")]],
     ("eval-artifact-record-missing", EVAL, ("MODEL", drop("stub.w1", 3)), 2,
      "pcseg: {path}: records mismatch (missing ['stub.w1'], extra [])"),
     ("eval-artifact-record-extra", EVAL,  # [bank] is the last section
@@ -520,44 +484,16 @@ FAULTS = [
          USAGE_AT, f"cannot parse config n_prototypes='{10**20}'"),
         ("eval-artifact-n_prototypes=1e20", EVAL, ("MODEL", put("[config] n_prototypes=", f"n_prototypes={10**20}")),
          2, AT, f"cannot parse config n_prototypes='{10**20}'")]],
-    *[(f"{where}-{key}={value}", argv, edit, code, f"{at}config field {key} must be {rule}, got {value}")
-      # -inf and nan fail the sign check, which comes first
-      for key, value, rule in [(key, value, "finite" if value == "inf" else ">= 0" if key == "weight_decay" else "> 0")
-                               for key in ("lr", "grid_size", "block_size", "weight_decay")
-                               for value in ("inf", "-inf", "nan")]
-      for where, argv, edit, code, at in [
-        ("train-config", TRAIN, ("CONFIG", put("lr=", f"lr={value}") if key == "lr" else add(-1, f"{key}={value}")),
-         64, USAGE_AT),
-        ("eval-artifact", EVAL, ("MODEL", put(f"[config] {key}=", f"{key}={value}")), 2, AT)]],
     ("train-cell-index-outside-int64", TRAIN + ["--pool", "SCENE"],
      ("CONFIG", add(-1, "grid_size=1e-300")), 2, "pcseg: {SCENE}: grid_size=1e-300 puts a cell index outside int64"),
     # a (10**15, 8) projection exceeds any 48-bit address space, so no host can overcommit it
     ("train-impossible-allocation", TRAIN,
      ("CONFIG", put("n_prototypes=", f"n_prototypes={10**15}")), 2, re.compile(r"pcseg: Unable to allocate .*\n")),
-    *[(f"eval-episodes={count}", EVAL + ["--episodes", count], None, 64,
-       f"pcseg eval: error: argument --episodes: must be >= 1, got {count}") for count in ("0", "-1")],
     ("eval-logits-overflow", EVAL,
      ("MODEL", put(("decoder.w2", 2), lambda v: " ".join("1e308" for _ in v.split()))), 70,
      "pcseg: numeric failure: episode 0: segmentation logits are not finite"),
     ("eval-n_way-beyond-the-test-classes", EVAL, ("MODEL", put("n_way=", "n_way=4")), 2,
      "pcseg: n_way 4 exceeds the 3 classes [1, 3, 5]"),
-    # one episode could draw a scene named twice as both a support shot and the query
-    *[(f"{argv[0]}-pool-{case}", argv + ["--pool", "POOL", second], None, 64,
-       "pcseg: error: {SCENE}: --pool names this file twice (first as {SCENE})")
-      for argv in (TRAIN, EVAL) for case, second in [("dir-twice", "POOL"), ("dir-and-its-scene", "SCENE")]],
-    *[(f"eval-bank-class_ids-{case}", EVAL, ("MODEL", edit), 2, AT + "[bank] class_ids=" + what)
-      for case, edit, what in [
-        ("vs-meta-fold", put("fold=", "fold=1", named="class_ids="),
-         "2,4,6 do not match [meta]: fold 1 trains on 1,3,5"),
-        # the last class dropped
-        ("vs-meta-classes", put("classes=", "classes=1,2,3,4,5", named="class_ids="),
-         "2,4,6 do not match [meta]: fold 0 trains on 2,4"),
-        # the fold's test classes
-        ("of-the-test-classes", put("class_ids=", "class_ids=1,3,5"),
-         "1,3,5 do not match [meta]: fold 0 trains on 2,4,6"),
-        # a class repeated: one id more than update_counts
-        ("repeated", put("class_ids=", "class_ids=2,4,6,2"),
-         "2,4,6,2 do not match [meta]: fold 0 trains on 2,4,6")]],
     # model artifacts: each record's values and shape, and each [meta] and [bank] key
     ("eval-artifact-prototype-inf", EVAL,
      ("MODEL", put(("prototypes", 2), lambda v: "inf " + v.split(" ", 1)[1])), 2,
@@ -576,26 +512,26 @@ FAULTS = [
     ("eval-artifact-record-header-dropped", EVAL, ("MODEL", drop(("stub.w1", 1))), 2,
      AT + "record stub.w1: malformed header (expected 'rank d0 d1 ...')"),
     # faults no other row reaches
-    ("train-config-not-utf-8", TRAIN, ("CONFIG", put(2, lambda v: "\udcff" + v)), 64,
+    ("config-not-utf-8", TRAIN, ("CONFIG", put(2, lambda v: "\udcff" + v)), 64,
      USAGE_AT + "byte 0xff is not UTF-8 (invalid start byte)"),
-    ("train-config-heads-not-a-divisor-of-dim", TRAIN, ("CONFIG", put("dim=", "dim=10"), put("heads=", "heads=4")), 64,
+    ("heads-not-a-divisor-of-dim", TRAIN, ("CONFIG", put("dim=", "dim=10"), put("heads=", "heads=4")), 64,
      USAGE_AT + "config field heads must be a divisor of dim, got 4"),
     # the divisor rule names the heads= line, also where it comes before dim=
-    ("train-config-heads-before-dim-not-a-divisor", TRAIN,
+    ("heads-before-dim-not-a-divisor", TRAIN,
      ("CONFIG", drop("heads="), add(1, "heads=4"), put("dim=", "dim=10", named="heads=")), 64,
      USAGE_AT + "config field heads must be a divisor of dim, got 4"),
-    ("train-config-grid_size=-0.5", TRAIN, ("CONFIG", add(-1, "grid_size=-0.5")), 64,
+    ("grid_size-not-positive", TRAIN, ("CONFIG", add(-1, "grid_size=-0.5")), 64,
      USAGE_AT + "config field grid_size must be > 0, got -0.5"),
-    ("train-config-momentum=1.5", TRAIN, ("CONFIG", add(-1, "momentum=1.5")), 64,
+    ("momentum-outside-0-1", TRAIN, ("CONFIG", add(-1, "momentum=1.5")), 64,
      USAGE_AT + "config field momentum must be in [0, 1], got 1.5"),
-    ("train-config-repeated-key", TRAIN, ("CONFIG", add(-1, "seed=5")), 64,
+    ("config-repeated-key", TRAIN, ("CONFIG", add(-1, "seed=5")), 64,
      USAGE_AT + "duplicate config key 'seed'"),
-    ("audit-cloud-not-utf-8", AUDIT, ("SCENE", put(2, lambda v: "\udcff" + v)), 2,
+    ("cloud-not-utf-8", AUDIT, ("SCENE", put(2, lambda v: "\udcff" + v)), 2,
      AT + "byte 0xff is not UTF-8 (invalid start byte)"),
-    ("train-pool-without-two-labeled-classes", TRAIN + ["--pool", "SCENE"], ("SCENE", _unlabeled), 2,
+    ("pool-without-two-labeled-classes", TRAIN + ["--pool", "SCENE"], ("SCENE", _unlabeled), 2,
      "pcseg: --pool {path} holds 0 labeled classes; a split needs at least 2"),
     # the first step leaves parameters near 1e300, so the second episode's forward overflows
-    ("train-config-lr=1e300", TRAIN, ("CONFIG", put("lr=", "lr=1e300")), 70,
+    ("train-lr-1e300", TRAIN, ("CONFIG", put("lr=", "lr=1e300")), 70,
      "pcseg: numeric failure: episode 1: loss is nan"),
     # the last step: no later loss would see what it leaves
     ("train-final-update-not-finite", TRAIN,
@@ -608,13 +544,13 @@ assert len(set(ROW_IDS)) == len(ROW_IDS) and max(map(len, ROW_IDS)) <= 60
 PLACEHOLDER = re.compile(r"\b(POOL|SCENE|CONFIG|MODEL|OUT)\b")
 
 
-@pytest.mark.parametrize("row", FAULTS, ids=ROW_IDS)
-def test_fault(row, cli_inputs, tmp_path, capsys):
-    """Run one FAULTS row and check the contract: its exit code, its whole
-    stderr as one line, no --out path left behind, and every input it names,
-    shared or edited, unchanged by the run."""
+def check_fault(row, inputs, tmp_path, capsys):
+    """Run one row and check the contract: its exit code, its whole stderr
+    as one line, no --out path left behind, and every input it names, shared
+    or edited, unchanged by the run."""
     _, argv, edit, code, err = row
-    paths, named = dict(cli_inputs, OUT=str(tmp_path / "out")), {}
+    tmp_path.mkdir()
+    paths, named = dict(inputs, OUT=str(tmp_path / "out")), {}
     if edit:
         name, *steps = edit
         source = Path(paths[name])
@@ -624,7 +560,7 @@ def test_fault(row, cli_inputs, tmp_path, capsys):
         paths[name] = named["path"] = str(tmp_path / f"bad{source.suffix}")
         Path(paths[name]).write_bytes("".join(f"{line}\n" for line in lines).encode("utf-8", "surrogateescape"))
     argv = [PLACEHOLDER.sub(lambda m: paths[m[0]], arg) for arg in argv]
-    files = [f for arg in [*argv, *cli_inputs.values()]
+    files = [f for arg in [*argv, *inputs.values()]
              for f in (sorted(Path(arg).iterdir()) if Path(arg).is_dir() else [Path(arg)]) if f.is_file()]
     before = {f: f.read_bytes() for f in files}
     capsys.readouterr()
@@ -640,6 +576,121 @@ def test_fault(row, cli_inputs, tmp_path, capsys):
         assert stderr == err.format(**paths, **named) + "\n"
     assert not [out for flag, out in zip(argv, argv[1:]) if flag == "--out" and os.path.lexists(out)]
     assert {f: f.read_bytes() for f in files} == before
+
+
+def runs(rows):
+    """Parametrize a test by row id; a case runs its id's rows in order."""
+    cases = {}
+    for row in rows:
+        cases.setdefault(row[0], []).append(row)
+    return pytest.mark.parametrize("rows", list(cases.values()), ids=list(cases))
+
+
+def check_faults(rows, inputs, tmp_path, capsys):
+    for i, row in enumerate(rows):
+        check_fault(row, inputs, tmp_path / str(i), capsys)
+
+
+@runs(FAULTS)
+def test_fault(rows, cli_inputs, tmp_path, capsys):
+    check_faults(rows, cli_inputs, tmp_path, capsys)
+
+
+@runs(INT64_FAULTS)
+def test_int_flag_beyond_int64_is_usage_error(rows, cli_inputs, tmp_path, capsys):
+    check_faults(rows, cli_inputs, tmp_path, capsys)
+
+
+@runs(SEED_FAULTS)
+def test_negative_seed_is_usage_error(rows, cli_inputs, tmp_path, capsys):
+    check_faults(rows, cli_inputs, tmp_path, capsys)
+
+
+class TestAudit:
+    @runs(CLOUD_FAULTS)
+    def test_bad_cloud_exits_2_naming_path_and_line(self, rows, cli_inputs, tmp_path, capsys):
+        check_faults(rows, cli_inputs, tmp_path, capsys)
+
+
+class TestTrainEval:
+    def test_zero_episode_artifact_equals_initialization(self, scene_dir, tmp_path):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(TINY_CONFIG.replace("episodes=3", "episodes=0"))
+        a = tmp_path / "zero.model"
+        b = tmp_path / "zero2.model"
+        assert main(["train", "--pool", str(scene_dir), "--config", str(cfg), "--out", str(a)]) == EXIT_OK
+        assert main(["train", "--pool", str(scene_dir), "--config", str(cfg), "--out", str(b)]) == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
+        text = a.read_text()
+        assert "update_counts=" in text
+        counts = [l for l in text.splitlines() if l.startswith("update_counts=")][0]
+        assert set(counts.split("=")[1].split()) == {"0"}
+
+    def test_two_fold_table_layout(self, scene_dir, tiny_model, tiny_model_fold1, tmp_path):
+        metrics = tmp_path / "metrics.txt"
+        assert main(["eval", "--pool", str(scene_dir), "--model", str(tiny_model), "--model", str(tiny_model_fold1),
+                     "--episodes", "3", "--seed", "1", "--out", str(metrics)]) == EXIT_OK
+        values = dict(line.split("=") for line in metrics.read_text().strip().splitlines())
+        assert "fold0_mean_iou" in values and "fold1_mean_iou" in values
+        want = (float(values["fold0_mean_iou"]) + float(values["fold1_mean_iou"])) / 2
+        np.testing.assert_allclose(float(values["mean_iou"]), want, rtol=1e-12)
+
+    def test_two_fold_eval_reads_the_pool_once(self, scene_dir, tiny_model, tiny_model_fold1, tmp_path,
+                                               monkeypatch):
+        models = [tiny_model, tiny_model_fold1]
+
+        def eval_metrics(*paths):
+            out = tmp_path / "metrics.txt"
+            argv = ["eval", "--pool", str(scene_dir), "--episodes", "3", "--seed", "1", "--out", str(out)]
+            assert main(argv + [arg for path in paths for arg in ("--model", str(path))]) == EXIT_OK
+            return out.read_text().splitlines()
+
+        # each fold alone, read from its own pool: the two-fold file is their rows and the mean
+        rows0, rows1 = eval_metrics(models[0])[:-1], eval_metrics(models[1])[2:-1]
+        mean = np.mean([float(rows0[-2].split("=")[1]), float(rows1[-2].split("=")[1])])
+        reads = []
+        real_read = pio.read_cloud
+
+        def counting_read(path):
+            reads.append(path)
+            return real_read(path)
+
+        monkeypatch.setattr(pio, "read_cloud", counting_read)
+        assert eval_metrics(*models) == rows0 + rows1 + [f"mean_iou={float(mean):.17g}"]
+        assert len(reads) == len(list(scene_dir.glob("*.pcseg")))
+
+    def test_two_models_of_one_fold_exit_64_before_evaluating(self, scene_dir, tiny_model, tmp_path, capsys,
+                                                               monkeypatch):
+        first, second = tiny_model, tmp_path / "b.model"
+        second.write_bytes(first.read_bytes())
+        monkeypatch.setattr(M, "evaluate", lambda *args: pytest.fail("evaluated before the folds were checked"))
+        metrics = tmp_path / "metrics.txt"
+        capsys.readouterr()
+        assert main(["eval", "--pool", str(scene_dir), "--model", str(first), "--model", str(second),
+                     "--episodes", "3", "--seed", "1", "--out", str(metrics)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"pcseg: error: {second}: a second model of fold 0 (the first is {first})\n"
+        assert not metrics.exists()
+
+    @runs(SECTION_FAULTS)
+    def test_repeated_key_or_section_exits_2_naming_the_line(self, rows, cli_inputs, tmp_path, capsys):
+        check_faults(rows, cli_inputs, tmp_path, capsys)
+
+    @runs(NON_FINITE_FAULTS)
+    def test_non_finite_config_exits_64_or_2_in_artifact(self, rows, cli_inputs, tmp_path, capsys):
+        check_faults(rows, cli_inputs, tmp_path, capsys)
+
+    @runs(EPISODE_FAULTS)
+    def test_eval_episode_count_below_one_is_usage_error(self, rows, cli_inputs, tmp_path, capsys):
+        check_faults(rows, cli_inputs, tmp_path, capsys)
+
+    @runs(POOL_TWICE_FAULTS)
+    def test_a_scene_named_twice_in_pool_exits_64(self, rows, cli_inputs, tmp_path, capsys):
+        check_faults(rows, cli_inputs, tmp_path, capsys)
+
+    @runs(SPLIT_FAULTS)
+    def test_meta_split_that_disagrees_with_the_bank_exits_2(self, rows, cli_inputs, tmp_path, capsys):
+        check_faults(rows, cli_inputs, tmp_path, capsys)
 
 
 def test_node_ids_differ_in_their_first_100_characters(request):
