@@ -154,6 +154,13 @@ def cmd_synth(args) -> int:
         ours = index.isascii() and index.isdigit() and int(index) < args.scenes and _scene_file(int(index)) == name
         if name.endswith(".pcseg") and not ours:
             raise UsageError(f"--out {args.out} holds {name}, which this run would not overwrite")
+    # Fail before any work on an --out that cannot be made; a new one waits for the scenes.
+    made = [os.path.realpath(args.out)]
+    while not os.path.exists(made[-1]):
+        made.append(os.path.dirname(made[-1]))
+    os.makedirs(args.out, exist_ok=True)
+    for path in made[:-1]:  # what makedirs made, deepest first
+        os.rmdir(path)
     pool = make_pool(
         derive_seed(args.seed, "synth"),
         args.scenes,

@@ -249,7 +249,7 @@ def calibrate_background(corr: Tensor, guide: Tensor, fc_w: Parameter, fc_b: Par
     if guide.shape != (n_q,):
         raise ValueError(f"guide must have shape ({n_q},), got {guide.shape}")
     bg = T.reshape(T.narrow(corr, 1, n_c - 1, 1), (n_q, dim))
-    guide_mat = T.einsum("n,d->nd", guide, Tensor(np.ones(dim)))
+    guide_mat = T.repeat_columns(guide, dim)
     new_bg = T.affine(T.concat([bg, guide_mat], axis=1), fc_w, fc_b)
     fg = T.narrow(corr, 1, 0, n_c - 1)
     return T.concat([fg, T.reshape(new_bg, (n_q, 1, dim))], axis=1)

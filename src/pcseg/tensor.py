@@ -106,9 +106,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape})"
-
     def backward(self, grad=None):
         """Accumulate gradients of this tensor into every reachable leaf.
 
@@ -160,9 +157,6 @@ class Parameter(Tensor):
     def __init__(self, data, name: str):
         super().__init__(data)
         self.name = name
-
-    def __repr__(self):
-        return f"Parameter({self.name}, shape={self.data.shape})"
 
 
 class ParameterGroup:
@@ -266,23 +260,10 @@ def _forward_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def einsum(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
-    """Binary einsum with gradients obtained by swapping subscripts.
-
-    Valid for plain contractions and reductions (no repeated labels
-    inside one operand), which covers every use in this package.
-    """
-    lhs, out_sub = subscripts.split("->")
-    a_sub, b_sub = lhs.split(",")
-    ad, bd = a.data, b.data
-    data = np.einsum(subscripts, ad, bd)
-
-    def backward(g):
-        ga = np.einsum(f"{out_sub},{b_sub}->{a_sub}", g, bd)
-        gb = np.einsum(f"{a_sub},{out_sub}->{b_sub}", ad, g)
-        return ga, gb
-
-    return Tensor(data, (a, b), backward)
+def repeat_columns(t: Tensor, n: int) -> Tensor:
+    """(N,) -> (N, n), each entry across a row. The `+ 0.0` turns -0.0 into 0.0, as the product
+    summed onto 0.0 that this op replaced did; `tests/test_bit_identity.py` pins both passes."""
+    return Tensor(np.repeat(t.data[:, None] + 0.0, n, axis=1), (t,), lambda g: (np.einsum("nd,d->n", g, np.ones(n)),))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

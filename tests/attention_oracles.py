@@ -1,10 +1,29 @@
-"""Reference attention forms, and the two ops only they use, that the tests
+"""Reference attention forms, and the three ops only they use, that the tests
 compare against; the model runs none of them."""
 
 import numpy as np
 
 from pcseg import tensor as T
 from pcseg.tensor import Tensor, _unbroadcast
+
+
+def einsum(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
+    """Binary einsum with gradients obtained by swapping subscripts.
+
+    Valid for plain contractions and reductions (no repeated labels
+    inside one operand), which covers every use in this package.
+    """
+    lhs, out_sub = subscripts.split("->")
+    a_sub, b_sub = lhs.split(",")
+    ad, bd = a.data, b.data
+    data = np.einsum(subscripts, ad, bd)
+
+    def backward(g):
+        ga = np.einsum(f"{out_sub},{b_sub}->{a_sub}", g, bd)
+        gb = np.einsum(f"{a_sub},{out_sub}->{b_sub}", ad, g)
+        return ga, gb
+
+    return Tensor(data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -41,8 +60,8 @@ def standard_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Softmax attention: row i gets sum_j softmax_j(q_i k_j^T / sqrt(D)) v_j."""
     _check_qkv(q, k, v)
     dim = q.shape[1]
-    scores = mul(T.einsum("nd,md->nm", q, k), Tensor(1.0 / np.sqrt(dim)))
-    return T.einsum("nm,md->nd", softmax_rows(scores), v)
+    scores = mul(einsum("nd,md->nm", q, k), Tensor(1.0 / np.sqrt(dim)))
+    return einsum("nm,md->nd", softmax_rows(scores), v)
 
 
 def linear_attention_quadratic(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
@@ -50,8 +69,8 @@ def linear_attention_quadratic(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     stacks of raw q, k and v: phi = elu + 1 is applied here."""
     fq = T.elu_plus_one(q)
     fk = T.elu_plus_one(k)
-    weights = T.einsum("...nd,...md->...nm", fq, fk)
+    weights = einsum("...nd,...md->...nm", fq, fk)
     ones = Tensor(np.ones(k.shape[-2]))
-    num = T.einsum("...nm,...md->...nd", weights, v)
-    den = T.clamp_min(T.einsum("...nm,m->...n", weights, ones), 1e-12)
+    num = einsum("...nm,...md->...nd", weights, v)
+    den = T.clamp_min(einsum("...nm,m->...n", weights, ones), 1e-12)
     return T.div(num, T.reshape(den, q.shape[:-1] + (1,)))

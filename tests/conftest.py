@@ -138,7 +138,8 @@ def tiny_model_fold1(scene_dir, config_path, tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def cli_inputs(scene_dir, config_path, tiny_model):
-    """Placeholder -> path of the shared inputs a CLI case names."""
+def cli_inputs(scene_dir, config_path, tiny_model, tmp_path_factory):
+    """Placeholder -> path of the shared inputs a CLI case names; EMPTY is a
+    directory without a scene file."""
     return {"POOL": str(scene_dir), "SCENE": str(sorted(scene_dir.glob("*.pcseg"))[0]), "CONFIG": str(config_path),
-            "MODEL": str(tiny_model)}
+            "MODEL": str(tiny_model), "EMPTY": str(tmp_path_factory.mktemp("empty"))}

@@ -9,7 +9,7 @@ training minimizes, against a sampled subset of every model parameter.
 
 import numpy as np
 
-from attention_oracles import mul, softmax_rows, standard_attention
+from attention_oracles import einsum, mul, softmax_rows, standard_attention
 from pcseg import model as M
 from pcseg import tensor as T
 from pcseg.attention import AttentionParams, multi_head_linear_attention
@@ -125,7 +125,8 @@ OP_CHECKS = [
     ("group_mean_rows", _on_normals(lambda t: T.group_mean_rows(t, [np.array([0, 2]), np.array([1, 3, 4])]), (5, 3))),
     ("softmax_rows", _on_normals(softmax_rows, (4, 6))),
     ("cross_entropy", _check_cross_entropy),
-    ("einsum_batched", _on_normals(lambda a, b: T.einsum("bnhd,bnhe->bhde", a, b), (2, 4, 2, 3), (2, 4, 2, 3))),
+    ("repeat_columns", _on_normals(lambda t: T.repeat_columns(t, 4), (5,))),
+    ("einsum_batched", _on_normals(lambda a, b: einsum("bnhd,bnhe->bhde", a, b), (2, 4, 2, 3), (2, 4, 2, 3))),
     ("standard_attention", _on_normals(standard_attention, (5, 4), (5, 4), (5, 4))),
     # 5 tokens > 4 channels per head takes the reassociated order, 3 tokens the score-matrix order
     ("multi_head_linear_attention", _on_normals(_two_head_attention, (2, 5, 8), (8, 8), (8, 8), (8, 8), (8, 8))),

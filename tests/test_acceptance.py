@@ -34,6 +34,7 @@ from pcseg.sampling import biased_sample, cap_indices, cap_points, leakage_audit
 from pcseg.synth import make_pool
 from pcseg.tensor import Tensor
 
+from conftest import TINY_CONFIG
 from geometry_oracles import fps_oracle, nearest_seed_oracle, random_cloud, voxel_dedup_oracle
 
 
@@ -59,7 +60,6 @@ def test_leakage_law():
         rng = np.random.default_rng(0)
         labels = np.zeros(10_000, dtype=np.int64)
         labels[:2_000] = 1
-        from pcseg.geometry import PointCloud
 
         cloud = PointCloud(rng.uniform(0, 1, (10_000, 3)), rng.random((10_000, 3)), labels)
         biased = leakage_audit(cloud, 1, 2048, "biased", 1000, 100)
@@ -289,10 +289,7 @@ def test_end_to_end_learning():
 def test_cli_determinism(tmp_path):
     with criterion("cli-determinism", 120.0):
         cfg = tmp_path / "tiny.cfg"
-        cfg.write_text(
-            "seed=4\ndim=8\nn_prototypes=4\nhca_layers=1\nheads=1\n"
-            "max_points=192\nmin_fg_points=30\nepisodes=3\nlr=0.001\n"
-        )
+        cfg.write_text(TINY_CONFIG)
 
         def pair(command_of):
             outs = []

@@ -37,6 +37,7 @@ from pcseg.episodes import Episode, PoolExhaustedError, generate_episode, make_s
 from pcseg.geometry import PointCloud, cluster_to_seeds, farthest_point_sample, grid_subsample, split_blocks
 from pcseg.synth import make_pool
 from pcseg.tensor import Parameter, Tensor
+from attention_oracles import einsum
 from experiments import Variant
 
 # ---------------------------------------------------------------------------
@@ -104,6 +105,10 @@ def ref_affine(t, w, b):
     lead = t.shape[:-1]
     flat = T.reshape(t, (-1, t.shape[-1]))
     return T.reshape(T.add(ref_matmul(flat, w), b), lead + (w.shape[1],))
+
+
+def ref_repeat_columns(t, n):
+    return einsum("n,d->nd", t, Tensor(np.ones(n)))
 
 
 class RefAdamW:
@@ -369,6 +374,20 @@ def test_cosine_rows_norms_match_linalg():
     assert same_bytes(T.cosine_rows(Tensor(a), Tensor(b)).data, (a @ b.T) / ca[:, None] / cb[None, :])
 
 
+def test_repeat_columns_matches_the_einsum_broadcast():
+    rng = np.random.default_rng(9)
+    for rows in (1, 2, 7, 24, 255, 257, 1024, 2049):
+        x = rng.standard_normal(rows)
+        x[:SPECIALS.size] = SPECIALS[:rows]  # -0.0, which the einsum's sum from 0.0 makes 0.0, among them
+        for n in (1, 8, 32):
+            with np.errstate(all="ignore"):
+                assert same_bytes(T.repeat_columns(Tensor(x), n).data, ref_repeat_columns(Tensor(x), n).data), (rows, n)
+            for scale in (1e-8, 1.0, 1e8):
+                g = rng.standard_normal((rows, n)) * scale
+                assert same_bytes(T.repeat_columns(Tensor(x), n)._backward(g)[0],
+                                  ref_repeat_columns(Tensor(x), n)._backward(g)[0]), (rows, n, scale)
+
+
 PRODUCT_ROWS = [255, 257, 975, 977, 1024, 1025, 1543, 6144, 6145]
 # (32, 36): a column count whose small-kernel tail sums in another order.
 PRODUCT_SHAPES = [(32, 32), (10, 32), (64, 32), (6, 32), (32, 1), (32, 5), (32, 36)]
@@ -490,6 +509,7 @@ REFERENCE_KERNELS = Variant("reference kernels", (
     (T, "layer_norm", ref_layer_norm),
     (T, "matmul", ref_matmul),
     (T, "affine", ref_affine),
+    (T, "repeat_columns", ref_repeat_columns),
     (T, "AdamW", RefAdamW),
     (T.Tensor, "backward", ref_backward),
     (T, "no_grad", contextlib.nullcontext),  # evaluate records the graph it would skip

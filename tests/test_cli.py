@@ -70,6 +70,29 @@ class TestSynth:
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
+@pytest.mark.parametrize("out, code", [pytest.param("afile/scenes", errno.ENOTDIR, id="afile/scenes"),
+                                       pytest.param("", errno.ENOENT, id="empty")])
+def test_synth_out_that_cannot_be_made_exits_2_before_generating(tmp_path, capsys, monkeypatch, out, code):
+    monkeypatch.chdir(tmp_path)
+    Path("afile").write_text("")
+    monkeypatch.setattr(cli, "make_pool", lambda *args, **kwargs: pytest.fail("make_pool ran before --out was checked"))
+    assert main(["synth", "--out", out]) == EXIT_IO
+    assert capsys.readouterr().err == f"pcseg: [Errno {code}] {os.strerror(code)}: '{out}'\n"
+
+
+def test_synth_that_fails_while_generating_leaves_no_out(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "new" / "scenes"  # makedirs makes both directories
+
+    def out_of_memory(*args, **kwargs):
+        assert list(tmp_path.iterdir()) == []
+        raise MemoryError("make_pool ran out of memory")
+
+    monkeypatch.setattr(cli, "make_pool", out_of_memory)
+    assert main(["synth", "--out", str(out)]) == EXIT_IO
+    assert capsys.readouterr().err == "pcseg: make_pool ran out of memory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # output files
 # ---------------------------------------------------------------------------
@@ -340,11 +363,11 @@ AT, USAGE_AT = "pcseg: {path}:{line}: ", "pcseg: error: {path}:{line}: "
 # `FAULTS` run as `test_fault[<id>]`; the tables before it each hold one
 # claim's rows, run by a test named for that claim, `<test>[<id>]`. Rows of
 # one table that share an id run in order, as one case.
-# POOL, SCENE, CONFIG and MODEL in argv are the shared inputs, or a private
-# copy of the one the row edits; OUT is a path that must not exist after the
-# run. In the stderr line, {path} and {line} are the edited copy and the
-# line its edits return; a compiled pattern stands only for text that comes
-# from the OS or numpy.
+# POOL, SCENE, CONFIG, MODEL and EMPTY (a directory without a scene file)
+# in argv are the shared inputs, or a private copy of the one the row edits;
+# OUT is a path that must not exist after the run. In the stderr line,
+# {path} and {line} are the edited copy and the line its edits return; a
+# compiled pattern stands only for text that comes from the OS or numpy.
 INT64_FAULTS = [(f"{argv[0]}{flag}-{value}", argv + [flag, value], None, 64,
                  f"pcseg {argv[0]}: error: argument {flag}: invalid int64 value: '{value}'")
                 for value in (str(2**63), "99999999999999999999") for argv, flag in INT_FLAGS]
@@ -530,6 +553,8 @@ FAULTS = [
      AT + "byte 0xff is not UTF-8 (invalid start byte)"),
     ("pool-without-two-labeled-classes", TRAIN + ["--pool", "SCENE"], ("SCENE", _unlabeled), 2,
      "pcseg: --pool {path} holds 0 labeled classes; a split needs at least 2"),
+    *[(f"{argv[0]}-pool-dir-without-scenes", argv + ["--pool", "EMPTY"], None, 2, "pcseg: {EMPTY}: no .pcseg files")
+      for argv in (TRAIN, EVAL)],
     # the first step leaves parameters near 1e300, so the second episode's forward overflows
     ("train-lr-1e300", TRAIN, ("CONFIG", put("lr=", "lr=1e300")), 70,
      "pcseg: numeric failure: episode 1: loss is nan"),
@@ -541,7 +566,7 @@ FAULTS = [
 ROW_IDS = [row[0] for row in FAULTS]
 # pytest would suffix a repeated id and pass; 60 characters keep node ids apart in their first 100
 assert len(set(ROW_IDS)) == len(ROW_IDS) and max(map(len, ROW_IDS)) <= 60
-PLACEHOLDER = re.compile(r"\b(POOL|SCENE|CONFIG|MODEL|OUT)\b")
+PLACEHOLDER = re.compile(r"\b(POOL|SCENE|CONFIG|MODEL|EMPTY|OUT)\b")
 
 
 def check_fault(row, inputs, tmp_path, capsys):
