@@ -148,18 +148,23 @@ def _scene_file(i: int) -> str:
 
 def cmd_synth(args) -> int:
     # A .pcseg file in --out that this run would not overwrite would join
-    # every pool read from there.
-    for name in sorted(os.listdir(args.out)) if os.path.isdir(args.out) else ():
+    # every pool read from there. Its realpath, since `new/../scenes` is `scenes`.
+    out = os.path.realpath(args.out)
+    for name in sorted(os.listdir(out)) if os.path.isdir(out) else ():
         index = name.removeprefix("scene_").removesuffix(".pcseg")
         ours = index.isascii() and index.isdigit() and int(index) < args.scenes and _scene_file(int(index)) == name
         if name.endswith(".pcseg") and not ours:
             raise UsageError(f"--out {args.out} holds {name}, which this run would not overwrite")
     # Fail before any work on an --out that cannot be made; a new one waits for the scenes.
-    made = [os.path.realpath(args.out)]
-    while not os.path.exists(made[-1]):
-        made.append(os.path.dirname(made[-1]))
+    # Walk the path as given, since `new/../scenes` makes `new`; each step makes
+    # the directory its realpath names, unless that exists already.
+    made, path = set(), args.out
+    while path and not os.path.exists(path):
+        if not os.path.exists(real := os.path.realpath(path)):
+            made.add(real)
+        path = os.path.dirname(path)
     os.makedirs(args.out, exist_ok=True)
-    for path in made[:-1]:  # what makedirs made, deepest first
+    for path in sorted(made, key=lambda p: p.count(os.sep), reverse=True):  # deepest first
         os.rmdir(path)
     pool = make_pool(
         derive_seed(args.seed, "synth"),

@@ -280,8 +280,9 @@ def apply_refine_layer(corr: Tensor, guide: Tensor, lp: RefineLayerParams) -> Te
     `np.matmul`'s kernel depends on the row count), each half runs on the
     whole tensor. Under `no_grad` the point half runs one class slice and
     the class half `_BLOCK_ROWS` query points at a time, in half the memory
-    and with the same bytes: blocks keep `_forward_product`'s row-block
-    alignment, and a one-point tail joins the block before it.
+    and, on OpenBLAS's `SkylakeX` core, with the same bytes: blocks keep
+    `_forward_product`'s row-block alignment, and a one-point tail joins the
+    block before it. On its `Haswell` core the dims 8 and 32 differ.
     """
     n_q, n_c, dim = corr.shape
     if T._grad_enabled or dim % 8:
@@ -516,7 +517,8 @@ def evaluate(
     Raises NonFiniteLossError with the episode index on a NaN or infinite
     segmentation logit. The forward pass runs under `no_grad`, so it
     builds no autograd graph and `apply_refine_layer` takes its block path:
-    the same logits, byte for byte, in about half the memory.
+    on OpenBLAS's `SkylakeX` core the same logits, byte for byte, in about
+    half the memory.
     """
     _raise_malloc_thresholds()
 

@@ -19,6 +19,7 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
 from pcseg import model as M
 from pcseg import tensor as T
@@ -71,17 +72,12 @@ class Variant:
 
     @contextmanager
     def applied(self):
-        """Each patch set for the body; every patched attribute is restored
-        on exit, also when the body raises."""
-        saved = []
-        try:
+        """Each patch set for the body; pytest restores every patched
+        attribute on exit, also when the body raises."""
+        with pytest.MonkeyPatch.context() as patch:
             for module, attribute, replacement in self.patches:
-                saved.append((module, attribute, getattr(module, attribute)))
-                setattr(module, attribute, replacement)
+                patch.setattr(module, attribute, replacement)
             yield
-        finally:
-            for module, attribute, original in reversed(saved):
-                setattr(module, attribute, original)
 
 
 SHIPPED = Variant("shipped")

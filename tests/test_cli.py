@@ -69,6 +69,16 @@ class TestSynth:
         assert main(argv + ["--scenes", "5", "--seed", "1"]) == EXIT_OK  # its own output, rewritten
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
+    def test_a_scene_file_behind_a_directory_it_would_make_exits_64(self, tmp_path, capsys):
+        # `new/../scenes` is `scenes` once synth makes `new`
+        (tmp_path / "scenes").mkdir()
+        (tmp_path / "scenes" / "scene_009.pcseg").write_text("")
+        out = f"{tmp_path}/new/../scenes"
+        assert main(["synth", "--out", out, "--scenes", "2", "--points", "20"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"pcseg: error: --out {out} holds scene_009.pcseg, which this run would not overwrite\n"
+        assert sorted(path.name for path in tmp_path.rglob("*")) == ["scene_009.pcseg", "scenes"]
+
 
 @pytest.mark.parametrize("out, code", [pytest.param("afile/scenes", errno.ENOTDIR, id="afile/scenes"),
                                        pytest.param("", errno.ENOENT, id="empty")])
@@ -80,17 +90,23 @@ def test_synth_out_that_cannot_be_made_exits_2_before_generating(tmp_path, capsy
     assert capsys.readouterr().err == f"pcseg: [Errno {code}] {os.strerror(code)}: '{out}'\n"
 
 
-def test_synth_that_fails_while_generating_leaves_no_out(tmp_path, capsys, monkeypatch):
-    out = tmp_path / "new" / "scenes"  # makedirs makes both directories
+@pytest.mark.parametrize("out, existing", [("new/scenes", ()), ("new/../scenes", ()), ("new/../scenes", ("scenes",))],
+                         ids=["new/scenes", "new/../scenes", "new/../scenes-that-exists"])
+def test_synth_that_fails_while_generating_leaves_no_out(tmp_path, capsys, monkeypatch, out, existing):
+    # makedirs makes `new`, and `scenes` unless it exists
+    for name in existing:
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "notes.txt").write_text("")
+    before = sorted(tmp_path.rglob("*"))
 
     def out_of_memory(*args, **kwargs):
-        assert list(tmp_path.iterdir()) == []
+        assert sorted(tmp_path.rglob("*")) == before
         raise MemoryError("make_pool ran out of memory")
 
     monkeypatch.setattr(cli, "make_pool", out_of_memory)
-    assert main(["synth", "--out", str(out)]) == EXIT_IO
+    assert main(["synth", "--out", f"{tmp_path}/{out}"]) == EXIT_IO
     assert capsys.readouterr().err == "pcseg: make_pool ran out of memory\n"
-    assert list(tmp_path.iterdir()) == []
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,14 @@ out of range, one of a cloud with a byte that is not UTF-8, and a
 `synth --scenes 0` that argparse rejects), the CLI must enter every
 module-level function and method of `pcseg`. So code that nothing runs
 fails here: it belongs in the tests that use it, or nowhere.
+
+The digests hold on the host `GOLDEN_HOST` describes: its numpy, the
+OpenBLAS core numpy's library runs and numpy's dispatch targets. A failed
+digest on a host that differs names both.
 """
 
 import contextlib
+import ctypes
 import hashlib
 import importlib
 import inspect
@@ -27,7 +32,9 @@ import pkgutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from numpy._core import _multiarray_umath
 
 import pcseg
 from pcseg.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
@@ -74,6 +81,32 @@ GOLDEN = {
     "train 2-way 3-shot": "1fb83e4f3aed8815b04b25d72a3f19fd9e5a384136674264b64e4ec166bd9a70",
     "eval 2-way 3-shot": "b17f114056f0db525903c69d3db9bfd41e4ede74770af6b9d239b673a45666dc",
 }
+
+# The host the digests were taken on. Another numpy, OpenBLAS core or set
+# of dispatch targets may round differently, so a failure names both hosts.
+GOLDEN_HOST = {
+    "numpy": "2.4.6",
+    "openblas core": "SkylakeX",
+    "dispatch": ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"],
+}
+
+
+def host_fingerprint() -> dict:
+    """`GOLDEN_HOST`'s fields for this process: the OpenBLAS core is the one
+    numpy's bundled library picked at run time, "unknown" without one."""
+    try:
+        corename = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_corename64_
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    except AttributeError:
+        core = "unknown"
+    features = _multiarray_umath.__cpu_features__
+    return {
+        "numpy": np.__version__,
+        "openblas core": core,
+        "dispatch": [target for target in _multiarray_umath.__cpu_dispatch__ if features[target]],
+    }
+
 
 SRC = str(Path(pcseg.__file__).parent)
 
@@ -179,7 +212,9 @@ def golden_run(tmp_path_factory):
 def test_output_hash_is_pinned(golden_run, command):
     codes, hashes, _ = golden_run
     assert codes[command] == EXIT_OK
-    assert hashes[command] == GOLDEN[command], f"{command}: output hash is now {hashes[command]}"
+    host = host_fingerprint()
+    hosts = "" if host == GOLDEN_HOST else f"digests taken on {GOLDEN_HOST}, this host is {host}; "
+    assert hashes[command] == GOLDEN[command], f"{hosts}{command}: output hash is now {hashes[command]}"
 
 
 def test_cli_enters_every_function(golden_run, tmp_path, monkeypatch):
