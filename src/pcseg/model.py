@@ -276,23 +276,20 @@ def apply_refine_layer(corr: Tensor, guide: Tensor, lp: RefineLayerParams) -> Te
     classes (per query point), and another MLP. Output layout is again
     N_Q x N_C x D.
 
-    With gradients on, or at a D that is not a multiple of 8 (there
-    `np.matmul`'s kernel depends on the row count), each half runs on the
-    whole tensor. Under `no_grad` the point half runs one class slice and
-    the class half `_BLOCK_ROWS` query points at a time, in half the memory
-    and, on OpenBLAS's `SkylakeX` core, with the same bytes: blocks keep
-    `_forward_product`'s row-block alignment, and a one-point tail joins the
-    block before it. On its `Haswell` core the dims 8 and 32 differ.
+    With gradients on, or where `T.splits_rows(D)` is false, each half runs
+    on the whole tensor. Under `no_grad` the point half runs one class slice
+    and the class half one `T.row_blocks` range of query points at a time,
+    in half the memory and, on OpenBLAS's `SkylakeX` core, with the same
+    bytes. On its `Haswell` core the dims 8 and 32 differ.
     """
     n_q, n_c, dim = corr.shape
-    if T._grad_enabled or dim % 8:
+    if T._grad_enabled or not T.splits_rows(dim):
         t = _refine_points(T.transpose_first_two(corr), lp)  # (N_C, N_Q, D): attend across points
         return _refine_classes(T.transpose_first_two(t), guide, lp)  # (N_Q, N_C, D): attend across classes
     out = np.empty(corr.shape)
     for k in range(n_c):
         out[:, k] = _refine_points(Tensor(np.ascontiguousarray(corr.data[None, :, k])), lp).data[0]
-    starts = list(range(0, max(n_q - 1, 1), T._BLOCK_ROWS))  # never a one-point last block
-    for q0, q1 in zip(starts, starts[1:] + [n_q]):
+    for q0, q1 in T.row_blocks(n_q, dim):
         out[q0:q1] = _refine_classes(Tensor(out[q0:q1]), Tensor(guide.data[q0:q1]), lp).data
     return Tensor(out)
 
@@ -502,23 +499,16 @@ def score(pairs) -> EvalResult:
     )
 
 
-def evaluate(
-    pool,
-    split: ClassSplit,
-    params: ModelParams,
-    bank: BasePrototypeBank,
-    config,
-    n_episodes: int,
-    seed: int,
-) -> EvalResult:
+def evaluate(pool, split: ClassSplit, params: ModelParams, bank: BasePrototypeBank, config, n_episodes: int,
+             seed: int) -> EvalResult:
     """Frozen-model evaluation: `score` over the argmax predictions on
     the test-phase `episode_stream`.
 
     Raises NonFiniteLossError with the episode index on a NaN or infinite
     segmentation logit. The forward pass runs under `no_grad`, so it
-    builds no autograd graph and `apply_refine_layer` takes its block path:
-    on OpenBLAS's `SkylakeX` core the same logits, byte for byte, in about
-    half the memory.
+    builds no autograd graph and `apply_refine_layer` runs its class halves
+    on the `T.row_blocks` ranges of the query points: on OpenBLAS's
+    `SkylakeX` core the same logits, byte for byte, in about half the memory.
     """
     _raise_malloc_thresholds()
 

@@ -228,33 +228,42 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def _forward_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`np.matmul(a, b)`, byte for byte, for operands with identical leading axes.
+def splits_rows(cols: int) -> bool:
+    """Whether a product with `cols` output columns keeps `np.matmul`'s bytes at any row count:
+    unless `cols` is a multiple of 8, the small kernel's column tails sum in a row-dependent order."""
+    return cols % 8 == 0
 
-    A product too big for BLAS's small-matrix path runs as one stacked
-    call over whole blocks of `_BLOCK_ROWS` rows plus one call for the
-    rest: at (6144, 32) @ (32, 32) that is 1.7x faster. It does so only
-    where each output element is then summed in the same order as
-    before: more than one block of rows, a C-contiguous right operand, a
-    column count that is a multiple of 8 (the small kernel's column tails
-    sum in another order), and never a single leftover row (BLAS hands a
-    one-row product to gemv). `tests/test_bit_identity.py` pins the bytes.
-    """
-    m, k = a.shape[-2:]
-    n = b.shape[-1]
-    whole = m - m % _BLOCK_ROWS
-    if m - whole == 1:
-        whole -= _BLOCK_ROWS
-    if m * k * n <= _SMALL_GEMM_MAX or whole == 0 or n % 8 or not b.flags.c_contiguous:
+
+def row_blocks(rows: int, cols: int) -> list[tuple[int, int]]:
+    """The (start, stop) ranges `rows` rows of a product with `cols` output columns split into
+    while every output keeps `np.matmul`'s bytes: blocks of `_BLOCK_ROWS`, a one-row rest joined
+    to the block before it (BLAS hands a one-row product to gemv), and one range where
+    `splits_rows(cols)` is false. `tests/test_bit_identity.py` pins the bytes."""
+    starts = list(range(0, max(rows - 1, 1), _BLOCK_ROWS)) if splits_rows(cols) else [0]
+    return list(zip(starts, starts[1:] + [rows]))
+
+
+def _stacked_rows(a: np.ndarray, b: np.ndarray) -> int:
+    """The leading rows of `a @ b` that `_forward_product` stacks: the whole blocks of `row_blocks`
+    where it splits a product past the small-matrix limit with a C-contiguous right operand, else 0."""
+    m, k, n = *a.shape[-2:], b.shape[-1]
+    blocks = row_blocks(m, n) if m * k * n > _SMALL_GEMM_MAX and b.flags.c_contiguous else [(0, m)]
+    start, stop = blocks[-1]
+    return 0 if len(blocks) == 1 else stop if stop - start == _BLOCK_ROWS else start
+
+
+def _forward_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`np.matmul(a, b)`, byte for byte, for operands with identical leading axes. A product too
+    big for BLAS's small-matrix path runs as one stacked call over the rows `_stacked_rows` names
+    plus one call for the rest: at (6144, 32) @ (32, 32) that is 1.7x faster."""
+    whole = _stacked_rows(a, b)
+    if not whole:
         return np.matmul(a, b)
-    lead = a.shape[:-2]
-    blocks = whole // _BLOCK_ROWS
+    (m, k), n, lead = a.shape[-2:], b.shape[-1], a.shape[:-2]
     out = np.empty(lead + (m, n))
-    np.matmul(
-        a[..., :whole, :].reshape(lead + (blocks, _BLOCK_ROWS, k)),
-        b[..., None, :, :],
-        out=out[..., :whole, :].reshape(lead + (blocks, _BLOCK_ROWS, n)),
-    )
+    stack = lead + (whole // _BLOCK_ROWS, _BLOCK_ROWS)
+    np.matmul(a[..., :whole, :].reshape(stack + (k,)), b[..., None, :, :],
+              out=out[..., :whole, :].reshape(stack + (n,)))
     if whole < m:
         np.matmul(a[..., whole:, :], b, out=out[..., whole:, :])
     return out

@@ -534,9 +534,7 @@ def test_reference_run_matches_the_fast_library(monkeypatch):
         return seg_logits, features
 
     def spy_product(a, b):
-        m, k, n = a.shape[-2], a.shape[-1], b.shape[-1]
-        blocked.append(m * k * n > T._SMALL_GEMM_MAX and m > T._BLOCK_ROWS + 1 and n % 8 == 0
-                       and b.flags.c_contiguous)
+        blocked.append(T._stacked_rows(a, b) > 0)
         return real_product(a, b)
 
     def spy_classes(c, guide, lp):
@@ -566,7 +564,7 @@ def test_reference_run_matches_the_fast_library(monkeypatch):
     assert fast[3:5] == (True, True) and not blocked  # the reference matmul and affine take no row block
     # evaluate's no_grad forward runs the class halves on blocks of query points;
     # under the reference it records a graph, so each layer runs on the whole tensor
-    assert fast[5] == {T._BLOCK_ROWS} and slow[5] == {2048}
+    assert fast[5] == {256} and slow[5] == {2048}
     (fast_trained, fast_eval, fast_logits), (slow_trained, slow_eval, slow_logits) = fast[:3], slow[:3]
     assert same_bytes(fast_trained.losses, slow_trained.losses)
     for a, b in zip(fast_trained.params.parameters(), slow_trained.params.parameters(), strict=True):

@@ -280,29 +280,25 @@ def fuzz_argv(draw):
 @settings(max_examples=500, derandomize=True)
 @given(argv=fuzz_argv())
 def test_any_argv_exits_with_a_documented_code_and_one_line(fuzz_inputs, argv):
-    cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)  # an edge value such as `--out abc` is a path relative to here
-        try:
-            os.mkdir("dir")
-            Path("not-utf-8").write_bytes(b"\xff\xfe bad\n")
-            paths = dict(fuzz_inputs, OUT="out", MISSING=os.path.join("missing", "x"), DIR="dir",
-                         NOT_UTF8="not-utf-8")
-            argv = [paths.get(a, a) for a in argv]
-            outs = [v for flag, v in zip(argv, argv[1:]) if flag == "--out" and not os.path.lexists(v)]
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                try:
-                    code = main(argv)
-                except SystemExit as exc:
-                    code = exc.code
-            event(f"{argv[0]} exit {code}")
-            assert code in (EXIT_OK, EXIT_IO, EXIT_USAGE, EXIT_NUMERIC), (code, err.getvalue())
-            assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue(), err.getvalue()
-            if code != EXIT_OK:
-                assert not any(os.path.lexists(out) for out in outs)
-        finally:
-            os.chdir(cwd)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp)  # an edge value such as `--out abc` is a path relative to here
+        os.mkdir("dir")
+        Path("not-utf-8").write_bytes(b"\xff\xfe bad\n")
+        paths = dict(fuzz_inputs, OUT="out", MISSING=os.path.join("missing", "x"), DIR="dir",
+                     NOT_UTF8="not-utf-8")
+        argv = [paths.get(a, a) for a in argv]
+        outs = [v for flag, v in zip(argv, argv[1:]) if flag == "--out" and not os.path.lexists(v)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        event(f"{argv[0]} exit {code}")
+        assert code in (EXIT_OK, EXIT_IO, EXIT_USAGE, EXIT_NUMERIC), (code, err.getvalue())
+        assert len(err.getvalue().splitlines()) <= 1 and "Traceback" not in err.getvalue(), err.getvalue()
+        if code != EXIT_OK:
+            assert not any(os.path.lexists(out) for out in outs)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ import ctypes
 import hashlib
 import importlib
 import inspect
-import os
 import pkgutil
 import sys
 from pathlib import Path
@@ -188,10 +187,8 @@ def defined_functions() -> dict:
 def golden_run(tmp_path_factory):
     """Every command run once, traced: the exit codes, the output hashes and
     the `pcseg` code objects entered."""
-    work = tmp_path_factory.mktemp("golden")
-    cwd = os.getcwd()
-    os.chdir(work)
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp_path_factory.mktemp("golden"))
         with traced() as entered:
             codes = run_commands()
         hashes = {
@@ -203,8 +200,6 @@ def golden_run(tmp_path_factory):
             "train 2-way 3-shot": _sha("shots_model.txt"),
             "eval 2-way 3-shot": _sha("shots_metrics.txt"),
         }
-    finally:
-        os.chdir(cwd)
     return codes, hashes, entered
 
 

@@ -318,9 +318,9 @@ def random_model(rng, dim, heads):
 
 class TestBlockPath:
     # Under no_grad, `apply_refine_layer` runs one class slice and then one
-    # block of query points at a time. Query sizes 257, 513 and 2049 end on a
-    # one-point block unless it joins the one before; at dim 20 from about
-    # 700 query points `np.matmul` sums a smaller row count in another order.
+    # `T.row_blocks` range of query points at a time. Query sizes 257, 513 and
+    # 2049 are where that joins a one-point rest to the block before it; dims
+    # 12 and 20 are where `T.splits_rows` sends both halves whole.
     # The bytes match on OpenBLAS's `SkylakeX` core, which `GOLDEN_HOST` in
     # test_golden.py names; on its `Haswell` core dims 8 and 32 differ.
     @pytest.mark.parametrize("dim,heads", [(8, 2), (12, 3), (20, 4), (32, 4)])

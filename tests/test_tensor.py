@@ -101,6 +101,20 @@ class TestForwardOracles:
             assert float(T.cross_entropy(logits, targets).data) >= 0.0
 
 
+# Each range's length, at a column count that is a multiple of 8.
+ROW_BLOCK_LENGTHS = {1: [1], 2: [2], 255: [255], 256: [256], 257: [257], 258: [256, 2], 511: [256, 255],
+                     512: [256, 256], 513: [256, 257], 2049: [256] * 7 + [257]}
+
+
+@pytest.mark.parametrize("rows", sorted(ROW_BLOCK_LENGTHS))
+def test_row_blocks_cover_the_rows_once_in_order_and_never_end_on_one_row(rows):
+    blocks = T.row_blocks(rows, 32)
+    assert [stop - start for start, stop in blocks] == ROW_BLOCK_LENGTHS[rows]
+    assert [i for start, stop in blocks for i in range(start, stop)] == list(range(rows))
+    assert rows == 1 or blocks[-1][1] - blocks[-1][0] > 1
+    assert T.row_blocks(rows, 36) == [(0, rows)]  # 36 columns: no split
+
+
 class TestGradients:
     def test_linear_op_error_tiny(self):
         rng = np.random.default_rng(20)
